@@ -13,8 +13,14 @@
 //!   (Rust's shortest-round-trip representation), so
 //!   `parse(write(x)) == x` bit-for-bit for every finite float.
 //!
-//! Writing happens directly with `format!` in `wire`; only escaping
-//! ([`escape`]) lives here so both sides agree on it.
+//! **Cost:** parsing is a single pass, linear in the input bytes. A
+//! string is copied one run at a time (each stretch up to the next
+//! quote, backslash or control byte in one slice, with no re-validation:
+//! the input is already a `&str`), and a non-negative integer that fits
+//! in a `u64` is accumulated straight from its digits.
+//!
+//! Writing happens directly in `wire`, appending into one buffer; only
+//! escaping ([`escape`]) lives here so both sides agree on it.
 
 use std::fmt;
 
@@ -67,7 +73,7 @@ impl Json {
     /// Returns the first syntax error with its byte offset.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let bytes = src.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { src, bytes, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -147,6 +153,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -209,6 +216,24 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
+        // Fast path: a non-negative integer that fits in a `u64` (every
+        // timestamp, count and delay sample on the wire) accumulates
+        // straight from its digits.
+        let mut acc = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            acc = acc
+                .and_then(|a| a.checked_mul(10))
+                .and_then(|a| a.checked_add(u64::from(d - b'0')));
+            self.pos += 1;
+        }
+        match (acc, self.peek()) {
+            (_, Some(b'.' | b'e' | b'E' | b'+' | b'-')) => {}
+            (Some(v), _) if self.pos > start => return Ok(Json::Int(i128::from(v))),
+            _ => {}
+        }
+        // Everything else (negatives, values past `u64::MAX`, fractions,
+        // exponents) rescans through the general parse.
+        self.pos = start;
         let mut integral = true;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -243,6 +268,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // as one slice. All three are ASCII, so both ends of the run
+            // sit on `char` boundaries of the already-valid input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -265,14 +299,18 @@ impl Parser<'_> {
                         b'u' => {
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
+                                // Surrogate pair: a low half must follow.
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let code = 0x10000
-                                        + ((u32::from(hi) - 0xD800) << 10)
-                                        + (u32::from(lo) - 0xDC00);
-                                    char::from_u32(code)
+                                    (0xDC00..0xE000)
+                                        .contains(&lo)
+                                        .then(|| {
+                                            0x10000
+                                                + ((u32::from(hi) - 0xD800) << 10)
+                                                + (u32::from(lo) - 0xDC00)
+                                        })
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -284,15 +322,7 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control byte in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("control byte in string")),
             }
         }
     }
@@ -436,6 +466,104 @@ mod tests {
         assert_eq!(Json::parse(&text).unwrap().as_str(), Some(original));
         // Surrogate pair escapes decode.
         assert_eq!(Json::parse(r#""😀""#).unwrap().as_str(), Some("\u{1F600}"));
+    }
+
+    #[test]
+    fn string_runs_split_at_escapes_and_multibyte_text() {
+        for original in [
+            // Multi-byte UTF-8 right next to escapes, on both sides.
+            "é\"ü\\€\n😀",
+            "\u{1F600}\t\u{1F600}",
+            // Runs that end exactly at an escape, and escapes only.
+            "abc\\",
+            "\"",
+            "\\\\\\",
+            "",
+            // A low control byte travels escaped.
+            "x\u{1}y",
+        ] {
+            let text = format!("\"{}\"", escape(original));
+            assert_eq!(
+                Json::parse(&text).unwrap(),
+                Json::Str(original.into()),
+                "{text}"
+            );
+        }
+        // `\u` escapes between multi-byte runs, and as object keys.
+        let u = |hex: &str| format!("\\u{hex}");
+        let text = format!(
+            "\"{}é{}{}😀{}\"",
+            u("00e9"),
+            u("d83d"),
+            u("de00"),
+            u("00df")
+        );
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some("éé😀😀ß"));
+        let v = Json::parse(r#"{"kë\"y": "välue", "k2": 1}"#).unwrap();
+        assert_eq!(v.get("kë\"y").and_then(Json::as_str), Some("välue"));
+        assert_eq!(v.get("k2").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
+    fn raw_control_bytes_and_lone_surrogates_are_rejected() {
+        for bad in [
+            "\"a\u{0}b\"",
+            "\"tab\there\"",
+            "\"new\nline\"",
+            "\"é\u{1f}\"",
+            "\"\u{1f}\"",
+        ] {
+            let e = Json::parse(bad).unwrap_err();
+            assert!(e.what.contains("control byte"), "{bad:?}: {e}");
+        }
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ude00""#,
+            r#""\ud83dA""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\n""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} should fail");
+        }
+        // A high surrogate followed by an escaped non-surrogate (`A`)
+        // is a lone surrogate too.
+        let bad = format!("\"\\ud83d\\{}\"", "u0041");
+        assert!(Json::parse(&bad).is_err(), "{bad} should fail");
+        // A DEL byte (0x7f) is not a control byte in JSON.
+        assert_eq!(Json::parse("\"\u{7f}\"").unwrap().as_str(), Some("\u{7f}"));
+    }
+
+    #[test]
+    fn integer_fast_path_matches_the_general_parse() {
+        for (text, want) in [
+            ("0", Json::Int(0)),
+            ("007", Json::Int(7)),
+            ("18446744073709551615", Json::Int(i128::from(u64::MAX))),
+            ("18446744073709551616", Json::Int(i128::from(u64::MAX) + 1)),
+            (
+                "-18446744073709551616",
+                Json::Int(-i128::from(u64::MAX) - 1),
+            ),
+            ("-0", Json::Int(0)),
+            ("12e2", Json::Float(1200.0)),
+            ("12.5", Json::Float(12.5)),
+            (
+                "[1,22,333]",
+                Json::Arr(vec![Json::Int(1), Json::Int(22), Json::Int(333)]),
+            ),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), want, "{text}");
+        }
+        for bad in [
+            "-",
+            "1-2",
+            "1+",
+            "1e",
+            "99999999999999999999999999999999999999999",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} should fail");
+        }
     }
 
     #[test]

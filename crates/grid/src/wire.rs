@@ -18,6 +18,12 @@
 //!   digest of its grid's canonical spec, so a parent never merges
 //!   frames from a different grid (a stale checkpoint directory, say).
 //!
+//! **Cost:** encoding and decoding are each a single pass, linear in the
+//! frame's bytes. The encoder appends every sub-object into one buffer
+//! (no per-object strings copied into their parents) and writes integers
+//! without the formatting machinery; the decoder is
+//! [`Json::parse`](crate::json::Json::parse) plus one walk of the tree.
+//!
 //! # Framing
 //!
 //! Streams are **length-prefixed JSONL**: an ASCII decimal byte length,
@@ -143,11 +149,81 @@ pub fn grid_to_json(grid: &ScenarioGrid) -> String {
 }
 
 fn push_ints(s: &mut String, items: impl Iterator<Item = u64>) {
-    for (i, v) in items.enumerate() {
-        if i > 0 {
-            s.push(',');
+    let mut list = IntList::new();
+    for v in items {
+        list.push(s, v);
+    }
+    list.flush(s);
+}
+
+/// `"00"`, `"01"`, … `"99"`: the digits of every pair, so a number is
+/// written two digits per division.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// A comma-separated run of integers, each written exactly as `{v}`
+/// prints it but without the formatting machinery: digits go two at a
+/// time into a stack batch that reaches the string once per
+/// `INT_BATCH` bytes. Delay samples are most of a frame's bytes.
+struct IntList {
+    batch: [u8; INT_BATCH],
+    len: usize,
+    first: bool,
+}
+
+/// Big enough to amortise the copy into the string over ~30 samples,
+/// small enough that zeroing it costs short lists (grid specs) nothing.
+const INT_BATCH: usize = 256;
+
+impl IntList {
+    fn new() -> IntList {
+        IntList {
+            batch: [0; INT_BATCH],
+            len: 0,
+            first: true,
         }
-        let _ = write!(s, "{v}");
+    }
+
+    fn push(&mut self, s: &mut String, mut v: u64) {
+        // Room for a comma and the 20 digits of `u64::MAX`.
+        if self.len + 21 > self.batch.len() {
+            self.flush(s);
+        }
+        if !self.first {
+            self.batch[self.len] = b',';
+            self.len += 1;
+        }
+        self.first = false;
+        let n = v.checked_ilog10().map_or(1, |l| l as usize + 1);
+        let digits = &mut self.batch[self.len..self.len + n];
+        let mut at = n;
+        while v >= 100 {
+            let pair = 2 * (v % 100) as usize;
+            v /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = 2 * v as usize;
+            digits[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            digits[0] = b'0' + v as u8;
+        }
+        self.len += n;
+    }
+
+    /// Moves the batch into `s`; call once more after the last push.
+    fn flush(&mut self, s: &mut String) {
+        s.push_str(std::str::from_utf8(&self.batch[..self.len]).expect("ASCII digits and commas"));
+        self.len = 0;
     }
 }
 
@@ -327,23 +403,23 @@ pub struct CellFrame {
 /// newlines).
 pub fn frame_to_json(digest: u64, index: usize, cell: &GridCell, outcome: &CellOutcome) -> String {
     let mut s = String::with_capacity(4096);
-    let _ = write!(
-        s,
-        "{{\"v\":1,\"grid\":{digest},\"index\":{index},\"cell\":{},",
-        cell_to_json(cell)
-    );
+    let _ = write!(s, "{{\"v\":1,\"grid\":{digest},\"index\":{index},\"cell\":");
+    push_cell(&mut s, cell);
     match outcome {
         CellOutcome::Piconet(report) => {
-            let _ = write!(s, "\"piconet\":{}}}", run_report_to_json(report));
+            s.push_str(",\"piconet\":");
+            push_run_report(&mut s, report);
         }
         CellOutcome::Scatternet(report, telemetry) => {
-            let _ = write!(s, "\"scatternet\":{}", scatternet_report_to_json(report));
+            s.push_str(",\"scatternet\":");
+            push_scatternet_report(&mut s, report);
             if let Some(t) = telemetry {
-                let _ = write!(s, ",\"telemetry\":{}", telemetry_to_json(t));
+                s.push_str(",\"telemetry\":");
+                push_telemetry(&mut s, t);
             }
-            s.push('}');
         }
     }
+    s.push('}');
     debug_assert!(!s.contains('\n'), "frames must be single lines");
     s
 }
@@ -374,26 +450,34 @@ pub fn frame_from_json(src: &str) -> Result<CellFrame, WireError> {
     };
     Ok(CellFrame {
         grid_digest: u64_field(&j, "grid")?,
-        index: u64_field(&j, "index")? as usize,
+        index: field(&j, "index")?
+            .as_usize()
+            .ok_or_else(|| wire_err("field `index` is not a usize"))?,
         cell,
         outcome,
     })
 }
 
-fn cell_to_json(c: &GridCell) -> String {
-    let mut s = String::with_capacity(192);
+fn push_cell(s: &mut String, c: &GridCell) {
     let _ = write!(
         s,
-        "{{\"poller\":\"{}\",\"piconets\":{},\"seed\":{},\"topo\":\"{}\",\"dreq_ns\":{},\
-         \"cd_ns\":{},\"bi\":{},\"bridge_ns\":{},\"horizon_ns\":{},\"warmup_ns\":{},\
-         \"be\":{},\"bl\":{:?},\"mix\":\"{}\",\"telemetry\":{}}}",
+        "{{\"poller\":\"{}\",\"piconets\":{},\"seed\":{},\"topo\":\"{}\",\"dreq_ns\":{},\"cd_ns\":",
         escape(&c.poller.label()),
         c.piconets,
         c.seed,
         c.topology.label(),
         c.delay_requirement.as_nanos(),
-        c.chain_deadline
-            .map_or_else(|| "null".to_owned(), |d| d.as_nanos().to_string()),
+    );
+    match c.chain_deadline {
+        None => s.push_str("null"),
+        Some(d) => {
+            let _ = write!(s, "{}", d.as_nanos());
+        }
+    }
+    let _ = write!(
+        s,
+        ",\"bi\":{},\"bridge_ns\":{},\"horizon_ns\":{},\"warmup_ns\":{},\
+         \"be\":{},\"bl\":{:?},\"mix\":\"{}\",\"telemetry\":{}}}",
         c.bidirectional,
         c.bridge_cycle.as_nanos(),
         c.horizon.as_nanos(),
@@ -403,7 +487,6 @@ fn cell_to_json(c: &GridCell) -> String {
         c.be_source_mix.label(),
         c.telemetry,
     );
-    s
 }
 
 fn cell_from_json(j: &Json) -> Result<GridCell, WireError> {
@@ -512,8 +595,7 @@ fn slave_from(v: u64) -> Result<AmAddr, WireError> {
         .ok_or_else(|| wire_err(format!("bad slave address {v}")))
 }
 
-fn flow_spec_to_json(f: &FlowSpec) -> String {
-    let mut s = String::with_capacity(96);
+fn push_flow_spec(s: &mut String, f: &FlowSpec) {
     let _ = write!(
         s,
         "{{\"id\":{},\"slave\":{},\"dir\":\"{}\",\"chan\":\"{}\",\"types\":",
@@ -536,7 +618,6 @@ fn flow_spec_to_json(f: &FlowSpec) -> String {
         }
     }
     s.push('}');
-    s
 }
 
 fn flow_spec_from_json(j: &Json) -> Result<FlowSpec, WireError> {
@@ -563,19 +644,12 @@ fn flow_spec_from_json(j: &Json) -> Result<FlowSpec, WireError> {
     Ok(spec)
 }
 
-fn delay_to_json(d: &DelayStats) -> String {
-    let mut s = String::with_capacity(16 + 12 * d.count());
+fn push_delay(s: &mut String, d: &DelayStats) {
     s.push('[');
-    let mut first = true;
-    d.for_each_nanos(|ns| {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(s, "{ns}");
-    });
+    let mut list = IntList::new();
+    d.for_each_nanos(|ns| list.push(s, ns));
+    list.flush(s);
     s.push(']');
-    s
 }
 
 fn delay_from_json(j: &Json) -> Result<DelayStats, WireError> {
@@ -588,20 +662,19 @@ fn delay_from_json(j: &Json) -> Result<DelayStats, WireError> {
     Ok(DelayStats::from_nanos_samples(samples))
 }
 
-fn flow_report_to_json(id: FlowId, r: &FlowReport) -> String {
-    let mut s = String::with_capacity(128);
+fn push_flow_report(s: &mut String, id: FlowId, r: &FlowReport) {
     let _ = write!(
         s,
-        "{{\"id\":{},\"op\":{},\"ob\":{},\"dp\":{},\"db\":{},\"lb\":{},\"delay\":{}}}",
+        "{{\"id\":{},\"op\":{},\"ob\":{},\"dp\":{},\"db\":{},\"lb\":{},\"delay\":",
         id.0,
         r.offered_packets,
         r.offered_bytes,
         r.delivered_packets,
         r.delivered_bytes,
         r.lost_bytes,
-        delay_to_json(&r.delay),
     );
-    s
+    push_delay(s, &r.delay);
+    s.push('}');
 }
 
 fn flow_report_from_json(j: &Json) -> Result<(FlowId, FlowReport), WireError> {
@@ -618,11 +691,12 @@ fn flow_report_from_json(j: &Json) -> Result<(FlowId, FlowReport), WireError> {
     ))
 }
 
-fn ledger_to_json(l: &SlotLedger) -> String {
-    format!(
+fn push_ledger(s: &mut String, l: &SlotLedger) {
+    let _ = write!(
+        s,
         "{{\"gd\":{},\"go\":{},\"gr\":{},\"bd\":{},\"bo\":{},\"br\":{},\"sco\":{}}}",
         l.gs_data, l.gs_overhead, l.gs_retx, l.be_data, l.be_overhead, l.be_retx, l.sco
-    )
+    );
 }
 
 fn ledger_from_json(j: &Json) -> Result<SlotLedger, WireError> {
@@ -637,8 +711,8 @@ fn ledger_from_json(j: &Json) -> Result<SlotLedger, WireError> {
     })
 }
 
-fn polls_to_json(p: &PollCounters) -> String {
-    format!("[{},{}]", p.successful, p.unsuccessful)
+fn push_polls(s: &mut String, p: &PollCounters) {
+    let _ = write!(s, "[{},{}]", p.successful, p.unsuccessful);
 }
 
 fn polls_from_json(j: &Json) -> Result<PollCounters, WireError> {
@@ -657,6 +731,11 @@ fn polls_from_json(j: &Json) -> Result<PollCounters, WireError> {
 /// Serialises a [`RunReport`] with full sample fidelity.
 pub fn run_report_to_json(r: &RunReport) -> String {
     let mut s = String::with_capacity(4096);
+    push_run_report(&mut s, r);
+    s
+}
+
+fn push_run_report(s: &mut String, r: &RunReport) {
     let _ = write!(
         s,
         "{{\"ws\":{},\"we\":{},\"poller\":\"{}\",\"events\":{},\"flows\":[",
@@ -669,7 +748,7 @@ pub fn run_report_to_json(r: &RunReport) -> String {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&flow_spec_to_json(f));
+        push_flow_spec(s, f);
     }
     s.push_str("],\"sco\":[");
     for (i, (id, slave)) in r.sco_flows.iter().enumerate() {
@@ -678,22 +757,21 @@ pub fn run_report_to_json(r: &RunReport) -> String {
         }
         let _ = write!(s, "[{},{}]", id.0, slave.get());
     }
-    let _ = write!(
-        s,
-        "],\"ledger\":{},\"gs_polls\":{},\"be_polls\":{},\"per_flow\":[",
-        ledger_to_json(&r.ledger),
-        polls_to_json(&r.gs_polls),
-        polls_to_json(&r.be_polls),
-    );
+    s.push_str("],\"ledger\":");
+    push_ledger(s, &r.ledger);
+    s.push_str(",\"gs_polls\":");
+    push_polls(s, &r.gs_polls);
+    s.push_str(",\"be_polls\":");
+    push_polls(s, &r.be_polls);
+    s.push_str(",\"per_flow\":[");
     // BTreeMap iteration is id-sorted — a canonical order.
     for (i, (id, fr)) in r.per_flow.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&flow_report_to_json(*id, fr));
+        push_flow_report(s, *id, fr);
     }
     s.push_str("]}");
-    s
 }
 
 /// Parses a [`RunReport`].
@@ -744,19 +822,18 @@ pub fn run_report_from_json(j: &Json) -> Result<RunReport, WireError> {
     })
 }
 
-fn chain_report_to_json(c: &ChainReport) -> String {
-    let mut s = String::with_capacity(256);
+fn push_chain_report(s: &mut String, c: &ChainReport) {
     s.push_str("{\"hops\":[");
-    push_ints(&mut s, c.hops.iter().map(|h| u64::from(h.0)));
+    push_ints(s, c.hops.iter().map(|h| u64::from(h.0)));
     let _ = write!(
         s,
-        "],\"relayed\":{},\"delivered\":{},\"e2e\":{},\"residence\":{}}}",
-        c.relayed_packets,
-        c.delivered_packets,
-        delay_to_json(&c.e2e),
-        delay_to_json(&c.residence),
+        "],\"relayed\":{},\"delivered\":{},\"e2e\":",
+        c.relayed_packets, c.delivered_packets,
     );
-    s
+    push_delay(s, &c.e2e);
+    s.push_str(",\"residence\":");
+    push_delay(s, &c.residence);
+    s.push('}');
 }
 
 fn chain_report_from_json(j: &Json) -> Result<ChainReport, WireError> {
@@ -780,19 +857,24 @@ fn chain_report_from_json(j: &Json) -> Result<ChainReport, WireError> {
 /// Serialises a [`ScatternetReport`] with full sample fidelity.
 pub fn scatternet_report_to_json(r: &ScatternetReport) -> String {
     let mut s = String::with_capacity(8192);
+    push_scatternet_report(&mut s, r);
+    s
+}
+
+fn push_scatternet_report(s: &mut String, r: &ScatternetReport) {
     s.push_str("{\"piconets\":[");
     for (i, p) in r.piconets.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&run_report_to_json(p));
+        push_run_report(s, p);
     }
     s.push_str("],\"chains\":[");
     for (i, c) in r.chains.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&chain_report_to_json(c));
+        push_chain_report(s, c);
     }
     let _ = write!(
         s,
@@ -806,7 +888,6 @@ pub fn scatternet_report_to_json(r: &ScatternetReport) -> String {
         r.islands_skipped_idle,
         r.relays_injected,
     );
-    s
 }
 
 /// Parses a [`ScatternetReport`].
@@ -835,12 +916,10 @@ pub fn scatternet_report_from_json(j: &Json) -> Result<ScatternetReport, WireErr
     })
 }
 
-fn histo_to_json(h: &Histo32) -> String {
-    let mut s = String::with_capacity(160);
+fn push_histo(s: &mut String, h: &Histo32) {
     s.push_str("{\"counts\":[");
-    push_ints(&mut s, h.counts.iter().copied());
+    push_ints(s, h.counts.iter().copied());
     let _ = write!(s, "],\"count\":{},\"sum\":{}}}", h.count, h.sum);
-    s
 }
 
 fn histo_from_json(j: &Json) -> Result<Histo32, WireError> {
@@ -863,6 +942,11 @@ fn histo_from_json(j: &Json) -> Result<Histo32, WireError> {
 /// frame payload; also the `btgs-obs` CLI's `--telemetry` output).
 pub fn telemetry_to_json(t: &TelemetryReport) -> String {
     let mut s = String::with_capacity(1024);
+    push_telemetry(&mut s, t);
+    s
+}
+
+fn push_telemetry(s: &mut String, t: &TelemetryReport) {
     let _ = write!(
         s,
         "{{\"events\":{},\"phases\":{},\"barrier_rounds\":{},\"islands_claimed\":{},\
@@ -890,10 +974,10 @@ pub fn telemetry_to_json(t: &TelemetryReport) -> String {
         ("wheel_near", &t.wheel_near),
         ("events_per_claim", &t.events_per_claim),
     ] {
-        let _ = write!(s, ",\"{key}\":{}", histo_to_json(h));
+        let _ = write!(s, ",\"{key}\":");
+        push_histo(s, h);
     }
     s.push('}');
-    s
 }
 
 /// Parses a [`TelemetryReport`].
@@ -1249,9 +1333,32 @@ mod tests {
             LogicalChannel::BestEffort,
         )
         .with_allowed_types(vec![PacketType::Dh1, PacketType::Dm3]);
-        let json = flow_spec_to_json(&spec);
+        let mut json = String::new();
+        push_flow_spec(&mut json, &spec);
         let parsed = flow_spec_from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(parsed, spec);
+    }
+
+    #[test]
+    fn int_lists_print_like_display() {
+        let mut values = vec![0, 1, 9, 10, 99, 100, 101, u64::MAX, u64::MAX - 1];
+        for p in 1..20 {
+            let ten = 10u64.pow(p);
+            values.extend([ten - 1, ten, ten + 1]);
+        }
+        // Enough values to flush the batch several times.
+        values.extend((0..2000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        let want = values
+            .iter()
+            .map(u64::to_string)
+            .collect::<Vec<_>>()
+            .join(",");
+        let mut got = String::from("x");
+        push_ints(&mut got, values.iter().copied());
+        assert_eq!(got, format!("x{want}"));
+        let mut empty = String::new();
+        push_ints(&mut empty, std::iter::empty());
+        assert_eq!(empty, "");
     }
 
     #[test]
