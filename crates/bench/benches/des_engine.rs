@@ -1,8 +1,15 @@
 //! Micro-benchmark: raw event throughput of the DES engine.
 //!
-//! Each wheel benchmark has a `*_heap` twin running the identical workload
-//! on the [`HeapEventQueue`] reference backend, measured in the same
-//! process — the in-run ratio is immune to machine noise between sessions.
+//! Each benchmark of the sorted-buffer [`EventQueue`] has a `*_heap` twin
+//! running the identical workload on the [`HeapEventQueue`] reference
+//! backend, measured in the same process — the in-run ratio is immune to
+//! machine noise between sessions.
+//!
+//! `queue_push_pop_10k` and `queue_cancel_heavy` hold 10 000 events
+//! pending at once, hundreds of times more than any simulator does. The
+//! sorted buffer's push is linear in the pending set, so these two are
+//! quadratic on it and far slower than on the heap; they chart that
+//! known price, not the simulator's workload.
 
 use btgs_bench::microbench::{Criterion, Throughput};
 use btgs_bench::{criterion_group, criterion_main};

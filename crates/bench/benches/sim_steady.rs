@@ -4,7 +4,7 @@
 //! Throughput is declared in engine events (measured from a probe run), so
 //! the JSON output records events/sec alongside ns/op. The `*_heap`
 //! variants run the identical scenario on the binary-heap reference queue
-//! in the same process, giving a noise-immune wheel-vs-heap ratio.
+//! in the same process, giving a noise-immune sorted-vs-heap ratio.
 
 use btgs_bench::microbench::{Criterion, Throughput};
 use btgs_bench::{criterion_group, criterion_main};
@@ -33,21 +33,21 @@ fn run(include_be: bool, backend: EventQueueBackend) -> btgs_piconet::RunReport 
 fn sim_throughput(c: &mut Criterion) {
     // One probe run per scenario supplies the event count for the
     // events/sec figure (runs are deterministic, so it is exact).
-    let full_events = run(true, EventQueueBackend::TimingWheel).events_processed;
-    let gs_events = run(false, EventQueueBackend::TimingWheel).events_processed;
+    let full_events = run(true, EventQueueBackend::Sorted).events_processed;
+    let gs_events = run(false, EventQueueBackend::Sorted).events_processed;
 
     let mut group = c.benchmark_group("sim_steady");
     group.sample_size(10);
     group.throughput(Throughput::Elements(full_events));
     group.bench_function("paper_scenario_5s_simulated", |b| {
-        b.iter(|| black_box(run(true, EventQueueBackend::TimingWheel).total_throughput_kbps()))
+        b.iter(|| black_box(run(true, EventQueueBackend::Sorted).total_throughput_kbps()))
     });
     group.bench_function("paper_scenario_5s_simulated_heap", |b| {
         b.iter(|| black_box(run(true, EventQueueBackend::BinaryHeap).total_throughput_kbps()))
     });
     group.throughput(Throughput::Elements(gs_events));
     group.bench_function("gs_only_5s_simulated", |b| {
-        b.iter(|| black_box(run(false, EventQueueBackend::TimingWheel).total_throughput_kbps()))
+        b.iter(|| black_box(run(false, EventQueueBackend::Sorted).total_throughput_kbps()))
     });
     group.finish();
 }

@@ -1,11 +1,12 @@
 //! A counting global allocator for zero-allocation assertions.
 //!
 //! The simulator's steady state is designed to be allocation-free: the
-//! timing wheel recycles bucket capacity, flow queues reuse theirs, and the
-//! pollers precompute every table they need. This module provides the
-//! proof: install [`CountingAllocator`] as the `#[global_allocator]` of a
-//! test or bench binary, snapshot [`allocation_count`] around the code
-//! under test, and assert the delta is zero.
+//! event queue is pre-sized and recycles its slots, flow queues reuse their
+//! capacity, and the pollers precompute every table they need. This
+//! module provides the proof: install [`CountingAllocator`] as the
+//! `#[global_allocator]` of a test or bench binary, snapshot
+//! [`allocation_count`] around the code under test, and assert the delta
+//! is zero.
 //!
 //! Counting uses a relaxed atomic — the counter is a diagnostic, not a
 //! synchronisation point — and adds a handful of nanoseconds per

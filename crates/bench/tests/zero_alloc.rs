@@ -4,7 +4,7 @@
 //! delta across three hot loops:
 //!
 //! 1. every poller's per-decision path,
-//! 2. the DES engine's event loop (timing-wheel push/pop cycle),
+//! 2. the DES engine's event loop (sorted-buffer push/pop cycle),
 //! 3. the full piconet simulator's steady state, bracketed inside a run
 //!    via [`PiconetSim::run_probed`] after warm-up growth has settled.
 //!
@@ -114,7 +114,7 @@ fn poller_decisions_are_allocation_free() {
 fn des_event_loop_is_allocation_free() {
     let mut sim = Simulator::new(0u64);
     sim.scheduler_mut().schedule_at(SimTime::ZERO, ());
-    // Warm-up: grow arena/bucket capacities across a full L0 window cycle.
+    // Warm-up: grow the slot arena to its working capacity.
     sim.run_until(SimTime::from_millis(300), |sched, count, ()| {
         *count += 1;
         sched.schedule_in(SimDuration::from_millis(1), ());
@@ -132,7 +132,7 @@ fn des_event_loop_is_allocation_free() {
 fn sim_steady_state_is_allocation_free() {
     // The paper scenario without the (deliberately overloading) BE flows:
     // queues stay bounded, so after warm-up the event loop must not touch
-    // the allocator at all — queue slots, wheel buckets, poller state and
+    // the allocator at all — queue slots, the event buffer, poller state and
     // report buffers all recycle.
     let scenario = PaperScenario::build(PaperScenarioParams {
         delay_requirement: SimDuration::from_millis(40),
@@ -175,7 +175,7 @@ fn sim_steady_state_is_allocation_free() {
 
 fn scatternet_steady_state_is_allocation_free() {
     // Two chained Fig. 4 piconets with one bridged GS flow, without the
-    // (deliberately overloading) BE load: after warm-up the shared wheel,
+    // (deliberately overloading) BE load: after warm-up the event queues,
     // both piconet worlds, the relay outboxes, the origin FIFO and the
     // chain statistics must all recycle — zero allocator traffic even
     // while packets cross the bridge every cycle.

@@ -448,13 +448,13 @@ impl PaperScenario {
     /// Propagates simulator configuration errors (none are expected for a
     /// well-formed scenario).
     pub fn run(&self, kind: PollerKind, horizon: SimTime) -> Result<RunReport, PiconetError> {
-        self.run_with_backend(kind, horizon, EventQueueBackend::TimingWheel)
+        self.run_with_backend(kind, horizon, EventQueueBackend::Sorted)
     }
 
     /// Runs the scenario on an explicit event-queue backend.
     ///
     /// The differential tests use this to demand byte-identical reports
-    /// from the timing wheel and the binary-heap reference.
+    /// from the sorted buffer and the binary-heap reference.
     ///
     /// # Errors
     ///

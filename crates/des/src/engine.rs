@@ -1,15 +1,15 @@
 //! The discrete-event simulation driver.
 
 use crate::queue::{EventKey, PendingEvents, QueueOccupancy};
+use crate::sorted::EventQueue;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::EventQueue;
 use core::marker::PhantomData;
 
 /// Scheduling facade handed to event handlers.
 ///
 /// A handler receives `&mut Scheduler<E, Q>` and may plant new events or
 /// cancel pending ones; it cannot rewind the clock. The queue backend `Q`
-/// defaults to the timing-wheel [`EventQueue`]; differential tests swap in
+/// defaults to the sorted-buffer [`EventQueue`]; differential tests swap in
 /// the [`HeapEventQueue`](crate::HeapEventQueue) reference.
 #[derive(Debug)]
 pub struct Scheduler<E, Q: PendingEvents<E> = EventQueue<E>> {
@@ -72,9 +72,8 @@ impl<E, Q: PendingEvents<E>> Scheduler<E, Q> {
     }
 
     /// A structural snapshot of the pending-event set (see
-    /// [`QueueOccupancy`]): how many live events sit in each of the
-    /// backend's tiers. Observability only — reading it never perturbs
-    /// the queue.
+    /// [`QueueOccupancy`]): live events and stored entries. Observability
+    /// only — reading it never perturbs the queue.
     pub fn queue_occupancy(&self) -> QueueOccupancy {
         self.queue.occupancy()
     }
@@ -94,7 +93,7 @@ impl<E, Q: PendingEvents<E>> Scheduler<E, Q> {
 /// events at the same time.
 ///
 /// The third parameter selects the pending-event backend. It defaults to
-/// the timing-wheel [`EventQueue`]; [`Simulator::with_queue`] accepts any
+/// the sorted-buffer [`EventQueue`]; [`Simulator::with_queue`] accepts any
 /// [`PendingEvents`] implementation, which the differential tests use to
 /// run the same model against the heap reference.
 ///
@@ -125,7 +124,7 @@ pub struct Simulator<S, E, Q: PendingEvents<E> = EventQueue<E>> {
 
 impl<S, E> Simulator<S, E> {
     /// Creates a simulator owning `state`, with the clock at zero, backed
-    /// by the timing-wheel [`EventQueue`].
+    /// by the sorted-buffer [`EventQueue`].
     pub fn new(state: S) -> Self {
         Simulator::with_queue(state, EventQueue::new())
     }

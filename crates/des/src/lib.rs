@@ -7,19 +7,21 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time, so
 //!   slot arithmetic (1 Bluetooth slot = 625 µs) is exact.
-//! * [`EventQueue`] — the pending-event set: a hierarchical timing wheel
-//!   with stable FIFO ordering for same-time events, cheap cancellation,
-//!   and O(1) push/pop for the near-future slot-grid workload.
+//! * [`EventQueue`] — the pending-event set: one sorted buffer with stable
+//!   FIFO ordering for same-time events, lazy cancellation, `O(1)` pop and
+//!   a push that scans only the few entries due before it.
 //! * [`HeapEventQueue`] — the binary-heap reference implementation of the
 //!   same [`PendingEvents`] contract, kept for differential testing.
 //! * [`Simulator`] / [`Scheduler`] — the run loop: handlers mutate domain
 //!   state and plant or cancel future events; generic over the queue
-//!   backend (defaults to the wheel).
+//!   backend (defaults to the sorted buffer).
 //! * [`DetRng`] — self-contained xoshiro256++ PRNG with independent
 //!   sub-streams, so experiments replay bit-for-bit on any platform.
 //!
-//! Everything is single-threaded by design: determinism is a feature of the
-//! reproduction, and piconet-scale models are far from needing parallelism.
+//! One [`Simulator`] runs on one thread, and determinism is a feature of the
+//! reproduction: the same inputs replay bit-for-bit. Parallelism lives a
+//! layer up, where the scatternet engine runs one simulator per piconet
+//! island on a worker pool.
 //!
 //! # Examples
 //!
@@ -46,13 +48,13 @@
 mod engine;
 mod queue;
 mod rng;
+mod sorted;
 mod tag;
 mod time;
-mod wheel;
 
 pub use engine::{Scheduler, Simulator};
 pub use queue::{EventKey, HeapEventQueue, PendingEvents, QueueOccupancy, Scheduled};
 pub use rng::DetRng;
+pub use sorted::EventQueue;
 pub use tag::Tagged;
 pub use time::{SimDuration, SimTime};
-pub use wheel::EventQueue;

@@ -1,7 +1,7 @@
 //! The pending-event set: keys, payload storage, the queue interface, and
 //! the binary-heap reference implementation.
 //!
-//! The production queue is the hierarchical timing wheel in [`crate::wheel`]
+//! The production queue is the sorted buffer in [`crate::sorted`]
 //! (re-exported as [`EventQueue`](crate::EventQueue)); the
 //! [`HeapEventQueue`] here implements the exact same contract on a
 //! `BinaryHeap` and exists as the *reference model*: differential tests
@@ -34,26 +34,20 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// A structural snapshot of a pending-event queue, for observability:
-/// how the live events are distributed across the backend's tiers.
-/// Backends without tiers report everything as `near`.
+/// A structural snapshot of a pending-event queue, for observability.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueOccupancy {
     /// Total live (not yet popped or cancelled) events.
     pub live: usize,
-    /// Events in the near-horizon tier (wheel level 0 and its
-    /// same-tick batch; everything, for the heap reference).
+    /// Index entries the backend stores, cancelled ones not yet dropped
+    /// included: `live` plus the lazily cancelled backlog.
     pub near: usize,
-    /// Events in the far tier (wheel level 1).
-    pub far: usize,
-    /// Events beyond the wheel span (the overflow heap).
-    pub overflow: usize,
 }
 
 /// The interface between the [`Simulator`](crate::Simulator) run loop and a
 /// pending-event structure.
 ///
-/// Both implementations — the timing-wheel [`EventQueue`](crate::EventQueue)
+/// Both implementations — the sorted-buffer [`EventQueue`](crate::EventQueue)
 /// and the [`HeapEventQueue`] reference — honour the same contract: events
 /// pop in `(time, insertion order)` order, same-time events are FIFO, and a
 /// cancelled or popped key is stale forever.
@@ -88,16 +82,9 @@ pub trait PendingEvents<E> {
         self.len() == 0
     }
 
-    /// A structural snapshot of where the live events sit (see
-    /// [`QueueOccupancy`]). The default reports an untiered backend.
-    fn occupancy(&self) -> QueueOccupancy {
-        QueueOccupancy {
-            live: self.len(),
-            near: self.len(),
-            far: 0,
-            overflow: 0,
-        }
-    }
+    /// A structural snapshot of the stored entries (see
+    /// [`QueueOccupancy`]).
+    fn occupancy(&self) -> QueueOccupancy;
 }
 
 /// An index entry for one scheduled event; the payload lives in the
@@ -138,10 +125,10 @@ struct Slot<E> {
 ///
 /// Every scheduled event's payload lives in a slot; the `(slot, generation)`
 /// pair is the [`EventKey`]. Cancellation bumps the generation, so index
-/// entries still sitting in a heap or wheel bucket are recognised as dead
-/// and skipped lazily. Freed slots are recycled through a free list, so the
-/// arena stops allocating once it reaches the high-water mark of concurrently
-/// pending events.
+/// entries still sitting in the heap or the sorted buffer are recognised as
+/// dead and skipped lazily. Freed slots are recycled through a free list, so
+/// the arena stops allocating once it reaches the high-water mark of
+/// concurrently pending events.
 pub(crate) struct SlotArena<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
@@ -217,7 +204,7 @@ impl<E> SlotArena<E> {
 ///
 /// Same-time events pop in the order they were pushed, which makes runs
 /// reproducible without relying on heap internals. The production
-/// [`EventQueue`](crate::EventQueue) (a hierarchical timing wheel) must be
+/// [`EventQueue`](crate::EventQueue) (a sorted buffer) must be
 /// operationally indistinguishable from this structure; it exists so
 /// differential tests have an obviously-correct model to compare against.
 ///
@@ -350,6 +337,13 @@ impl<E> PendingEvents<E> for HeapEventQueue<E> {
     fn len(&self) -> usize {
         HeapEventQueue::len(self)
     }
+
+    fn occupancy(&self) -> QueueOccupancy {
+        QueueOccupancy {
+            live: self.live,
+            near: self.heap.len(),
+        }
+    }
 }
 
 impl<E: core::fmt::Debug> core::fmt::Debug for HeapEventQueue<E> {
@@ -363,7 +357,7 @@ impl<E: core::fmt::Debug> core::fmt::Debug for HeapEventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wheel::EventQueue;
+    use crate::sorted::EventQueue;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -371,10 +365,97 @@ mod tests {
 
     /// Every contract test runs against both backends.
     fn both(check: impl Fn(&mut dyn PendingEvents<i32>)) {
-        let mut wheel: EventQueue<i32> = EventQueue::new();
-        check(&mut wheel);
+        let mut sorted: EventQueue<i32> = EventQueue::new();
+        check(&mut sorted);
         let mut heap: HeapEventQueue<i32> = HeapEventQueue::new();
         check(&mut heap);
+    }
+
+    #[test]
+    fn far_future_times_pop_last() {
+        both(|q| {
+            q.push(SimTime::from_nanos(u64::MAX - 1), 2);
+            q.push(SimTime::from_secs(1), 1);
+            assert_eq!(q.pop().unwrap().event, 1);
+            assert_eq!(q.pop().unwrap().event, 2);
+            assert!(q.pop().is_none());
+        });
+    }
+
+    #[test]
+    fn cancelled_entries_are_skipped_at_every_distance() {
+        both(|q| {
+            let a = q.push(t(1), 1);
+            let b = q.push(SimTime::from_secs(1), 2);
+            let c = q.push(SimTime::from_secs(100), 3);
+            let keep = q.push(SimTime::from_secs(200), 4);
+            assert_eq!(q.cancel(a), Some(1));
+            assert_eq!(q.cancel(b), Some(2));
+            assert_eq!(q.cancel(c), Some(3));
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.peek_time(), Some(SimTime::from_secs(200)));
+            assert_eq!(q.pop().unwrap().event, 4);
+            assert_eq!(q.cancel(keep), None, "popped key is stale");
+        });
+    }
+
+    #[test]
+    fn pushes_between_pops_keep_fifo_ties() {
+        both(|q| {
+            q.push(t(1), 1);
+            q.push(t(1), 2);
+            q.push(t(9), 9);
+            assert_eq!(q.pop().unwrap().event, 1);
+            // Same time as an entry still pending: FIFO puts it after.
+            q.push(t(1), 3);
+            // Earlier than everything left: pops first.
+            q.push(SimTime::from_micros(50), 0);
+            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+            assert_eq!(order, vec![0, 2, 3, 9]);
+        });
+    }
+
+    #[test]
+    fn occupancy_counts_stored_entries() {
+        both(|q| {
+            let a = q.push(t(1), 1);
+            q.push(t(2), 2);
+            q.cancel(a);
+            let occ = q.occupancy();
+            assert_eq!((occ.live, occ.near), (1, 2), "cancelled entry still stored");
+            assert_eq!(q.peek_time(), Some(t(2)));
+            let occ = q.occupancy();
+            assert_eq!((occ.live, occ.near), (1, 1), "peek dropped it");
+        });
+    }
+
+    #[test]
+    fn slot_grid_workload_round_trips() {
+        // The simulator's actual pattern: wake/done events marching down
+        // the 625 µs slot grid, plus periodic arrivals ~20 ms out.
+        both(|q| {
+            let slot = 625_000u64;
+            let mut popped = 0;
+            let mut t = 0u64;
+            q.push(SimTime::from_nanos(0), 0);
+            for i in 1..=2_000 {
+                let s = q.pop().unwrap();
+                assert!(s.time.as_nanos() >= t);
+                t = s.time.as_nanos();
+                popped += 1;
+                // Re-arm two slots ahead, and every 32nd event plant an
+                // arrival 20 ms out, then cancel it.
+                q.push(SimTime::from_nanos(t + 2 * slot), i);
+                if i % 32 == 0 {
+                    let k = q.push(SimTime::from_nanos(t + 20_000_000), 1_000_000 + i);
+                    q.cancel(k);
+                }
+                if q.len() > 1 {
+                    q.pop(); // keep the population small and marching
+                }
+            }
+            assert_eq!(popped, 2_000);
+        });
     }
 
     #[test]
@@ -498,7 +579,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::rng::DetRng;
-    use crate::wheel::EventQueue;
+    use crate::sorted::EventQueue;
 
     /// Popping must always yield a non-decreasing time sequence and
     /// same-time events in FIFO order, under any interleaving of pushes

@@ -1,14 +1,15 @@
-//! Differential property test: the timing-wheel [`EventQueue`] against the
+//! Differential property test: the sorted-buffer [`EventQueue`] against the
 //! [`HeapEventQueue`] reference model under DetRng-driven random
 //! push/cancel/pop interleavings.
 //!
 //! Both structures receive the identical operation sequence; after every
 //! operation their observable behaviour (lengths, peeked times, popped
-//! `(time, payload)` pairs, cancel results) must match exactly. Time spans
-//! are drawn across all wheel tiers — current tick, L0 ring, L1 ring and
-//! the overflow heap — and pops interleave with pushes so the wheel's
-//! window advances mid-sequence, which is where a calendar structure can
-//! subtly diverge from a heap.
+//! `(time, payload)` pairs, cancel results) must match exactly. Time
+//! offsets range from the same instant to minutes ahead — the slot-grid
+//! neighbourhood, tens of milliseconds, tens of seconds, and pushes more
+//! than 34 s out — and pops interleave with pushes, so entries land at the
+//! back, in the middle and at the front of the buffer, and same-time ties
+//! arrive both before and after pops.
 
 use btgs_des::{DetRng, EventKey, EventQueue, HeapEventQueue, PendingEvents, SimTime};
 
@@ -22,26 +23,26 @@ enum Op {
     Peek,
 }
 
-/// Draws a time offset that exercises a specific wheel tier.
+/// Draws a time offset from one of four distance classes.
 fn arb_offset(rng: &mut DetRng) -> u64 {
     match rng.below(10) {
-        // Same tick / immediate neighbourhood (batch + first L0 buckets).
+        // The immediate slot-grid neighbourhood (a few slots).
         0..=3 => rng.below(2_000_000),
-        // Within the L0 window (~134 ms).
+        // Traffic-arrival distances (up to ~134 ms).
         4..=6 => rng.below(130_000_000),
-        // Within the L1 horizon (~34 s).
+        // Up to ~34 s.
         7..=8 => rng.below(30_000_000_000),
-        // Beyond the L1 horizon: overflow heap.
+        // More than 34 s out.
         _ => 34_000_000_000 + rng.below(300_000_000_000),
     }
 }
 
 fn run_sequence(rng: &mut DetRng, n_ops: usize) {
-    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut sorted: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
     // Keys come back in identical order from both, so parallel vectors of
     // live keys stay aligned.
-    let mut wheel_keys: Vec<EventKey> = Vec::new();
+    let mut sorted_keys: Vec<EventKey> = Vec::new();
     let mut heap_keys: Vec<EventKey> = Vec::new();
     let mut last_popped = SimTime::ZERO;
     let mut payload = 0u64;
@@ -62,36 +63,36 @@ fn run_sequence(rng: &mut DetRng, n_ops: usize) {
         match op {
             Op::Push(t) => {
                 payload += 1;
-                wheel_keys.push(wheel.push(t, payload));
+                sorted_keys.push(sorted.push(t, payload));
                 heap_keys.push(heap.push(t, payload));
             }
             Op::CancelRecent(back) => {
-                if wheel_keys.is_empty() {
+                if sorted_keys.is_empty() {
                     continue;
                 }
-                let idx = wheel_keys.len().saturating_sub(1 + back);
-                let wk = wheel_keys.remove(idx);
+                let idx = sorted_keys.len().saturating_sub(1 + back);
+                let sk = sorted_keys.remove(idx);
                 let hk = heap_keys.remove(idx);
-                assert_eq!(wheel.cancel(wk), heap.cancel(hk), "cancel at step {step}");
+                assert_eq!(sorted.cancel(sk), heap.cancel(hk), "cancel at step {step}");
                 // A second cancel of the same key must be stale in both.
-                assert_eq!(wheel.cancel(wk), None);
+                assert_eq!(sorted.cancel(sk), None);
                 assert_eq!(heap.cancel(hk), None);
             }
             Op::Pop => {
-                let w = wheel.pop();
+                let s = sorted.pop();
                 let h = heap.pop();
-                match (&w, &h) {
+                match (&s, &h) {
                     (Some(a), Some(b)) => {
                         assert_eq!((a.time, a.event), (b.time, b.event), "pop at step {step}");
                         assert!(a.time >= last_popped, "time went backwards");
                         last_popped = a.time;
                     }
                     (None, None) => {}
-                    _ => panic!("pop divergence at step {step}: {w:?} vs {h:?}"),
+                    _ => panic!("pop divergence at step {step}: {s:?} vs {h:?}"),
                 }
             }
             Op::PopIfDue(h) => {
-                let a = wheel.pop_if_due(h);
+                let a = sorted.pop_if_due(h);
                 let b = heap.pop_if_due(h);
                 match (&a, &b) {
                     (Some(x), Some(y)) => {
@@ -104,11 +105,11 @@ fn run_sequence(rng: &mut DetRng, n_ops: usize) {
                 }
             }
             Op::Peek => {
-                assert_eq!(wheel.peek_time(), heap.peek_time(), "peek at step {step}");
+                assert_eq!(sorted.peek_time(), heap.peek_time(), "peek at step {step}");
             }
         }
-        assert_eq!(wheel.len(), heap.len(), "len after step {step}");
-        assert_eq!(wheel.is_empty(), heap.is_empty());
+        assert_eq!(sorted.len(), heap.len(), "len after step {step}");
+        assert_eq!(sorted.is_empty(), heap.is_empty());
     }
 
     // Drain both completely: the full remaining order must be identical,
@@ -116,9 +117,9 @@ fn run_sequence(rng: &mut DetRng, n_ops: usize) {
     // are issued in push order, so equal times must pop ascending).
     let mut last: Option<(SimTime, u64)> = None;
     loop {
-        let w = wheel.pop();
+        let s = sorted.pop();
         let h = heap.pop();
-        match (w, h) {
+        match (s, h) {
             (Some(a), Some(b)) => {
                 assert_eq!((a.time, a.event), (b.time, b.event), "drain divergence");
                 if let Some((lt, lp)) = last {
@@ -130,14 +131,14 @@ fn run_sequence(rng: &mut DetRng, n_ops: usize) {
                 last = Some((a.time, a.event));
             }
             (None, None) => break,
-            (w, h) => panic!("drain length divergence: {w:?} vs {h:?}"),
+            (s, h) => panic!("drain length divergence: {s:?} vs {h:?}"),
         }
     }
-    assert!(wheel.is_empty() && heap.is_empty());
+    assert!(sorted.is_empty() && heap.is_empty());
 }
 
 #[test]
-fn wheel_matches_heap_reference_under_random_interleavings() {
+fn sorted_matches_heap_reference_under_random_interleavings() {
     let mut rng = DetRng::seed_from_u64(0x77EE1);
     for _ in 0..64 {
         let n_ops = rng.range_inclusive(50, 800) as usize;
@@ -146,13 +147,13 @@ fn wheel_matches_heap_reference_under_random_interleavings() {
 }
 
 #[test]
-fn wheel_matches_heap_on_dense_slot_grid() {
+fn sorted_matches_heap_on_dense_slot_grid() {
     // A focused sequence shaped like the simulator: slot-grid times with
     // many exact collisions, frequent cancel/re-arm of the same logical
     // timer (the master wake-up), and interleaved pops.
     let mut rng = DetRng::seed_from_u64(0x5107);
     for _ in 0..32 {
-        let mut wheel: EventQueue<u32> = EventQueue::new();
+        let mut sorted: EventQueue<u32> = EventQueue::new();
         let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
         let mut wake: Option<(EventKey, EventKey, u32)> = None;
         let mut now = SimTime::ZERO;
@@ -161,16 +162,16 @@ fn wheel_matches_heap_on_dense_slot_grid() {
             let t = now + btgs_des::SimDuration::from_micros(1250 * pairs_ahead);
             if rng.chance(0.3) {
                 // Re-arm the wake timer: cancel then push, like ensure_wake.
-                if let Some((wk, hk, _)) = wake.take() {
-                    assert_eq!(wheel.cancel(wk), heap.cancel(hk));
+                if let Some((sk, hk, _)) = wake.take() {
+                    assert_eq!(sorted.cancel(sk), heap.cancel(hk));
                 }
-                wake = Some((wheel.push(t, i), heap.push(t, i), i));
+                wake = Some((sorted.push(t, i), heap.push(t, i), i));
             } else {
-                wheel.push(t, i);
+                sorted.push(t, i);
                 heap.push(t, i);
             }
             if rng.chance(0.6) {
-                let a = wheel.pop();
+                let a = sorted.pop();
                 let b = heap.pop();
                 assert_eq!(
                     a.as_ref().map(|s| (s.time, s.event)),
@@ -185,9 +186,9 @@ fn wheel_matches_heap_on_dense_slot_grid() {
                 }
             }
         }
-        while let (Some(a), Some(b)) = (wheel.pop(), heap.pop()) {
+        while let (Some(a), Some(b)) = (sorted.pop(), heap.pop()) {
             assert_eq!((a.time, a.event), (b.time, b.event));
         }
-        assert_eq!(wheel.len(), heap.len());
+        assert_eq!(sorted.len(), heap.len());
     }
 }

@@ -507,7 +507,7 @@ impl IslandProbe {
     }
 
     /// Called once per coordinator claim after this island ran to the
-    /// phase boundary `b`, with the island wheel's live/near occupancy.
+    /// phase boundary `b`, with the island queue's live/stored occupancy.
     pub(crate) fn on_island_ran(&mut self, b: SimTime, live: u64, near: u64) {
         if let Some(obs) = self.obs.as_mut() {
             // analyze: allow(obs-seam): delegated from island_status_after_run,

@@ -16,7 +16,7 @@
 //!   exchange end for master relays (same device), or when the bridge next
 //!   appears in the target piconet (the *residence time*);
 //! * [`ScatternetSim`] runs each piconet as an **island**: a full
-//!   single-piconet simulator (own timing wheel, own clock) reusing the
+//!   single-piconet simulator (own event queue, own clock) reusing the
 //!   single-piconet event handlers verbatim — a piconet inside a
 //!   scatternet and a [`PiconetSim`](crate::PiconetSim) run the same
 //!   code. Islands only interact through bridge relays, and a relay is
@@ -416,8 +416,8 @@ struct IslandState {
     probe: Option<Box<IslandProbe>>,
 }
 
-/// One island: a full single-piconet simulator (own timing wheel, own
-/// clock) over an [`IslandState`].
+/// One island: a full single-piconet simulator (own sorted event buffer,
+/// own clock) over an [`IslandState`].
 type IslandSim = Simulator<IslandState, Ev, EventQueue<Ev>>;
 
 /// The per-event handler of one island: the single-piconet handler
@@ -946,7 +946,7 @@ fn collect_island(
 /// this when the global round clock equals `relay.at`: the target island
 /// has already processed every own event at that instant (it ran
 /// inclusively to it, or had nothing due), so injected relays land behind
-/// all same-instant local events in wheel FIFO order — an ordering that
+/// all same-instant local events in queue FIFO order — an ordering that
 /// holds identically across thread counts, claim orders and the
 /// widening/batching toggles, which is what makes the reports
 /// byte-identical across all of them.
@@ -960,7 +960,7 @@ fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
     // reaches `relay.at` while the target island's clock is at or before
     // it. It exists so the deliberately broken corpus engines (injections
     // behind the clock) keep running for the sanitizer to report the
-    // violation instead of tripping the wheel's no-past-scheduling assert.
+    // violation instead of tripping the queue's no-past-scheduling assert.
     let at = relay.at.max(sched.now());
     let pkt = AppPacket::new(relay.pkt.seq, relay.pkt.flow, relay.pkt.size, at);
     sched.schedule_at(

@@ -1106,13 +1106,13 @@ pub struct PiconetSim {
 
 /// Selects the pending-event structure backing a [`PiconetSim`] run.
 ///
-/// Production runs use the timing wheel; the heap exists so differential
+/// Production runs use the sorted buffer; the heap exists so differential
 /// tests can demand byte-identical [`RunReport`]s from both backends.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EventQueueBackend {
-    /// The hierarchical timing wheel ([`btgs_des::EventQueue`]).
+    /// The sorted buffer ([`btgs_des::EventQueue`]).
     #[default]
-    TimingWheel,
+    Sorted,
     /// The `BinaryHeap` reference ([`btgs_des::HeapEventQueue`]).
     BinaryHeap,
 }
@@ -1120,14 +1120,14 @@ pub enum EventQueueBackend {
 /// The simulator monomorphised per queue backend: the run loop is matched
 /// once, so backend selection costs nothing per event.
 enum Engine {
-    Wheel(Simulator<World, Ev, EventQueue<Ev>>),
+    Sorted(Simulator<World, Ev, EventQueue<Ev>>),
     Heap(Simulator<World, Ev, HeapEventQueue<Ev>>),
 }
 
 impl Engine {
     fn world_mut(&mut self) -> &mut World {
         match self {
-            Engine::Wheel(s) => s.state_mut(),
+            Engine::Sorted(s) => s.state_mut(),
             Engine::Heap(s) => s.state_mut(),
         }
     }
@@ -1173,7 +1173,7 @@ fn drive<Q: PendingEvents<Ev>>(
 
 impl PiconetSim {
     /// Builds a simulation from a validated configuration, a poller and a
-    /// channel model, backed by the default timing-wheel event queue.
+    /// channel model, backed by the default sorted-buffer event queue.
     ///
     /// # Errors
     ///
@@ -1183,11 +1183,11 @@ impl PiconetSim {
         poller: Box<dyn Poller>,
         channel: Box<dyn ChannelModel>,
     ) -> Result<PiconetSim, PiconetError> {
-        PiconetSim::with_backend(config, poller, channel, EventQueueBackend::TimingWheel)
+        PiconetSim::with_backend(config, poller, channel, EventQueueBackend::Sorted)
     }
 
     /// Builds a simulation on an explicit event-queue backend (differential
-    /// testing of the wheel against the heap reference).
+    /// testing of the sorted buffer against the heap reference).
     ///
     /// # Errors
     ///
@@ -1200,8 +1200,8 @@ impl PiconetSim {
     ) -> Result<PiconetSim, PiconetError> {
         let world = World::build(&config, poller, channel)?;
         let sim = match backend {
-            EventQueueBackend::TimingWheel => {
-                Engine::Wheel(Simulator::with_queue(world, EventQueue::new()))
+            EventQueueBackend::Sorted => {
+                Engine::Sorted(Simulator::with_queue(world, EventQueue::new()))
             }
             EventQueueBackend::BinaryHeap => {
                 Engine::Heap(Simulator::with_queue(world, HeapEventQueue::new()))
@@ -1254,7 +1254,7 @@ impl PiconetSim {
         w.check_horizon(horizon)?;
 
         let (events_processed, w) = match self.sim {
-            Engine::Wheel(mut sim) => {
+            Engine::Sorted(mut sim) => {
                 drive(&mut sim, checkpoint, horizon, probe);
                 (sim.events_processed(), sim.into_state())
             }

@@ -16,7 +16,7 @@
 //!
 //! * **engine telemetry** — a pre-registered, zero-allocation registry
 //!   of counters and log₂ histograms ([`Histo32`]): phase width,
-//!   widening stretches, idle-skip counts, relay-pool and wheel-bucket
+//!   widening stretches, idle-skip counts, relay-pool and event-queue
 //!   occupancy, per-claim event batches and the per-poller decision
 //!   mix, surfaced as a [`TelemetryReport`]. Like `events_processed`,
 //!   the report is *excluded* from cross-configuration byte-identity
@@ -94,7 +94,7 @@ pub enum TraceRecordKind {
     /// staged-relay pool size at the boundary. Track 0.
     Phase = 0,
     /// One island claim `[previous boundary, b)`: `arg0` = events
-    /// processed in the claim, `arg1` = wheel live count after it.
+    /// processed in the claim, `arg1` = event-queue live count after it.
     /// Track = piconet + 1.
     IslandRun = 1,
     /// A cross-island relay staged by this island (instant at its
@@ -283,10 +283,12 @@ pub struct TelemetryReport {
     pub phase_width_ns: Histo32,
     /// Staged-relay pool size at each phase boundary.
     pub relay_pool: Histo32,
-    /// Island wheel live-event count after each claim.
+    /// Island event-queue live-event count after each claim. (The
+    /// `wheel_` names predate the sorted buffer; the grid wire format and
+    /// benchmark metrics carry them.)
     pub wheel_pending: Histo32,
-    /// Island wheel near-horizon (level-0 + batch) occupancy after each
-    /// claim.
+    /// Island event-queue stored entries after each claim: the live ones
+    /// plus cancelled ones not yet dropped.
     pub wheel_near: Histo32,
     /// Events processed per island claim.
     pub events_per_claim: Histo32,

@@ -1,8 +1,8 @@
 //! Differential end-to-end test: every paper figure must reproduce
-//! unchanged on the timing-wheel event queue.
+//! unchanged on the sorted-buffer event queue.
 //!
 //! The heap-backed [`btgs::des::HeapEventQueue`] is the reference model;
-//! the timing wheel replaced it purely for speed. Here full
+//! the sorted buffer replaced it purely for speed. Here full
 //! [`PaperScenario`] simulations run on both backends across pollers and
 //! seeds, and the resulting `RunReport`s must be **byte-identical** (the
 //! full `Debug` rendering — every delay sample, ledger cell and counter —
@@ -36,10 +36,10 @@ fn paper_scenario_reports_identical_across_backends() {
                 include_be: true,
                 ..Default::default()
             });
-            let wheel = report_bytes(&scenario, kind, horizon, EventQueueBackend::TimingWheel);
+            let sorted = report_bytes(&scenario, kind, horizon, EventQueueBackend::Sorted);
             let heap = report_bytes(&scenario, kind, horizon, EventQueueBackend::BinaryHeap);
             assert_eq!(
-                wheel, heap,
+                sorted, heap,
                 "RunReport diverged between queue backends ({kind:?}, seed {seed})"
             );
         }
@@ -59,11 +59,11 @@ fn gs_only_and_tight_requirement_reports_identical() {
             include_be,
             ..Default::default()
         });
-        let wheel = report_bytes(
+        let sorted = report_bytes(
             &scenario,
             PollerKind::PfpGs,
             horizon,
-            EventQueueBackend::TimingWheel,
+            EventQueueBackend::Sorted,
         );
         let heap = report_bytes(
             &scenario,
@@ -72,14 +72,46 @@ fn gs_only_and_tight_requirement_reports_identical() {
             EventQueueBackend::BinaryHeap,
         );
         assert_eq!(
-            wheel, heap,
+            sorted, heap,
             "RunReport diverged (Dreq {dreq_ms} ms, include_be {include_be})"
         );
     }
 }
 
 #[test]
-fn wheel_is_the_default_backend() {
+fn long_horizon_paper_scenario_reports_identical() {
+    // Two simulated minutes, far past the few seconds the cases above
+    // cover: long-lived schedules, queue contents built up over ~100k
+    // events and the warm-up/window arithmetic over long spans all run
+    // through both backends.
+    let horizon = SimTime::from_secs(120);
+    let scenario = PaperScenario::build(PaperScenarioParams {
+        delay_requirement: SimDuration::from_millis(40),
+        seed: 11,
+        warmup: SimDuration::from_millis(500),
+        include_be: true,
+        ..Default::default()
+    });
+    let sorted = scenario
+        .run_with_backend(PollerKind::PfpGs, horizon, EventQueueBackend::Sorted)
+        .expect("scenario runs");
+    assert!(sorted.events_processed > 90_000, "the run covers all 120 s");
+    let heap = report_bytes(
+        &scenario,
+        PollerKind::PfpGs,
+        horizon,
+        EventQueueBackend::BinaryHeap,
+    );
+    // `assert!`, not `assert_eq!`: a failure should not print two
+    // multi-megabyte reports.
+    assert!(
+        format!("{sorted:#?}") == heap,
+        "120 s RunReport diverged between queue backends"
+    );
+}
+
+#[test]
+fn sorted_is_the_default_backend() {
     let scenario = PaperScenario::build(PaperScenarioParams {
         delay_requirement: SimDuration::from_millis(40),
         seed: 3,
@@ -92,11 +124,11 @@ fn wheel_is_the_default_backend() {
         "{:#?}",
         scenario.run(PollerKind::PfpGs, horizon).expect("runs")
     );
-    let via_wheel = report_bytes(
+    let via_sorted = report_bytes(
         &scenario,
         PollerKind::PfpGs,
         horizon,
-        EventQueueBackend::TimingWheel,
+        EventQueueBackend::Sorted,
     );
-    assert_eq!(via_default, via_wheel);
+    assert_eq!(via_default, via_sorted);
 }
