@@ -2,7 +2,7 @@
 //!
 //! Every PR in this workspace stakes its correctness on one invariant:
 //! **reports are byte-identical** across pollers, seeds, thread counts,
-//! island claim orders, queue backends and engine toggles. Nothing about
+//! island orders, queue backends and engine toggles. Nothing about
 //! the type system prevents the next contributor from introducing a
 //! `HashMap` iteration, an ambient clock, or a too-weak atomic ordering
 //! that silently breaks it under rare schedules. This crate closes that
@@ -24,10 +24,12 @@
 //!   memory with per-location modification orders and release/acquire
 //!   visibility (sequential consistency per location plus stale-read
 //!   windows) — running the **actual protocol logic** of the scatternet
-//!   engine's `SpinBarrier` and atomic-cursor island claiming through the
+//!   engine's `SpinBarrier` and its round (bound publish, fixed island
+//!   blocks, status publish) through the
 //!   [`btgs_piconet::sync_protocol`] seam, at 2–4 modeled threads. It
-//!   asserts no lost wakeup, no generation skip, publish visibility and
-//!   claim-set partition under every explored schedule, and
+//!   asserts no lost wakeup, no generation skip, publish visibility, one
+//!   owner per island and fresh island status under every explored
+//!   schedule, and
 //!   regression-proves it would catch the deliberately weakened variants.
 //!
 //! * **Engine 3 — the divergence bisector** ([`bisect`]): when two engine

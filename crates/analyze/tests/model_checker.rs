@@ -6,7 +6,7 @@
 //! counterexamples, the checker has lost its teeth and these tests fail.
 
 use btgs_analyze::model::check_scenario;
-use btgs_analyze::scenarios::{BarrierScenario, ClaimScenario, EngineRoundScenario};
+use btgs_analyze::scenarios::{engine_round, BarrierScenario};
 use btgs_piconet::sync_protocol::BarrierOrderings;
 
 const BUDGET: u64 = 200_000;
@@ -98,40 +98,23 @@ fn weakened_arrival_barrier_is_refuted() {
 }
 
 #[test]
-fn claim_sets_partition_exhaustively() {
-    for (threads, len) in [(2, 3), (3, 4)] {
-        let report = check_scenario(
-            &ClaimScenario {
-                threads,
-                len,
-                racy: false,
-            },
-            BUDGET,
-        );
-        assert!(report.passed(), "threads={threads}: {:?}", report.failure);
-        assert!(report.exhausted, "threads={threads} len={len} must exhaust");
-    }
-}
-
-#[test]
-fn racy_claim_fixture_is_refuted() {
-    let report = check_scenario(
-        &ClaimScenario {
-            threads: 2,
-            len: 2,
-            racy: true,
-        },
-        BUDGET,
-    );
-    assert!(
-        report.failure.is_some(),
-        "load-then-store claiming must double-claim under some schedule"
-    );
-}
-
-#[test]
 fn engine_round_composition_passes_exhaustively() {
-    let report = check_scenario(&EngineRoundScenario { threads: 2, len: 3 }, BUDGET);
+    let report = check_scenario(&engine_round(2, false), BUDGET);
     assert!(report.passed(), "{:?}", report.failure);
     assert!(report.exhausted);
+}
+
+/// The round's second crossing is load-bearing: a coordinator that reads
+/// island statuses before it must be caught reading a stale one.
+#[test]
+fn early_status_read_fixture_is_refuted() {
+    let report = check_scenario(&engine_round(2, true), BUDGET);
+    let failure = report
+        .failure
+        .expect("reading statuses before the crossing must be refuted");
+    assert!(
+        failure.reason.contains("stale status"),
+        "unexpected counterexample class: {}",
+        failure.reason
+    );
 }

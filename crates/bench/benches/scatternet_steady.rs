@@ -6,15 +6,17 @@
 //!
 //! Throughput is declared in engine events (measured from a probe run),
 //! so the JSON output records events/sec alongside ns/op — the same
-//! convention as `sim_steady`. The single-piconet `sim_steady` numbers
-//! are the baseline: a scatternet run costs roughly the sum of its
-//! piconets plus the (small) relay fabric.
+//! convention as `sim_steady`. Each iteration times the run alone:
+//! building the scenario (topology, admission) and assembling its
+//! simulator is the untimed setup of [`Bencher::iter_batched`]. The
+//! single-piconet `sim_steady` numbers are the baseline: a scatternet run
+//! costs roughly the sum of its piconets plus the (small) relay fabric.
 //!
 //! The `parallel4` twins run the *same* scenarios through the island
-//! engine with four worker threads ([`ScatternetSim::with_threads`]);
-//! reports are byte-identical to the serial runs (asserted by
-//! `tests/parallel_equivalence.rs`), so a twin's speedup is pure engine
-//! parallelism, not a different workload.
+//! engine with four threads ([`ScatternetSim::with_threads`], clamped to
+//! the host's cores); reports are byte-identical to the serial runs
+//! (asserted by `tests/parallel_equivalence.rs`), so a twin's speedup is
+//! pure engine parallelism, not a different workload.
 //!
 //! Each probe run also prints the engine's observability counters
 //! (`phases_run`, `barrier_rounds`, `islands_claimed`, `relays_staged`)
@@ -30,6 +32,7 @@
 //! serial and parallel trajectories above double as the regression gate
 //! that attaching the sanitizer costs the production engine nothing.
 //!
+//! [`Bencher::iter_batched`]: btgs_bench::microbench::Bencher::iter_batched
 //! [`ScatternetSim::with_threads`]: btgs_piconet::ScatternetSim::with_threads
 //! [`ScatternetSim::run_sanitized`]: btgs_piconet::ScatternetSim::run_sanitized
 
@@ -37,6 +40,7 @@ use btgs_bench::microbench::{Criterion, Throughput};
 use btgs_bench::{criterion_group, criterion_main};
 use btgs_core::{BeSourceMix, PollerKind, ScatternetScenario, ScatternetScenarioParams, Topology};
 use btgs_des::{SimDuration, SimTime};
+use btgs_piconet::ScatternetSim;
 use std::hint::black_box;
 
 fn params(piconets: u16, topology: Topology) -> ScatternetScenarioParams {
@@ -58,14 +62,17 @@ fn params(piconets: u16, topology: Topology) -> ScatternetScenarioParams {
     }
 }
 
-fn run(piconets: u16, topology: Topology, threads: usize) -> btgs_piconet::ScatternetReport {
-    let scenario = ScatternetScenario::build(params(piconets, topology));
-    scenario
+/// Builds the scenario and assembles its simulator: the untimed setup of
+/// every case.
+fn sim(piconets: u16, topology: Topology, threads: usize) -> ScatternetSim {
+    ScatternetScenario::build(params(piconets, topology))
         .simulator(PollerKind::PfpGs)
         .expect("scenario builds")
         .with_threads(threads)
-        .run(SimTime::from_secs(5))
-        .expect("scenario runs")
+}
+
+fn run(sim: ScatternetSim) -> btgs_piconet::ScatternetReport {
+    sim.run(SimTime::from_secs(5)).expect("scenario runs")
 }
 
 fn scatternet_throughput(c: &mut Criterion) {
@@ -88,7 +95,7 @@ fn scatternet_throughput(c: &mut Criterion) {
         // One probe run per scenario supplies the event count for the
         // events/sec figure (runs are deterministic, so it is exact) and
         // the engine counters for the trajectory record.
-        let probe = run(n, topology, 1);
+        let probe = run(sim(n, topology, 1));
         let events = probe.events_processed;
         println!(
             "{name:<44} {} phases, {} islands claimed, {} relays staged",
@@ -96,7 +103,10 @@ fn scatternet_throughput(c: &mut Criterion) {
         );
         group.throughput(Throughput::Elements(events));
         group.bench_function(&format!("{name}_5s_simulated"), |b| {
-            b.iter(|| black_box(run(n, topology, 1).total_throughput_kbps()))
+            b.iter_batched(
+                || sim(n, topology, 1),
+                |s| black_box(run(s).total_throughput_kbps()),
+            )
         });
         group.annotate(
             &format!("{name}_5s_simulated"),
@@ -108,14 +118,17 @@ fn scatternet_throughput(c: &mut Criterion) {
         );
         // The parallel twin simulates the identical scenario; only the
         // wall clock (and the barrier-round count) may differ.
-        let par_probe = run(n, topology, 4);
+        let par_probe = run(sim(n, topology, 4));
         println!(
             "{name:<44} {} barrier rounds at 4 threads",
             par_probe.barrier_rounds,
         );
         group.throughput(Throughput::Elements(events));
         group.bench_function(&format!("{name}_5s_parallel4"), |b| {
-            b.iter(|| black_box(run(n, topology, 4).total_throughput_kbps()))
+            b.iter_batched(
+                || sim(n, topology, 4),
+                |s| black_box(run(s).total_throughput_kbps()),
+            )
         });
         group.annotate(
             &format!("{name}_5s_parallel4"),
@@ -130,18 +143,19 @@ fn scatternet_throughput(c: &mut Criterion) {
     // The sanitized twin: the chained-3 scenario under the causality
     // sanitizer. Tracks the instrumentation's own overhead; the default
     // cases above stay on the compiled-out path.
-    let san_probe = run(3, Topology::Chain, 1);
+    let san_probe = run(sim(3, Topology::Chain, 1));
     group.throughput(Throughput::Elements(san_probe.events_processed));
     group.bench_function("chained3_5s_sanitized", |b| {
-        b.iter(|| {
-            let sanitized = ScatternetScenario::build(params(3, Topology::Chain))
-                .simulator(PollerKind::PfpGs)
-                .expect("scenario builds")
-                .run_sanitized(SimTime::from_secs(5))
-                .expect("scenario runs");
-            assert!(sanitized.sanitizer.clean(), "clean engine tripped");
-            black_box(sanitized.sanitizer.events_checked)
-        })
+        b.iter_batched(
+            || sim(3, Topology::Chain, 1),
+            |s| {
+                let sanitized = s
+                    .run_sanitized(SimTime::from_secs(5))
+                    .expect("scenario runs");
+                assert!(sanitized.sanitizer.clean(), "clean engine tripped");
+                black_box(sanitized.sanitizer.events_checked)
+            },
+        )
     });
     group.finish();
 }

@@ -4,7 +4,8 @@
 //! The workspace builds in fully offline environments, so it cannot pull
 //! `criterion` from crates.io. This module provides the subset of its
 //! surface the bench files use — [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`], [`Bencher::iter`], and the
+//! [`Criterion::benchmark_group`], [`Bencher::iter`],
+//! [`Bencher::iter_batched`], and the
 //! [`criterion_group!`]/[`criterion_main!`] macros — backed by a plain
 //! `std::time::Instant` loop: a warm-up phase to calibrate the iteration
 //! count, then a fixed number of timed samples, reporting the best and
@@ -43,14 +44,42 @@ impl Bencher {
     /// Times `f`, choosing an iteration count so one sample batch lasts
     /// about [`SAMPLE_BUDGET`].
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-        // Calibrate: grow the batch until it costs a measurable slice.
-        let mut iters = 1u64;
-        loop {
+        self.sample(|iters| {
             let start = Instant::now();
             for _ in 0..iters {
                 black_box(f());
             }
-            let spent = start.elapsed();
+            start.elapsed()
+        });
+    }
+
+    /// Times `routine` on a fresh input from `setup` per iteration (mirrors
+    /// `criterion::Bencher::iter_batched`). Only the routine is timed:
+    /// building the input stays out of the measurement.
+    pub fn iter_batched<I, R, S: FnMut() -> I, F: FnMut(I) -> R>(
+        &mut self,
+        mut setup: S,
+        mut routine: F,
+    ) {
+        self.sample(|iters| {
+            let mut spent = Duration::ZERO;
+            for _ in 0..iters {
+                let input = setup();
+                let start = Instant::now();
+                black_box(routine(input));
+                spent += start.elapsed();
+            }
+            spent
+        });
+    }
+
+    /// Calibrates, then records the samples: `batch(iters)` runs `iters`
+    /// iterations and returns the time spent in what it measures.
+    fn sample(&mut self, mut batch: impl FnMut(u64) -> Duration) {
+        // Calibrate: grow the batch until it costs a measurable slice.
+        let mut iters = 1u64;
+        loop {
+            let spent = batch(iters);
             if spent >= SAMPLE_BUDGET / 4 || iters >= 1 << 30 {
                 let per_iter = spent.as_secs_f64() / iters as f64;
                 if per_iter > 0.0 {
@@ -65,11 +94,7 @@ impl Bencher {
         // Measure.
         let mut per_iter_ns: Vec<f64> = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            per_iter_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
+            per_iter_ns.push(batch(iters).as_nanos() as f64 / iters as f64);
         }
         per_iter_ns.sort_by(f64::total_cmp);
         self.best_ns = per_iter_ns[0];

@@ -506,11 +506,11 @@ impl IslandProbe {
         }
     }
 
-    /// Called once per coordinator claim after this island ran to the
+    /// Called by the island's owner each time the island ran to the
     /// phase boundary `b`, with the island queue's live/stored occupancy.
     pub(crate) fn on_island_ran(&mut self, b: SimTime, live: u64, near: u64) {
         if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from island_status_after_run,
+            // analyze: allow(obs-seam): delegated from run_block,
             // itself behind the `I` const-generic seam.
             obs.on_island_ran(b, live, near);
         }

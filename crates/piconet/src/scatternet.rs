@@ -43,10 +43,14 @@
 //!   conservative per-island hotness instant derived from its in-flight
 //!   chain count and pending entry arrivals) — otherwise the phase widens
 //!   straight across them. Idle islands (next event past the boundary)
-//!   are never claimed, locked or drained, and staged relays park in a
-//!   coordinator-side pool until the round clock reaches their handoff
-//!   instant, at which point the target island has provably processed
-//!   every own event at that instant. The injection order — handoff
+//!   are not run, and staged relays park in a coordinator-side pool until
+//!   the round clock reaches their handoff instant, at which point the
+//!   target island has provably processed every own event at that
+//!   instant. With [`ScatternetSim::with_threads`], each island has one
+//!   owner thread for the whole run (the coordinator owns a block too):
+//!   the owner injects the relays dealt to its islands, runs them, and
+//!   drains what they stage, so no island is shared between threads.
+//!   The injection order — handoff
 //!   instant, then source piconet, then staging sequence — is a total
 //!   order, so reports are **byte-identical** across thread counts,
 //!   island visit orders, and the widening/batching toggles
@@ -71,10 +75,7 @@ use crate::sanitizer::{
     TraceConfig, TraceKind,
 };
 use crate::sim::{handle, seed_world, Ev, Target, World};
-use crate::sync_protocol::{
-    barrier_wait, claim_next, collect_staged, publish_staged, BarrierOrderings, StagedOrderings,
-    SyncEnv,
-};
+use crate::sync_protocol::{barrier_wait, block_bounds, BarrierOrderings, SyncEnv};
 use crate::telemetry::{CoordObs, EventMeter, IslandObs, ObsConfig, ObservedRun};
 use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave};
 use btgs_des::{DetRng, EventQueue, Scheduler, SimDuration, SimTime, Simulator};
@@ -349,7 +350,8 @@ enum HopNext {
 }
 
 /// A relay crossing an island boundary, staged until the end of the
-/// current phase and injected into the target island by the coordinator.
+/// current phase, pooled by the coordinator and injected into the target
+/// island by its owner.
 #[derive(Clone, Copy, Debug)]
 struct StagedRelay {
     /// Handoff instant (the bridge's next appearance in the target
@@ -392,11 +394,12 @@ struct IslandState {
     /// relay-fed flow, FIFO — per-flow order is preserved across hops, so
     /// the consuming hop pops its packet's own origin.
     origins: Vec<VecDeque<SimTime>>,
-    /// Cross-island relays captured this phase, drained by the
-    /// coordinator at the phase boundary.
-    staged: Vec<StagedRelay>,
+    /// Cross-island relays captured this phase, each already keyed for
+    /// the pool; the island's owner drains them into its outbox after
+    /// every run.
+    staged: Vec<PooledRelay>,
     /// Monotone count of relays ever staged by this island — the staging
-    /// sequence assigned at collect time, the last key of the
+    /// sequence assigned at capture time, the last key of the
     /// deterministic pool injection order. Never reset, so the key is
     /// unique across the whole run.
     staged_seq: u64,
@@ -544,16 +547,22 @@ fn route_captures<const I: bool>(sched: &mut Scheduler<Ev, EventQueue<Ev>>, st: 
                 } else {
                     // The packet leaves this island: it stops counting
                     // against the local chain backlog and is re-counted in
-                    // the target island when the coordinator injects it.
+                    // the target island when its owner injects it.
                     debug_assert!(st.world.chain_inflight > 0);
                     st.world.chain_inflight = st.world.chain_inflight.saturating_sub(1);
-                    st.staged.push(StagedRelay {
+                    st.staged.push(PooledRelay {
                         at: handoff,
-                        pic,
-                        flow_idx,
-                        pkt,
-                        origin,
+                        source: st.pic,
+                        seq: st.staged_seq,
+                        relay: StagedRelay {
+                            at: handoff,
+                            pic,
+                            flow_idx,
+                            pkt,
+                            origin,
+                        },
                     });
+                    st.staged_seq += 1;
                     if I {
                         if let Some(probe) = st.probe.as_deref_mut() {
                             probe.on_staged(pic, flow_idx, handoff, pkt.seq);
@@ -695,8 +704,8 @@ fn earliest_calendar_start(t: SimTime, groups: &[SyncPoint]) -> SimTime {
 /// Spin iterations before a barrier waiter starts yielding.
 const SPIN_BUDGET: u32 = 1_000;
 
-/// Yields before the barrier decides the host is oversubscribed and
-/// falls back to sleeping.
+/// Yields before a waiter in an oversubscribed pool falls back to
+/// sleeping.
 const YIELD_BUDGET: u32 = 64;
 
 /// Cap on the backoff exponent: sleeps top out at `2^8` µs, the order of
@@ -707,12 +716,9 @@ const BACKOFF_CAP_EXP: u32 = 8;
 ///
 /// `std::sync::Barrier` parks threads in the kernel; at the paper's bridge
 /// cycles a phase is ~10 ms of simulated time but only a few microseconds
-/// of work per island, so wake-up latency would dominate. Island workers
-/// instead spin on a generation counter with an adaptive budget: a short
-/// hot spin, then scheduler yields, and — once the yield count says the
-/// host is oversubscribed (more runnable threads than cores, so the
-/// release this waiter needs may be starved by the waiter itself) —
-/// exponential-backoff sleeps capped near a scheduler quantum.
+/// of work per island, so wake-up latency would dominate. Participants
+/// instead wait on a generation counter (see [`HardwareSyncEnv`] for the
+/// waiting policy).
 struct SpinBarrier {
     n: u64,
     count: AtomicU64,
@@ -722,24 +728,22 @@ struct SpinBarrier {
 
 impl SpinBarrier {
     fn new(n: usize) -> SpinBarrier {
-        let hw = std::thread::available_parallelism().map_or(1, |c| c.get());
+        // A lone participant never waits, so it skips the host query
+        // (cgroup and affinity reads, ~20 µs on Linux).
+        let oversubscribed =
+            n > 1 && n > std::thread::available_parallelism().map_or(1, |c| c.get());
         SpinBarrier {
             n: n as u64,
             count: AtomicU64::new(0),
             generation: AtomicU64::new(0),
-            env: HardwareSyncEnv {
-                // Zero when the barrier was built for more waiters than
-                // the host has cores: spinning then only steals cycles
-                // from the waiter being waited for.
-                spin_budget: if n > hw { 0 } else { SPIN_BUDGET },
-            },
+            env: HardwareSyncEnv { oversubscribed },
         }
     }
 
     /// One crossing of the generation protocol
     /// ([`crate::sync_protocol::barrier_wait`] — the logic the
     /// `btgs-analyze` model checker explores exhaustively) on hardware
-    /// atomics with the adaptive waiter.
+    /// atomics with the waiter below.
     fn wait(&self) {
         barrier_wait(
             &self.env,
@@ -751,20 +755,27 @@ impl SpinBarrier {
     }
 }
 
-/// The hardware half of the barrier seam: waiting is a hot spin, then
-/// scheduler yields, and — once the yield count says the host is
-/// oversubscribed (more runnable threads than cores, so the release this
-/// waiter needs may be starved by the waiter itself) — exponential-backoff
-/// sleeps capped near a scheduler quantum.
+/// The hardware half of the barrier seam: how a participant waits.
+///
+/// While the pool has no more participants than the host has cores, a
+/// waiter spins briefly and then yields until released; it never sleeps.
+/// A yield returns at once when nothing else is runnable, while a waiter
+/// that fell asleep during the coordinator's serial section would wake
+/// late for the next round. An oversubscribed pool (more participants
+/// than cores — given the engine's thread clamp, a single-core host)
+/// skips the spin, since spinning only steals the CPU from the thread
+/// being waited for, and after a run of yields backs off into sleeps
+/// capped near a scheduler quantum.
 struct HardwareSyncEnv {
-    /// Spin iterations before yielding.
-    spin_budget: u32,
+    /// More participants than cores.
+    oversubscribed: bool,
 }
 
 impl SyncEnv for HardwareSyncEnv {
     type Cell = AtomicU64;
 
     fn wait_until_changed(&self, cell: &AtomicU64, old: u64, order: Ordering) -> u64 {
+        let spin_budget = if self.oversubscribed { 0 } else { SPIN_BUDGET };
         let mut spins = 0u32;
         let mut yields = 0u32;
         loop {
@@ -774,11 +785,11 @@ impl SyncEnv for HardwareSyncEnv {
             if v != old {
                 return v;
             }
-            if spins < self.spin_budget {
+            if spins < spin_budget {
                 spins += 1;
                 std::hint::spin_loop();
-            } else if yields < YIELD_BUDGET {
-                yields += 1;
+            } else if !self.oversubscribed || yields < YIELD_BUDGET {
+                yields = yields.saturating_add(1);
                 std::thread::yield_now();
             } else {
                 let exp = (yields - YIELD_BUDGET).min(BACKOFF_CAP_EXP);
@@ -802,81 +813,91 @@ fn time_of(nanos: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_nanos(nanos)
 }
 
-/// Published status of one island, read lock-free by the coordinator's
-/// boundary/claim decisions and written by whichever participant last ran
-/// (or injected into) the island. The barrier's acquire/release pairs
-/// order every publish before the next round's reads.
+/// Published status of one island. The island's owner writes it after
+/// each run, and the coordinator between rounds when it deals the island
+/// a relay; the coordinator reads it between rounds for the boundary,
+/// the active count and the sanitizer's injection check. The round's two
+/// barrier crossings separate every write from the other side's reads.
 struct IslandMeta {
     /// Earliest pending event, nanos; `u64::MAX` when drained.
     next_event: AtomicU64,
-    /// Chain hotness instant, nanos (see [`island_status`]).
+    /// Chain hotness instant, nanos: the earliest instant chain traffic
+    /// could be inside the island — time zero while its conservative
+    /// in-flight count is non-zero, else the earliest pending chain-entry
+    /// arrival.
     hot_from: AtomicU64,
-    /// The island staged relays since the last collect (0/1 flag, driven
-    /// through the [`publish_staged`]/[`collect_staged`] protocol that
-    /// `btgs-analyze` model-checks exhaustively).
-    staged: AtomicU64,
+    /// The island clock, nanos: the sanitizer's injection check flags a
+    /// relay whose handoff lies before it.
+    clock: AtomicU64,
 }
 
 impl IslandMeta {
-    fn publish(&self, next_event: SimTime, hot_from: SimTime, staged: bool) {
+    fn of(island: &mut IslandSim) -> IslandMeta {
+        let meta = IslandMeta {
+            next_event: AtomicU64::new(0),
+            hot_from: AtomicU64::new(0),
+            clock: AtomicU64::new(0),
+        };
+        meta.publish(island);
+        meta
+    }
+
+    /// Publishes the island's status. It stays valid until the island
+    /// next runs or is dealt a relay.
+    fn publish(&self, island: &mut IslandSim) {
+        let (sched, st) = island.split_mut();
+        let next_event = sched.next_event_time().unwrap_or(SimTime::MAX);
+        let hot_from = if st.world.chain_inflight > 0 {
+            SimTime::ZERO
+        } else {
+            st.entry_sources
+                .iter()
+                .map(|&s| st.world.next_arrival[s])
+                .min()
+                .unwrap_or(SimTime::MAX)
+        };
         // ord: Release on all three — the coordinator reads them after the
-        // round's barrier crossing, whose Acquire/Release pair already
-        // orders them; the explicit Release keeps each publish
-        // individually well-ordered for the batching fast path, which
-        // reads `next_event` *without* an intervening barrier.
+        // round's second barrier crossing, whose Acquire/Release pair
+        // already orders them; the explicit Release pairs with the
+        // Acquire loads below and keeps each publish self-contained.
         self.next_event
             .store(nanos_of(next_event), Ordering::Release);
         self.hot_from.store(nanos_of(hot_from), Ordering::Release); // ord: see above
-        if staged {
-            // ord: Release via StagedOrderings::SOUND, justified in
-            // sync_protocol::publish_staged.
-            publish_staged(&self.staged, &StagedOrderings::SOUND);
-        }
+        self.clock.store(nanos_of(sched.now()), Ordering::Release); // ord: see above
+    }
+
+    /// Coordinator bookkeeping for a relay dealt at `t`: the island has
+    /// an event due at `t` and chain traffic inside it from then on. The
+    /// owner republishes after running the island next round.
+    fn note_dealt(&self, t: SimTime) {
+        // A plain load and store, not an RMW: the coordinator is the only
+        // writer between rounds.
+        let next_event = self.next_event().min(nanos_of(t));
+        // ord: Release on both — read by the owner after the next barrier
+        // crossing, which carries them; Relaxed would do, Release keeps
+        // the pairing with `next_event()` uniform.
+        self.next_event.store(next_event, Ordering::Release);
+        self.hot_from.store(0, Ordering::Release); // ord: see above
+    }
+
+    fn next_event(&self) -> u64 {
+        // ord: Acquire — pairs with the Release writes above.
+        self.next_event.load(Ordering::Acquire)
+    }
+
+    fn hot_from(&self) -> SimTime {
+        // ord: Acquire — pairs with the Release writes above.
+        time_of(self.hot_from.load(Ordering::Acquire))
+    }
+
+    fn clock(&self) -> SimTime {
+        // ord: Acquire — pairs with the owner's Release publish.
+        time_of(self.clock.load(Ordering::Acquire))
     }
 }
 
-/// Post-run island bookkeeping: `(next pending event time, chain
-/// hotness, staged-anything)`. The hotness is the earliest instant chain
-/// traffic could be inside the island: time zero while its conservative
-/// in-flight count is non-zero, else the earliest pending chain-entry
-/// arrival. It stays valid until the island next runs or receives an
-/// injection — both recompute it.
-fn island_status(island: &mut IslandSim) -> (SimTime, SimTime, bool) {
-    let (sched, st) = island.split_mut();
-    let next_event = sched.next_event_time().unwrap_or(SimTime::MAX);
-    let hot_from = if st.world.chain_inflight > 0 {
-        SimTime::ZERO
-    } else {
-        st.entry_sources
-            .iter()
-            .map(|&s| st.world.next_arrival[s])
-            .min()
-            .unwrap_or(SimTime::MAX)
-    };
-    (next_event, hot_from, !st.staged.is_empty())
-}
-
-/// [`island_status`] at the end of a claimed run to boundary `b`, with the
-/// observability hook: under the instrumented monomorphisation the
-/// island's probe records the `[previous boundary, b]` run slice, the
-/// events it processed in this claim and its queue occupancy. The default
-/// engine (`I = false`) compiles this down to plain [`island_status`].
-fn island_status_after_run<const I: bool>(
-    island: &mut IslandSim,
-    b: SimTime,
-) -> (SimTime, SimTime, bool) {
-    if I {
-        let (sched, st) = island.split_mut();
-        let occ = sched.queue_occupancy();
-        if let Some(probe) = st.probe.as_deref_mut() {
-            probe.on_island_ran(b, occ.live as u64, occ.near as u64);
-        }
-    }
-    island_status(island)
-}
-
-/// A staged relay parked in the coordinator's pool until the global round
-/// clock reaches its handoff instant.
+/// A staged relay with its injection key, parked in the coordinator's pool
+/// until the global round clock reaches its handoff instant.
 #[derive(Clone)]
 struct PooledRelay {
     /// Injection key: handoff instant, then source piconet, then staging
@@ -916,40 +937,15 @@ fn sort_pool(pool: &mut [PooledRelay], unsorted: bool) {
     }
 }
 
-/// Drains one island's staged relays into the pool, tagging each with the
-/// island's monotone staging sequence. Returns how many were staged.
-/// The sanitizer (when attached to `ctl`) checks each drained relay's
-/// handoff against the phase boundary `b` — a handoff before `b` means
-/// the phase stretched across a boundary this relay lands on.
-fn collect_island(
-    st: &mut IslandState,
-    pool: &mut Vec<PooledRelay>,
-    b: SimTime,
-    ctl: &mut EngineCtl<'_>,
-) -> u64 {
-    let pic = st.pic;
-    let staged = st.staged.len() as u64;
-    for (k, s) in st.staged.drain(..).enumerate() {
-        ctl.on_collected(b, pic, s.at);
-        pool.push(PooledRelay {
-            at: s.at,
-            source: pic,
-            seq: st.staged_seq + k as u64,
-            relay: s,
-        });
-    }
-    st.staged_seq += staged;
-    staged
-}
-
-/// Injects one pooled relay into its target island. The engine only calls
-/// this when the global round clock equals `relay.at`: the target island
-/// has already processed every own event at that instant (it ran
-/// inclusively to it, or had nothing due), so injected relays land behind
-/// all same-instant local events in queue FIFO order — an ordering that
-/// holds identically across thread counts, claim orders and the
-/// widening/batching toggles, which is what makes the reports
-/// byte-identical across all of them.
+/// Injects one pooled relay into its target island. The coordinator deals
+/// a relay when the global round clock equals `relay.at`, and the
+/// island's owner injects it at the start of the next round, before the
+/// island runs: the target island has already processed every own event
+/// at that instant (it ran inclusively to it, or had nothing due), so
+/// injected relays land behind all same-instant local events in queue
+/// FIFO order, in dealing order — an ordering that holds identically
+/// across thread counts, island orders and the widening/batching toggles,
+/// which is what makes the reports byte-identical across all of them.
 fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
     let (sched, st) = island.split_mut();
     st.origins[relay.flow_idx as usize].push_back(relay.origin);
@@ -1130,8 +1126,9 @@ impl EngineCtl<'_> {
         }
     }
 
-    /// Forwards one collected relay to the sanitizer's widening-boundary
-    /// check (see [`collect_island`]).
+    /// Forwards one relay merged into the pool at boundary `b` to the
+    /// sanitizer's widening-boundary check: a handoff before `b` means the
+    /// phase stretched across a boundary this relay lands on.
     fn on_collected(&mut self, b: SimTime, source: u16, at: SimTime) {
         if let Some(san) = self.san.as_deref_mut() {
             san.on_collected(b, source, at);
@@ -1159,7 +1156,7 @@ impl EngineCtl<'_> {
     /// pool occupancy and whether adaptive widening stretched the phase
     /// past a calendar start. Every argument is derived from
     /// thread-count-invariant engine state, so the recorded trace is
-    /// byte-identical across 1/2/4 threads and claim orders.
+    /// byte-identical across 1/2/4 threads and island orders.
     fn on_phase(
         &mut self,
         t: SimTime,
@@ -1196,51 +1193,85 @@ impl EngineCtl<'_> {
     }
 }
 
-/// Rounds with at most this many active islands are run by the
-/// coordinator alone instead of being dispatched through two barrier
-/// crossings that wake every worker.
-const SOLO_ROUND_MAX: usize = 2;
+/// One participant's relay traffic with the coordinator: the relays dealt
+/// to its islands (injected at the start of the next round, each with its
+/// island's index in the block) and the relays its islands staged (merged
+/// into the pool at the end of the round). Pre-sized like the pool, so
+/// the steady state never grows either buffer.
+struct Mailbox {
+    inbox: Vec<(usize, StagedRelay)>,
+    outbox: Vec<PooledRelay>,
+}
 
-/// The parallel claim loop: every participant (workers and the
-/// coordinator) claims the next position off the shared cursor; claimed
-/// islands run to `b` and publish their status. With batching, an island
-/// with no event due by `b` is skipped without ever taking its lock.
-fn claim_islands<const I: bool>(
-    cells: &[Mutex<IslandSim>],
-    meta: &[IslandMeta],
-    order: &[usize],
-    cursor: &AtomicU64,
-    b: SimTime,
-    batching: bool,
-) {
-    let b_nanos = nanos_of(b);
-    // ord: Relaxed — RMW atomicity alone partitions the claims; justified
-    // in sync_protocol::claim_next and model-checked by btgs-analyze.
-    while let Some(i) = claim_next(cursor, order.len() as u64, Ordering::Relaxed) {
-        let idx = order[i as usize];
-        // ord: Acquire — pairs with the island's Release publish so a
-        // skip decision is made against the island's completed status.
-        if batching && meta[idx].next_event.load(Ordering::Acquire) > b_nanos {
-            continue;
+impl Mailbox {
+    fn new(islands: usize) -> Mailbox {
+        Mailbox {
+            inbox: Vec::with_capacity(pool_capacity(islands)),
+            outbox: Vec::with_capacity(pool_capacity(islands)),
         }
-        let mut island = cells[idx]
-            .lock()
-            .expect("island workers do not panic while holding the lock");
-        island.run_until(b, island_handle::<I>);
-        let (ne, hf, staged) = island_status_after_run::<I>(&mut island, b);
-        drop(island);
-        meta[idx].publish(ne, hf, staged);
     }
 }
 
-/// The sequential engine: the parallel algorithm minus every lock, atomic
-/// and barrier — identical boundary sequence, claim rule and injection
-/// order, so its reports are byte-identical to any parallel run by
-/// construction.
+/// One participant's share of a round: inject the relays dealt to its
+/// islands, run every island with an event due by `b` (every island, with
+/// batching off) to `b`, publish its status and drain what it staged into
+/// the outbox.
+fn run_block<const I: bool>(
+    block: &mut [IslandSim],
+    meta: &[IslandMeta],
+    mail: &mut Mailbox,
+    b: SimTime,
+    batching: bool,
+) {
+    for (slot, relay) in mail.inbox.drain(..) {
+        inject_relay::<I>(&mut block[slot], &relay);
+    }
+    let b_nanos = nanos_of(b);
+    for (island, meta) in block.iter_mut().zip(meta) {
+        if batching && meta.next_event() > b_nanos {
+            continue;
+        }
+        island.run_until(b, island_handle::<I>);
+        if I {
+            let (sched, st) = island.split_mut();
+            let occ = sched.queue_occupancy();
+            if let Some(probe) = st.probe.as_deref_mut() {
+                probe.on_island_ran(b, occ.live as u64, occ.near as u64);
+            }
+        }
+        meta.publish(island);
+        mail.outbox.append(&mut island.state_mut().staged);
+    }
+}
+
+/// Splits `islands` at `bounds` into one mutable block per participant.
+fn split_blocks<'a>(mut rest: &'a mut [IslandSim], bounds: &[usize]) -> Vec<&'a mut [IslandSim]> {
+    let mut blocks = Vec::with_capacity(bounds.len() - 1);
+    for w in bounds.windows(2) {
+        let (block, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        blocks.push(block);
+        rest = tail;
+    }
+    blocks
+}
+
+/// The phase loop, for any number of participants.
+///
+/// `islands` is in visit order and `pos_of[pic]` is piconet `pic`'s
+/// position in it; participant `p` owns positions `bounds[p]..bounds[p +
+/// 1]` for the whole run, participant 0 being the coordinator (this
+/// thread). Each round the coordinator picks the boundary from the
+/// published island status and the pooled relays, every participant runs
+/// its own block through [`run_block`], and the coordinator merges the
+/// outboxes into the pool, sorts it and deals the relays due at the
+/// boundary into their owners' inboxes. The coordinator touches no
+/// island; no island is touched by two threads. One participant spawns
+/// no thread, crosses no barrier and takes no lock.
 #[allow(clippy::too_many_arguments)]
-fn run_phases_seq<const I: bool>(
+fn run_phases<const I: bool>(
     islands: &mut [IslandSim],
-    order: &[usize],
+    pos_of: &[usize],
+    bounds: &[usize],
     groups: &[SyncPoint],
     checkpoint: SimTime,
     horizon: SimTime,
@@ -1249,181 +1280,30 @@ fn run_phases_seq<const I: bool>(
     ctl: &mut EngineCtl<'_>,
 ) -> EngineCounters {
     let n = islands.len();
-    let mut counters = EngineCounters::default();
-    let mut pool: Vec<PooledRelay> = Vec::with_capacity(pool_capacity(n));
-    let mut next_event: Vec<SimTime> = Vec::with_capacity(n);
-    let mut hot: Vec<SimTime> = Vec::with_capacity(n);
-    let mut staged: Vec<bool> = vec![false; n];
-    for island in islands.iter_mut() {
-        let (ne, hf, _) = island_status(island);
-        next_event.push(ne);
-        hot.push(hf);
-    }
-
-    let mut t = SimTime::ZERO;
-    let mut probed = false;
-    loop {
-        let pool_min = pool.last().map(|p| p.at);
-        let blind = ctl.hot_blind();
-        let hot_of = |i: usize| if blind { SimTime::MAX } else { hot[i] };
-        let mut b = next_boundary(
-            t,
-            checkpoint,
-            probed,
-            horizon,
-            pool_min,
-            groups,
-            mode.widening,
-            hot_of,
-        );
-        if ctl.skip_boundary(b, checkpoint, probed, horizon, pool_min) {
-            b = next_boundary(
-                b,
-                checkpoint,
-                probed,
-                horizon,
-                pool_min,
-                groups,
-                mode.widening,
-                hot_of,
-            );
-        }
-        counters.phases_run += 1;
-        let stretched = mode.widening && earliest_calendar_start(t, groups) < b;
-        counters.widening_stretches += u64::from(stretched);
-        // The claim rule (`next_event <= b`) reads the same published
-        // values the loop below skips on, so `active` equals the number
-        // of islands actually run — the identical accounting the parallel
-        // engine derives from the island meta.
-        let active = if mode.batching {
-            order.iter().filter(|&&idx| next_event[idx] <= b).count()
-        } else {
-            order.len()
-        };
-        counters.islands_claimed += active as u64;
-        counters.islands_skipped_idle += (order.len() - active) as u64;
-        for &idx in order {
-            if mode.batching && next_event[idx] > b {
-                continue;
-            }
-            let island = &mut islands[idx];
-            island.run_until(b, island_handle::<I>);
-            let (ne, hf, did_stage) = island_status_after_run::<I>(island, b);
-            next_event[idx] = ne;
-            hot[idx] = hf;
-            staged[idx] |= did_stage;
-        }
-        for (idx, flag) in staged.iter_mut().enumerate() {
-            if mode.batching && !*flag {
-                continue;
-            }
-            *flag = false;
-            counters.relays_staged += collect_island(islands[idx].state_mut(), &mut pool, b, ctl);
-        }
-        sort_pool(&mut pool, ctl.unsorted());
-        ctl.corrupt_pool(&mut pool);
-        ctl.on_phase(
-            t,
-            b,
-            active as u64,
-            (order.len() - active) as u64,
-            pool.len(),
-            stretched,
-        );
-        if !probed && b >= checkpoint {
-            probe();
-            probed = true;
-        }
-        t = b;
-        if let Some(h) = ctl.release_due(t) {
-            pool.push(h);
-            sort_pool(&mut pool, ctl.unsorted());
-        }
-        // Inject every relay due now; it becomes live in the next round.
-        // In the clean engine a due relay's handoff is exactly `t` (the
-        // pending-injection cap makes every handoff a boundary); `<=`
-        // keeps corpus-mutated engines draining late relays instead of
-        // carrying them into next_boundary's `p > t` invariant. At the
-        // horizon this is the drain: targets re-run to the horizon so
-        // relays landing exactly on it still fire, and later handoffs
-        // (which can never fire) are left in the pool.
-        let mut due = false;
-        while pool.last().is_some_and(|p| p.at <= t) {
-            let p = pool.pop().expect("just peeked");
-            let Some(p) = ctl.intercept(p) else {
-                continue;
-            };
-            let idx = p.relay.pic as usize;
-            let island = &mut islands[idx];
-            let proceed = !I || {
-                let now = island.split_mut().0.now();
-                ctl.check_injection(
-                    (p.at, p.source, p.seq),
-                    (p.relay.pic, p.relay.flow_idx),
-                    now,
-                )
-            };
-            if proceed {
-                inject_relay::<I>(island, &p.relay);
-                counters.relays_injected += 1;
-                ctl.on_injected(t, p.relay.pic, p.seq);
-            }
-            next_event[idx] = next_event[idx].min(t);
-            hot[idx] = SimTime::ZERO;
-            due = true;
-        }
-        if (t >= horizon && !due) || ctl.tripped() {
-            break;
-        }
-    }
-    probe();
-    ctl.note_leftovers(&pool);
-    counters
-}
-
-/// The parallel engine: `threads` participants (the coordinator included)
-/// claim islands off a shared cursor each round; island status is
-/// published through per-island atomics so the coordinator's boundary,
-/// claim and collect decisions never take an idle island's lock. Rounds
-/// with at most [`SOLO_ROUND_MAX`] active islands are run by the
-/// coordinator alone — the workers stay parked at the barrier and the
-/// round costs zero crossings.
-#[allow(clippy::too_many_arguments)]
-fn run_phases_par<const I: bool>(
-    cells: &[Mutex<IslandSim>],
-    order: &[usize],
-    groups: &[SyncPoint],
-    checkpoint: SimTime,
-    horizon: SimTime,
-    probe: &mut dyn FnMut(),
-    threads: usize,
-    mode: EngineMode,
-    ctl: &mut EngineCtl<'_>,
-) -> EngineCounters {
-    let n = cells.len();
-    let mut counters = EngineCounters::default();
-    let mut pool: Vec<PooledRelay> = Vec::with_capacity(pool_capacity(n));
-    let meta: Vec<IslandMeta> = cells
-        .iter()
-        .map(|cell| {
-            let mut island = cell.lock().expect("no poisoned islands");
-            let (ne, hf, _) = island_status(&mut island);
-            IslandMeta {
-                next_event: AtomicU64::new(nanos_of(ne)),
-                hot_from: AtomicU64::new(nanos_of(hf)),
-                staged: AtomicU64::new(0),
-            }
-        })
+    let participants = bounds.len() - 1;
+    let owner_of: Vec<usize> = bounds
+        .windows(2)
+        .enumerate()
+        .flat_map(|(p, w)| std::iter::repeat_n(p, w[1] - w[0]))
         .collect();
-    let barrier = SpinBarrier::new(threads);
-    let cursor = AtomicU64::new(0);
+    let meta: Vec<IslandMeta> = islands.iter_mut().map(IslandMeta::of).collect();
+    let mut counters = EngineCounters::default();
+    let mut pool: Vec<PooledRelay> = Vec::with_capacity(pool_capacity(n));
+    let mut blocks = split_blocks(islands, bounds).into_iter();
+    let own = blocks.next().expect("at least one participant");
+    let mut mail = Mailbox::new(bounds[1]);
+    let mailboxes: Vec<Mutex<Mailbox>> = bounds[1..]
+        .windows(2)
+        .map(|w| Mutex::new(Mailbox::new(w[1] - w[0])))
+        .collect();
+    let barrier = SpinBarrier::new(participants);
     let bound = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        for _ in 1..threads {
-            let (barrier, cursor, bound, stop) = (&barrier, &cursor, &bound, &stop);
-            let meta = &meta;
+        for ((block, mailbox), w) in blocks.zip(&mailboxes).zip(bounds[1..].windows(2)) {
+            let (barrier, bound, stop) = (&barrier, &bound, &stop);
+            let meta = &meta[w[0]..w[1]];
             scope.spawn(move || loop {
                 barrier.wait();
                 // ord: Acquire — pairs with the coordinator's Release
@@ -1436,24 +1316,26 @@ fn run_phases_par<const I: bool>(
                 // ord: Acquire — pairs with the coordinator's Release
                 // publish of the round bound (same reasoning as `stop`).
                 let b = time_of(bound.load(Ordering::Acquire));
-                claim_islands::<I>(cells, meta, order, cursor, b, mode.batching);
+                let mut mail = mailbox.lock().expect("participants do not panic");
+                run_block::<I>(block, meta, &mut mail, b, mode.batching);
+                drop(mail);
                 barrier.wait();
             });
         }
 
+        // The workers' mailboxes, locked by the coordinator between
+        // rounds; pre-sized so the steady state never allocates.
+        let mut guards = Vec::with_capacity(mailboxes.len());
         let mut t = SimTime::ZERO;
         let mut probed = false;
         loop {
             let pool_min = pool.last().map(|p| p.at);
             let blind = ctl.hot_blind();
-            let hot_of = |i: usize| {
+            let hot_of = |pic: usize| {
                 if blind {
                     SimTime::MAX
                 } else {
-                    // ord: Acquire — pairs with the islands' Release
-                    // publish; the inter-round barrier crossing already
-                    // ordered it.
-                    time_of(meta[i].hot_from.load(Ordering::Acquire))
+                    meta[pos_of[pic]].hot_from()
                 }
             };
             let mut b = next_boundary(
@@ -1481,57 +1363,42 @@ fn run_phases_par<const I: bool>(
             counters.phases_run += 1;
             let stretched = mode.widening && earliest_calendar_start(t, groups) < b;
             counters.widening_stretches += u64::from(stretched);
+            // The owners skip on the same published values, so `active`
+            // equals the number of islands actually run.
             let b_nanos = nanos_of(b);
             let active = if mode.batching {
-                order
-                    .iter()
-                    // ord: Acquire — pairs with the islands' Release
-                    // publish (ordered since the last barrier crossing).
-                    .filter(|&&idx| meta[idx].next_event.load(Ordering::Acquire) <= b_nanos)
-                    .count()
+                meta.iter().filter(|m| m.next_event() <= b_nanos).count()
             } else {
-                order.len()
+                n
             };
             counters.islands_claimed += active as u64;
-            counters.islands_skipped_idle += (order.len() - active) as u64;
-            if mode.batching && active <= SOLO_ROUND_MAX {
-                // Coordinator-solo round: cheaper than two barrier
-                // crossings when almost everything is idle.
-                for &idx in order {
-                    // ord: Acquire — same publish pairing as the `active`
-                    // count above; coordinator-solo rounds take no lock on
-                    // skipped islands.
-                    if meta[idx].next_event.load(Ordering::Acquire) > b_nanos {
-                        continue;
-                    }
-                    let mut island = cells[idx].lock().expect("no poisoned islands");
-                    island.run_until(b, island_handle::<I>);
-                    let (ne, hf, did_stage) = island_status_after_run::<I>(&mut island, b);
-                    drop(island);
-                    meta[idx].publish(ne, hf, did_stage);
-                }
-            } else {
+            counters.islands_skipped_idle += (n - active) as u64;
+            if participants > 1 {
                 counters.barrier_rounds += 1;
-                // ord: Release on both — published to the workers across
-                // the barrier crossing below; the crossing's
-                // Acquire/Release pair is what actually carries them, the
-                // explicit Release keeps each store individually sound.
+                // ord: Release — published to the workers across the
+                // barrier crossing below; the crossing's Acquire/Release
+                // pair is what actually carries it, the explicit Release
+                // keeps the store individually sound.
                 bound.store(b_nanos, Ordering::Release);
-                cursor.store(0, Ordering::Release); // ord: see above
-                barrier.wait();
-                claim_islands::<I>(cells, &meta, order, &cursor, b, mode.batching);
                 barrier.wait();
             }
-            for (idx, m) in meta.iter().enumerate() {
-                // ord: Acquire/Relaxed via StagedOrderings::SOUND — the
-                // test-and-clear protocol justified in
-                // sync_protocol::collect_staged and model-checked by the
-                // btgs-analyze staged-publish scenario.
-                if mode.batching && !collect_staged(&m.staged, &StagedOrderings::SOUND) {
-                    continue;
+            run_block::<I>(own, &meta[..bounds[1]], &mut mail, b, mode.batching);
+            if participants > 1 {
+                barrier.wait();
+            }
+            guards.extend(
+                mailboxes
+                    .iter()
+                    .map(|m| m.lock().expect("participants do not panic")),
+            );
+            for outbox in
+                std::iter::once(&mut mail.outbox).chain(guards.iter_mut().map(|g| &mut g.outbox))
+            {
+                counters.relays_staged += outbox.len() as u64;
+                for p in outbox.drain(..) {
+                    ctl.on_collected(b, p.source, p.at);
+                    pool.push(p);
                 }
-                let mut island = cells[idx].lock().expect("no poisoned islands");
-                counters.relays_staged += collect_island(island.state_mut(), &mut pool, b, ctl);
             }
             sort_pool(&mut pool, ctl.unsorted());
             ctl.corrupt_pool(&mut pool);
@@ -1539,7 +1406,7 @@ fn run_phases_par<const I: bool>(
                 t,
                 b,
                 active as u64,
-                (order.len() - active) as u64,
+                (n - active) as u64,
                 pool.len(),
                 stretched,
             );
@@ -1552,38 +1419,42 @@ fn run_phases_par<const I: bool>(
                 pool.push(h);
                 sort_pool(&mut pool, ctl.unsorted());
             }
+            // Deal every relay due now to its target's owner; it is
+            // injected and becomes live in the next round. In the clean
+            // engine a due relay's handoff is exactly `t` (the
+            // pending-injection cap makes every handoff a boundary); `<=`
+            // keeps corpus-mutated engines draining late relays instead of
+            // carrying them into next_boundary's `p > t` invariant. At the
+            // horizon this is the drain: targets re-run to the horizon so
+            // relays landing exactly on it still fire, and later handoffs
+            // (which can never fire) are left in the pool.
             let mut due = false;
             while pool.last().is_some_and(|p| p.at <= t) {
                 let p = pool.pop().expect("just peeked");
                 let Some(p) = ctl.intercept(p) else {
                     continue;
                 };
-                let idx = p.relay.pic as usize;
-                let mut island = cells[idx].lock().expect("no poisoned islands");
-                let proceed = !I || {
-                    let now = island.split_mut().0.now();
-                    ctl.check_injection(
+                let pos = pos_of[p.relay.pic as usize];
+                let proceed = !I
+                    || ctl.check_injection(
                         (p.at, p.source, p.seq),
                         (p.relay.pic, p.relay.flow_idx),
-                        now,
-                    )
-                };
+                        meta[pos].clock(),
+                    );
                 if proceed {
-                    inject_relay::<I>(&mut island, &p.relay);
+                    let owner = owner_of[pos];
+                    let inbox = match owner {
+                        0 => &mut mail.inbox,
+                        w => &mut guards[w - 1].inbox,
+                    };
+                    inbox.push((pos - bounds[owner], p.relay));
                     counters.relays_injected += 1;
                     ctl.on_injected(t, p.relay.pic, p.seq);
                 }
-                drop(island);
-                // ord: Acquire/Release — coordinator-only read-modify of
-                // the island's published status between rounds; the next
-                // barrier crossing republishes it to the workers.
-                let ne = meta[idx].next_event.load(Ordering::Acquire);
-                meta[idx]
-                    .next_event
-                    .store(ne.min(nanos_of(t)), Ordering::Release); // ord: see above
-                meta[idx].hot_from.store(0, Ordering::Release); // ord: see above
+                meta[pos].note_dealt(t);
                 due = true;
             }
+            guards.clear();
             if (t >= horizon && !due) || ctl.tripped() {
                 break;
             }
@@ -1591,10 +1462,12 @@ fn run_phases_par<const I: bool>(
         probe();
         ctl.note_leftovers(&pool);
 
-        // ord: Release — carried to the workers by the final barrier
-        // crossing; they read it with Acquire right after.
-        stop.store(true, Ordering::Release);
-        barrier.wait();
+        if participants > 1 {
+            // ord: Release — carried to the workers by the final barrier
+            // crossing; they read it with Acquire right after.
+            stop.store(true, Ordering::Release);
+            barrier.wait();
+        }
     });
     counters
 }
@@ -1636,10 +1509,11 @@ pub struct ScatternetReport {
     /// digests the way `events_processed` is (so are the three counters
     /// below).
     pub phases_run: u64,
-    /// Rounds dispatched through the worker barrier (two crossings each);
-    /// zero for single-threaded runs and coordinator-solo rounds.
+    /// Rounds dispatched through the participant barrier (two crossings
+    /// each): every round of a multi-threaded run, and zero for a
+    /// single-threaded one.
     pub barrier_rounds: u64,
-    /// Islands actually claimed and run, summed over all rounds —
+    /// Islands actually run, summed over all rounds —
     /// idle-island skipping makes this far less than
     /// `phases_run × piconets`.
     pub islands_claimed: u64,
@@ -1994,8 +1868,12 @@ impl ScatternetSim {
     }
 
     /// Sets the number of threads advancing islands in parallel (builder
-    /// style). Clamped to at least 1 and at most the piconet count at run
-    /// time; reports are byte-identical across thread counts.
+    /// style). At run time the count is clamped to at least 1, to at most
+    /// the piconet count, and to the host's available parallelism with a
+    /// floor of 2 (so a parallel run still runs parallel code on a
+    /// single-core host). Each thread owns one contiguous block of
+    /// islands, balanced by flow count, for the whole run; reports are
+    /// byte-identical across thread counts.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> ScatternetSim {
         self.threads = threads.max(1);
@@ -2003,9 +1881,10 @@ impl ScatternetSim {
     }
 
     /// Permutes the island visit order with a deterministic
-    /// [`DetRng`]-driven shuffle (builder style). The reports do not
-    /// depend on the visit order; this exists so equivalence tests can
-    /// prove it.
+    /// [`DetRng`]-driven shuffle (builder style). The order is what the
+    /// thread blocks are cut from, so the shuffle also changes which
+    /// thread owns which island. The reports depend on neither; this
+    /// exists so equivalence tests can prove it.
     #[must_use]
     pub fn with_island_shuffle(mut self, seed: u64) -> ScatternetSim {
         self.shuffle_seed = Some(seed);
@@ -2025,10 +1904,8 @@ impl ScatternetSim {
 
     /// Enables or disables phase batching and idle-island skipping
     /// (builder style; default on). When on, an island with no event due
-    /// by the boundary is never claimed, locked or drained, and
-    /// small-active-set rounds run on the coordinator without barrier
-    /// crossings; when off, every island runs every round. Reports are
-    /// byte-identical either way.
+    /// by the boundary is not run that round; when off, every island runs
+    /// every round. Reports are byte-identical either way.
     #[must_use]
     pub fn with_phase_batching(mut self, batching: bool) -> ScatternetSim {
         self.batching = batching;
@@ -2088,8 +1965,8 @@ impl ScatternetSim {
     /// assembly) — the same bracketing hook as
     /// [`PiconetSim::run_probed`](crate::PiconetSim::run_probed), used by
     /// the zero-allocation gate. The probe always fires at a phase
-    /// boundary, with every island at the same instant and no worker
-    /// holding a lock.
+    /// boundary, with every island at the same instant and every other
+    /// thread waiting at the barrier.
     ///
     /// # Errors
     ///
@@ -2220,8 +2097,9 @@ impl ScatternetSim {
     /// The shared run loop behind [`run_probed`](ScatternetSim::run_probed)
     /// (uninstrumented), [`run_sanitized`](ScatternetSim::run_sanitized)
     /// and [`run_traced`](ScatternetSim::run_traced): seeds the islands,
-    /// dispatches the sequential or parallel engine (instrumented
-    /// monomorphisation only when sanitizing or tracing), and assembles
+    /// splits the islands into per-thread blocks, runs the phase loop
+    /// (the instrumented monomorphisation only when sanitizing, tracing
+    /// or observing), and assembles
     /// the report plus whatever instrumentation output was requested.
     fn run_inner(
         mut self,
@@ -2292,88 +2170,71 @@ impl ScatternetSim {
         };
 
         // The island visit order: identity, or a deterministic shuffle to
-        // prove order independence.
-        let mut order: Vec<usize> = (0..self.islands.len()).collect();
-        if let Some(seed) = self.shuffle_seed {
-            let mut rng = DetRng::seed_from_u64(seed);
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.below(i as u64 + 1) as usize);
+        // prove order independence. The islands are laid out in that order
+        // (by the shuffle's own swaps, undone in reverse after the run),
+        // so the contiguous block each participant owns is one slice.
+        let n = self.islands.len();
+        let mut islands = self.islands;
+        let swaps: Vec<(usize, usize)> = match self.shuffle_seed {
+            Some(seed) => {
+                let mut rng = DetRng::seed_from_u64(seed);
+                (1..n)
+                    .rev()
+                    .map(|i| (i, rng.below(i as u64 + 1) as usize))
+                    .collect()
             }
+            None => Vec::new(),
+        };
+        for &(i, j) in &swaps {
+            islands.swap(i, j);
         }
-        // Workers beyond the host's cores cannot run concurrently — they
-        // only add barrier crossings and scheduler churn. Clamp to the
-        // available parallelism, with a floor of two so a parallel run
-        // still exercises the parallel engine on a single-core host.
-        // Reports are thread-count-invariant, so the clamp never shows in
-        // results, only in wall time.
-        let hw = std::thread::available_parallelism().map_or(usize::MAX, |c| c.get());
-        let threads = self.threads.min(order.len()).min(hw.max(2)).max(1);
+        let mut pos_of = vec![0; n];
+        for (pos, island) in islands.iter().enumerate() {
+            pos_of[usize::from(island.state().pic)] = pos;
+        }
+        // Participants beyond the host's cores cannot run concurrently —
+        // they only add barrier crossings and scheduler churn. Clamp to
+        // the available parallelism, with a floor of two so a parallel run
+        // still exercises the barrier on a single-core host. Reports are
+        // thread-count-invariant, so the clamp never shows in results,
+        // only in wall time. A one-thread run skips the host query.
+        let participants = match self.threads.min(n) {
+            0 | 1 => 1,
+            t => t.min(
+                std::thread::available_parallelism()
+                    .map_or(usize::MAX, |c| c.get())
+                    .max(2),
+            ),
+        };
+        // Blocks balance flow counts, which track per-island event counts.
+        let weights: Vec<usize> = islands
+            .iter()
+            .map(|island| island.state().world.table.len())
+            .collect();
+        let bounds = block_bounds(&weights, participants);
         let mode = EngineMode {
             widening: self.widening,
             batching: self.batching,
         };
-
-        let (islands, counters) = if threads == 1 {
-            // Single-threaded: the same algorithm without locks, atomics
-            // or barriers.
-            let mut islands = self.islands;
-            let counters = if instrumented {
-                run_phases_seq::<true>(
-                    &mut islands,
-                    &order,
-                    &self.sync_points,
-                    checkpoint,
-                    horizon,
-                    probe,
-                    mode,
-                    &mut ctl,
-                )
-            } else {
-                run_phases_seq::<false>(
-                    &mut islands,
-                    &order,
-                    &self.sync_points,
-                    checkpoint,
-                    horizon,
-                    probe,
-                    mode,
-                    &mut ctl,
-                )
-            };
-            (islands, counters)
+        let run = if instrumented {
+            run_phases::<true>
         } else {
-            let cells: Vec<Mutex<IslandSim>> = self.islands.into_iter().map(Mutex::new).collect();
-            let counters = if instrumented {
-                run_phases_par::<true>(
-                    &cells,
-                    &order,
-                    &self.sync_points,
-                    checkpoint,
-                    horizon,
-                    probe,
-                    threads,
-                    mode,
-                    &mut ctl,
-                )
-            } else {
-                run_phases_par::<false>(
-                    &cells,
-                    &order,
-                    &self.sync_points,
-                    checkpoint,
-                    horizon,
-                    probe,
-                    threads,
-                    mode,
-                    &mut ctl,
-                )
-            };
-            let islands = cells
-                .into_iter()
-                .map(|c| c.into_inner().expect("no poisoned islands"))
-                .collect();
-            (islands, counters)
+            run_phases::<false>
         };
+        let counters = run(
+            &mut islands,
+            &pos_of,
+            &bounds,
+            &self.sync_points,
+            checkpoint,
+            horizon,
+            probe,
+            mode,
+            &mut ctl,
+        );
+        for &(i, j) in swaps.iter().rev() {
+            islands.swap(i, j);
+        }
 
         let mut chains: Vec<ChainReport> = self
             .chain_hops
@@ -2386,7 +2247,6 @@ impl ScatternetSim {
                 residence: DelayStats::new(),
             })
             .collect();
-        let islands: Vec<IslandSim> = islands;
         let mut piconets = Vec::with_capacity(islands.len());
         let mut probes: Vec<IslandProbe> =
             Vec::with_capacity(if instrumented { piconets.capacity() } else { 0 });

@@ -1,17 +1,25 @@
-//! The atomics protocols of the parallel island engine, extracted behind a
-//! small trait seam.
+//! The concurrency protocol of the parallel island engine, extracted
+//! behind a small trait seam.
 //!
-//! Everything the scatternet engine's byte-identity claim rests on — the
-//! [`barrier_wait`] generation protocol, the [`claim_next`] atomic-cursor
-//! island claiming, and the [`publish_staged`]/[`collect_staged`]
-//! staged-relay flag protocol — lives here as plain functions generic over [`SyncCell`]
-//! and [`SyncEnv`]. The engine instantiates them with hardware atomics
-//! ([`AtomicU64`] plus the adaptive spin/yield/backoff waiter), which
-//! monomorphises to exactly the code the engine ran before the extraction.
-//! `btgs-analyze`'s model checker instantiates the *same functions* with
-//! modeled memory cells and a schedule-exploring environment, so every
-//! interleaving the bounded DFS visits exercises the actual protocol logic,
-//! not a transcription of it.
+//! One engine round is: the coordinator publishes the phase bound,
+//! **barrier**, every participant runs its own fixed block of islands to
+//! the bound and publishes their status, **barrier**, the coordinator
+//! reads the statuses. Two pieces of that round live here:
+//!
+//! * [`block_bounds`], the split of the island order into one contiguous
+//!   block per participant, made once per run. Each participant owns its
+//!   block for the whole run, so no island is ever touched by two
+//!   threads and no island needs a lock;
+//! * [`barrier_wait`], the generation barrier the round crosses twice, as
+//!   a plain function generic over [`SyncCell`] and [`SyncEnv`].
+//!
+//! The engine instantiates [`barrier_wait`] with hardware atomics
+//! ([`AtomicU64`] plus the spin/yield waiter). `btgs-analyze`'s model
+//! checker instantiates the *same function* with modeled memory cells and
+//! a schedule-exploring environment, and drives the whole round (bound
+//! publish, [`block_bounds`] ownership, status publish) through it, so
+//! every interleaving the bounded DFS visits exercises the actual
+//! protocol logic, not a transcription of it.
 //!
 //! The memory orderings are parameters ([`BarrierOrderings`]) rather than
 //! literals so the checker can also run the deliberately weakened variants
@@ -63,9 +71,10 @@ pub trait SyncEnv {
     /// Blocks until a load of `cell` with `order` observes a value
     /// different from `old`, and returns that value.
     ///
-    /// The hardware implementation is the adaptive spin → yield →
-    /// exponential-backoff loop; the model implementation lets the
-    /// checker's scheduler pick which qualifying store the load reads.
+    /// The hardware implementation spins, then yields (and sleeps only
+    /// when the pool has more threads than the host has cores); the model
+    /// implementation lets the checker's scheduler pick which qualifying
+    /// store the load reads.
     fn wait_until_changed(&self, cell: &Self::Cell, old: u64, order: Ordering) -> u64;
 }
 
@@ -178,96 +187,134 @@ pub fn barrier_wait<E: SyncEnv>(
     }
 }
 
-/// The memory orderings of the staged-relay publish protocol, as data.
+/// Splits `weights.len()` island positions into `parts` contiguous blocks
+/// of near-equal total weight; block `p` is `bounds[p]..bounds[p + 1]` of
+/// the returned `parts + 1` bounds.
 ///
-/// Workers stage cross-island relays under their island's lock, then raise
-/// the island's staged flag; the coordinator drains flagged islands after
-/// the round's barrier crossing (stage → publish → **barrier** → collect).
-/// As with [`BarrierOrderings`], the orderings are parameters so
-/// `btgs-analyze` can run the production choice and the deliberately
-/// weakened fixture through the same functions.
-#[derive(Clone, Copy, Debug)]
-pub struct StagedOrderings {
-    /// The worker's flag store after staging relays.
-    pub publish: Ordering,
-    /// The coordinator's flag load at collect time.
-    pub collect: Ordering,
-    /// The coordinator's flag reset after a positive collect.
-    pub reset: Ordering,
-}
-
-impl StagedOrderings {
-    /// The production orderings; justified at the use sites in
-    /// [`publish_staged`] and [`collect_staged`], and validated by the
-    /// `btgs-analyze` staged-publish model scenario.
-    pub const SOUND: StagedOrderings = StagedOrderings {
-        publish: Ordering::Release, // ord: justified at the use site in publish_staged
-        collect: Ordering::Acquire, // ord: justified at the use site in collect_staged
-        reset: Ordering::Relaxed,   // ord: justified at the use site in collect_staged
-    };
-
-    /// Deliberately broken: a `Relaxed` publish. Behind the engine's
-    /// barrier crossing this is masked (the crossing orders everything),
-    /// which is exactly why the model checker pairs it with the
-    /// *early-collect* fixture — a coordinator that polls staged flags
-    /// before the crossing, the tempting "skip the barrier" optimisation.
-    /// The checker must refute that composition: the collect can read a
-    /// raised flag while the staged data is still stale, or miss a
-    /// publish outright.
-    pub const WEAK_PUBLISH: StagedOrderings = StagedOrderings {
-        publish: Ordering::Relaxed, // ord: deliberately unsound — checker fixture
-        ..StagedOrderings::SOUND
-    };
-}
-
-/// Raises an island's staged flag: the worker has pushed cross-island
-/// relays that the coordinator must drain this round.
-pub fn publish_staged<C: SyncCell>(flag: &C, ord: &StagedOrderings) {
-    // ord: Release — pairs with the coordinator's Acquire collect load so
-    // the staged relays written before the publish are ordered before the
-    // drain. In the engine the intervening barrier crossing already
-    // carries that ordering; the explicit Release keeps the protocol
-    // self-contained — the early-collect model fixture shows what breaks
-    // once the crossing is (wrongly) removed.
-    flag.store(1, ord.publish);
-}
-
-/// Tests-and-clears an island's staged flag at collect time; `true` means
-/// the island staged relays since the last collect.
-pub fn collect_staged<C: SyncCell>(flag: &C, ord: &StagedOrderings) -> bool {
-    // ord: Acquire — pairs with the workers' Release publish. A plain
-    // load/store pair (no RMW) is sound here because only the coordinator
-    // ever clears the flag, and the barrier crossing temporally separates
-    // every worker publish from the collect — exactly the claim the
-    // btgs-analyze staged-publish scenario checks exhaustively at 2–3
-    // threads.
-    if flag.load(ord.collect) == 0 {
-        return false;
+/// Every position lands in exactly one block, blocks are in position
+/// order, and the split depends on nothing but its inputs. `parts` is
+/// clamped to `1..=weights.len()`, so no block is empty (with no
+/// positions at all, the one block is). Each cut sits at the prefix sum
+/// nearest to its share `p * total / parts` of the total weight, within
+/// the range that leaves at least one position to every block.
+///
+/// The engine weighs an island by its flow count, which tracks the
+/// island's event count closely, so blocks carry near-equal work rather
+/// than near-equal island counts.
+///
+/// # Examples
+///
+/// ```
+/// use btgs_piconet::sync_protocol::block_bounds;
+///
+/// assert_eq!(block_bounds(&[1, 1, 1, 1], 2), vec![0, 2, 4]);
+/// // One heavy island takes a block of its own.
+/// assert_eq!(block_bounds(&[6, 1, 1, 1, 1, 1, 1], 2), vec![0, 1, 7]);
+/// ```
+pub fn block_bounds(weights: &[usize], parts: usize) -> Vec<usize> {
+    let n = weights.len();
+    let parts = parts.clamp(1, n.max(1));
+    let mut prefix = Vec::with_capacity(n + 1);
+    prefix.push(0u128);
+    for &w in weights {
+        prefix.push(prefix[prefix.len() - 1] + w as u128);
     }
-    // ord: Relaxed — the reset races with nothing: workers are parked at
-    // the next crossing until the coordinator arrives, and that crossing
-    // orders the reset before any later publish of the same flag.
-    flag.store(0, ord.reset);
-    true
+    let total = prefix[n];
+    let mut bounds = Vec::with_capacity(parts + 1);
+    bounds.push(0);
+    for p in 1..parts {
+        let target = total * p as u128 / parts as u128;
+        // The first cut at or past the target, or the one just before it
+        // if that is strictly nearer.
+        let mut cut = prefix.partition_point(|&s| s < target);
+        if cut > 0 && target - prefix[cut - 1] < prefix[cut] - target {
+            cut -= 1;
+        }
+        let lo = bounds[p - 1] + 1;
+        let hi = n - (parts - p);
+        bounds.push(cut.clamp(lo, hi));
+    }
+    bounds.push(n);
+    bounds
 }
 
-/// One claim off a shared work cursor: returns the claimed position, or
-/// `None` once the cursor has run past `len`.
-///
-/// The claim is a bare `fetch_add` — atomicity alone partitions positions
-/// across claimants (model-checked: claim sets are disjoint and cover
-/// `0..len` under every explored schedule at 2–4 threads).
-pub fn claim_next<C: SyncCell>(cursor: &C, len: u64, order: Ordering) -> Option<u64> {
-    // ord: Relaxed is sufficient — uniqueness comes from RMW atomicity
-    // (each fetch_add reads the latest value in the cell's modification
-    // order), not from visibility; the island data a claim guards is
-    // protected by the island's Mutex, and the coordinator's cursor reset
-    // is ordered before all claims by the barrier crossing between them.
-    // (Was AcqRel before the PR-8 audit: needlessly strong on a counter.)
-    let i = cursor.fetch_add(1, order);
-    if i < len {
-        Some(i)
-    } else {
-        None
+#[cfg(test)]
+mod tests {
+    use super::block_bounds;
+    use btgs_des::DetRng;
+
+    /// Checks the structural contract and returns the per-block weights.
+    fn check(weights: &[usize], parts: usize) -> Vec<usize> {
+        let bounds = block_bounds(weights, parts);
+        let n = weights.len();
+        let blocks = parts.clamp(1, n.max(1));
+        assert_eq!(bounds.len(), blocks + 1, "{weights:?} / {parts}");
+        assert_eq!(bounds[0], 0);
+        assert_eq!(bounds[blocks], n);
+        // Contiguous, in order, and non-empty whenever positions >= parts:
+        // every position lands in exactly one block.
+        let mut owner = vec![None; n];
+        for (p, w) in bounds.windows(2).enumerate() {
+            assert!(
+                w[0] < w[1] || n == 0,
+                "block {p} of {bounds:?} is empty ({weights:?} / {parts})"
+            );
+            for slot in &mut owner[w[0]..w[1]] {
+                assert!(slot.is_none(), "position in two blocks: {bounds:?}");
+                *slot = Some(p);
+            }
+        }
+        assert!(
+            owner.iter().all(Option::is_some),
+            "{bounds:?} misses a position"
+        );
+        assert_eq!(
+            bounds,
+            block_bounds(weights, parts),
+            "split is deterministic"
+        );
+        bounds
+            .windows(2)
+            .map(|w| weights[w[0]..w[1]].iter().sum())
+            .collect()
+    }
+
+    #[test]
+    fn blocks_partition_the_order_in_contiguous_runs() {
+        let mut rng = DetRng::seed_from_u64(14);
+        for n in 0..40usize {
+            for parts in 1..=6 {
+                let weights: Vec<usize> = (0..n).map(|_| rng.below(9) as usize).collect();
+                check(&weights, parts);
+            }
+        }
+        // Degenerate weights still split into non-empty blocks.
+        check(&[0; 5], 3);
+        check(&[], 4);
+        assert_eq!(block_bounds(&[3, 3], 8), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn skewed_flow_counts_split_by_weight_not_count() {
+        // Equal island counts would put 40 of 48 flows in the first half;
+        // the weighted split balances the flows instead.
+        let weights = [10, 10, 10, 10, 2, 2, 2, 2];
+        assert_eq!(block_bounds(&weights, 2), vec![0, 2, 8]);
+        assert_eq!(check(&weights, 2), vec![20, 28]);
+        // Uniform weights reduce to equal counts.
+        assert_eq!(block_bounds(&[4; 12], 3), vec![0, 4, 8, 12]);
+        // Every block of a large skewed split stays within one island's
+        // weight of its share.
+        let weights: Vec<usize> = (0..256).map(|i| 1 + (i * 7) % 13).collect();
+        let total: usize = weights.iter().sum();
+        for parts in [2usize, 3, 4, 8] {
+            for (p, w) in check(&weights, parts).into_iter().enumerate() {
+                let share = total / parts;
+                assert!(
+                    w.abs_diff(share) <= 2 * 13,
+                    "block {p} of {parts} carries {w}, share {share}"
+                );
+            }
+        }
     }
 }

@@ -178,9 +178,9 @@ fn every_mutation_is_caught_and_bisector_localized() {
 
 #[test]
 fn mutations_are_caught_under_parallel_execution_too() {
-    // The drop mutation exercises the coordinator's pooled-drain path in
-    // both engines; catching it at 4 threads proves the sanitizer seam
-    // rides through `run_phases_par`, not just the sequential loop.
+    // The drop mutation exercises the coordinator's pooled-drain path;
+    // catching it at 4 threads proves the sanitizer seam rides through
+    // the owners' blocks and mailboxes, not just a single participant.
     let (_, params) = sanitizer_corpus()[0];
     let run = build_sim(params, 4)
         .with_mutation(EngineMutation::DroppedRelay)

@@ -2,15 +2,16 @@
 //!
 //! The scatternet simulator advances each piconet island independently to
 //! conservative phase boundaries derived from the bridge rendezvous
-//! schedule; `with_threads(n)` only changes *which OS thread* runs an
-//! island between two barriers, never the order in which staged relay
-//! handoffs are injected, and the adaptive-widening / phase-batching
+//! schedule; `with_threads(n)` only changes *which OS thread* owns and
+//! runs an island, never the order in which staged relay handoffs are
+//! injected, and the adaptive-widening / phase-batching
 //! toggles only change *how many* rounds the engine steps through, never
 //! what each island observes. The contract: the full
 //! [`ScatternetReport`] — every delay sample, ledger cell, counter and
 //! the event count — is byte-identical across thread counts, topologies
 //! (mesh included), pollers, seeds, a deterministically shuffled island
-//! claim order, and all four widening × batching combinations. Only the
+//! order (which also reassigns island owners), and all four widening ×
+//! batching combinations. Only the
 //! engine-observability counters (`phases_run`, `barrier_rounds`,
 //! `islands_claimed`, `relays_staged`, `relays_injected`,
 //! `widening_stretches`, `islands_skipped_idle`) are excluded: they
@@ -163,29 +164,34 @@ fn widening_and_batching_toggles_are_free_of_observable_effects() {
 
 #[test]
 fn island_claim_order_is_free_of_observable_effects() {
-    // A shuffled claim order maximises cross-thread interleavings; the
-    // staged-relay injection order is sorted, so the report must not
-    // move by a single byte.
+    // A shuffled island order changes the order each thread runs its
+    // islands in and, because the thread blocks are cut from that order,
+    // which thread owns which island. On the mesh, relays then cross
+    // between blocks along different edges. The relay injection order is
+    // sorted, so the report must not move by a single byte.
     let horizon = SimTime::from_secs(2);
-    let base = digest(
-        params_for("chain", 7),
-        PollerKind::PfpGs,
-        EngineKnobs::default_engine(1),
-        horizon,
-    );
-    for shuffle in [3u64, 99] {
-        for threads in [1usize, 2, 4] {
-            let knobs = EngineKnobs {
-                threads,
-                shuffle: Some(shuffle),
-                widening: true,
-                batching: true,
-            };
-            let shuffled = digest(params_for("chain", 7), PollerKind::PfpGs, knobs, horizon);
-            assert_eq!(
-                base, shuffled,
-                "island shuffle {shuffle} with {threads} threads changed the report"
-            );
+    for topology in ["chain", "mesh"] {
+        let base = digest(
+            params_for(topology, 7),
+            PollerKind::PfpGs,
+            EngineKnobs::default_engine(1),
+            horizon,
+        );
+        for shuffle in [3u64, 99] {
+            for threads in [1usize, 2, 4] {
+                let knobs = EngineKnobs {
+                    threads,
+                    shuffle: Some(shuffle),
+                    widening: true,
+                    batching: true,
+                };
+                let shuffled = digest(params_for(topology, 7), PollerKind::PfpGs, knobs, horizon);
+                assert_eq!(
+                    base, shuffled,
+                    "{topology}: island shuffle {shuffle} with {threads} threads changed \
+                     the report"
+                );
+            }
         }
     }
 }
