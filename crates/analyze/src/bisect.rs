@@ -1,7 +1,7 @@
 //! Engine 3 — the divergence bisector CLI surface.
 //!
 //! When two engine configurations that must be byte-identical (threads
-//! 1 vs N, widening on/off, a shuffled claim order) ever disagree, a
+//! 1 vs N, a shuffled claim order) ever disagree, a
 //! failing report-digest assertion says *that* they diverged, not
 //! *where*. This module wraps [`btgs_piconet::bisect_runs`] — full-trace
 //! rolling hashes per island, binary search to the first diverging event,
@@ -12,7 +12,7 @@
 //!
 //! The baseline is always the default engine at one thread; `--vs`
 //! specifies the configuration under suspicion, e.g.
-//! `threads=4|widening=off|shuffle=7`.
+//! `threads=4|shuffle=7`.
 
 use btgs_core::{sanitizer_corpus, PollerKind, ScatternetScenario, ScatternetScenarioParams};
 use btgs_des::SimTime;
@@ -23,10 +23,6 @@ use btgs_piconet::{bisect_runs, BisectReport, ScatternetSim};
 pub struct BisectSpec {
     /// Worker thread count (`threads=N`).
     pub threads: usize,
-    /// Adaptive phase widening (`widening=on|off`).
-    pub widening: bool,
-    /// Phase batching / idle skipping (`batching=on|off`).
-    pub batching: bool,
     /// Deterministic island claim-order shuffle (`shuffle=SEED`).
     pub shuffle: Option<u64>,
 }
@@ -37,15 +33,12 @@ impl BisectSpec {
     pub fn baseline() -> BisectSpec {
         BisectSpec {
             threads: 1,
-            widening: true,
-            batching: true,
             shuffle: None,
         }
     }
 
-    /// Parses a `|`-separated spec: `threads=4`, `widening=off`,
-    /// `batching=off`, `shuffle=7`, in any combination. Unset knobs keep
-    /// the baseline defaults.
+    /// Parses a `|`-separated spec: `threads=4`, `shuffle=7`, in either
+    /// combination. Unset knobs keep the baseline defaults.
     ///
     /// # Errors
     ///
@@ -57,25 +50,18 @@ impl BisectSpec {
                 .split_once('=')
                 .ok_or_else(|| format!("bad --vs clause `{clause}`: expected key=value"))?;
             let (key, value) = (key.trim(), value.trim());
-            let on_off = |v: &str| match v {
-                "on" => Ok(true),
-                "off" => Ok(false),
-                other => Err(format!("bad value `{other}` for {key}: expected on|off")),
-            };
             match key {
                 "threads" => {
                     out.threads = value
                         .parse()
                         .map_err(|_| format!("bad thread count `{value}`"))?;
                 }
-                "widening" => out.widening = on_off(value)?,
-                "batching" => out.batching = on_off(value)?,
                 "shuffle" => {
                     out.shuffle = Some(value.parse().map_err(|_| format!("bad seed `{value}`"))?);
                 }
                 other => {
                     return Err(format!(
-                        "unknown --vs knob `{other}`; known: threads widening batching shuffle"
+                        "unknown --vs knob `{other}`; known: threads shuffle"
                     ))
                 }
             }
@@ -87,9 +73,7 @@ impl BisectSpec {
         let mut sim = ScatternetScenario::build(params)
             .simulator(PollerKind::PfpGs)
             .expect("corpus scenario builds")
-            .with_threads(self.threads)
-            .with_phase_widening(self.widening)
-            .with_phase_batching(self.batching);
+            .with_threads(self.threads);
         if let Some(seed) = self.shuffle {
             sim = sim.with_island_shuffle(seed);
         }
@@ -139,13 +123,11 @@ mod tests {
 
     #[test]
     fn parses_full_spec() {
-        let spec = BisectSpec::parse("threads=4|widening=off|shuffle=7").unwrap();
+        let spec = BisectSpec::parse("threads=4|shuffle=7").unwrap();
         assert_eq!(
             spec,
             BisectSpec {
                 threads: 4,
-                widening: false,
-                batching: true,
                 shuffle: Some(7),
             }
         );
@@ -157,12 +139,12 @@ mod tests {
         assert!(BisectSpec::parse("threads")
             .unwrap_err()
             .contains("key=value"));
-        assert!(BisectSpec::parse("widening=maybe")
+        assert!(BisectSpec::parse("threads=many")
             .unwrap_err()
-            .contains("on|off"));
-        assert!(BisectSpec::parse("turbo=on")
-            .unwrap_err()
-            .contains("unknown"));
+            .contains("thread count"));
+        for knob in ["turbo=on", "widening=off", "batching=off"] {
+            assert!(BisectSpec::parse(knob).unwrap_err().contains("unknown"));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! cargo run --release -p btgs-analyze -- --bisect TOPO   # divergence bisector
 //!     TOPO            corpus scenario: chain | ring | mesh
 //!     --vs SPEC       suspect configuration vs the 1-thread baseline
-//!                     (default threads=4), e.g. threads=4|widening=off|shuffle=7
+//!                     (default threads=4), e.g. threads=4|shuffle=7
 //!     --horizon-ms N  simulated horizon in milliseconds (default 1500)
 //! ```
 //!
@@ -70,7 +70,7 @@ fn main() {
             "--vs" => {
                 bisect_vs = args
                     .next()
-                    .unwrap_or_else(|| die("--vs takes a spec like threads=4|widening=off"));
+                    .unwrap_or_else(|| die("--vs takes a spec like threads=4|shuffle=7"));
             }
             "--horizon-ms" => {
                 horizon_ms = args

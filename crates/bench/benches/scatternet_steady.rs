@@ -20,9 +20,9 @@
 //!
 //! Each probe run also prints the engine's observability counters
 //! (`phases_run`, `barrier_rounds`, `islands_claimed`, `relays_staged`)
-//! and annotates them into the JSON trajectory record, so the effect of
-//! phase batching and adaptive widening on the round structure is
-//! tracked across PRs alongside the wall clock.
+//! and annotates them into the JSON trajectory record, so the round
+//! structure (one round per calendar window start, every island run
+//! every round) is tracked across PRs alongside the wall clock.
 //!
 //! The `sanitized` twin runs one small scenario through
 //! [`ScatternetSim::run_sanitized`] — the causality sanitizer's

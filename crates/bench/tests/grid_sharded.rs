@@ -11,10 +11,17 @@
 //! stdout, checkpoint append/replay/truncation, retry, and the merge.
 
 use btgs_core::{
-    comparison_pollers, BeSourceMix, CellResult, CellSink, ExperimentRunner, ScenarioGrid, Topology,
+    comparison_pollers, BeSourceMix, CellOutcome, CellResult, CellSink, ExperimentRunner,
+    PaperScenario, ScenarioGrid, Topology,
 };
 use btgs_des::{SimDuration, SimTime};
+use btgs_grid::wire::{
+    frame_from_json, frame_to_json, write_frame, CellFrame, FrameRead, FrameReader,
+};
 use btgs_grid::{GridPartitioner, JsonlSpillSink, OnlineAggregator, ShardedGridRunner};
+use btgs_piconet::ScatternetReport;
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
@@ -310,5 +317,90 @@ fn foreign_checkpoints_are_never_merged() {
     assert_eq!(again.replayed_cells, grid_a.cells().len());
     assert_eq!(again.executed_cells, 0);
     assert_eq!(again.report.digest(), a.report.digest());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The first checkpoint (in file-name order) holding a scatternet cell,
+/// with its decoded frame. Each checkpoint holds one frame here.
+fn scatternet_checkpoint(dir: &Path) -> (PathBuf, CellFrame) {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    for path in paths {
+        let file = File::open(&path).expect("checkpoint opens");
+        let FrameRead::Frame(payload) = FrameReader::new(BufReader::new(file))
+            .next_frame()
+            .expect("checkpoint reads")
+        else {
+            continue;
+        };
+        let frame = frame_from_json(&payload).expect("checkpoint frame decodes");
+        if matches!(frame.outcome, CellOutcome::Scatternet(..)) {
+            return (path, frame);
+        }
+    }
+    panic!("no scatternet checkpoint in {}", dir.display());
+}
+
+/// A checkpoint frame that parses but does not fit its cell — a
+/// scatternet report without piconets, or piconet 0 without one of the
+/// cell's planned GS flows — is rejected on replay: the cell is
+/// re-simulated and the aggregate matches the clean run's.
+#[test]
+fn corrupt_checkpoint_frames_are_resimulated() {
+    let _env = env_guard();
+    let grid = grid_scatternet();
+    let cells = grid.cells().len();
+    let dir = scratch("corrupt");
+    // One cell per shard: each checkpoint file holds exactly one frame.
+    let runner = ShardedGridRunner::new(worker_bin(), &dir, 2)
+        .with_partitioner(GridPartitioner::with_target_cells_per_shard(1));
+    let mut clean = OnlineAggregator::for_grid(&grid);
+    runner
+        .run_observed(&grid, &mut clean)
+        .expect("clean run completes");
+
+    type Corruption = fn(&CellFrame, &mut ScatternetReport);
+    let corruptions: [(&str, Corruption); 2] = [
+        ("no piconet reports", |_, report| report.piconets.clear()),
+        ("a planned GS flow missing", |frame, report| {
+            let id = PaperScenario::build(frame.cell.params()).gs_plans[0]
+                .request
+                .id;
+            let p0 = &mut report.piconets[0];
+            p0.flows.retain(|f| f.id != id);
+            assert!(p0.per_flow.remove(&id).is_some(), "{id} was reported");
+        }),
+    ];
+    for (what, corrupt) in corruptions {
+        // Rewrite the frame whole, so its length prefix stays valid.
+        let (path, frame) = scatternet_checkpoint(&dir);
+        let CellOutcome::Scatternet(mut report, telemetry) = frame.outcome.clone() else {
+            unreachable!("picked for its scatternet outcome");
+        };
+        corrupt(&frame, &mut report);
+        let payload = frame_to_json(
+            frame.grid_digest,
+            frame.index,
+            &frame.cell,
+            &CellOutcome::Scatternet(report, telemetry),
+        );
+        let mut file = File::create(&path).expect("checkpoint rewrites");
+        write_frame(&mut file, &payload).expect("frame writes");
+        drop(file);
+
+        let mut again = OnlineAggregator::for_grid(&grid);
+        let outcome = runner
+            .run_observed(&grid, &mut again)
+            .expect("replay over a corrupt frame completes");
+        assert_eq!(
+            outcome.executed_cells, 1,
+            "{what}: the cell is re-simulated"
+        );
+        assert_eq!(outcome.replayed_cells, cells - 1, "{what}");
+        assert_eq!(again.digest(), clean.digest(), "{what}: aggregate moved");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -517,24 +517,37 @@ fn accept_frame(
             ));
         }
     }
-    // Variant check before `reassemble`, whose mismatch asserts would
-    // otherwise turn a corrupt-but-parseable frame into a parent panic —
-    // this path must stay an Err so checkpoint truncation and shard
-    // retries can handle it.
-    let variant_matches = match &frame.outcome {
+    // Shape checks before `reassemble` and the sinks, whose asserts and
+    // lookups would otherwise turn a corrupt-but-parseable frame into a
+    // parent panic — this path must stay an Err so checkpoint truncation
+    // and shard retries can handle it. `reassemble` takes piconet 0 of a
+    // scatternet outcome; the sinks look up every planned GS flow in it.
+    let shape_matches = match &frame.outcome {
         CellOutcome::Piconet(_) => expected.piconets <= 1,
-        CellOutcome::Scatternet(..) => expected.piconets >= 2,
+        CellOutcome::Scatternet(report, _) => {
+            expected.piconets >= 2 && report.piconets.len() == usize::from(expected.piconets)
+        }
     };
-    if !variant_matches {
+    if !shape_matches {
         return Err(format!(
-            "frame cell {} carries the wrong outcome variant for {} piconet(s)",
+            "frame cell {} does not carry an outcome for {} piconet(s)",
             frame.index, expected.piconets
         ));
     }
-    Ok((
-        frame.index,
-        CellResult::reassemble(*expected, frame.outcome),
-    ))
+    let result = CellResult::reassemble(*expected, frame.outcome);
+    let missing = result
+        .scenario
+        .gs_plans
+        .iter()
+        .map(|p| p.request.id)
+        .find(|id| !result.report.per_flow.contains_key(id));
+    if let Some(id) = missing {
+        return Err(format!(
+            "frame cell {} has no report for its GS flow {id}",
+            frame.index
+        ));
+    }
+    Ok((frame.index, result))
 }
 
 /// Replays one shard checkpoint into the merge state; truncates torn

@@ -808,6 +808,10 @@ pub fn run_report_from_json(j: &Json) -> Result<RunReport, WireError> {
             return Err(wire_err(format!("duplicate per-flow report for {id}")));
         }
     }
+    // Consumers look every listed flow up by id (`RunReport::flow`).
+    if let Some(f) = flows.iter().find(|f| !per_flow.contains_key(&f.id)) {
+        return Err(wire_err(format!("flow {} has no per-flow report", f.id)));
+    }
     Ok(RunReport {
         window_start: SimTime::from_nanos(u64_field(j, "ws")?),
         window_end: SimTime::from_nanos(u64_field(j, "we")?),

@@ -9,7 +9,7 @@
 //! * Multi-MiB inputs must parse within a budget that any quadratic
 //!   scanner misses by orders of magnitude.
 
-use btgs_core::{BeSourceMix, Improvements, PollerKind, ScenarioGrid, Topology};
+use btgs_core::{BeSourceMix, CellOutcome, Improvements, PollerKind, ScenarioGrid, Topology};
 use btgs_des::{DetRng, SimDuration, SimTime};
 use btgs_grid::json::Json;
 use btgs_grid::wire::{fnv1a64, frame_from_json, frame_to_json, grid_digest};
@@ -59,7 +59,13 @@ fn encoder_bytes_are_pinned() {
     let mut changed = Vec::new();
     for (what, grid, expected) in [
         ("1-piconet", grid(1, false), 0xb6a5_6141_e6b4_a528_u64),
-        ("2-piconet", grid(2, false), 0x5d39_ccb8_b827_458b),
+        // The two 2-piconet digests moved when adaptive phase widening
+        // was deleted: this cell's one widened phase became two, so the
+        // engine counters read `phases` 50 → 51, `islands_claimed`
+        // 100 → 102 and `widening_stretches` 1 → 0, and the telemetry's
+        // per-phase and per-claim histograms gained the extra samples.
+        // Every simulated report inside the frame stayed identical.
+        ("2-piconet", grid(2, false), 0xecf5_840d_4aca_1cbf),
         // Its telemetry's `wheel_near` histogram counts every entry the
         // island's event queue stores. This digest moved when the sorted
         // buffer replaced the timing wheel, whose count covered only its
@@ -67,7 +73,7 @@ fn encoder_bytes_are_pinned() {
         (
             "2-piconet + telemetry",
             grid(2, true),
-            0xf999_a7cf_01a6_70a6,
+            0x9a91_b750_41a1_28d2,
         ),
     ] {
         let json = frame(&grid);
@@ -88,6 +94,20 @@ fn frame_index_must_be_a_usize() {
         let err = frame_from_json(&mangled).unwrap_err();
         assert!(err.to_string().contains("index"), "{bad}: {err}");
     }
+}
+
+#[test]
+fn a_listed_flow_needs_its_per_flow_report() {
+    let grid = grid(1, false);
+    let cell = grid.cells()[0];
+    let CellOutcome::Piconet(mut report) = cell.simulate() else {
+        unreachable!("a 1-piconet cell has a piconet outcome");
+    };
+    let id = report.flows[0].id;
+    report.per_flow.remove(&id);
+    let json = frame_to_json(grid_digest(&grid), 0, &cell, &CellOutcome::Piconet(report));
+    let err = frame_from_json(&json).unwrap_err();
+    assert!(err.to_string().contains("per-flow report"), "{err}");
 }
 
 #[test]

@@ -8,9 +8,8 @@
 //!
 //! * [`perfetto_trace_json`] — renders a merged engine trace as Chrome /
 //!   Perfetto trace-event JSON (`{"traceEvents": [...]}`): track 0 is
-//!   the coordinator (phase slices, relay injections, widening and
-//!   idle-skip instants), track *p + 1* is piconet *p* (island-claim
-//!   slices, relay stagings and, with
+//!   the coordinator (phase slices and relay injections), track *p + 1*
+//!   is piconet *p* (island-claim slices, relay stagings and, with
 //!   [`ObsConfig::fine_events`](btgs_piconet::ObsConfig), per-event
 //!   instants). Timestamps are *sim-time* microseconds, so the exported
 //!   bytes are as deterministic as the trace itself.
@@ -130,8 +129,6 @@ fn record_args(r: &TraceRecord) -> String {
         TraceRecordKind::RelayStage | TraceRecordKind::RelayInject => {
             format!("\"target\":{},\"seq\":{}", r.arg0, r.arg1)
         }
-        TraceRecordKind::WideningStretch => String::new(),
-        TraceRecordKind::IdleSkip => format!("\"skipped\":{}", r.arg0),
         TraceRecordKind::Event => format!("\"kind\":{},\"arg\":{}", r.arg0, r.arg1),
     }
 }

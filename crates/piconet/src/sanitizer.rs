@@ -13,9 +13,9 @@
 //!   checks of the causality invariants —
 //!   - *lookahead safety*: every injected relay's timestamp is at or after
 //!     the target island's local clock;
-//!   - *widening boundary*: adaptive widening never stretches a phase
-//!     across a boundary that a staged relay lands on (every relay
-//!     collected at boundary `b` has handoff `>= b`);
+//!   - *phase boundary*: no phase runs past a boundary that a staged
+//!     relay lands on (every relay collected at boundary `b` has handoff
+//!     `>= b`);
 //!   - *injection order*: the staged-relay `(handoff, source, sequence)`
 //!     keys are strictly increasing across the whole run;
 //!   - *wheel FIFO*: relays scheduled into an island's wheel fire in
@@ -34,8 +34,8 @@
 //!   returns a report byte-identical to the unsanitized one.
 //!
 //! * a **divergence bisector** ([`bisect_runs`]): given two engine
-//!   configurations that must be byte-identical (threads 1 vs N, widening
-//!   on/off, shuffled claim order — or a seeded [`EngineMutation`]), run
+//!   configurations that must be byte-identical (threads 1 vs N, a
+//!   shuffled claim order — or a seeded [`EngineMutation`]), run
 //!   both with per-island rolling event hashes, binary-search each island's
 //!   hash sequence to its first diverging event, pick the earliest across
 //!   islands, then re-run with a bounded capture window around that index
@@ -44,10 +44,10 @@
 //!
 //! * a **seeded-mutation corpus** ([`EngineMutation`]): deliberately broken
 //!   engine variants (off-by-one boundary walk, relay injected behind the
-//!   clock, unsorted staging drain, widening past a hot boundary, dropped
-//!   relay, duplicated relay) used by `crates/piconet/tests/
-//!   sanitizer_mutations.rs` to prove every mutation is caught by the
-//!   sanitizer *and* localized by the bisector, while the clean engine
+//!   clock, unsorted staging drain, dropped relay, duplicated relay) used
+//!   by `crates/piconet/tests/sanitizer_mutations.rs` to prove every
+//!   mutation is caught by the sanitizer *and* localized by the
+//!   bisector; `tests/sanitizer_corpus.rs` proves the clean engine
 //!   reports zero findings.
 
 use crate::config::PiconetError;
@@ -64,8 +64,8 @@ use std::sync::Arc;
 pub enum SanitizerCheck {
     /// An injected relay's timestamp was behind the target island's clock.
     LookaheadSafety,
-    /// A phase stretched across a boundary that a staged relay lands on.
-    WideningBoundary,
+    /// A phase ran past a boundary that a staged relay lands on.
+    PhaseBoundary,
     /// The staged-relay total order was violated at injection.
     InjectionOrder,
     /// Relays fired out of scheduling order within a timestamp, or an
@@ -80,7 +80,7 @@ impl fmt::Display for SanitizerCheck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             SanitizerCheck::LookaheadSafety => "lookahead-safety",
-            SanitizerCheck::WideningBoundary => "widening-boundary",
+            SanitizerCheck::PhaseBoundary => "phase-boundary",
             SanitizerCheck::InjectionOrder => "injection-order",
             SanitizerCheck::WheelFifo => "wheel-fifo",
             SanitizerCheck::Conservation => "conservation",
@@ -166,9 +166,6 @@ pub enum EngineMutation {
     /// The staging-drain sort breaks its sequence tie-break, so
     /// same-instant same-source relays inject in reverse staging order.
     UnsortedStagingDrain,
-    /// Adaptive widening treats every island as cold, stretching phases
-    /// across boundaries that hot islands' relays land on.
-    WideningPastHotBoundary,
     /// One collected relay is silently dropped from the coordinator pool.
     DroppedRelay,
     /// One collected relay is duplicated in the coordinator pool.
@@ -178,11 +175,10 @@ pub enum EngineMutation {
 impl EngineMutation {
     /// Every corpus mutation, in a fixed order.
     #[doc(hidden)]
-    pub const ALL: [EngineMutation; 6] = [
+    pub const ALL: [EngineMutation; 5] = [
         EngineMutation::BoundaryOffByOne,
         EngineMutation::RelayBehindClock,
         EngineMutation::UnsortedStagingDrain,
-        EngineMutation::WideningPastHotBoundary,
         EngineMutation::DroppedRelay,
         EngineMutation::DuplicatedRelay,
     ];
@@ -194,7 +190,6 @@ impl EngineMutation {
             EngineMutation::BoundaryOffByOne => "boundary-off-by-one",
             EngineMutation::RelayBehindClock => "relay-behind-clock",
             EngineMutation::UnsortedStagingDrain => "unsorted-staging-drain",
-            EngineMutation::WideningPastHotBoundary => "widening-past-hot-boundary",
             EngineMutation::DroppedRelay => "dropped-relay",
             EngineMutation::DuplicatedRelay => "duplicated-relay",
         }
@@ -595,13 +590,13 @@ impl EngineSanitizer {
     }
 
     /// Checks one staged relay drained from island `source` at phase
-    /// boundary `b`: a handoff before `b` means the phase stretched across
-    /// a boundary this relay lands on.
+    /// boundary `b`: a handoff before `b` means the phase ran past a
+    /// boundary this relay lands on.
     pub(crate) fn on_collected(&mut self, b: SimTime, source: u16, at: SimTime) {
         self.received_total += 1;
         if at < b {
             self.report(
-                SanitizerCheck::WideningBoundary,
+                SanitizerCheck::PhaseBoundary,
                 source,
                 at,
                 format!(

@@ -37,25 +37,18 @@
 //!
 //!   The window starts form a precomputed **boundary calendar**: coincident
 //!   `(phase, cycle)` windows from different bridges merge into one
-//!   [`SyncPoint`] group that also remembers which islands feed it.
-//!   Phases are **adaptive**: a group's starts only become boundaries
-//!   while some source island could actually hold chain traffic (a
-//!   conservative per-island hotness instant derived from its in-flight
-//!   chain count and pending entry arrivals) — otherwise the phase widens
-//!   straight across them. Idle islands (next event past the boundary)
-//!   are not run, and staged relays park in a coordinator-side pool until
-//!   the round clock reaches their handoff instant, at which point the
-//!   target island has provably processed every own event at that
-//!   instant. With [`ScatternetSim::with_threads`], each island has one
-//!   owner thread for the whole run (the coordinator owns a block too):
-//!   the owner injects the relays dealt to its islands, runs them, and
-//!   drains what they stage, so no island is shared between threads.
-//!   The injection order — handoff
-//!   instant, then source piconet, then staging sequence — is a total
-//!   order, so reports are **byte-identical** across thread counts,
-//!   island visit orders, and the widening/batching toggles
-//!   ([`ScatternetSim::with_phase_widening`],
-//!   [`ScatternetSim::with_phase_batching`]);
+//!   [`SyncPoint`] group, and every group's next window start is a phase
+//!   boundary. Every island runs every round, and staged relays park in
+//!   a coordinator-side pool until the round clock reaches their handoff
+//!   instant, at which point the target island has provably processed
+//!   every own event at that instant. With [`ScatternetSim::with_threads`],
+//!   each island has one owner thread for the whole run (the coordinator
+//!   owns a block too): the owner injects the relays dealt to its
+//!   islands, runs them, and drains what they stage, so no island is
+//!   shared between threads. The injection order — handoff instant, then
+//!   source piconet, then staging sequence — is a total order, so reports
+//!   are **byte-identical** across thread counts and island visit orders
+//!   ([`ScatternetSim::with_island_shuffle`]);
 //! * [`ScatternetReport`] carries each piconet's [`RunReport`] (per-hop
 //!   delay statistics included) plus per-chain end-to-end and residence
 //!   [`DelayStats`]: with immediate master relays, end-to-end delay is
@@ -74,7 +67,7 @@ use crate::sanitizer::{
     EngineMutation, EngineSanitizer, IslandProbe, RunTrace, SanitizedRun, SanitizerReport,
     TraceConfig, TraceKind,
 };
-use crate::sim::{handle, seed_world, Ev, Target, World};
+use crate::sim::{handle, seed_world, Ev, World};
 use crate::sync_protocol::{barrier_wait, block_bounds, BarrierOrderings, SyncEnv};
 use crate::telemetry::{CoordObs, EventMeter, IslandObs, ObsConfig, ObservedRun};
 use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave};
@@ -403,10 +396,6 @@ struct IslandState {
     /// deterministic pool injection order. Never reset, so the key is
     /// unique across the whole run.
     staged_seq: u64,
-    /// Source indexes (into the world's source list) feeding chain-entry
-    /// flows; their next-arrival instants bound this island's chain
-    /// hotness when nothing is in flight. Filled at run start.
-    entry_sources: Vec<usize>,
     /// Chain statistics are recorded for packets originating at or after
     /// this instant (the maximum piconet warm-up).
     warmup: SimTime,
@@ -486,8 +475,6 @@ fn route_captures<const I: bool>(sched: &mut Scheduler<Ev, EventQueue<Ev>>, st: 
                 let origin = st.origins[cap.flow_idx].pop_front().expect(
                     "per-flow FIFO holds across hops: every terminal delivery has an origin",
                 );
-                debug_assert!(st.world.chain_inflight > 0);
-                st.world.chain_inflight = st.world.chain_inflight.saturating_sub(1);
                 if origin >= st.warmup {
                     let c = &mut st.chain_stats[chain as usize];
                     c.delivered += 1;
@@ -545,11 +532,6 @@ fn route_captures<const I: bool>(sched: &mut Scheduler<Ev, EventQueue<Ev>>, st: 
                         }
                     }
                 } else {
-                    // The packet leaves this island: it stops counting
-                    // against the local chain backlog and is re-counted in
-                    // the target island when its owner injects it.
-                    debug_assert!(st.world.chain_inflight > 0);
-                    st.world.chain_inflight = st.world.chain_inflight.saturating_sub(1);
                     st.staged.push(PooledRelay {
                         at: handoff,
                         source: st.pic,
@@ -586,65 +568,32 @@ fn next_start_after(t: SimTime, phase: SimDuration, cycle: SimDuration) -> SimTi
 }
 
 /// One calendar group: every bridge presence window sharing `(phase,
-/// cycle)` — their starts coincide, so they contribute the same sync
-/// instants — plus the source islands whose staged relays land at those
-/// starts.
+/// cycle)`. Their starts coincide, so they contribute the same sync
+/// instants.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SyncPoint {
     /// Offset of the window start into its cycle.
     phase: SimDuration,
     /// The rendezvous cycle.
     cycle: SimDuration,
-    /// Source piconets of every bridge-crossing route whose handoffs land
-    /// at this group's window starts (deduplicated). Adaptive widening
-    /// drops the group's starts from the boundary set while every source
-    /// is provably unable to stage such a relay.
-    sources: Vec<u16>,
 }
 
-/// Registers one bridge-crossing route in the calendar: coincident
-/// `(phase, cycle)` windows from different bridges share a group, and
-/// `source` joins the group's hot-source set.
-fn push_sync_point(
-    points: &mut Vec<SyncPoint>,
-    phase: SimDuration,
-    cycle: SimDuration,
-    source: u16,
-) {
-    match points
-        .iter_mut()
-        .find(|g| g.phase == phase && g.cycle == cycle)
-    {
-        Some(g) => {
-            if !g.sources.contains(&source) {
-                g.sources.push(source);
-            }
-        }
-        None => points.push(SyncPoint {
-            phase,
-            cycle,
-            sources: vec![source],
-        }),
+/// Registers the target window of one bridge-crossing route in the
+/// calendar: coincident `(phase, cycle)` windows from different bridges
+/// share a group.
+fn push_sync_point(points: &mut Vec<SyncPoint>, phase: SimDuration, cycle: SimDuration) {
+    let point = SyncPoint { phase, cycle };
+    if !points.contains(&point) {
+        points.push(point);
     }
 }
 
-/// The next phase boundary after `t`.
-///
-/// A calendar group's window start `s` must be a boundary only if some
-/// source island of the group could stage a relay landing at `s`. Island
-/// `i`'s conservative hotness `hot_from(i)` is the earliest instant chain
-/// traffic could be inside it (`ZERO` while packets are in flight,
-/// otherwise the earliest chain-entry arrival, `MAX` if it feeds no chain
-/// and holds nothing): a packet entering at `hot_from` is delivered
-/// strictly later and handed off at a window start strictly later still,
-/// so island `i` only produces handoffs at starts strictly after
-/// `hot_from(i)`. The boundary is the earliest needed start across
-/// groups, capped by the earliest pooled relay handoff (every pending
-/// injection instant is a mandatory boundary), the probe checkpoint, and
-/// the horizon. With `widening` off every group counts as hot from time
-/// zero, so every calendar start is a boundary — the fixed cadence the
-/// equivalence tests compare against.
-#[allow(clippy::too_many_arguments)]
+/// The next phase boundary after `t`: the earliest calendar window start
+/// strictly after `t`, capped by the earliest pooled relay handoff (every
+/// pending injection instant is a mandatory boundary), the probe
+/// checkpoint, and the horizon. A relay cannot land before the bridge's
+/// next window opens in the target piconet, so every window start is a
+/// safe boundary.
 fn next_boundary(
     t: SimTime,
     checkpoint: SimTime,
@@ -652,8 +601,6 @@ fn next_boundary(
     horizon: SimTime,
     pool_min: Option<SimTime>,
     groups: &[SyncPoint],
-    widening: bool,
-    hot_from: impl Fn(usize) -> SimTime,
 ) -> SimTime {
     let mut b = horizon;
     if !probed && checkpoint > t && checkpoint < b {
@@ -669,36 +616,12 @@ fn next_boundary(
         }
     }
     for g in groups {
-        let hot = if widening {
-            g.sources
-                .iter()
-                .map(|&p| hot_from(p as usize))
-                .min()
-                .unwrap_or(SimTime::MAX)
-        } else {
-            SimTime::ZERO
-        };
-        if hot >= b {
-            continue; // earliest landable start > hot >= b: cannot lower b
-        }
-        let s = next_start_after(t.max(hot), g.phase, g.cycle);
+        let s = next_start_after(t, g.phase, g.cycle);
         if s < b {
             b = s;
         }
     }
     b
-}
-
-/// The earliest calendar window start strictly after `t`, hotness
-/// ignored — what the boundary at `t` would have been with widening off.
-/// A widened phase is one whose chosen boundary lies strictly past this
-/// instant; the engine counts those as `widening_stretches`.
-fn earliest_calendar_start(t: SimTime, groups: &[SyncPoint]) -> SimTime {
-    groups
-        .iter()
-        .map(|g| next_start_after(t, g.phase, g.cycle))
-        .min()
-        .unwrap_or(SimTime::MAX)
 }
 
 /// Spin iterations before a barrier waiter starts yielding.
@@ -813,81 +736,26 @@ fn time_of(nanos: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_nanos(nanos)
 }
 
-/// Published status of one island. The island's owner writes it after
-/// each run, and the coordinator between rounds when it deals the island
-/// a relay; the coordinator reads it between rounds for the boundary,
-/// the active count and the sanitizer's injection check. The round's two
-/// barrier crossings separate every write from the other side's reads.
+/// Published status of one island: its clock, which the sanitizer's
+/// injection check reads to flag a relay whose handoff lies before it.
+/// Only the instrumented engine publishes it (the island's owner, after
+/// each run); the coordinator reads it between rounds. The round's two
+/// barrier crossings separate every write from the reads.
+#[derive(Default)]
 struct IslandMeta {
-    /// Earliest pending event, nanos; `u64::MAX` when drained.
-    next_event: AtomicU64,
-    /// Chain hotness instant, nanos: the earliest instant chain traffic
-    /// could be inside the island — time zero while its conservative
-    /// in-flight count is non-zero, else the earliest pending chain-entry
-    /// arrival.
-    hot_from: AtomicU64,
-    /// The island clock, nanos: the sanitizer's injection check flags a
-    /// relay whose handoff lies before it.
+    /// The island clock, nanos.
     clock: AtomicU64,
 }
 
 impl IslandMeta {
-    fn of(island: &mut IslandSim) -> IslandMeta {
-        let meta = IslandMeta {
-            next_event: AtomicU64::new(0),
-            hot_from: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-        };
-        meta.publish(island);
-        meta
-    }
-
-    /// Publishes the island's status. It stays valid until the island
-    /// next runs or is dealt a relay.
-    fn publish(&self, island: &mut IslandSim) {
-        let (sched, st) = island.split_mut();
-        let next_event = sched.next_event_time().unwrap_or(SimTime::MAX);
-        let hot_from = if st.world.chain_inflight > 0 {
-            SimTime::ZERO
-        } else {
-            st.entry_sources
-                .iter()
-                .map(|&s| st.world.next_arrival[s])
-                .min()
-                .unwrap_or(SimTime::MAX)
-        };
-        // ord: Release on all three — the coordinator reads them after the
-        // round's second barrier crossing, whose Acquire/Release pair
-        // already orders them; the explicit Release pairs with the
-        // Acquire loads below and keeps each publish self-contained.
-        self.next_event
-            .store(nanos_of(next_event), Ordering::Release);
-        self.hot_from.store(nanos_of(hot_from), Ordering::Release); // ord: see above
-        self.clock.store(nanos_of(sched.now()), Ordering::Release); // ord: see above
-    }
-
-    /// Coordinator bookkeeping for a relay dealt at `t`: the island has
-    /// an event due at `t` and chain traffic inside it from then on. The
-    /// owner republishes after running the island next round.
-    fn note_dealt(&self, t: SimTime) {
-        // A plain load and store, not an RMW: the coordinator is the only
-        // writer between rounds.
-        let next_event = self.next_event().min(nanos_of(t));
-        // ord: Release on both — read by the owner after the next barrier
-        // crossing, which carries them; Relaxed would do, Release keeps
-        // the pairing with `next_event()` uniform.
-        self.next_event.store(next_event, Ordering::Release);
-        self.hot_from.store(0, Ordering::Release); // ord: see above
-    }
-
-    fn next_event(&self) -> u64 {
-        // ord: Acquire — pairs with the Release writes above.
-        self.next_event.load(Ordering::Acquire)
-    }
-
-    fn hot_from(&self) -> SimTime {
-        // ord: Acquire — pairs with the Release writes above.
-        time_of(self.hot_from.load(Ordering::Acquire))
+    /// Publishes the island's clock. It stays valid until the island
+    /// next runs.
+    fn publish(&self, island: &IslandSim) {
+        // ord: Release — the coordinator reads it after the round's
+        // second barrier crossing, whose Acquire/Release pair already
+        // orders it; the explicit Release pairs with the Acquire load
+        // below and keeps the publish self-contained.
+        self.clock.store(nanos_of(island.now()), Ordering::Release);
     }
 
     fn clock(&self) -> SimTime {
@@ -944,14 +812,11 @@ fn sort_pool(pool: &mut [PooledRelay], unsorted: bool) {
 /// at that instant (it ran inclusively to it, or had nothing due), so
 /// injected relays land behind all same-instant local events in queue
 /// FIFO order, in dealing order — an ordering that holds identically
-/// across thread counts, island orders and the widening/batching toggles,
-/// which is what makes the reports byte-identical across all of them.
+/// across thread counts and island orders, which is what makes the
+/// reports byte-identical across both.
 fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
     let (sched, st) = island.split_mut();
     st.origins[relay.flow_idx as usize].push_back(relay.origin);
-    // The packet is inside the target island again: it counts against the
-    // island's chain backlog from the moment it is scheduled.
-    st.world.chain_inflight += 1;
     // In the clean engine the clamp is the identity: the round clock only
     // reaches `relay.at` while the target island's clock is at or before
     // it. It exists so the deliberately broken corpus engines (injections
@@ -982,18 +847,7 @@ pub(crate) struct EngineCounters {
     pub(crate) barrier_rounds: u64,
     pub(crate) islands_claimed: u64,
     pub(crate) relays_staged: u64,
-    pub(crate) widening_stretches: u64,
-    pub(crate) islands_skipped_idle: u64,
     pub(crate) relays_injected: u64,
-}
-
-/// The engine toggles (see [`ScatternetSim::with_phase_widening`] and
-/// [`ScatternetSim::with_phase_batching`]). Reports are byte-identical
-/// across all four combinations.
-#[derive(Clone, Copy)]
-struct EngineMode {
-    widening: bool,
-    batching: bool,
 }
 
 /// Test-only engine corruption state, driving one [`EngineMutation`]
@@ -1035,15 +889,6 @@ impl EngineCtl<'_> {
     /// the end of the current round instead of cascading.
     fn tripped(&self) -> bool {
         self.san.as_deref().is_some_and(EngineSanitizer::tripped)
-    }
-
-    /// [`EngineMutation::WideningPastHotBoundary`]: every island reads as
-    /// never-hot, so the widened walk runs straight past boundaries that
-    /// hot islands' staged relays land on.
-    fn hot_blind(&self) -> bool {
-        self.muts
-            .as_deref()
-            .is_some_and(|m| m.which == EngineMutation::WideningPastHotBoundary)
     }
 
     /// [`EngineMutation::UnsortedStagingDrain`]: break the pool sort's
@@ -1127,8 +972,8 @@ impl EngineCtl<'_> {
     }
 
     /// Forwards one relay merged into the pool at boundary `b` to the
-    /// sanitizer's widening-boundary check: a handoff before `b` means the
-    /// phase stretched across a boundary this relay lands on.
+    /// sanitizer's phase-boundary check: a handoff before `b` means the
+    /// phase ran past a boundary this relay lands on.
     fn on_collected(&mut self, b: SimTime, source: u16, at: SimTime) {
         if let Some(san) = self.san.as_deref_mut() {
             san.on_collected(b, source, at);
@@ -1152,22 +997,13 @@ impl EngineCtl<'_> {
     }
 
     /// Records one closed phase on the coordinator observability recorder:
-    /// the `[t, b]` slice, the claim/skip split, the post-collect relay
-    /// pool occupancy and whether adaptive widening stretched the phase
-    /// past a calendar start. Every argument is derived from
+    /// the `[t, b]` slice, the islands run and the post-collect relay
+    /// pool occupancy. Every argument is derived from
     /// thread-count-invariant engine state, so the recorded trace is
     /// byte-identical across 1/2/4 threads and island orders.
-    fn on_phase(
-        &mut self,
-        t: SimTime,
-        b: SimTime,
-        active: u64,
-        skipped: u64,
-        pool_len: usize,
-        stretched: bool,
-    ) {
+    fn on_phase(&mut self, t: SimTime, b: SimTime, islands: u64, pool_len: usize) {
         if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_phase(t, b, active, skipped, pool_len, stretched);
+            obs.on_phase(t, b, islands, pool_len);
         }
     }
 
@@ -1213,24 +1049,18 @@ impl Mailbox {
 }
 
 /// One participant's share of a round: inject the relays dealt to its
-/// islands, run every island with an event due by `b` (every island, with
-/// batching off) to `b`, publish its status and drain what it staged into
-/// the outbox.
+/// islands, run every island to `b` and drain what it staged into the
+/// outbox. The instrumented engine also publishes each island's clock.
 fn run_block<const I: bool>(
     block: &mut [IslandSim],
     meta: &[IslandMeta],
     mail: &mut Mailbox,
     b: SimTime,
-    batching: bool,
 ) {
     for (slot, relay) in mail.inbox.drain(..) {
         inject_relay::<I>(&mut block[slot], &relay);
     }
-    let b_nanos = nanos_of(b);
     for (island, meta) in block.iter_mut().zip(meta) {
-        if batching && meta.next_event() > b_nanos {
-            continue;
-        }
         island.run_until(b, island_handle::<I>);
         if I {
             let (sched, st) = island.split_mut();
@@ -1238,8 +1068,8 @@ fn run_block<const I: bool>(
             if let Some(probe) = st.probe.as_deref_mut() {
                 probe.on_island_ran(b, occ.live as u64, occ.near as u64);
             }
+            meta.publish(island);
         }
-        meta.publish(island);
         mail.outbox.append(&mut island.state_mut().staged);
     }
 }
@@ -1261,8 +1091,8 @@ fn split_blocks<'a>(mut rest: &'a mut [IslandSim], bounds: &[usize]) -> Vec<&'a 
 /// position in it; participant `p` owns positions `bounds[p]..bounds[p +
 /// 1]` for the whole run, participant 0 being the coordinator (this
 /// thread). Each round the coordinator picks the boundary from the
-/// published island status and the pooled relays, every participant runs
-/// its own block through [`run_block`], and the coordinator merges the
+/// calendar and the pooled relays, every participant runs its own block
+/// through [`run_block`], and the coordinator merges the
 /// outboxes into the pool, sorts it and deals the relays due at the
 /// boundary into their owners' inboxes. The coordinator touches no
 /// island; no island is touched by two threads. One participant spawns
@@ -1276,7 +1106,6 @@ fn run_phases<const I: bool>(
     checkpoint: SimTime,
     horizon: SimTime,
     probe: &mut dyn FnMut(),
-    mode: EngineMode,
     ctl: &mut EngineCtl<'_>,
 ) -> EngineCounters {
     let n = islands.len();
@@ -1286,7 +1115,7 @@ fn run_phases<const I: bool>(
         .enumerate()
         .flat_map(|(p, w)| std::iter::repeat_n(p, w[1] - w[0]))
         .collect();
-    let meta: Vec<IslandMeta> = islands.iter_mut().map(IslandMeta::of).collect();
+    let meta: Vec<IslandMeta> = (0..n).map(|_| IslandMeta::default()).collect();
     let mut counters = EngineCounters::default();
     let mut pool: Vec<PooledRelay> = Vec::with_capacity(pool_capacity(n));
     let mut blocks = split_blocks(islands, bounds).into_iter();
@@ -1317,7 +1146,7 @@ fn run_phases<const I: bool>(
                 // publish of the round bound (same reasoning as `stop`).
                 let b = time_of(bound.load(Ordering::Acquire));
                 let mut mail = mailbox.lock().expect("participants do not panic");
-                run_block::<I>(block, meta, &mut mail, b, mode.batching);
+                run_block::<I>(block, meta, &mut mail, b);
                 drop(mail);
                 barrier.wait();
             });
@@ -1330,59 +1159,22 @@ fn run_phases<const I: bool>(
         let mut probed = false;
         loop {
             let pool_min = pool.last().map(|p| p.at);
-            let blind = ctl.hot_blind();
-            let hot_of = |pic: usize| {
-                if blind {
-                    SimTime::MAX
-                } else {
-                    meta[pos_of[pic]].hot_from()
-                }
-            };
-            let mut b = next_boundary(
-                t,
-                checkpoint,
-                probed,
-                horizon,
-                pool_min,
-                groups,
-                mode.widening,
-                hot_of,
-            );
+            let mut b = next_boundary(t, checkpoint, probed, horizon, pool_min, groups);
             if ctl.skip_boundary(b, checkpoint, probed, horizon, pool_min) {
-                b = next_boundary(
-                    b,
-                    checkpoint,
-                    probed,
-                    horizon,
-                    pool_min,
-                    groups,
-                    mode.widening,
-                    hot_of,
-                );
+                b = next_boundary(b, checkpoint, probed, horizon, pool_min, groups);
             }
             counters.phases_run += 1;
-            let stretched = mode.widening && earliest_calendar_start(t, groups) < b;
-            counters.widening_stretches += u64::from(stretched);
-            // The owners skip on the same published values, so `active`
-            // equals the number of islands actually run.
-            let b_nanos = nanos_of(b);
-            let active = if mode.batching {
-                meta.iter().filter(|m| m.next_event() <= b_nanos).count()
-            } else {
-                n
-            };
-            counters.islands_claimed += active as u64;
-            counters.islands_skipped_idle += (n - active) as u64;
+            counters.islands_claimed += n as u64;
             if participants > 1 {
                 counters.barrier_rounds += 1;
                 // ord: Release — published to the workers across the
                 // barrier crossing below; the crossing's Acquire/Release
                 // pair is what actually carries it, the explicit Release
                 // keeps the store individually sound.
-                bound.store(b_nanos, Ordering::Release);
+                bound.store(nanos_of(b), Ordering::Release);
                 barrier.wait();
             }
-            run_block::<I>(own, &meta[..bounds[1]], &mut mail, b, mode.batching);
+            run_block::<I>(own, &meta[..bounds[1]], &mut mail, b);
             if participants > 1 {
                 barrier.wait();
             }
@@ -1402,14 +1194,7 @@ fn run_phases<const I: bool>(
             }
             sort_pool(&mut pool, ctl.unsorted());
             ctl.corrupt_pool(&mut pool);
-            ctl.on_phase(
-                t,
-                b,
-                active as u64,
-                (n - active) as u64,
-                pool.len(),
-                stretched,
-            );
+            ctl.on_phase(t, b, n as u64, pool.len());
             if !probed && b >= checkpoint {
                 probe();
                 probed = true;
@@ -1451,7 +1236,6 @@ fn run_phases<const I: bool>(
                     counters.relays_injected += 1;
                     ctl.on_injected(t, p.relay.pic, p.seq);
                 }
-                meta[pos].note_dealt(t);
                 due = true;
             }
             guards.clear();
@@ -1502,7 +1286,7 @@ pub struct ScatternetReport {
     /// Per-chain end-to-end measurements.
     pub chains: Vec<ChainReport>,
     /// Total events processed across all island engines. Identical across
-    /// thread counts and engine toggles — the same events fire either way.
+    /// thread counts and island orders — the same events fire either way.
     pub events_processed: u64,
     /// Boundary rounds the phased loop stepped through. Engine
     /// observability, excluded from cross-configuration byte-identity
@@ -1513,17 +1297,17 @@ pub struct ScatternetReport {
     /// each): every round of a multi-threaded run, and zero for a
     /// single-threaded one.
     pub barrier_rounds: u64,
-    /// Islands actually run, summed over all rounds —
-    /// idle-island skipping makes this far less than
-    /// `phases_run × piconets`.
+    /// Islands run, summed over all rounds. Every island runs every
+    /// round, so this is `phases_run × piconets`.
     pub islands_claimed: u64,
     /// Cross-island relays staged through the coordinator pool.
     pub relays_staged: u64,
-    /// Phases whose boundary was widened past at least one calendar
-    /// window start because no source island could hold chain traffic.
+    /// Always 0: every calendar window start is a phase boundary, so no
+    /// phase is ever widened past one. Kept because the grid wire format
+    /// and the benchmark still carry it.
     pub widening_stretches: u64,
-    /// Idle islands skipped without a claim (nothing due by the
-    /// boundary), summed over all rounds. Zero with batching off.
+    /// Always 0: every island runs every round. Kept for the same reason
+    /// as `widening_stretches`.
     pub islands_skipped_idle: u64,
     /// Pooled relays actually injected into their target islands. Clean
     /// runs conserve relays: `relays_staged` equals `relays_injected`
@@ -1564,13 +1348,10 @@ pub struct ScatternetSim {
     /// The chains' hop lists, for report assembly.
     chain_hops: Vec<Vec<FlowId>>,
     /// The boundary calendar: every presence window that is the target of
-    /// a bridge-crossing route, grouped by coincident `(phase, cycle)`
-    /// with the source islands that can feed it.
+    /// a bridge-crossing route, grouped by coincident `(phase, cycle)`.
     sync_points: Vec<SyncPoint>,
     threads: usize,
     shuffle_seed: Option<u64>,
-    widening: bool,
-    batching: bool,
     /// Test-only seeded engine corruption (see [`EngineMutation`]); `None`
     /// for every supported configuration.
     mutation: Option<EngineMutation>,
@@ -1692,10 +1473,6 @@ impl ScatternetSim {
                         .ok_or_else(|| PiconetError(format!("chain {ci}: unknown hop flow {id}")))
                 })
                 .collect::<Result<_, _>>()?;
-            // The first hop is the chain's entry: packets ingressing it
-            // join the entry island's conservative chain backlog.
-            let (fpic, fidx) = resolved[0];
-            worlds[fpic.index()].chain_entry[fidx.get()] = true;
             for (k, window) in resolved.windows(2).enumerate() {
                 let (apic, aidx) = window[0];
                 let (bpic, bidx) = window[1];
@@ -1746,7 +1523,7 @@ impl ScatternetSim {
                                 a.slave, b.slave
                             ))
                         })?;
-                    push_sync_point(&mut sync_points, phase, cycle, apic.0);
+                    push_sync_point(&mut sync_points, phase, cycle);
                     Some(window)
                 };
                 let slot = &mut routes[apic.index()][aidx.get()];
@@ -1844,7 +1621,6 @@ impl ScatternetSim {
                     origins,
                     staged: Vec::with_capacity(128),
                     staged_seq: 0,
-                    entry_sources: Vec::new(),
                     warmup,
                     chain_stats,
                     probe: None,
@@ -1861,8 +1637,6 @@ impl ScatternetSim {
             sync_points,
             threads: 1,
             shuffle_seed: None,
-            widening: true,
-            batching: true,
             mutation: None,
         })
     }
@@ -1888,27 +1662,6 @@ impl ScatternetSim {
     #[must_use]
     pub fn with_island_shuffle(mut self, seed: u64) -> ScatternetSim {
         self.shuffle_seed = Some(seed);
-        self
-    }
-
-    /// Enables or disables adaptive phase widening (builder style; default
-    /// on). When on, a calendar group's window starts are skipped as
-    /// boundaries while no source island can hold chain traffic; when off,
-    /// every calendar start is a boundary. Reports are byte-identical
-    /// either way — only the round count changes.
-    #[must_use]
-    pub fn with_phase_widening(mut self, widening: bool) -> ScatternetSim {
-        self.widening = widening;
-        self
-    }
-
-    /// Enables or disables phase batching and idle-island skipping
-    /// (builder style; default on). When on, an island with no event due
-    /// by the boundary is not run that round; when off, every island runs
-    /// every round. Reports are byte-identical either way.
-    #[must_use]
-    pub fn with_phase_batching(mut self, batching: bool) -> ScatternetSim {
-        self.batching = batching;
         self
     }
 
@@ -2041,7 +1794,7 @@ impl ScatternetSim {
     }
 
     /// Runs to `horizon` with the causality sanitizer enabled: per-phase
-    /// checks of lookahead safety, widening boundaries, staged-relay total
+    /// checks of lookahead safety, phase boundaries, staged-relay total
     /// order, wheel FIFO and cross-island packet conservation (see the
     /// [`sanitizer`](crate::SanitizerCheck) docs). The engine halts at the
     /// end of the round that records the first finding, and a halted run's
@@ -2118,18 +1871,6 @@ impl ScatternetSim {
             st.world.check_horizon(horizon)?;
             st.world.horizon = horizon;
             seed_world(sched, &mut st.world);
-            // Record which sources feed chain-entry flows: their pending
-            // arrival instants bound the island's chain hotness.
-            st.entry_sources = st
-                .world
-                .sources
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| match s.target {
-                    Target::Flow(idx) if st.world.chain_entry[idx] => Some(i),
-                    _ => None,
-                })
-                .collect();
         }
 
         // Instrumentation: install the per-island probes (sanitizer state,
@@ -2212,10 +1953,6 @@ impl ScatternetSim {
             .map(|island| island.state().world.table.len())
             .collect();
         let bounds = block_bounds(&weights, participants);
-        let mode = EngineMode {
-            widening: self.widening,
-            batching: self.batching,
-        };
         let run = if instrumented {
             run_phases::<true>
         } else {
@@ -2229,7 +1966,6 @@ impl ScatternetSim {
             checkpoint,
             horizon,
             probe,
-            mode,
             &mut ctl,
         );
         for &(i, j) in swaps.iter().rev() {
@@ -2275,8 +2011,8 @@ impl ScatternetSim {
             barrier_rounds: counters.barrier_rounds,
             islands_claimed: counters.islands_claimed,
             relays_staged: counters.relays_staged,
-            widening_stretches: counters.widening_stretches,
-            islands_skipped_idle: counters.islands_skipped_idle,
+            widening_stretches: 0,
+            islands_skipped_idle: 0,
             relays_injected: counters.relays_injected,
         };
 
@@ -2363,22 +2099,22 @@ mod tests {
     }
 
     #[test]
-    fn coincident_sync_points_merge_and_dedupe_sources() {
+    fn coincident_sync_points_merge() {
         let mut points = Vec::new();
-        push_sync_point(&mut points, ms(3), ms(10), 0);
-        push_sync_point(&mut points, ms(3), ms(10), 4);
-        push_sync_point(&mut points, ms(3), ms(10), 0); // duplicate source
-        push_sync_point(&mut points, ms(5), ms(10), 1); // other phase
-        push_sync_point(&mut points, ms(3), ms(20), 2); // other cycle
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].sources, vec![0, 4]);
-        assert_eq!(points[1].sources, vec![1]);
-        assert_eq!(points[2].sources, vec![2]);
+        push_sync_point(&mut points, ms(3), ms(10));
+        push_sync_point(&mut points, ms(3), ms(10)); // coincident window
+        push_sync_point(&mut points, ms(5), ms(10)); // other phase
+        push_sync_point(&mut points, ms(3), ms(20)); // other cycle
+        let keys: Vec<(SimDuration, SimDuration)> =
+            points.iter().map(|g| (g.phase, g.cycle)).collect();
+        assert_eq!(
+            keys,
+            vec![(ms(3), ms(10)), (ms(5), ms(10)), (ms(3), ms(20))]
+        );
     }
 
     /// Reference semantics of [`next_boundary`]: the minimum over every
-    /// cap and every group's next landable start, with no pruning.
-    #[allow(clippy::too_many_arguments)]
+    /// cap and every group's next start.
     fn naive_boundary(
         t: SimTime,
         checkpoint: SimTime,
@@ -2386,8 +2122,6 @@ mod tests {
         horizon: SimTime,
         pool_min: Option<SimTime>,
         groups: &[SyncPoint],
-        widening: bool,
-        hot: &[SimTime],
     ) -> SimTime {
         let mut candidates = vec![horizon];
         if !probed && checkpoint > t {
@@ -2397,19 +2131,7 @@ mod tests {
             candidates.push(p);
         }
         for g in groups {
-            let from = if widening {
-                g.sources
-                    .iter()
-                    .map(|&p| hot[p as usize])
-                    .min()
-                    .unwrap_or(SimTime::MAX)
-            } else {
-                SimTime::ZERO
-            };
-            if from == SimTime::MAX {
-                continue;
-            }
-            candidates.push(next_start_after(t.max(from), g.phase, g.cycle));
+            candidates.push(next_start_after(t, g.phase, g.cycle));
         }
         candidates
             .into_iter()
@@ -2419,99 +2141,29 @@ mod tests {
 
     #[test]
     fn calendar_boundary_matches_naive_scan() {
-        // A 3-group calendar over 4 islands with every hotness shape:
-        // always hot, drained (MAX), and mid-run instants on and off the
-        // grids. The calendar walk must agree with the unpruned reference
-        // at every probe time, both widened and fixed.
+        // A 3-group calendar (two coincident windows merged into one
+        // group): the calendar walk must agree with the reference at every
+        // probe time, before and after the probe checkpoint.
         let mut groups = Vec::new();
-        push_sync_point(&mut groups, ms(3), ms(10), 0);
-        push_sync_point(&mut groups, ms(3), ms(10), 1);
-        push_sync_point(&mut groups, ms(5), ms(12), 2);
-        push_sync_point(&mut groups, ms(0), ms(7), 3);
-        let hots: [[u64; 4]; 4] = [
-            [0, 0, 0, 0],
-            [0, 50, u64::MAX, 33],
-            [u64::MAX, u64::MAX, u64::MAX, u64::MAX],
-            [13, 13, 24, 91],
-        ];
+        push_sync_point(&mut groups, ms(3), ms(10));
+        push_sync_point(&mut groups, ms(3), ms(10));
+        push_sync_point(&mut groups, ms(5), ms(12));
+        push_sync_point(&mut groups, ms(0), ms(7));
         let checkpoint = at_ms(100);
         let horizon = at_ms(180);
-        for hot_ms in hots {
-            let hot: Vec<SimTime> = hot_ms
-                .iter()
-                .map(|&v| {
-                    if v == u64::MAX {
-                        SimTime::MAX
-                    } else {
-                        at_ms(v)
-                    }
-                })
-                .collect();
-            for widening in [false, true] {
-                for probed in [false, true] {
-                    for t_ms in 0..170u64 {
-                        let t = at_ms(t_ms);
-                        let pool_min = (t_ms % 3 == 0).then(|| t + ms(1 + t_ms % 17));
-                        let got = next_boundary(
-                            t,
-                            checkpoint,
-                            probed,
-                            horizon,
-                            pool_min,
-                            &groups,
-                            widening,
-                            |i| hot[i],
-                        );
-                        let want = naive_boundary(
-                            t, checkpoint, probed, horizon, pool_min, &groups, widening, &hot,
-                        );
-                        assert_eq!(
-                            got, want,
-                            "boundary diverged at t={t_ms}ms \
-                             (widening {widening}, probed {probed}, hot {hot_ms:?})"
-                        );
-                        assert!(got > t || got == horizon);
-                    }
-                }
+        for probed in [false, true] {
+            for t_ms in 0..170u64 {
+                let t = at_ms(t_ms);
+                let pool_min = (t_ms % 3 == 0).then(|| t + ms(1 + t_ms % 17));
+                let got = next_boundary(t, checkpoint, probed, horizon, pool_min, &groups);
+                let want = naive_boundary(t, checkpoint, probed, horizon, pool_min, &groups);
+                assert_eq!(
+                    got, want,
+                    "boundary diverged at t={t_ms}ms (probed {probed})"
+                );
+                assert!(got > t || got == horizon);
             }
         }
-    }
-
-    #[test]
-    fn widened_boundaries_skip_cold_groups() {
-        // One group whose only source goes hot at 50 ms: before that the
-        // horizon is the boundary; afterwards the first start after the
-        // hot instant is.
-        let mut groups = Vec::new();
-        push_sync_point(&mut groups, ms(3), ms(10), 0);
-        let horizon = at_ms(200);
-        let b = |hot_at: SimTime| {
-            next_boundary(
-                SimTime::ZERO,
-                horizon,
-                true,
-                horizon,
-                None,
-                &groups,
-                true,
-                |_| hot_at,
-            )
-        };
-        assert_eq!(b(SimTime::MAX), horizon);
-        assert_eq!(b(at_ms(50)), at_ms(53));
-        assert_eq!(b(SimTime::ZERO), at_ms(3));
-        // Widening off: the calendar start counts regardless of hotness.
-        let fixed = next_boundary(
-            SimTime::ZERO,
-            horizon,
-            true,
-            horizon,
-            None,
-            &groups,
-            false,
-            |_| SimTime::MAX,
-        );
-        assert_eq!(fixed, at_ms(3));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Destination of a source's packets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Target {
+enum Target {
     /// Index into the ACL flow tables.
     Flow(usize),
     /// Index into the SCO bindings.
@@ -145,9 +145,9 @@ impl btgs_des::Tagged for Ev {
     }
 }
 
-pub(crate) struct SourceSlot {
-    pub(crate) source: Box<dyn Source>,
-    pub(crate) target: Target,
+struct SourceSlot {
+    source: Box<dyn Source>,
+    target: Target,
 }
 
 struct ScoRt {
@@ -177,7 +177,7 @@ pub(crate) struct World {
     down_queues: Vec<Option<FlowQueue>>,
     up_queues: Vec<Option<FlowQueue>>,
     reports: Vec<FlowReport>,
-    pub(crate) sources: Vec<SourceSlot>,
+    sources: Vec<SourceSlot>,
     poller: Option<Box<dyn Poller>>,
     channel: Box<dyn ChannelModel>,
     sco: Vec<ScoRt>,
@@ -216,20 +216,6 @@ pub(crate) struct World {
     /// per-packet `Ev::Arrival` wake-up batching elides. Parallel to
     /// `sources`; empty deques when batching is off.
     batched: Vec<VecDeque<SimTime>>,
-    /// `chain_entry[idx]`: flow `idx` is the entry hop of a scatternet
-    /// chain — packets ingressing it are counted in
-    /// [`World::chain_inflight`]. All-false outside a scatternet.
-    pub(crate) chain_entry: Vec<bool>,
-    /// Conservative count of chain packets currently inside this piconet
-    /// (entered or injected, not yet terminated or staged out). The island
-    /// engine's adaptive phase widening treats a piconet with zero
-    /// in-flight chain traffic *and* no imminent entry arrival as unable
-    /// to stage relays.
-    pub(crate) chain_inflight: u64,
-    /// Per-source instant of the pending `Ev::Arrival` (`SimTime::MAX`
-    /// when the source is exhausted or past the horizon). Parallel to
-    /// `sources`; read by the island engine's widening logic.
-    pub(crate) next_arrival: Vec<SimTime>,
 }
 
 impl World {
@@ -290,7 +276,6 @@ impl World {
             })
             .collect();
         let capture = vec![false; table.len()];
-        let chain_entry = vec![false; table.len()];
         Ok(World {
             table,
             allowed,
@@ -316,9 +301,6 @@ impl World {
             be_polls: PollCounters::default(),
             arrival_batch: config.arrival_batch,
             batched: Vec::new(),
-            chain_entry,
-            chain_inflight: 0,
-            next_arrival: Vec::new(),
         })
     }
 
@@ -350,7 +332,6 @@ impl World {
         self.batched.push(VecDeque::with_capacity(
             self.arrival_batch.saturating_sub(1) as usize,
         ));
-        self.next_arrival.push(SimTime::MAX);
         Ok(())
     }
 
@@ -620,12 +601,7 @@ fn accept_flow_packet(w: &mut World, idx: usize, pkt: AppPacket, now: SimTime) {
 /// until then).
 fn ingress_packet(w: &mut World, target: Target, pkt: AppPacket, at: SimTime) {
     match target {
-        Target::Flow(idx) => {
-            if w.chain_entry[idx] {
-                w.chain_inflight += 1;
-            }
-            accept_flow_packet(w, idx, pkt, at);
-        }
+        Target::Flow(idx) => accept_flow_packet(w, idx, pkt, at),
         Target::Sco(idx) => {
             if w.in_window(at) {
                 w.sco[idx].report.offered_packets += 1;
@@ -666,23 +642,19 @@ fn arm_next_arrival<S: EvSink>(sched: &mut S, w: &mut World, source_idx: usize) 
         debug_assert!(w.batched[source_idx].is_empty());
         for _ in 1..w.arrival_batch {
             let Some(next) = w.sources[source_idx].source.next_packet() else {
-                w.next_arrival[source_idx] = SimTime::MAX;
                 return;
             };
             debug_assert!(next.arrival >= now, "sources must be time-ordered");
             if next.arrival > w.horizon {
-                w.next_arrival[source_idx] = SimTime::MAX;
                 return;
             }
             w.batched[source_idx].push_back(next.arrival);
             ingress_packet(w, target, next, next.arrival);
         }
     }
-    w.next_arrival[source_idx] = SimTime::MAX;
     if let Some(next) = w.sources[source_idx].source.next_packet() {
         debug_assert!(next.arrival >= now, "sources must be time-ordered");
         if next.arrival <= w.horizon {
-            w.next_arrival[source_idx] = next.arrival;
             sched.schedule_at(
                 next.arrival,
                 Ev::Arrival {
@@ -1142,7 +1114,6 @@ pub(crate) fn seed_world<S: EvSink>(sched: &mut S, w: &mut World) {
     for source_idx in 0..w.sources.len() {
         if let Some(pkt) = w.sources[source_idx].source.next_packet() {
             if pkt.arrival <= w.horizon {
-                w.next_arrival[source_idx] = pkt.arrival;
                 sched.schedule_at(pkt.arrival, Ev::Arrival { source_idx, pkt });
             }
         }

@@ -7,20 +7,19 @@
 //!
 //! * **structured tracing** — fixed-capacity ring buffers
 //!   ([`TraceSink`]) of typed [`TraceRecord`]s: phase spans, island
-//!   claims, relay stage/inject, widening and idle-skip decisions, and
-//!   (optionally) every island event. Records are keyed by *sim-time*
-//!   and a per-sink deterministic sequence — never wall time — so a
-//!   merged [`EngineTrace`] is byte-identical across thread counts,
-//!   claim orders and engine toggles. Export to Chrome/Perfetto JSON
-//!   lives in the `btgs-obs` harness crate.
+//!   claims, relay stage/inject, and (optionally) every island event.
+//!   Records are keyed by *sim-time* and a per-sink deterministic
+//!   sequence — never wall time — so a merged [`EngineTrace`] is
+//!   byte-identical across thread counts and claim orders. Export to
+//!   Chrome/Perfetto JSON lives in the `btgs-obs` harness crate.
 //!
 //! * **engine telemetry** — a pre-registered, zero-allocation registry
 //!   of counters and log₂ histograms ([`Histo32`]): phase width,
-//!   widening stretches, idle-skip counts, relay-pool and event-queue
-//!   occupancy, per-claim event batches and the per-poller decision
-//!   mix, surfaced as a [`TelemetryReport`]. Like `events_processed`,
-//!   the report is *excluded* from cross-configuration byte-identity
-//!   digests (it is about the engine, not the simulated system).
+//!   relay-pool and event-queue occupancy, per-claim event batches and
+//!   the per-poller decision mix, surfaced as a [`TelemetryReport`].
+//!   Like `events_processed`, the report is *excluded* from
+//!   cross-configuration byte-identity digests (it is about the engine,
+//!   not the simulated system).
 //!
 //! * **per-event cost metering** — an [`EventMeter`] callback pair
 //!   (`begin`/`end(tag)`) around every island event. The trait object
@@ -103,16 +102,10 @@ pub enum TraceRecordKind {
     /// A staged relay injected by the coordinator (instant): `arg0` =
     /// target piconet, `arg1` = staging sequence. Track 0.
     RelayInject = 3,
-    /// An adaptive-widening stretch: the phase that just closed ran
-    /// past at least one calendar start (instant at the boundary).
-    WideningStretch = 4,
-    /// Idle islands skipped this phase (instant at the phase open):
-    /// `arg0` = how many. Track 0.
-    IdleSkip = 5,
     /// One island event (only with [`ObsConfig::fine_events`]):
     /// `arg0` = event-kind tag (see [`EVENT_KIND_NAMES`]), `arg1` =
     /// the kind's first descriptor argument.
-    Event = 6,
+    Event = 4,
 }
 
 impl TraceRecordKind {
@@ -123,8 +116,6 @@ impl TraceRecordKind {
             TraceRecordKind::IslandRun => "island_run",
             TraceRecordKind::RelayStage => "relay_stage",
             TraceRecordKind::RelayInject => "relay_inject",
-            TraceRecordKind::WideningStretch => "widening_stretch",
-            TraceRecordKind::IdleSkip => "idle_skip",
             TraceRecordKind::Event => "event",
         }
     }
@@ -250,8 +241,8 @@ pub struct EngineTrace {
 /// The pre-registered engine telemetry of one observed run. Excluded
 /// from cross-configuration byte-identity digests (the
 /// `events_processed` precedent): it describes the *engine*, not the
-/// simulated system, and may legitimately vary with toggles. Fixed
-/// size and `Copy`, so carrying it through the grid aggregator
+/// simulated system, and may legitimately vary with the thread count.
+/// Fixed size and `Copy`, so carrying it through the grid aggregator
 /// allocates nothing per cell.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryReport {
@@ -267,9 +258,11 @@ pub struct TelemetryReport {
     pub relays_staged: u64,
     /// Cross-island relays injected.
     pub relays_injected: u64,
-    /// Phases stretched past a calendar start by adaptive widening.
+    /// Always 0 (see [`ScatternetReport::widening_stretches`]); kept
+    /// because the grid wire format carries it.
     pub widening_stretches: u64,
-    /// Idle islands skipped across all phases.
+    /// Always 0 (see [`ScatternetReport::islands_skipped_idle`]); kept
+    /// because the grid wire format carries it.
     pub islands_skipped_idle: u64,
     /// GS (guaranteed-service) polls that moved data.
     pub gs_polls_successful: u64,
@@ -445,15 +438,7 @@ impl CoordObs {
         }
     }
 
-    pub(crate) fn on_phase(
-        &mut self,
-        t: SimTime,
-        b: SimTime,
-        active: u64,
-        skipped: u64,
-        pool_len: usize,
-        stretched: bool,
-    ) {
+    pub(crate) fn on_phase(&mut self, t: SimTime, b: SimTime, islands: u64, pool_len: usize) {
         let t_ns = nanos_of(t);
         let b_ns = nanos_of(b);
         self.sink.push(
@@ -461,17 +446,9 @@ impl CoordObs {
             b_ns,
             0,
             TraceRecordKind::Phase,
-            active,
+            islands,
             pool_len as u64,
         );
-        if stretched {
-            self.sink
-                .push(b_ns, b_ns, 0, TraceRecordKind::WideningStretch, 0, 0);
-        }
-        if skipped > 0 {
-            self.sink
-                .push(t_ns, t_ns, 0, TraceRecordKind::IdleSkip, skipped, 0);
-        }
         self.phase_width_ns.record(b_ns - t_ns);
         self.relay_pool.record(pool_len as u64);
     }
@@ -510,8 +487,6 @@ pub(crate) fn assemble(
         islands_claimed: counters.islands_claimed,
         relays_staged: counters.relays_staged,
         relays_injected: counters.relays_injected,
-        widening_stretches: counters.widening_stretches,
-        islands_skipped_idle: counters.islands_skipped_idle,
         phase_width_ns: coord.phase_width_ns,
         relay_pool: coord.relay_pool,
         ..TelemetryReport::default()

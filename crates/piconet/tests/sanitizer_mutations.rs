@@ -5,10 +5,8 @@
 //! a test-only hook — must be (a) *caught* by the sanitizer with the
 //! expected check on at least one corpus scenario, and (b) *localized* by
 //! the bisector to a first diverging event against the clean engine on
-//! that same scenario. The clean engine must produce zero findings across
-//! every corpus topology (chain, ring, mesh) at 1, 2 and 4 threads, and
-//! attaching the sanitizer must not move a single report byte — the
-//! instrumentation observes the simulation, never steers it.
+//! that same scenario. The clean half of the corpus (zero findings,
+//! unchanged report bytes) lives in the root `tests/sanitizer_corpus.rs`.
 //!
 //! The corpus scenarios come from [`btgs_core::sanitizer_corpus`], the
 //! same trio the `btgs-analyze -- --bisect` CLI and CI's sanitized smoke
@@ -17,18 +15,6 @@
 use btgs_core::{sanitizer_corpus, PollerKind, ScatternetScenario, ScatternetScenarioParams};
 use btgs_des::SimTime;
 use btgs_piconet::{bisect_runs, EngineMutation, SanitizerCheck, ScatternetSim};
-
-/// The engine-observability counters excluded from byte-identity, exactly
-/// as in `tests/parallel_equivalence.rs`.
-const ENGINE_COUNTERS: [&str; 7] = [
-    "phases_run",
-    "barrier_rounds",
-    "islands_claimed",
-    "relays_staged",
-    "widening_stretches",
-    "islands_skipped_idle",
-    "relays_injected",
-];
 
 const HORIZON: SimTime = SimTime::from_millis(1500);
 
@@ -39,79 +25,14 @@ fn build_sim(params: ScatternetScenarioParams, threads: usize) -> ScatternetSim 
         .with_threads(threads)
 }
 
-fn digest(report: &btgs_piconet::ScatternetReport) -> String {
-    format!("{report:#?}")
-        .lines()
-        .filter(|l| !ENGINE_COUNTERS.iter().any(|c| l.contains(c)))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// The sanitizer check each mutation must trip.
 fn expected_check(m: EngineMutation) -> SanitizerCheck {
     match m {
-        EngineMutation::BoundaryOffByOne => SanitizerCheck::WideningBoundary,
+        EngineMutation::BoundaryOffByOne => SanitizerCheck::PhaseBoundary,
         EngineMutation::RelayBehindClock => SanitizerCheck::LookaheadSafety,
         EngineMutation::UnsortedStagingDrain => SanitizerCheck::InjectionOrder,
-        EngineMutation::WideningPastHotBoundary => SanitizerCheck::WideningBoundary,
         EngineMutation::DroppedRelay => SanitizerCheck::Conservation,
         EngineMutation::DuplicatedRelay => SanitizerCheck::Conservation,
-    }
-}
-
-#[test]
-fn clean_engine_has_zero_findings_across_corpus() {
-    for (label, params) in sanitizer_corpus() {
-        for threads in [1usize, 2, 4] {
-            let run = build_sim(params, threads)
-                .run_sanitized(HORIZON)
-                .expect("clean corpus run succeeds");
-            assert!(
-                run.sanitizer.clean(),
-                "{label} at {threads} threads: clean engine produced findings:\n{:#?}",
-                run.sanitizer.findings
-            );
-            assert!(
-                run.report.is_some(),
-                "{label} at {threads} threads: clean sanitized run must keep its report"
-            );
-            assert!(
-                run.sanitizer.events_checked > 0,
-                "{label}: sanitizer observed no events — the probe seam is dead"
-            );
-            assert!(
-                run.sanitizer.relays_tracked > 0,
-                "{label}: sanitizer tracked no relays — corpus traffic never bridges"
-            );
-            // Conservation, now confirmable from the report alone: every
-            // staged relay was injected or is still pooled at the horizon.
-            let report = run.report.as_ref().expect("checked above");
-            assert!(
-                report.relays_injected <= report.relays_staged,
-                "{label}: more relays injected than staged"
-            );
-            assert_eq!(
-                report.relays_staged,
-                report.relays_injected + run.sanitizer.relays_leftover,
-                "{label} at {threads} threads: staged relays neither injected \
-                 nor pooled at the horizon"
-            );
-        }
-    }
-}
-
-#[test]
-fn sanitizer_leaves_report_bytes_unchanged() {
-    for (label, params) in sanitizer_corpus() {
-        let plain = build_sim(params, 2).run(HORIZON).expect("plain run");
-        let sanitized = build_sim(params, 2)
-            .run_sanitized(HORIZON)
-            .expect("sanitized run");
-        assert_eq!(
-            digest(&plain),
-            digest(sanitized.report.as_ref().expect("clean run keeps report")),
-            "{label}: enabling the sanitizer moved report bytes"
-        );
     }
 }
 

@@ -4,43 +4,28 @@
 //! conservative phase boundaries derived from the bridge rendezvous
 //! schedule; `with_threads(n)` only changes *which OS thread* owns and
 //! runs an island, never the order in which staged relay handoffs are
-//! injected, and the adaptive-widening / phase-batching
-//! toggles only change *how many* rounds the engine steps through, never
-//! what each island observes. The contract: the full
-//! [`ScatternetReport`] — every delay sample, ledger cell, counter and
-//! the event count — is byte-identical across thread counts, topologies
-//! (mesh included), pollers, seeds, a deterministically shuffled island
-//! order (which also reassigns island owners), and all four widening ×
-//! batching combinations. Only the
-//! engine-observability counters (`phases_run`, `barrier_rounds`,
-//! `islands_claimed`, `relays_staged`, `relays_injected`,
-//! `widening_stretches`, `islands_skipped_idle`) are excluded: they
-//! describe the execution, not the simulation.
+//! injected. The contract: the full [`ScatternetReport`] — every delay
+//! sample, ledger cell, counter and the event count — is byte-identical
+//! across thread counts, topologies (mesh included), pollers, seeds and a
+//! deterministically shuffled island order (which also reassigns island
+//! owners). Only the engine-observability counters (`phases_run`,
+//! `barrier_rounds`, `islands_claimed`, `relays_staged`,
+//! `relays_injected`) are excluded: they describe the execution, not the
+//! simulation.
 //!
 //! [`ScatternetReport`]: btgs::piconet::ScatternetReport
 
+mod common;
+
 use btgs::core::{PollerKind, ScatternetScenario, ScatternetScenarioParams};
 use btgs::des::{SimDuration, SimTime};
-
-/// The engine-observability counter fields excluded from byte-identity
-/// (`events_processed` stays in: the same events fire in every
-/// configuration).
-const ENGINE_COUNTERS: [&str; 7] = [
-    "phases_run",
-    "barrier_rounds",
-    "islands_claimed",
-    "relays_staged",
-    "widening_stretches",
-    "islands_skipped_idle",
-    "relays_injected",
-];
+use btgs::piconet::ScatternetSim;
+use common::report_digest;
 
 #[derive(Clone, Copy)]
 struct EngineKnobs {
     threads: usize,
     shuffle: Option<u64>,
-    widening: bool,
-    batching: bool,
 }
 
 impl EngineKnobs {
@@ -48,9 +33,18 @@ impl EngineKnobs {
         EngineKnobs {
             threads,
             shuffle: None,
-            widening: true,
-            batching: true,
         }
+    }
+}
+
+fn build(params: ScatternetScenarioParams, kind: PollerKind, knobs: EngineKnobs) -> ScatternetSim {
+    let sim = ScatternetScenario::build(params)
+        .simulator(kind)
+        .expect("scenario builds")
+        .with_threads(knobs.threads);
+    match knobs.shuffle {
+        Some(seed) => sim.with_island_shuffle(seed),
+        None => sim,
     }
 }
 
@@ -60,22 +54,10 @@ fn digest(
     knobs: EngineKnobs,
     horizon: SimTime,
 ) -> String {
-    let scenario = ScatternetScenario::build(params);
-    let mut sim = scenario
-        .simulator(kind)
-        .expect("scenario builds")
-        .with_threads(knobs.threads)
-        .with_phase_widening(knobs.widening)
-        .with_phase_batching(knobs.batching);
-    if let Some(seed) = knobs.shuffle {
-        sim = sim.with_island_shuffle(seed);
-    }
-    let report = sim.run(horizon).expect("scenario runs");
-    format!("{report:#?}")
-        .lines()
-        .filter(|l| !ENGINE_COUNTERS.iter().any(|c| l.contains(c)))
-        .collect::<Vec<_>>()
-        .join("\n")
+    let report = build(params, kind, knobs)
+        .run(horizon)
+        .expect("scenario runs");
+    report_digest(&report)
 }
 
 fn params_for(topology: &str, seed: u64) -> ScatternetScenarioParams {
@@ -127,42 +109,6 @@ fn parallel_reports_are_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn widening_and_batching_toggles_are_free_of_observable_effects() {
-    // The adaptive engine's whole correctness claim: widened phases and
-    // skipped islands change the round structure only. Every widening ×
-    // batching combination at 1, 2 and 4 threads must reproduce the
-    // default report byte for byte — on the mesh too, where skipping and
-    // widening actually trigger.
-    let horizon = SimTime::from_secs(2);
-    for topology in ["chain", "mesh"] {
-        let base = digest(
-            params_for(topology, 1),
-            PollerKind::PfpGs,
-            EngineKnobs::default_engine(1),
-            horizon,
-        );
-        for widening in [true, false] {
-            for batching in [true, false] {
-                for threads in [1usize, 2, 4] {
-                    let knobs = EngineKnobs {
-                        threads,
-                        shuffle: None,
-                        widening,
-                        batching,
-                    };
-                    let other = digest(params_for(topology, 1), PollerKind::PfpGs, knobs, horizon);
-                    assert_eq!(
-                        base, other,
-                        "report diverged ({topology}, widening {widening}, \
-                         batching {batching}, {threads} threads)"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn island_claim_order_is_free_of_observable_effects() {
     // A shuffled island order changes the order each thread runs its
     // islands in and, because the thread blocks are cut from that order,
@@ -182,8 +128,6 @@ fn island_claim_order_is_free_of_observable_effects() {
                 let knobs = EngineKnobs {
                     threads,
                     shuffle: Some(shuffle),
-                    widening: true,
-                    batching: true,
                 };
                 let shuffled = digest(params_for(topology, 7), PollerKind::PfpGs, knobs, horizon);
                 assert_eq!(
@@ -212,24 +156,13 @@ fn tracing_on_reports_and_traces_are_byte_identical() {
     let observed = |knobs: EngineKnobs| -> (String, String) {
         let params = params_for("chain", 7);
         let piconets = params.piconets as usize;
-        let mut sim = ScatternetScenario::build(params)
-            .simulator(PollerKind::PfpGs)
-            .expect("scenario builds")
-            .with_threads(knobs.threads)
-            .with_phase_widening(knobs.widening)
-            .with_phase_batching(knobs.batching);
-        if let Some(seed) = knobs.shuffle {
-            sim = sim.with_island_shuffle(seed);
-        }
-        let run = sim
+        let run = build(params, PollerKind::PfpGs, knobs)
             .run_observed(horizon, ObsConfig::default())
             .expect("scenario runs");
-        let filtered = format!("{:#?}", run.report)
-            .lines()
-            .filter(|l| !ENGINE_COUNTERS.iter().any(|c| l.contains(c)))
-            .collect::<Vec<_>>()
-            .join("\n");
-        (filtered, perfetto_trace_json(&run.trace, piconets))
+        (
+            report_digest(&run.report),
+            perfetto_trace_json(&run.trace, piconets),
+        )
     };
 
     let plain = digest(
@@ -263,8 +196,6 @@ fn tracing_on_reports_and_traces_are_byte_identical() {
             let knobs = EngineKnobs {
                 threads,
                 shuffle: Some(shuffle),
-                widening: true,
-                batching: true,
             };
             let (report, trace) = observed(knobs);
             assert_eq!(
@@ -307,7 +238,7 @@ fn mesh_admitted_chains_compose_bounds_at_scale() {
     // The 64-piconet mesh admission check: every spanning-path chain is
     // admitted atomically against a generous end-to-end deadline, and
     // each one's measured worst case honours its composed bound under the
-    // adaptive parallel engine.
+    // parallel engine.
     // Degree 2: under the paper's conservative segment accounting
     // (`s = U = 3.75 ms`) a third guaranteed bridge entity would need
     // `x >= 3U = 11.25 ms`, above the presence-compensated poll-interval
