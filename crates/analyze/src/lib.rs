@@ -25,12 +25,11 @@
 //!   visibility (sequential consistency per location plus stale-read
 //!   windows) — running the **actual protocol logic** of the scatternet
 //!   engine's `SpinBarrier` and its round (bound publish, fixed island
-//!   blocks, status publish) through the
-//!   [`btgs_piconet::sync_protocol`] seam, at 2–4 modeled threads. It
-//!   asserts no lost wakeup, no generation skip, publish visibility, one
-//!   owner per island and fresh island status under every explored
-//!   schedule, and
-//!   regression-proves it would catch the deliberately weakened variants.
+//!   blocks) through the [`btgs_piconet::sync_protocol`] seam, at 2–4
+//!   modeled threads. It asserts no lost wakeup, no generation skip,
+//!   publish visibility and one owner per island under every explored
+//!   schedule, and regression-proves it would catch the deliberately
+//!   weakened barrier variants.
 //!
 //! * **Engine 3 — the divergence bisector** ([`bisect`]): when two engine
 //!   configurations that must be byte-identical ever disagree, `--bisect`

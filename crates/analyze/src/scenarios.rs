@@ -19,13 +19,11 @@
 //!   its teeth;
 //! * a miniature engine round — the coordinator publishes the round
 //!   bound, the barrier, every participant runs its fixed
-//!   [`block_bounds`] block and publishes each island's status, the
-//!   barrier, the coordinator reads every status — the composition the
-//!   real `run_phases` executes each round. It asserts every participant
-//!   sees the bound, the blocks partition the islands, and the
-//!   coordinator reads every island's fresh status; the *early-read*
-//!   fixture (the coordinator reads before the second crossing) must be
-//!   refuted.
+//!   [`block_bounds`] block, the barrier — the composition the real
+//!   `run_phases` executes each round. It asserts every participant sees
+//!   the bound and the blocks partition the islands. Visibility of a
+//!   publish across a crossing is the barrier scenarios' check, and the
+//!   weakened barrier fixtures keep the checker's teeth.
 
 use crate::model::{check_scenario, ModelEnv, ModelReport, Scenario};
 use btgs_piconet::sync_protocol::{barrier_wait, block_bounds, BarrierOrderings, SyncCell};
@@ -146,59 +144,29 @@ impl Scenario for BarrierScenario {
 /// Modeled location of the round-bound word in [`EngineRoundScenario`]
 /// (after the barrier's two words).
 const BOUND: usize = 2;
-/// First island-status location; island `i`'s status word is
-/// `STATUS + i`.
-const STATUS: usize = 3;
 /// The round bound the coordinator publishes.
 const ROUND_BOUND: u64 = 7;
 /// Tag on a thread's record of an island it ran.
 const RAN: u64 = 1000;
 
-/// The status island `i` publishes after running to `bound`.
-fn status(bound: u64, island: usize) -> u64 {
-    100 * bound + island as u64
-}
-
 /// A miniature `run_phases` round. Thread 0 is the coordinator: it
 /// publishes the round bound and crosses the barrier. Every thread then
 /// reads the bound, runs its fixed block of islands — cut by the real
-/// [`block_bounds`] from `weights` — publishing each island's status
-/// derived from the bound, and crosses again; the coordinator finally
-/// reads every island's status with an adversarial stale read. This is
-/// the exact composition the engine relies on: the first crossing must
-/// carry the bound to every participant, the blocks must give every
-/// island exactly one owner, and the second crossing must carry every
-/// owner's status publish to the coordinator.
+/// [`block_bounds`] from `weights` — and crosses again. This is the exact
+/// composition the engine relies on: the first crossing must carry the
+/// bound to every participant, and the blocks must give every island
+/// exactly one owner.
 pub struct EngineRoundScenario {
     /// Participants, the coordinator included (2–3).
     pub threads: usize,
     /// One weight (flow count) per island, in island order.
     pub weights: Vec<usize>,
-    /// `true` runs the deliberately broken fixture: the coordinator reads
-    /// the statuses *before* the second crossing — the checker must find
-    /// a stale status.
-    pub early_read: bool,
-}
-
-impl EngineRoundScenario {
-    fn read_statuses(&self, env: &ModelEnv<'_>) {
-        for i in 0..self.weights.len() {
-            // Adversarial stale read: visibility must come from the
-            // second crossing alone.
-            env.record(env.load_oldest(STATUS + i));
-        }
-    }
 }
 
 impl Scenario for EngineRoundScenario {
     fn name(&self) -> String {
         format!(
-            "engine-round[{}] threads={} islands={}",
-            if self.early_read {
-                "early-read-fixture"
-            } else {
-                "sound"
-            },
+            "engine-round threads={} islands={}",
             self.threads,
             self.weights.len()
         )
@@ -209,7 +177,7 @@ impl Scenario for EngineRoundScenario {
     }
 
     fn locations(&self) -> usize {
-        STATUS + self.weights.len()
+        BOUND + 1
     }
 
     fn run(&self, env: &ModelEnv<'_>) {
@@ -238,17 +206,8 @@ impl Scenario for EngineRoundScenario {
         let blocks = block_bounds(&self.weights, self.threads);
         for i in blocks[env.t]..blocks[env.t + 1] {
             env.record(RAN + i as u64);
-            // ord: Release — the production ordering of the owner's status
-            // publish (scatternet.rs IslandMeta::publish).
-            env.cell(STATUS + i).store(status(b, i), Ordering::Release);
-        }
-        if env.t == 0 && self.early_read {
-            self.read_statuses(env);
         }
         cross();
-        if env.t == 0 && !self.early_read {
-            self.read_statuses(env);
-        }
     }
 
     fn check(&self, records: &[Vec<u64>]) -> Result<(), String> {
@@ -264,7 +223,7 @@ impl Scenario for EngineRoundScenario {
                      crossing lost the coordinator's publish"
                 ));
             }
-            for &r in rest.iter().take_while(|&&r| r >= RAN) {
+            for &r in rest {
                 let i = (r - RAN) as usize;
                 let slot = owners
                     .get_mut(i)
@@ -277,20 +236,6 @@ impl Scenario for EngineRoundScenario {
         }
         if let Some(orphan) = owners.iter().position(Option::is_none) {
             return Err(format!("island {orphan} has no owner"));
-        }
-        let coordinator = &records[0];
-        let Some(first) = coordinator.len().checked_sub(islands) else {
-            return Err("the coordinator read no statuses".into());
-        };
-        for (i, &got) in coordinator[first..].iter().enumerate() {
-            if got != status(ROUND_BOUND, i) {
-                return Err(format!(
-                    "stale status: the coordinator read island {i}'s status as \
-                     {got}, expected {} — the crossing did not carry the \
-                     owner's publish",
-                    status(ROUND_BOUND, i)
-                ));
-            }
         }
         Ok(())
     }
@@ -394,20 +339,18 @@ pub fn run_suite(budget: u64) -> Vec<SuiteEntry> {
     );
     // The composed engine round: exhaustively at 2 participants, bounded
     // at 3; weighted blocks (the heavy first island gets a block of its
-    // own). The early-read fixture must be refuted.
-    push(&engine_round(2, false), false, true, budget);
-    push(&engine_round(3, false), false, false, budget);
-    push(&engine_round(2, true), true, false, budget);
+    // own).
+    push(&engine_round(2), false, true, budget);
+    push(&engine_round(3), false, false, budget);
     out
 }
 
 /// The suite's engine round: `threads` participants over four islands
 /// weighted like a skewed mesh block.
-pub fn engine_round(threads: usize, early_read: bool) -> EngineRoundScenario {
+pub fn engine_round(threads: usize) -> EngineRoundScenario {
     EngineRoundScenario {
         threads,
         weights: vec![3, 1, 1, 1],
-        early_read,
     }
 }
 
@@ -474,19 +417,6 @@ mod tests {
         assert!(
             !failure.trace.is_empty(),
             "counterexample must carry a trace"
-        );
-    }
-
-    #[test]
-    fn engine_round_early_read_is_refuted() {
-        let report = check_scenario(&engine_round(2, true), 200_000);
-        let failure = report
-            .failure
-            .expect("reading statuses before the crossing must be refuted");
-        assert!(
-            failure.reason.contains("stale status"),
-            "unexpected counterexample: {}",
-            failure.reason
         );
     }
 }

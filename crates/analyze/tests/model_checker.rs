@@ -99,22 +99,7 @@ fn weakened_arrival_barrier_is_refuted() {
 
 #[test]
 fn engine_round_composition_passes_exhaustively() {
-    let report = check_scenario(&engine_round(2, false), BUDGET);
+    let report = check_scenario(&engine_round(2), BUDGET);
     assert!(report.passed(), "{:?}", report.failure);
     assert!(report.exhausted);
-}
-
-/// The round's second crossing is load-bearing: a coordinator that reads
-/// island statuses before it must be caught reading a stale one.
-#[test]
-fn early_status_read_fixture_is_refuted() {
-    let report = check_scenario(&engine_round(2, true), BUDGET);
-    let failure = report
-        .failure
-        .expect("reading statuses before the crossing must be refuted");
-    assert!(
-        failure.reason.contains("stale status"),
-        "unexpected counterexample class: {}",
-        failure.reason
-    );
 }

@@ -20,17 +20,16 @@
 //!
 //! Each probe run also prints the engine's observability counters
 //! (`phases_run`, `barrier_rounds`, `islands_claimed`, `relays_staged`)
-//! and annotates them into the JSON trajectory record, so the round
-//! structure (one round per calendar window start, every island run
-//! every round) is tracked across PRs alongside the wall clock.
+//! and annotates them into the JSON record, so the round structure (one
+//! round per calendar window start, every island run every round) shows
+//! alongside the wall clock.
 //!
 //! The `sanitized` twin runs one small scenario through
-//! [`ScatternetSim::run_sanitized`] — the causality sanitizer's
-//! instrumented monomorphisation. Its cost rides *only* on that twin:
-//! every other case runs the uninstrumented engine (the probe seam is a
-//! const-generic parameter, compiled out of the default path), so the
-//! serial and parallel trajectories above double as the regression gate
-//! that attaching the sanitizer costs the production engine nothing.
+//! [`ScatternetSim::run_sanitized`] — the engine monomorphised with the
+//! causality sanitizer's hooks. Its cost rides *only* on that twin:
+//! every other case runs the engine instantiated with `()` hooks, so the
+//! serial and parallel cases above show that the sanitizer costs the
+//! production engine nothing.
 //!
 //! [`Bencher::iter_batched`]: btgs_bench::microbench::Bencher::iter_batched
 //! [`ScatternetSim::with_threads`]: btgs_piconet::ScatternetSim::with_threads
@@ -94,7 +93,7 @@ fn scatternet_throughput(c: &mut Criterion) {
     for &(name, n, topology) in cases {
         // One probe run per scenario supplies the event count for the
         // events/sec figure (runs are deterministic, so it is exact) and
-        // the engine counters for the trajectory record.
+        // the engine counters for the JSON record.
         let probe = run(sim(n, topology, 1));
         let events = probe.events_processed;
         println!(

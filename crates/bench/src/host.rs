@@ -1,11 +1,8 @@
-//! Host fingerprinting for the perf-trajectory files.
+//! Host fingerprinting for the microbench JSON output.
 //!
-//! The committed `BENCH_*.json` trajectories accumulate entries from
-//! whatever machine CI (or a developer) happens to run on, and the
-//! ROADMAP's caveat stands: wall-clock numbers from different hosts are
-//! not comparable. Tagging every entry with a host fingerprint makes the
-//! files self-describing, and lets `bench_trajectory` compute deltas
-//! against the latest **same-host** entry only.
+//! Wall-clock numbers from different hosts are not comparable, so every
+//! `BTGS_BENCH_JSON` record carries the fingerprint of the machine it
+//! came from.
 //!
 //! The fingerprint is `hostname/cpu-model`, read from `/proc` on Linux
 //! with conservative fallbacks elsewhere — it only needs to be stable on
@@ -37,24 +34,6 @@ pub fn hostname() -> String {
                 .filter(|s| !s.is_empty())
         })
         .unwrap_or_else(|| "unknown-host".to_owned())
-}
-
-/// Process CPU seconds (utime + stime) from `/proc/self/stat` — immune
-/// to hypervisor steal, unlike the wall clock. 10 ms tick granularity,
-/// so measure over many runs; returns 0.0 where `/proc` is unavailable.
-pub fn cpu_secs() -> f64 {
-    let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
-        return 0.0;
-    };
-    // Skip past the parenthesised comm field, then utime/stime are fields
-    // 12 and 13 of the remainder.
-    let Some((_, rest)) = stat.rsplit_once(") ") else {
-        return 0.0;
-    };
-    let f: Vec<&str> = rest.split_whitespace().collect();
-    let ticks = f.get(11).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0)
-        + f.get(12).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
-    ticks as f64 / 100.0
 }
 
 /// The CPU model (`model name` from `/proc/cpuinfo`, falling back to the

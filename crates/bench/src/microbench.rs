@@ -18,8 +18,9 @@
 //! bench binary additionally writes `BENCH_<bench>.json` there: one record
 //! per benchmark with `median_ns`, `best_ns` and — where the bench declared
 //! a [`Throughput`] — `elements_per_iter` and `elements_per_sec`
-//! (events/sec for the engine benches). The committed `BENCH_*.json` files
-//! at the repository root track this perf trajectory across PRs.
+//! (events/sec for the engine benches), tagged with the host fingerprint.
+//! CI uploads them as artifacts; the record every change is judged by is
+//! the repository benchmark (`perfbench`), not these files.
 
 use std::hint::black_box;
 use std::io::Write;
@@ -170,7 +171,7 @@ impl Criterion {
     /// Attaches integer annotations to the most recently completed
     /// benchmark whose name ends with `suffix` (workload-derived counters
     /// the measurement loop itself cannot observe). They ride along in
-    /// the JSON trajectory record.
+    /// the JSON record.
     pub fn annotate(&mut self, suffix: &str, extras: &[(&str, u64)]) {
         if let Some(r) = self
             .results
@@ -236,8 +237,8 @@ impl Criterion {
     /// Writes `BENCH_<bench>.json` into the directory named by the
     /// `BTGS_BENCH_JSON` environment variable, if set. Called by
     /// [`criterion_main!`] with the bench binary's name. The payload
-    /// carries the host fingerprint, so trajectory entries are
-    /// self-describing (cross-host wall clock is not comparable).
+    /// carries the host fingerprint, so the records are self-describing
+    /// (cross-host wall clock is not comparable).
     pub fn write_json_from_env(&self, bench: &str) {
         let Ok(dir) = std::env::var("BTGS_BENCH_JSON") else {
             return;

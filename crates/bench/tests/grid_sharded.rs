@@ -404,3 +404,58 @@ fn corrupt_checkpoint_frames_are_resimulated() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A rejected checkpoint frame behind a non-canonical length prefix
+/// (`"{len} \n"`, which the frame reader accepts) is cut off exactly at
+/// its first byte: the next run re-simulates the cell once and appends a
+/// well-formed frame, and the run after that replays everything.
+#[test]
+fn rejected_frame_behind_a_padded_prefix_is_rewound_exactly() {
+    let _env = env_guard();
+    let grid = grid_scatternet();
+    let cells = grid.cells().len();
+    let dir = scratch("padded");
+    // One cell per shard: each checkpoint file holds exactly one frame.
+    let runner = ShardedGridRunner::new(worker_bin(), &dir, 2)
+        .with_partitioner(GridPartitioner::with_target_cells_per_shard(1));
+    let mut clean = OnlineAggregator::for_grid(&grid);
+    runner
+        .run_observed(&grid, &mut clean)
+        .expect("clean run completes");
+
+    let (path, frame) = scatternet_checkpoint(&dir);
+    let foreign = frame_to_json(
+        frame.grid_digest ^ 1,
+        frame.index,
+        &frame.cell,
+        &frame.outcome,
+    );
+    let padded = format!("{} \n{foreign}\n", foreign.len());
+    std::fs::write(&path, padded).expect("checkpoint rewrites");
+
+    for (run, executed) in [("first rerun", 1), ("second rerun", 0)] {
+        let mut again = OnlineAggregator::for_grid(&grid);
+        let outcome = runner
+            .run_observed(&grid, &mut again)
+            .expect("replay over a rejected frame completes");
+        assert_eq!(
+            outcome.executed_cells, executed,
+            "{run}: cells re-simulated"
+        );
+        assert_eq!(outcome.replayed_cells, cells - executed, "{run}");
+        assert_eq!(again.digest(), clean.digest(), "{run}: aggregate moved");
+    }
+
+    let bytes = std::fs::read_to_string(&path).expect("checkpoint reads");
+    let mut reader = FrameReader::new(BufReader::new(bytes.as_bytes()));
+    let FrameRead::Frame(payload) = reader.next_frame().expect("frame reads") else {
+        panic!("the rewritten checkpoint holds no frame");
+    };
+    assert_eq!(
+        bytes,
+        format!("{}\n{payload}\n", payload.len()),
+        "one canonical frame"
+    );
+    assert_eq!(reader.next_frame().expect("reads"), FrameRead::Eof);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -279,8 +279,8 @@ fn observed_scatternet_steady_state_is_allocation_free() {
     use btgs_piconet::{EventMeter, ObsConfig};
 
     /// A clock-free meter: tallies `begin`/`end` pairs per tag. (Wall
-    /// meters live in `btgs-obs`; here only the call protocol and its
-    /// allocation behaviour are under test.)
+    /// meters live in the benchmark harness; here only the call protocol
+    /// and its allocation behaviour are under test.)
     #[derive(Default)]
     struct TallyMeter {
         counts: [u64; 8],

@@ -569,6 +569,7 @@ fn replay_checkpoint(
     let mut reader = FrameReader::new(BufReader::new(file));
     let mut replayed = 0usize;
     let valid_prefix = loop {
+        let start = reader.consumed();
         match reader.next_frame()? {
             FrameRead::Eof => break reader.consumed(),
             FrameRead::Torn => break reader.consumed(),
@@ -577,7 +578,7 @@ fn replay_checkpoint(
                     // A checkpoint frame this parent cannot use (foreign
                     // grid after a hash collision, corruption) poisons
                     // the file from that point; keep the valid prefix.
-                    Err(_) => break reader.consumed() - frame_len(&payload),
+                    Err(_) => break start,
                     Ok((index, result)) => {
                         if !merge.received[index] {
                             merge.deliver(index, result);
@@ -595,10 +596,4 @@ fn replay_checkpoint(
         file.set_len(valid_prefix)?;
     }
     Ok(replayed)
-}
-
-/// The on-disk size of a frame that was just read (prefix + payload +
-/// newline) — used to rewind over an unusable frame.
-fn frame_len(payload: &str) -> u64 {
-    (payload.len().to_string().len() + 1 + payload.len() + 1) as u64
 }

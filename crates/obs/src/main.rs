@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run --release -p btgs-obs -- --trace chain --out trace.json \
 //!     [--telemetry telemetry.json] [--threads N] [--seconds N] [--fine]
-//! cargo run --release -p btgs-obs -- --profile [--out BENCH_profile_breakdown.json] [--seconds N]
 //! ```
 //!
 //! `--trace` runs one sanitizer-corpus scenario (`chain`, `ring` or
@@ -11,24 +10,21 @@
 //! Chrome/Perfetto-loadable trace JSON (`chrome://tracing` or
 //! <https://ui.perfetto.dev>); `--telemetry` additionally writes the
 //! engine [`TelemetryReport`](btgs_piconet::TelemetryReport) as JSON
-//! (the grid wire encoding). `--profile` runs the per-event cost
-//! profiler table and writes `BENCH_profile_breakdown.json`.
+//! (the grid wire encoding).
 
 #![forbid(unsafe_code)]
 
 use btgs_core::{sanitizer_corpus, PollerKind, ScatternetScenario};
 use btgs_des::SimTime;
-use btgs_obs::{perfetto_trace_json, profile_breakdown, profile_breakdown_json};
+use btgs_obs::perfetto_trace_json;
 use btgs_piconet::ObsConfig;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: btgs-obs --trace {chain|ring|mesh} --out PATH \
-                     [--telemetry PATH] [--threads N] [--seconds N] [--fine]\n\
-                     \x20      btgs-obs --profile [--out PATH] [--seconds N]";
+                     [--telemetry PATH] [--threads N] [--seconds N] [--fine]";
 
 struct Args {
     trace: Option<String>,
-    profile: bool,
     out: Option<String>,
     telemetry: Option<String>,
     threads: usize,
@@ -39,7 +35,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         trace: None,
-        profile: false,
         out: None,
         telemetry: None,
         threads: 1,
@@ -54,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--trace" => args.trace = Some(value("--trace")?),
-            "--profile" => args.profile = true,
             "--out" => args.out = Some(value("--out")?),
             "--telemetry" => args.telemetry = Some(value("--telemetry")?),
             "--threads" => {
@@ -71,8 +65,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
-    if args.profile == args.trace.is_some() {
-        return Err(format!("pick exactly one of --trace / --profile\n{USAGE}"));
+    if args.trace.is_none() {
+        return Err(format!("--trace is required\n{USAGE}"));
     }
     Ok(args)
 }
@@ -116,28 +110,6 @@ fn run_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run_profile(args: &Args) -> Result<(), String> {
-    let out = args
-        .out
-        .as_deref()
-        .unwrap_or("BENCH_profile_breakdown.json");
-    let seconds = if args.seconds == 2 { 5 } else { args.seconds };
-    let runs = profile_breakdown(seconds);
-    let json = profile_breakdown_json(&btgs_bench::host::host_fingerprint(), seconds, &runs);
-    std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    for r in &runs {
-        eprintln!(
-            "{:<16} {:>9} ev  {:>7.2} ms cpu  {:>6.1} ns/ev",
-            r.label,
-            r.events,
-            r.cpu_secs * 1e3,
-            r.cpu_secs * 1e9 / r.events.max(1) as f64,
-        );
-    }
-    eprintln!("profile -> {out}");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -146,12 +118,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = if args.profile {
-        run_profile(&args)
-    } else {
-        run_trace(&args)
-    };
-    match result {
+    match run_trace(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");

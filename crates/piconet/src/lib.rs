@@ -36,6 +36,7 @@
 mod config;
 mod flow;
 mod flow_table;
+mod hooks;
 mod ledger;
 mod poller;
 mod queue;

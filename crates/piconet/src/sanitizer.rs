@@ -24,34 +24,42 @@
 //!   - *conservation*: every relay staged is injected exactly once (per
 //!     target flow: staged = injected + still-pooled at the horizon).
 //!
-//!   The instrumentation rides on a const-generic seam in the engine: the
-//!   default build monomorphises the uninstrumented handler, so plain
-//!   [`run`](crate::ScatternetSim::run) compiles the sanitizer out — the
+//!   The checks are one implementation of the engine's hook traits (see
+//!   the `hooks` module): `Sanitizer` on the coordinator, one
+//!   `SanitizerIsland` per island on its owner thread, where the
+//!   lookahead check runs at injection. Plain
+//!   [`run`](crate::ScatternetSim::run) instantiates the engine with `()`
+//!   instead, so the sanitizer is not compiled into it — the
 //!   zero-allocation gate and the steady-state benches see the exact
-//!   pre-sanitizer code. A sanitized run halts at its first finding (the
-//!   partial report is withheld) so a broken engine cannot cascade into
-//!   wheel panics before the violation is reported; a clean sanitized run
-//!   returns a report byte-identical to the unsanitized one.
+//!   production code. A sanitized run halts at the end of the round that
+//!   raised its first finding, so a broken engine cannot cascade into
+//!   queue panics before the violation is reported, and the report of a
+//!   run with any finding is withheld; a clean sanitized run returns a
+//!   report byte-identical to the unsanitized one.
 //!
 //! * a **divergence bisector** ([`bisect_runs`]): given two engine
 //!   configurations that must be byte-identical (threads 1 vs N, a
-//!   shuffled claim order — or a seeded [`EngineMutation`]), run
-//!   both with per-island rolling event hashes, binary-search each island's
-//!   hash sequence to its first diverging event, pick the earliest across
-//!   islands, then re-run with a bounded capture window around that index
-//!   and print a minimal aligned trace (island, time, event kind, hash
-//!   prefix). "Reports differ" becomes an actionable counterexample.
+//!   shuffled claim order — or a seeded [`EngineMutation`]), run both
+//!   with per-island rolling event hashes (the `Recorder` hooks),
+//!   binary-search each island's hash sequence to its first diverging
+//!   event, pick the earliest across islands, then re-run with a bounded
+//!   capture window around that index and print a minimal aligned trace
+//!   (island, time, event kind, hash prefix). "Reports differ" becomes an
+//!   actionable counterexample.
 //!
 //! * a **seeded-mutation corpus** ([`EngineMutation`]): deliberately broken
 //!   engine variants (off-by-one boundary walk, relay injected behind the
-//!   clock, unsorted staging drain, dropped relay, duplicated relay) used
+//!   clock, unsorted staging drain, dropped relay, duplicated relay),
+//!   each a `Mutator` wrapped around the sanitizer or recorder hooks, used
 //!   by `crates/piconet/tests/sanitizer_mutations.rs` to prove every
 //!   mutation is caught by the sanitizer *and* localized by the
-//!   bisector; `tests/sanitizer_corpus.rs` proves the clean engine
-//!   reports zero findings.
+//!   bisector, and never reaches a plain run; `tests/sanitizer_corpus.rs`
+//!   proves the clean engine reports zero findings.
 
 use crate::config::PiconetError;
-use crate::telemetry::IslandObs;
+use crate::hooks::{descriptor, EngineHooks, IslandHooks};
+use crate::scatternet::{nanos_of, PooledRelay};
+use crate::sim::Ev;
 use crate::ScatternetSim;
 use btgs_des::SimTime;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -123,7 +131,7 @@ pub struct SanitizerReport {
     /// Every violation found, coordinator findings first, then per-island
     /// findings in piconet order. Empty for a clean engine.
     pub findings: Vec<SanitizerFinding>,
-    /// Island events that went through the instrumented handler.
+    /// Island events the per-island sanitizer hooks checked.
     pub events_checked: u64,
     /// Cross-island relays tracked through stage → pool → injection.
     pub relays_tracked: u64,
@@ -183,7 +191,7 @@ impl EngineMutation {
         EngineMutation::DuplicatedRelay,
     ];
 
-    /// Stable corpus name (used by test output and the analyze CLI).
+    /// Stable corpus name (used by test output).
     #[doc(hidden)]
     pub fn name(&self) -> &'static str {
         match self {
@@ -193,12 +201,6 @@ impl EngineMutation {
             EngineMutation::DroppedRelay => "dropped-relay",
             EngineMutation::DuplicatedRelay => "duplicated-relay",
         }
-    }
-
-    /// Parses a corpus name back into the mutation.
-    #[doc(hidden)]
-    pub fn from_name(name: &str) -> Option<EngineMutation> {
-        EngineMutation::ALL.into_iter().find(|m| m.name() == name)
     }
 }
 
@@ -322,13 +324,12 @@ pub(crate) fn event_hash(h: u64, t_nanos: u64, kind: TraceKind, a: u64, b: u64) 
     mix(mix(mix(mix(h, t_nanos), kind as u64), a), b)
 }
 
-/// Per-island instrumentation state, boxed behind
-/// `IslandState::probe` — `None` (one machine word, no allocation) in
-/// default runs; the instrumented handler is a separate monomorphisation,
-/// so the default engine never even tests the option.
-pub(crate) struct IslandProbe {
+/// Per-island sanitizer state: the checks an island's owner can make
+/// alone (event-time monotonicity, wheel FIFO, lookahead safety at
+/// injection) and its staging counts for the end-of-run conservation
+/// reconciliation.
+pub(crate) struct SanitizerIsland {
     pic: u16,
-    sanitize: bool,
     tripped: Arc<AtomicBool>,
     findings: Vec<SanitizerFinding>,
     /// Monotone-clock watermark: the last handled event's instant.
@@ -336,54 +337,13 @@ pub(crate) struct IslandProbe {
     /// Wheel-FIFO expectations: event-time nanos → FIFO of
     /// `(flow_idx, packet seq)` in scheduling order.
     expect: BTreeMap<u64, VecDeque<(u32, u64)>>,
-    /// Cross-island relays this island staged, total and per target flow
+    /// Cross-island relays this island staged, per target flow
     /// (`(target piconet, flow_idx)`), counted at staging time.
-    staged_total: u64,
     staged_by_flow: BTreeMap<(u16, u32), u64>,
     events: u64,
-    trace_hashes: bool,
-    trace_window: Option<(u64, u64)>,
-    hash: u64,
-    hashes: Vec<u64>,
-    times: Vec<u64>,
-    window: Vec<TraceEvent>,
-    /// Telemetry/trace capture for this island — `None` unless the run
-    /// was started through `run_observed`.
-    obs: Option<IslandObs>,
 }
 
-impl IslandProbe {
-    pub(crate) fn new(
-        pic: u16,
-        tripped: Arc<AtomicBool>,
-        sanitize: bool,
-        trace: Option<&TraceConfig>,
-        obs: Option<IslandObs>,
-    ) -> IslandProbe {
-        let trace_window = trace
-            .and_then(|c| c.window)
-            .filter(|w| w.island == pic)
-            .map(|w| (w.start, w.len));
-        IslandProbe {
-            pic,
-            sanitize,
-            tripped,
-            findings: Vec::new(),
-            last_event: None,
-            expect: BTreeMap::new(),
-            staged_total: 0,
-            staged_by_flow: BTreeMap::new(),
-            events: 0,
-            trace_hashes: trace.is_some_and(|c| c.hashes),
-            trace_window,
-            hash: 0,
-            hashes: Vec::new(),
-            times: Vec::new(),
-            window: Vec::with_capacity(trace_window.map_or(0, |(_, len)| len as usize)),
-            obs,
-        }
-    }
-
+impl SanitizerIsland {
     fn report(&mut self, check: SanitizerCheck, at: SimTime, message: String) {
         self.findings.push(SanitizerFinding {
             check,
@@ -396,187 +356,89 @@ impl IslandProbe {
         // engine's locks/joins, which order them.
         self.tripped.store(true, Ordering::Relaxed);
     }
+}
 
-    /// Called by the instrumented handler for every island event, with
-    /// the scheduler clock already set to the event's instant.
-    pub(crate) fn on_event(&mut self, t: SimTime, kind: TraceKind, a: u64, b: u64) {
+impl IslandHooks for SanitizerIsland {
+    fn on_event(&mut self, t: SimTime, ev: &Ev) {
         self.events += 1;
-        let t_nanos = crate::scatternet::nanos_of(t);
-        if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from island_handle, itself
-            // behind the `I` const-generic seam.
-            obs.on_event(t, kind, a, b);
-        }
-        if self.sanitize {
-            if let Some(last) = self.last_event {
-                if t < last {
-                    self.report(
-                        SanitizerCheck::WheelFifo,
-                        t,
-                        format!("event time went backwards: {t} after {last}"),
-                    );
-                }
-            }
-            self.last_event = Some(t);
-            if kind == TraceKind::Relay {
-                let expected = self.expect.get_mut(&t_nanos).and_then(|q| q.pop_front());
-                match expected {
-                    Some((flow_idx, seq)) if u64::from(flow_idx) == a && seq == b => {}
-                    Some((flow_idx, seq)) => self.report(
-                        SanitizerCheck::WheelFifo,
-                        t,
-                        format!(
-                            "relay fired out of scheduling order within its timestamp: \
-                             got flow {a} seq {b}, expected flow {flow_idx} seq {seq}"
-                        ),
-                    ),
-                    None => self.report(
-                        SanitizerCheck::WheelFifo,
-                        t,
-                        format!("relay for flow {a} seq {b} fired with no matching schedule"),
-                    ),
-                }
-                if self.expect.get(&t_nanos).is_some_and(VecDeque::is_empty) {
-                    self.expect.remove(&t_nanos);
-                }
+        if let Some(last) = self.last_event {
+            if t < last {
+                self.report(
+                    SanitizerCheck::WheelFifo,
+                    t,
+                    format!("event time went backwards: {t} after {last}"),
+                );
             }
         }
-        if self.trace_hashes || self.trace_window.is_some() {
-            self.hash = event_hash(self.hash, t_nanos, kind, a, b);
-            if self.trace_hashes {
-                self.hashes.push(self.hash);
-                self.times.push(t_nanos);
-            }
-            if let Some((start, len)) = self.trace_window {
-                let index = self.events - 1;
-                if index >= start && index < start + len {
-                    self.window.push(TraceEvent {
-                        index,
-                        at: t,
-                        kind,
-                        a,
-                        b,
-                        hash: self.hash,
-                    });
-                }
-            }
+        self.last_event = Some(t);
+        let Ev::Relay { flow_idx, pkt } = ev else {
+            return;
+        };
+        let (a, b) = (*flow_idx as u64, pkt.seq);
+        let t_nanos = nanos_of(t);
+        let expected = self.expect.get_mut(&t_nanos).and_then(|q| q.pop_front());
+        match expected {
+            Some((flow_idx, seq)) if u64::from(flow_idx) == a && seq == b => {}
+            Some((flow_idx, seq)) => self.report(
+                SanitizerCheck::WheelFifo,
+                t,
+                format!(
+                    "relay fired out of scheduling order within its timestamp: \
+                     got flow {a} seq {b}, expected flow {flow_idx} seq {seq}"
+                ),
+            ),
+            None => self.report(
+                SanitizerCheck::WheelFifo,
+                t,
+                format!("relay for flow {a} seq {b} fired with no matching schedule"),
+            ),
+        }
+        if self.expect.get(&t_nanos).is_some_and(VecDeque::is_empty) {
+            self.expect.remove(&t_nanos);
         }
     }
 
-    /// Records a relay scheduled into this island's own wheel (master
-    /// relays and coordinator injections): the wheel-FIFO expectation.
-    pub(crate) fn on_scheduled_relay(&mut self, at: SimTime, flow_idx: u32, seq: u64) {
-        if self.sanitize {
-            self.expect
-                .entry(crate::scatternet::nanos_of(at))
-                .or_default()
-                .push_back((flow_idx, seq));
+    fn on_scheduled_relay(&mut self, at: SimTime, flow_idx: u32, seq: u64) {
+        self.expect
+            .entry(nanos_of(at))
+            .or_default()
+            .push_back((flow_idx, seq));
+    }
+
+    fn on_inject(&mut self, at: SimTime, now: SimTime) {
+        if at < now {
+            self.report(
+                SanitizerCheck::LookaheadSafety,
+                at,
+                format!("relay handoff {at} is behind the target island's clock {now}"),
+            );
         }
     }
 
-    /// Called by the instrumented handler after each event's handler
-    /// returns — closes the per-event cost meter, if one is attached.
-    pub(crate) fn after_event(&mut self) {
-        if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from island_handle, itself
-            // behind the `I` const-generic seam.
-            obs.after_event();
-        }
-    }
-
-    /// Records a cross-island relay this island staged for the
-    /// coordinator.
-    pub(crate) fn on_staged(&mut self, target_pic: u16, flow_idx: u32, at: SimTime, seq: u64) {
-        if self.sanitize {
-            self.staged_total += 1;
-            *self
-                .staged_by_flow
-                .entry((target_pic, flow_idx))
-                .or_default() += 1;
-        }
-        if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from route_captures, itself
-            // behind the `I` const-generic seam.
-            obs.on_staged(target_pic, flow_idx, at, seq);
-        }
-    }
-
-    /// Called by the island's owner each time the island ran to the
-    /// phase boundary `b`, with the island queue's live/stored occupancy.
-    pub(crate) fn on_island_ran(&mut self, b: SimTime, live: u64, near: u64) {
-        if let Some(obs) = self.obs.as_mut() {
-            // analyze: allow(obs-seam): delegated from run_block,
-            // itself behind the `I` const-generic seam.
-            obs.on_island_ran(b, live, near);
-        }
-    }
-
-    pub(crate) fn take_obs(&mut self) -> Option<IslandObs> {
-        self.obs.take()
-    }
-
-    pub(crate) fn events(&self) -> u64 {
-        self.events
-    }
-
-    pub(crate) fn staged_total(&self) -> u64 {
-        self.staged_total
-    }
-
-    pub(crate) fn staged_by_flow(&self) -> &BTreeMap<(u16, u32), u64> {
-        &self.staged_by_flow
-    }
-
-    pub(crate) fn take_findings(&mut self) -> Vec<SanitizerFinding> {
-        std::mem::take(&mut self.findings)
-    }
-
-    pub(crate) fn take_trace(&mut self) -> IslandTrace {
-        IslandTrace {
-            hashes: std::mem::take(&mut self.hashes),
-            times: std::mem::take(&mut self.times),
-            window: std::mem::take(&mut self.window),
-            events: self.events,
-        }
+    fn on_staged(&mut self, target: u16, flow_idx: u32, _at: SimTime, _seq: u64) {
+        *self.staged_by_flow.entry((target, flow_idx)).or_default() += 1;
     }
 }
 
 /// Coordinator-side sanitizer state: the checks that see the staged-relay
-/// pool and the injections (the per-island checks live in
-/// [`IslandProbe`]).
-pub(crate) struct EngineSanitizer {
+/// pool and the deal (the per-island checks live in [`SanitizerIsland`]).
+#[derive(Default)]
+pub(crate) struct Sanitizer {
+    /// Raised by every finding, coordinator or island; the engine halts
+    /// at the end of the round that raised it.
     tripped: Arc<AtomicBool>,
     findings: Vec<SanitizerFinding>,
-    /// The last injected `(handoff, source, seq)` key — the global total
+    /// The last dealt `(handoff, source, seq)` key — the global total
     /// order.
     last_key: Option<(SimTime, u16, u64)>,
-    /// `(source, seq)` of every injection, for duplicate detection.
+    /// `(source, seq)` of every dealt relay, for duplicate detection.
     injected_keys: BTreeSet<(u16, u64)>,
     received_total: u64,
-    injected_total: u64,
     injected_by_flow: BTreeMap<(u16, u32), u64>,
     leftover_by_flow: BTreeMap<(u16, u32), u64>,
 }
 
-impl EngineSanitizer {
-    pub(crate) fn new(tripped: Arc<AtomicBool>) -> EngineSanitizer {
-        EngineSanitizer {
-            tripped,
-            findings: Vec::new(),
-            last_key: None,
-            injected_keys: BTreeSet::new(),
-            received_total: 0,
-            injected_total: 0,
-            injected_by_flow: BTreeMap::new(),
-            leftover_by_flow: BTreeMap::new(),
-        }
-    }
-
-    pub(crate) fn tripped(&self) -> bool {
-        // ord: Relaxed — best-effort halt poll; see IslandProbe::report.
-        self.tripped.load(Ordering::Relaxed)
-    }
-
+impl Sanitizer {
     fn report(&mut self, check: SanitizerCheck, island: u16, at: SimTime, message: String) {
         self.findings.push(SanitizerFinding {
             check,
@@ -585,91 +447,21 @@ impl EngineSanitizer {
             message,
         });
         // ord: Relaxed — coordinator-local flag raise; see
-        // IslandProbe::report.
+        // SanitizerIsland::report.
         self.tripped.store(true, Ordering::Relaxed);
     }
 
-    /// Checks one staged relay drained from island `source` at phase
-    /// boundary `b`: a handoff before `b` means the phase ran past a
-    /// boundary this relay lands on.
-    pub(crate) fn on_collected(&mut self, b: SimTime, source: u16, at: SimTime) {
-        self.received_total += 1;
-        if at < b {
-            self.report(
-                SanitizerCheck::PhaseBoundary,
-                source,
-                at,
-                format!(
-                    "phase ran to {b} across a boundary a staged relay lands on \
-                     (handoff {at} < phase end)"
-                ),
-            );
-        }
-    }
-
-    /// Checks one pooled relay about to be injected. Returns `false` when
-    /// the injection would violate lookahead safety (the caller withholds
-    /// the schedule; the run is halting at this finding anyway).
-    pub(crate) fn check_injection(
-        &mut self,
-        key: (SimTime, u16, u64),
-        target: (u16, u32),
-        target_now: SimTime,
-    ) -> bool {
-        let (at, source, seq) = key;
-        if let Some(last) = self.last_key {
-            if key <= last {
-                self.report(
-                    SanitizerCheck::InjectionOrder,
-                    target.0,
-                    at,
-                    format!(
-                        "injection key (at {at}, source {source}, seq {seq}) is not \
-                         strictly after (at {}, source {}, seq {})",
-                        last.0, last.1, last.2
-                    ),
-                );
-            }
-        }
-        self.last_key = Some(key);
-        if !self.injected_keys.insert((source, seq)) {
-            self.report(
-                SanitizerCheck::Conservation,
-                target.0,
-                at,
-                format!("relay (source {source}, seq {seq}) injected twice"),
-            );
-        }
-        self.injected_total += 1;
-        *self.injected_by_flow.entry(target).or_default() += 1;
-        if at < target_now {
-            self.report(
-                SanitizerCheck::LookaheadSafety,
-                target.0,
-                at,
-                format!("relay handoff {at} is behind the target island's clock {target_now}"),
-            );
-            return false;
-        }
-        true
-    }
-
-    /// Records a relay still pooled (or withheld by a mutation) when the
-    /// run ended — legitimate for handoffs past the horizon.
-    pub(crate) fn on_leftover(&mut self, target: (u16, u32)) {
-        *self.leftover_by_flow.entry(target).or_default() += 1;
-    }
-
     /// End-of-run conservation reconciliation against every island's
-    /// staging counts.
-    pub(crate) fn finish(&mut self, probes: &[IslandProbe]) {
-        let staged_total: u64 = probes.iter().map(IslandProbe::staged_total).sum();
+    /// staging counts, then the final report: the coordinator's findings
+    /// first, then every island's (piconet order).
+    pub(crate) fn into_report(mut self, islands: Vec<SanitizerIsland>) -> SanitizerReport {
         let mut staged_by_flow: BTreeMap<(u16, u32), u64> = BTreeMap::new();
-        for p in probes {
-            for (&flow, &n) in p.staged_by_flow() {
+        for island in &islands {
+            for (&flow, &n) in &island.staged_by_flow {
                 *staged_by_flow.entry(flow).or_default() += n;
             }
         }
+        let staged_total: u64 = staged_by_flow.values().sum();
         if staged_total != self.received_total {
             self.report(
                 SanitizerCheck::Conservation,
@@ -705,21 +497,305 @@ impl EngineSanitizer {
                 );
             }
         }
-    }
-
-    /// Assembles the final report, folding in every island probe's
-    /// findings (piconet order) after the coordinator's own.
-    pub(crate) fn into_report(mut self, probes: &mut [IslandProbe]) -> SanitizerReport {
-        let mut findings = std::mem::take(&mut self.findings);
-        for p in probes.iter_mut() {
-            findings.append(&mut p.take_findings());
+        let mut findings = self.findings;
+        let mut events_checked = 0;
+        for mut island in islands {
+            findings.append(&mut island.findings);
+            events_checked += island.events;
         }
         SanitizerReport {
             findings,
-            events_checked: probes.iter().map(IslandProbe::events).sum(),
+            events_checked,
             relays_tracked: self.received_total,
             relays_leftover: self.leftover_by_flow.values().sum(),
         }
+    }
+}
+
+impl EngineHooks for Sanitizer {
+    type Island = SanitizerIsland;
+
+    fn island(&mut self, pic: u16) -> SanitizerIsland {
+        SanitizerIsland {
+            pic,
+            tripped: Arc::clone(&self.tripped),
+            findings: Vec::new(),
+            last_event: None,
+            expect: BTreeMap::new(),
+            staged_by_flow: BTreeMap::new(),
+            events: 0,
+        }
+    }
+
+    fn halted(&self) -> bool {
+        // ord: Relaxed — best-effort halt poll; the round's barrier
+        // crossings already order every island's raise before it.
+        self.tripped.load(Ordering::Relaxed)
+    }
+
+    /// Phase boundary: a relay collected at boundary `b` with a handoff
+    /// before `b` means the phase ran past a boundary it lands on.
+    fn on_collected(&mut self, b: SimTime, p: &PooledRelay) {
+        self.received_total += 1;
+        if p.at < b {
+            let at = p.at;
+            self.report(
+                SanitizerCheck::PhaseBoundary,
+                p.source,
+                at,
+                format!(
+                    "phase ran to {b} across a boundary a staged relay lands on \
+                     (handoff {at} < phase end)"
+                ),
+            );
+        }
+    }
+
+    /// Injection order and duplication: dealt keys must be strictly
+    /// increasing across the whole run.
+    fn on_dealt(&mut self, _t: SimTime, p: &PooledRelay) {
+        let key = (p.at, p.source, p.seq);
+        let (at, source, seq) = key;
+        let target = p.relay.pic;
+        if let Some(last) = self.last_key {
+            if key <= last {
+                self.report(
+                    SanitizerCheck::InjectionOrder,
+                    target,
+                    at,
+                    format!(
+                        "injection key (at {at}, source {source}, seq {seq}) is not \
+                         strictly after (at {}, source {}, seq {})",
+                        last.0, last.1, last.2
+                    ),
+                );
+            }
+        }
+        self.last_key = Some(key);
+        if !self.injected_keys.insert((source, seq)) {
+            self.report(
+                SanitizerCheck::Conservation,
+                target,
+                at,
+                format!("relay (source {source}, seq {seq}) injected twice"),
+            );
+        }
+        *self
+            .injected_by_flow
+            .entry((target, p.relay.flow_idx))
+            .or_default() += 1;
+    }
+
+    /// Relays still pooled when the run ended — legitimate for handoffs
+    /// past the horizon.
+    fn on_leftovers(&mut self, pool: &[PooledRelay]) {
+        for p in pool {
+            *self
+                .leftover_by_flow
+                .entry((p.relay.pic, p.relay.flow_idx))
+                .or_default() += 1;
+        }
+    }
+}
+
+/// The bisector's recorder: builds one [`RecorderIsland`] per island from
+/// the run's [`TraceConfig`].
+pub(crate) struct Recorder {
+    trace: TraceConfig,
+}
+
+impl Recorder {
+    pub(crate) fn new(trace: TraceConfig) -> Recorder {
+        Recorder { trace }
+    }
+}
+
+impl EngineHooks for Recorder {
+    type Island = RecorderIsland;
+
+    fn island(&mut self, pic: u16) -> RecorderIsland {
+        let window = self
+            .trace
+            .window
+            .filter(|w| w.island == pic)
+            .map(|w| (w.start, w.len));
+        RecorderIsland {
+            hashes: self.trace.hashes,
+            window,
+            hash: 0,
+            trace: IslandTrace {
+                window: Vec::with_capacity(window.map_or(0, |(_, len)| len as usize)),
+                ..IslandTrace::default()
+            },
+        }
+    }
+}
+
+/// One island's rolling event hash, its hash/time sequences and its
+/// descriptor capture window.
+pub(crate) struct RecorderIsland {
+    /// Record the full hash and time sequences.
+    hashes: bool,
+    /// `(start, len)` of the descriptor capture window on this island.
+    window: Option<(u64, u64)>,
+    hash: u64,
+    trace: IslandTrace,
+}
+
+impl RecorderIsland {
+    pub(crate) fn into_trace(self) -> IslandTrace {
+        self.trace
+    }
+}
+
+impl IslandHooks for RecorderIsland {
+    fn on_event(&mut self, t: SimTime, ev: &Ev) {
+        let (kind, a, b) = descriptor(ev);
+        let t_nanos = nanos_of(t);
+        let index = self.trace.events;
+        self.trace.events += 1;
+        self.hash = event_hash(self.hash, t_nanos, kind, a, b);
+        if self.hashes {
+            self.trace.hashes.push(self.hash);
+            self.trace.times.push(t_nanos);
+        }
+        if let Some((start, len)) = self.window {
+            if index >= start && index < start + len {
+                self.trace.window.push(TraceEvent {
+                    index,
+                    at: t,
+                    kind,
+                    a,
+                    b,
+                    hash: self.hash,
+                });
+            }
+        }
+    }
+}
+
+/// One seeded [`EngineMutation`] wrapped around a hook set `H` (the
+/// sanitizer or the recorder): it corrupts the boundary walk, the pool or
+/// the deal as its mutation says, and forwards every other hook to `H`.
+pub(crate) struct Mutator<H> {
+    which: EngineMutation,
+    /// [`EngineMutation::RelayBehindClock`]: the withheld relay, released
+    /// one boundary late.
+    held: Option<PooledRelay>,
+    /// One-shot latch for the hold/drop/duplicate corruptions.
+    fired: bool,
+    inner: H,
+}
+
+impl<H> Mutator<H> {
+    pub(crate) fn new(which: EngineMutation, inner: H) -> Mutator<H> {
+        Mutator {
+            which,
+            held: None,
+            fired: false,
+            inner,
+        }
+    }
+
+    pub(crate) fn into_inner(self) -> H {
+        self.inner
+    }
+}
+
+impl<H: EngineHooks> EngineHooks for Mutator<H> {
+    type Island = H::Island;
+
+    fn island(&mut self, pic: u16) -> H::Island {
+        self.inner.island(pic)
+    }
+
+    fn halted(&self) -> bool {
+        self.inner.halted()
+    }
+
+    /// [`EngineMutation::BoundaryOffByOne`]: skips `b` when it is a plain
+    /// calendar start — never a pending-injection, checkpoint or horizon
+    /// cap, so the mutated walk skips sync points without deadlocking the
+    /// round loop or scheduling injections it already owes.
+    fn skip_boundary(
+        &mut self,
+        b: SimTime,
+        checkpoint: SimTime,
+        probed: bool,
+        horizon: SimTime,
+        pool_min: Option<SimTime>,
+    ) -> bool {
+        if self.which == EngineMutation::BoundaryOffByOne {
+            b < horizon && pool_min != Some(b) && (probed || b != checkpoint)
+        } else {
+            self.inner
+                .skip_boundary(b, checkpoint, probed, horizon, pool_min)
+        }
+    }
+
+    fn on_collected(&mut self, b: SimTime, p: &PooledRelay) {
+        self.inner.on_collected(b, p);
+    }
+
+    /// [`EngineMutation::UnsortedStagingDrain`] re-sorts the pool with the
+    /// staging-sequence tie-break flipped, so same-instant same-source
+    /// relays pop in reverse staging order. [`EngineMutation::DroppedRelay`]
+    /// and [`EngineMutation::DuplicatedRelay`] corrupt the first non-empty
+    /// pool once — after the collected relays were counted, so
+    /// conservation is checked against the true staging counts.
+    fn on_sorted(&mut self, pool: &mut Vec<PooledRelay>) {
+        self.inner.on_sorted(pool);
+        match self.which {
+            EngineMutation::UnsortedStagingDrain => pool.sort_by(|x, y| {
+                (y.at, y.source)
+                    .cmp(&(x.at, x.source))
+                    .then(x.seq.cmp(&y.seq))
+            }),
+            EngineMutation::DroppedRelay if !self.fired && !pool.is_empty() => {
+                self.fired = true;
+                pool.pop();
+            }
+            EngineMutation::DuplicatedRelay if !self.fired && !pool.is_empty() => {
+                self.fired = true;
+                let dup = pool.last().expect("pool checked non-empty").clone();
+                pool.push(dup);
+            }
+            _ => {}
+        }
+    }
+
+    fn on_phase(&mut self, t: SimTime, b: SimTime, islands: u64, pool_len: usize) {
+        self.inner.on_phase(t, b, islands, pool_len);
+    }
+
+    /// [`EngineMutation::RelayBehindClock`]: hands the withheld relay back
+    /// at the first boundary past its handoff — an injection behind the
+    /// target island's clock.
+    fn release_due(&mut self, t: SimTime) -> Option<PooledRelay> {
+        self.held
+            .take_if(|h| h.at < t)
+            .or_else(|| self.inner.release_due(t))
+    }
+
+    /// [`EngineMutation::RelayBehindClock`]: withholds the first due relay.
+    fn intercept(&mut self, p: PooledRelay) -> Option<PooledRelay> {
+        if self.which == EngineMutation::RelayBehindClock && !self.fired {
+            self.fired = true;
+            self.held = Some(p);
+            return None;
+        }
+        self.inner.intercept(p)
+    }
+
+    fn on_dealt(&mut self, t: SimTime, p: &PooledRelay) {
+        self.inner.on_dealt(t, p);
+    }
+
+    /// Forwards the pool only: a relay still held by the behind-clock
+    /// mutation is deliberately not reported, so a never-released hold
+    /// trips the conservation check.
+    fn on_leftovers(&mut self, pool: &[PooledRelay]) {
+        self.inner.on_leftovers(pool);
     }
 }
 
@@ -911,13 +987,5 @@ mod tests {
         assert_ne!(h, event_hash(0, 101, TraceKind::Relay, 1, 2));
         assert_ne!(h, event_hash(0, 100, TraceKind::Arrival, 1, 2));
         assert_ne!(h, event_hash(1, 100, TraceKind::Relay, 1, 2));
-    }
-
-    #[test]
-    fn mutation_names_round_trip() {
-        for m in EngineMutation::ALL {
-            assert_eq!(EngineMutation::from_name(m.name()), Some(m));
-        }
-        assert_eq!(EngineMutation::from_name("no-such"), None);
     }
 }

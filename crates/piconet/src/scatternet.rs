@@ -54,6 +54,11 @@
 //!   [`DelayStats`]: with immediate master relays, end-to-end delay is
 //!   exactly the sum of per-hop queueing delays plus bridge residence.
 //!
+//! The round loop is generic over the engine's hook traits (see the
+//! `hooks` module). Plain runs instantiate it with `()`; the sanitized,
+//! traced and observed runs bring their own hooks, so no instrumentation
+//! is compiled into the production engine.
+//!
 //! The steady state is allocation-free like the single-piconet loop: relay
 //! outboxes, staging buffers, origin FIFOs and report buffers are
 //! pre-reserved at build time.
@@ -61,15 +66,16 @@
 use crate::config::{PiconetConfig, PiconetError};
 use crate::flow::FlowSpec;
 use crate::flow_table::{FlowIdHasher, FlowIdx, FlowTable};
+use crate::hooks::{EngineHooks, IslandHooks};
 use crate::poller::Poller;
 use crate::report::RunReport;
 use crate::sanitizer::{
-    EngineMutation, EngineSanitizer, IslandProbe, RunTrace, SanitizedRun, SanitizerReport,
-    TraceConfig, TraceKind,
+    EngineMutation, Mutator, Recorder, RecorderIsland, RunTrace, SanitizedRun, Sanitizer,
+    TraceConfig,
 };
 use crate::sim::{handle, seed_world, Ev, World};
 use crate::sync_protocol::{barrier_wait, block_bounds, BarrierOrderings, SyncEnv};
-use crate::telemetry::{CoordObs, EventMeter, IslandObs, ObsConfig, ObservedRun};
+use crate::telemetry::{EventMeter, ObsConfig, ObservedRun, Observer};
 use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave};
 use btgs_des::{DetRng, EventQueue, Scheduler, SimDuration, SimTime, Simulator};
 use btgs_metrics::DelayStats;
@@ -77,7 +83,7 @@ use btgs_traffic::{AppPacket, FlowId, Source};
 use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How one global flow id resolves to its shard. Mirrors the dense/spread
 /// split of the per-piconet id index.
@@ -346,14 +352,14 @@ enum HopNext {
 /// current phase, pooled by the coordinator and injected into the target
 /// island by its owner.
 #[derive(Clone, Copy, Debug)]
-struct StagedRelay {
+pub(crate) struct StagedRelay {
     /// Handoff instant (the bridge's next appearance in the target
     /// piconet). Conservative phase boundaries guarantee `at >= B`.
     at: SimTime,
     /// Target piconet.
-    pic: u16,
+    pub(crate) pic: u16,
     /// Dense index of the target hop flow in its piconet.
-    flow_idx: u32,
+    pub(crate) flow_idx: u32,
     /// The packet, restamped with the target flow id and handoff arrival.
     pkt: AppPacket,
     /// First-hop arrival of the packet's chain (for end-to-end delay).
@@ -401,11 +407,6 @@ struct IslandState {
     warmup: SimTime,
     /// This island's share of each chain's statistics.
     chain_stats: Vec<ChainLocal>,
-    /// Instrumentation hook of the sanitizer/bisector seam: `None` (one
-    /// machine word, no allocation) on default runs, installed by the
-    /// instrumented run paths. The uninstrumented handler
-    /// monomorphisation never reads it.
-    probe: Option<Box<IslandProbe>>,
 }
 
 /// One island: a full single-piconet simulator (own sorted event buffer,
@@ -413,45 +414,20 @@ struct IslandState {
 type IslandSim = Simulator<IslandState, Ev, EventQueue<Ev>>;
 
 /// The per-event handler of one island: the single-piconet handler
-/// verbatim, plus capture routing against island-local state only.
-///
-/// `I` selects the instrumented monomorphisation (sanitizer/trace probes
-/// on every event). Default runs use `I = false`, which compiles to
-/// exactly the pre-seam handler — the zero-allocation gate and the
-/// steady-state benches run that code path.
-fn island_handle<const I: bool>(
+/// verbatim, plus capture routing against island-local state only, with
+/// the island's hooks around it (no-ops in plain runs).
+fn island_handle<H: IslandHooks>(
     sched: &mut Scheduler<Ev, EventQueue<Ev>>,
     st: &mut IslandState,
+    hooks: &mut H,
     ev: Ev,
 ) {
-    if I {
-        if let Some(probe) = st.probe.as_deref_mut() {
-            let (kind, a, b) = trace_descriptor(&ev);
-            probe.on_event(sched.now(), kind, a, b);
-        }
-    }
+    hooks.on_event(sched.now(), &ev);
     handle(sched, &mut st.world, ev);
     if !st.world.outbox.is_empty() {
-        route_captures::<I>(sched, st);
+        route_captures(sched, st, hooks);
     }
-    if I {
-        if let Some(probe) = st.probe.as_deref_mut() {
-            probe.after_event();
-        }
-    }
-}
-
-/// The `(kind, a, b)` descriptor of an island event, as folded into the
-/// rolling trace hash — enough to identify the event in an aligned
-/// bisection window without storing packets.
-fn trace_descriptor(ev: &Ev) -> (TraceKind, u64, u64) {
-    match ev {
-        Ev::Arrival { source_idx, pkt } => (TraceKind::Arrival, *source_idx as u64, pkt.seq),
-        Ev::Wake => (TraceKind::Wake, 0, 0),
-        Ev::ExchangeDone => (TraceKind::ExchangeDone, 0, 0),
-        Ev::ScoDone { sco_idx, start } => (TraceKind::ScoDone, *sco_idx as u64, nanos_of(*start)),
-        Ev::Relay { flow_idx, pkt } => (TraceKind::Relay, *flow_idx as u64, pkt.seq),
-    }
+    hooks.after_event();
 }
 
 /// Routes every packet the handler completed on a captured hop. In-island
@@ -460,7 +436,11 @@ fn trace_descriptor(ev: &Ev) -> (TraceKind, u64, u64) {
 /// draining (routing only schedules or stages), so the indexed loop is
 /// exact; `Captured` is `Copy`, so each read ends its borrow before the
 /// routing mutates the island.
-fn route_captures<const I: bool>(sched: &mut Scheduler<Ev, EventQueue<Ev>>, st: &mut IslandState) {
+fn route_captures<H: IslandHooks>(
+    sched: &mut Scheduler<Ev, EventQueue<Ev>>,
+    st: &mut IslandState,
+    hooks: &mut H,
+) {
     let captured = st.world.outbox.len();
     for i in 0..captured {
         let cap = st.world.outbox[i];
@@ -526,11 +506,7 @@ fn route_captures<const I: bool>(sched: &mut Scheduler<Ev, EventQueue<Ev>>, st: 
                             pkt,
                         },
                     );
-                    if I {
-                        if let Some(probe) = st.probe.as_deref_mut() {
-                            probe.on_scheduled_relay(handoff, flow_idx, pkt.seq);
-                        }
-                    }
+                    hooks.on_scheduled_relay(handoff, flow_idx, pkt.seq);
                 } else {
                     st.staged.push(PooledRelay {
                         at: handoff,
@@ -545,11 +521,7 @@ fn route_captures<const I: bool>(sched: &mut Scheduler<Ev, EventQueue<Ev>>, st: 
                         },
                     });
                     st.staged_seq += 1;
-                    if I {
-                        if let Some(probe) = st.probe.as_deref_mut() {
-                            probe.on_staged(pic, flow_idx, handoff, pkt.seq);
-                        }
-                    }
+                    hooks.on_staged(pic, flow_idx, handoff, pkt.seq);
                 }
             }
         }
@@ -723,7 +695,7 @@ impl SyncEnv for HardwareSyncEnv {
     }
 }
 
-/// `SimTime` as the nanosecond payload of a status atomic
+/// `SimTime` as the nanosecond payload of the round-bound atomic
 /// (`SimTime::MAX` round-trips as `u64::MAX`).
 #[inline]
 pub(crate) fn nanos_of(t: SimTime) -> u64 {
@@ -736,45 +708,17 @@ fn time_of(nanos: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_nanos(nanos)
 }
 
-/// Published status of one island: its clock, which the sanitizer's
-/// injection check reads to flag a relay whose handoff lies before it.
-/// Only the instrumented engine publishes it (the island's owner, after
-/// each run); the coordinator reads it between rounds. The round's two
-/// barrier crossings separate every write from the reads.
-#[derive(Default)]
-struct IslandMeta {
-    /// The island clock, nanos.
-    clock: AtomicU64,
-}
-
-impl IslandMeta {
-    /// Publishes the island's clock. It stays valid until the island
-    /// next runs.
-    fn publish(&self, island: &IslandSim) {
-        // ord: Release — the coordinator reads it after the round's
-        // second barrier crossing, whose Acquire/Release pair already
-        // orders it; the explicit Release pairs with the Acquire load
-        // below and keeps the publish self-contained.
-        self.clock.store(nanos_of(island.now()), Ordering::Release);
-    }
-
-    fn clock(&self) -> SimTime {
-        // ord: Acquire — pairs with the owner's Release publish.
-        time_of(self.clock.load(Ordering::Acquire))
-    }
-}
-
 /// A staged relay with its injection key, parked in the coordinator's pool
 /// until the global round clock reaches its handoff instant.
 #[derive(Clone)]
-struct PooledRelay {
+pub(crate) struct PooledRelay {
     /// Injection key: handoff instant, then source piconet, then staging
     /// sequence — the deterministic total order of same-instant
     /// injections.
-    at: SimTime,
-    source: u16,
-    seq: u64,
-    relay: StagedRelay,
+    pub(crate) at: SimTime,
+    pub(crate) source: u16,
+    pub(crate) seq: u64,
+    pub(crate) relay: StagedRelay,
 }
 
 /// Pool head-room: enough for every relay in flight across one rendezvous
@@ -784,25 +728,12 @@ fn pool_capacity(islands: usize) -> usize {
 }
 
 /// Restores the pool's descending key order (minimum last, so due entries
-/// pop off the back). `unsorted` is the [`EngineMutation::UnsortedStagingDrain`]
-/// corpus mutation: the sort keeps `(at, source)` descending but flips the
-/// staging-sequence tie-break, so same-instant same-source relays pop in
-/// reverse staging order.
-fn sort_pool(pool: &mut [PooledRelay], unsorted: bool) {
-    if unsorted {
-        // analyze: allow(unstable-sort): deliberate corpus mutation — the
-        // broken tie-break is the point; the sanitizer must flag it.
-        pool.sort_unstable_by(|x, y| {
-            (y.at, y.source)
-                .cmp(&(x.at, x.source))
-                .then(x.seq.cmp(&y.seq))
-        });
-    } else {
-        // analyze: allow(unstable-sort): the key (at, source, seq) is
-        // unique per entry (seq is a per-source monotone counter), so
-        // unstable ties cannot occur and the order is deterministic.
-        pool.sort_unstable_by_key(|p| std::cmp::Reverse((p.at, p.source, p.seq)));
-    }
+/// pop off the back).
+fn sort_pool(pool: &mut [PooledRelay]) {
+    // analyze: allow(unstable-sort): the key (at, source, seq) is
+    // unique per entry (seq is a per-source monotone counter), so
+    // unstable ties cannot occur and the order is deterministic.
+    pool.sort_unstable_by_key(|p| std::cmp::Reverse((p.at, p.source, p.seq)));
 }
 
 /// Injects one pooled relay into its target island. The coordinator deals
@@ -814,15 +745,17 @@ fn sort_pool(pool: &mut [PooledRelay], unsorted: bool) {
 /// FIFO order, in dealing order — an ordering that holds identically
 /// across thread counts and island orders, which is what makes the
 /// reports byte-identical across both.
-fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
+fn inject_relay<H: IslandHooks>(island: &mut IslandSim, hooks: &mut H, relay: &StagedRelay) {
     let (sched, st) = island.split_mut();
     st.origins[relay.flow_idx as usize].push_back(relay.origin);
+    let now = sched.now();
+    hooks.on_inject(relay.at, now);
     // In the clean engine the clamp is the identity: the round clock only
     // reaches `relay.at` while the target island's clock is at or before
     // it. It exists so the deliberately broken corpus engines (injections
     // behind the clock) keep running for the sanitizer to report the
     // violation instead of tripping the queue's no-past-scheduling assert.
-    let at = relay.at.max(sched.now());
+    let at = relay.at.max(now);
     let pkt = AppPacket::new(relay.pkt.seq, relay.pkt.flow, relay.pkt.size, at);
     sched.schedule_at(
         at,
@@ -831,11 +764,7 @@ fn inject_relay<const I: bool>(island: &mut IslandSim, relay: &StagedRelay) {
             pkt,
         },
     );
-    if I {
-        if let Some(probe) = st.probe.as_deref_mut() {
-            probe.on_scheduled_relay(at, relay.flow_idx, relay.pkt.seq);
-        }
-    }
+    hooks.on_scheduled_relay(at, relay.flow_idx, relay.pkt.seq);
 }
 
 /// Engine observability counters, surfaced on [`ScatternetReport`].
@@ -848,185 +777,6 @@ pub(crate) struct EngineCounters {
     pub(crate) islands_claimed: u64,
     pub(crate) relays_staged: u64,
     pub(crate) relays_injected: u64,
-}
-
-/// Test-only engine corruption state, driving one [`EngineMutation`]
-/// through the round loop (the seeded-mutation corpus the sanitizer and
-/// bisector are proven against).
-pub(crate) struct MutationState {
-    which: EngineMutation,
-    /// [`EngineMutation::RelayBehindClock`]: the withheld relay, released
-    /// one boundary late.
-    held: Option<PooledRelay>,
-    /// One-shot latch for the hold/drop/duplicate corruptions.
-    fired: bool,
-}
-
-impl MutationState {
-    pub(crate) fn new(which: EngineMutation) -> MutationState {
-        MutationState {
-            which,
-            held: None,
-            fired: false,
-        }
-    }
-}
-
-/// Per-run instrumentation control handed to the engine loops: the
-/// sanitizer (sanitized runs), the seeded mutation (corpus tests) and the
-/// coordinator-side observability recorder (observed runs). Default runs
-/// carry `None` in every field; every hook is a per-round or
-/// per-injection `Option` branch, never per event — the per-event seam is
-/// the `I` const generic on [`island_handle`].
-struct EngineCtl<'a> {
-    san: Option<&'a mut EngineSanitizer>,
-    muts: Option<&'a mut MutationState>,
-    obs: Option<&'a mut CoordObs>,
-}
-
-impl EngineCtl<'_> {
-    /// `true` once the sanitizer recorded any finding: the engine halts at
-    /// the end of the current round instead of cascading.
-    fn tripped(&self) -> bool {
-        self.san.as_deref().is_some_and(EngineSanitizer::tripped)
-    }
-
-    /// [`EngineMutation::UnsortedStagingDrain`]: break the pool sort's
-    /// staging-sequence tie-break.
-    fn unsorted(&self) -> bool {
-        self.muts
-            .as_deref()
-            .is_some_and(|m| m.which == EngineMutation::UnsortedStagingDrain)
-    }
-
-    /// [`EngineMutation::BoundaryOffByOne`]: `true` when boundary `b` is a
-    /// skippable calendar start — never a pending-injection, checkpoint or
-    /// horizon cap, so the mutated walk skips sync points without
-    /// deadlocking the round loop or scheduling injections it already owes.
-    fn skip_boundary(
-        &self,
-        b: SimTime,
-        checkpoint: SimTime,
-        probed: bool,
-        horizon: SimTime,
-        pool_min: Option<SimTime>,
-    ) -> bool {
-        self.muts
-            .as_deref()
-            .is_some_and(|m| m.which == EngineMutation::BoundaryOffByOne)
-            && b < horizon
-            && pool_min != Some(b)
-            && (probed || b != checkpoint)
-    }
-
-    /// [`EngineMutation::DroppedRelay`] / [`EngineMutation::DuplicatedRelay`]:
-    /// corrupt the freshly sorted pool, once — after the sanitizer counted
-    /// the collected relays, so conservation is checked against the true
-    /// staging counts.
-    fn corrupt_pool(&mut self, pool: &mut Vec<PooledRelay>) {
-        let Some(m) = self.muts.as_deref_mut() else {
-            return;
-        };
-        if m.fired || pool.is_empty() {
-            return;
-        }
-        match m.which {
-            EngineMutation::DroppedRelay => {
-                m.fired = true;
-                pool.pop();
-            }
-            EngineMutation::DuplicatedRelay => {
-                m.fired = true;
-                let dup = pool.last().expect("pool checked non-empty").clone();
-                pool.push(dup);
-            }
-            _ => {}
-        }
-    }
-
-    /// [`EngineMutation::RelayBehindClock`]: withholds the first due relay
-    /// from injection (returns `None`; the relay is parked in the
-    /// mutation state).
-    fn intercept(&mut self, p: PooledRelay) -> Option<PooledRelay> {
-        let Some(m) = self.muts.as_deref_mut() else {
-            return Some(p);
-        };
-        if m.which == EngineMutation::RelayBehindClock && !m.fired {
-            m.fired = true;
-            m.held = Some(p);
-            return None;
-        }
-        Some(p)
-    }
-
-    /// [`EngineMutation::RelayBehindClock`]: hands the withheld relay back
-    /// at the first boundary past its handoff — an injection behind the
-    /// target island's clock.
-    fn release_due(&mut self, t: SimTime) -> Option<PooledRelay> {
-        let m = self.muts.as_deref_mut()?;
-        if m.held.as_ref().is_some_and(|h| h.at < t) {
-            m.held.take()
-        } else {
-            None
-        }
-    }
-
-    /// Forwards one relay merged into the pool at boundary `b` to the
-    /// sanitizer's phase-boundary check: a handoff before `b` means the
-    /// phase ran past a boundary this relay lands on.
-    fn on_collected(&mut self, b: SimTime, source: u16, at: SimTime) {
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_collected(b, source, at);
-        }
-    }
-
-    /// Runs the sanitizer's injection checks (total order, duplication,
-    /// lookahead safety against the target island's clock). `false` means
-    /// the injection would land behind the clock — the caller withholds
-    /// the schedule (the run is halting at this finding anyway).
-    fn check_injection(
-        &mut self,
-        key: (SimTime, u16, u64),
-        target: (u16, u32),
-        target_now: SimTime,
-    ) -> bool {
-        match self.san.as_deref_mut() {
-            Some(san) => san.check_injection(key, target, target_now),
-            None => true,
-        }
-    }
-
-    /// Records one closed phase on the coordinator observability recorder:
-    /// the `[t, b]` slice, the islands run and the post-collect relay
-    /// pool occupancy. Every argument is derived from
-    /// thread-count-invariant engine state, so the recorded trace is
-    /// byte-identical across 1/2/4 threads and island orders.
-    fn on_phase(&mut self, t: SimTime, b: SimTime, islands: u64, pool_len: usize) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_phase(t, b, islands, pool_len);
-        }
-    }
-
-    /// Records one pooled-relay injection (target island and staging
-    /// sequence) on the coordinator observability recorder.
-    fn on_injected(&mut self, t: SimTime, target: u16, seq: u64) {
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.on_injected(t, target, seq);
-        }
-    }
-
-    /// Reports every relay still pooled at run end to the sanitizer's
-    /// conservation reconciliation (legitimate for handoffs past the
-    /// horizon). A relay still *held* by the behind-clock mutation is
-    /// deliberately not reported: a never-released hold must trip the
-    /// conservation check.
-    fn note_leftovers(&mut self, pool: &[PooledRelay]) {
-        if let Some(san) = self.san.as_deref_mut() {
-            for p in pool {
-                san.on_leftover((p.relay.pic, p.relay.flow_idx));
-            }
-        }
-    }
 }
 
 /// One participant's relay traffic with the coordinator: the relays dealt
@@ -1050,32 +800,25 @@ impl Mailbox {
 
 /// One participant's share of a round: inject the relays dealt to its
 /// islands, run every island to `b` and drain what it staged into the
-/// outbox. The instrumented engine also publishes each island's clock.
-fn run_block<const I: bool>(
+/// outbox. `hooks` is parallel to `block`.
+fn run_block<H: IslandHooks>(
     block: &mut [IslandSim],
-    meta: &[IslandMeta],
+    hooks: &mut [H],
     mail: &mut Mailbox,
     b: SimTime,
 ) {
     for (slot, relay) in mail.inbox.drain(..) {
-        inject_relay::<I>(&mut block[slot], &relay);
+        inject_relay(&mut block[slot], &mut hooks[slot], &relay);
     }
-    for (island, meta) in block.iter_mut().zip(meta) {
-        island.run_until(b, island_handle::<I>);
-        if I {
-            let (sched, st) = island.split_mut();
-            let occ = sched.queue_occupancy();
-            if let Some(probe) = st.probe.as_deref_mut() {
-                probe.on_island_ran(b, occ.live as u64, occ.near as u64);
-            }
-            meta.publish(island);
-        }
+    for (island, hooks) in block.iter_mut().zip(hooks) {
+        island.run_until(b, |sched, st, ev| island_handle(sched, st, hooks, ev));
+        hooks.on_island_ran(b, island.scheduler_mut().queue_occupancy());
         mail.outbox.append(&mut island.state_mut().staged);
     }
 }
 
-/// Splits `islands` at `bounds` into one mutable block per participant.
-fn split_blocks<'a>(mut rest: &'a mut [IslandSim], bounds: &[usize]) -> Vec<&'a mut [IslandSim]> {
+/// Splits `items` at `bounds` into one mutable block per participant.
+fn split_blocks<'a, T>(mut rest: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
     let mut blocks = Vec::with_capacity(bounds.len() - 1);
     for w in bounds.windows(2) {
         let (block, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
@@ -1087,26 +830,27 @@ fn split_blocks<'a>(mut rest: &'a mut [IslandSim], bounds: &[usize]) -> Vec<&'a 
 
 /// The phase loop, for any number of participants.
 ///
-/// `islands` is in visit order and `pos_of[pic]` is piconet `pic`'s
-/// position in it; participant `p` owns positions `bounds[p]..bounds[p +
-/// 1]` for the whole run, participant 0 being the coordinator (this
-/// thread). Each round the coordinator picks the boundary from the
-/// calendar and the pooled relays, every participant runs its own block
-/// through [`run_block`], and the coordinator merges the
-/// outboxes into the pool, sorts it and deals the relays due at the
-/// boundary into their owners' inboxes. The coordinator touches no
-/// island; no island is touched by two threads. One participant spawns
-/// no thread, crosses no barrier and takes no lock.
+/// `islands` is in visit order, `island_hooks` is parallel to it, and
+/// `pos_of[pic]` is piconet `pic`'s position in it; participant `p` owns
+/// positions `bounds[p]..bounds[p + 1]` for the whole run, participant 0
+/// being the coordinator (this thread). Each round the coordinator picks
+/// the boundary from the calendar and the pooled relays, every participant
+/// runs its own block through [`run_block`], and the coordinator merges
+/// the outboxes into the pool, sorts it and deals the relays due at the
+/// boundary into their owners' inboxes. The coordinator touches no island
+/// and runs `hooks`; no island is touched by two threads. One participant
+/// spawns no thread, crosses no barrier and takes no lock.
 #[allow(clippy::too_many_arguments)]
-fn run_phases<const I: bool>(
+fn run_phases<H: EngineHooks>(
     islands: &mut [IslandSim],
+    island_hooks: &mut [H::Island],
     pos_of: &[usize],
     bounds: &[usize],
     groups: &[SyncPoint],
     checkpoint: SimTime,
     horizon: SimTime,
     probe: &mut dyn FnMut(),
-    ctl: &mut EngineCtl<'_>,
+    hooks: &mut H,
 ) -> EngineCounters {
     let n = islands.len();
     let participants = bounds.len() - 1;
@@ -1115,11 +859,12 @@ fn run_phases<const I: bool>(
         .enumerate()
         .flat_map(|(p, w)| std::iter::repeat_n(p, w[1] - w[0]))
         .collect();
-    let meta: Vec<IslandMeta> = (0..n).map(|_| IslandMeta::default()).collect();
     let mut counters = EngineCounters::default();
     let mut pool: Vec<PooledRelay> = Vec::with_capacity(pool_capacity(n));
-    let mut blocks = split_blocks(islands, bounds).into_iter();
-    let own = blocks.next().expect("at least one participant");
+    let mut blocks = split_blocks(islands, bounds)
+        .into_iter()
+        .zip(split_blocks(island_hooks, bounds));
+    let (own, own_hooks) = blocks.next().expect("at least one participant");
     let mut mail = Mailbox::new(bounds[1]);
     let mailboxes: Vec<Mutex<Mailbox>> = bounds[1..]
         .windows(2)
@@ -1130,9 +875,8 @@ fn run_phases<const I: bool>(
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        for ((block, mailbox), w) in blocks.zip(&mailboxes).zip(bounds[1..].windows(2)) {
+        for ((block, block_hooks), mailbox) in blocks.zip(&mailboxes) {
             let (barrier, bound, stop) = (&barrier, &bound, &stop);
-            let meta = &meta[w[0]..w[1]];
             scope.spawn(move || loop {
                 barrier.wait();
                 // ord: Acquire — pairs with the coordinator's Release
@@ -1146,7 +890,7 @@ fn run_phases<const I: bool>(
                 // publish of the round bound (same reasoning as `stop`).
                 let b = time_of(bound.load(Ordering::Acquire));
                 let mut mail = mailbox.lock().expect("participants do not panic");
-                run_block::<I>(block, meta, &mut mail, b);
+                run_block(block, block_hooks, &mut mail, b);
                 drop(mail);
                 barrier.wait();
             });
@@ -1160,7 +904,7 @@ fn run_phases<const I: bool>(
         loop {
             let pool_min = pool.last().map(|p| p.at);
             let mut b = next_boundary(t, checkpoint, probed, horizon, pool_min, groups);
-            if ctl.skip_boundary(b, checkpoint, probed, horizon, pool_min) {
+            if hooks.skip_boundary(b, checkpoint, probed, horizon, pool_min) {
                 b = next_boundary(b, checkpoint, probed, horizon, pool_min, groups);
             }
             counters.phases_run += 1;
@@ -1174,7 +918,7 @@ fn run_phases<const I: bool>(
                 bound.store(nanos_of(b), Ordering::Release);
                 barrier.wait();
             }
-            run_block::<I>(own, &meta[..bounds[1]], &mut mail, b);
+            run_block(own, own_hooks, &mut mail, b);
             if participants > 1 {
                 barrier.wait();
             }
@@ -1188,22 +932,25 @@ fn run_phases<const I: bool>(
             {
                 counters.relays_staged += outbox.len() as u64;
                 for p in outbox.drain(..) {
-                    ctl.on_collected(b, p.source, p.at);
+                    hooks.on_collected(b, &p);
                     pool.push(p);
                 }
             }
-            sort_pool(&mut pool, ctl.unsorted());
-            ctl.corrupt_pool(&mut pool);
-            ctl.on_phase(t, b, n as u64, pool.len());
+            if let Some(held) = hooks.release_due(b) {
+                pool.push(held);
+            }
+            sort_pool(&mut pool);
+            hooks.on_sorted(&mut pool);
+            hooks.on_phase(t, b, n as u64, pool.len());
             if !probed && b >= checkpoint {
                 probe();
                 probed = true;
             }
             t = b;
-            if let Some(h) = ctl.release_due(t) {
-                pool.push(h);
-                sort_pool(&mut pool, ctl.unsorted());
-            }
+            // A halting run deals nothing more: the round that just ran
+            // injected everything dealt before it, so the findings cover
+            // every relay the run let through.
+            let halted = hooks.halted();
             // Deal every relay due now to its target's owner; it is
             // injected and becomes live in the next round. In the clean
             // engine a due relay's handoff is exactly `t` (the
@@ -1214,37 +961,29 @@ fn run_phases<const I: bool>(
             // relays landing exactly on it still fire, and later handoffs
             // (which can never fire) are left in the pool.
             let mut due = false;
-            while pool.last().is_some_and(|p| p.at <= t) {
+            while !halted && pool.last().is_some_and(|p| p.at <= t) {
                 let p = pool.pop().expect("just peeked");
-                let Some(p) = ctl.intercept(p) else {
+                let Some(p) = hooks.intercept(p) else {
                     continue;
                 };
+                hooks.on_dealt(t, &p);
                 let pos = pos_of[p.relay.pic as usize];
-                let proceed = !I
-                    || ctl.check_injection(
-                        (p.at, p.source, p.seq),
-                        (p.relay.pic, p.relay.flow_idx),
-                        meta[pos].clock(),
-                    );
-                if proceed {
-                    let owner = owner_of[pos];
-                    let inbox = match owner {
-                        0 => &mut mail.inbox,
-                        w => &mut guards[w - 1].inbox,
-                    };
-                    inbox.push((pos - bounds[owner], p.relay));
-                    counters.relays_injected += 1;
-                    ctl.on_injected(t, p.relay.pic, p.seq);
-                }
+                let owner = owner_of[pos];
+                let inbox = match owner {
+                    0 => &mut mail.inbox,
+                    w => &mut guards[w - 1].inbox,
+                };
+                inbox.push((pos - bounds[owner], p.relay));
+                counters.relays_injected += 1;
                 due = true;
             }
             guards.clear();
-            if (t >= horizon && !due) || ctl.tripped() {
+            if halted || (t >= horizon && !due) {
                 break;
             }
         }
         probe();
-        ctl.note_leftovers(&pool);
+        hooks.on_leftovers(&pool);
 
         if participants > 1 {
             // ord: Release — carried to the workers by the final barrier
@@ -1355,17 +1094,6 @@ pub struct ScatternetSim {
     /// Test-only seeded engine corruption (see [`EngineMutation`]); `None`
     /// for every supported configuration.
     mutation: Option<EngineMutation>,
-}
-
-/// What [`ScatternetSim::run_inner`] hands back to its public wrappers:
-/// the report (withheld when the sanitizer halted the run), the sanitizer
-/// findings, the bisector event trace, and the observability outputs —
-/// each populated only when requested.
-struct RunInnerOutput {
-    report: Option<ScatternetReport>,
-    sanitizer: Option<SanitizerReport>,
-    trace: Option<RunTrace>,
-    observed: Option<crate::telemetry::ObservedParts>,
 }
 
 impl ScatternetSim {
@@ -1623,7 +1351,6 @@ impl ScatternetSim {
                     staged_seq: 0,
                     warmup,
                     chain_stats,
-                    probe: None,
                 };
                 Simulator::with_queue(state, EventQueue::new())
             })
@@ -1730,19 +1457,17 @@ impl ScatternetSim {
         horizon: SimTime,
         probe: &mut dyn FnMut(),
     ) -> Result<ScatternetReport, PiconetError> {
-        let out = self.run_inner(checkpoint, horizon, probe, false, None, None)?;
-        Ok(out
-            .report
-            .expect("uninstrumented runs always carry a report"))
+        let (report, ..) = self.run_inner(checkpoint, horizon, probe, ())?;
+        Ok(report)
     }
 
     /// Runs to `horizon` with the observability layer enabled: a
     /// deterministic structured trace (fixed-capacity per-track ring
     /// buffers, sim-time keyed — byte-identical across thread counts and
     /// claim orders) plus the pre-registered engine telemetry
-    /// ([`TelemetryReport`]). Plain [`run`](ScatternetSim::run) compiles
-    /// all of it out through the same const-generic seam as the
-    /// sanitizer.
+    /// ([`TelemetryReport`](crate::TelemetryReport)). Plain
+    /// [`run`](ScatternetSim::run) instantiates the engine without any of
+    /// it (see the `hooks` module).
     ///
     /// # Errors
     ///
@@ -1761,8 +1486,8 @@ impl ScatternetSim {
     /// cost meters — one per island, in [`PiconetId`] order (or an empty
     /// vector for none). Meters receive a `begin`/`end(tag)` pair around
     /// every island event and are handed back on the
-    /// [`ObservedRun`]; wall-clock meters live in the harness crates
-    /// (`btgs-obs`), keeping ambient time out of the simulation.
+    /// [`ObservedRun`]; wall-clock meters live in the harness crates,
+    /// keeping ambient time out of the simulation.
     ///
     /// # Errors
     ///
@@ -1783,36 +1508,31 @@ impl ScatternetSim {
                 self.islands.len()
             )));
         }
-        let out = self.run_inner(checkpoint, horizon, probe, false, None, Some((cfg, meters)))?;
-        let (trace, telemetry, meters) = out.observed.expect("observed runs carry their outputs");
-        Ok(ObservedRun {
-            report: out.report.expect("observed runs always carry a report"),
-            trace,
-            telemetry,
-            meters,
-        })
+        let observer = Observer::new(cfg, meters);
+        let (report, counters, observer, islands) =
+            self.run_inner(checkpoint, horizon, probe, observer)?;
+        Ok(observer.assemble(islands, &counters, report))
     }
 
     /// Runs to `horizon` with the causality sanitizer enabled: per-phase
     /// checks of lookahead safety, phase boundaries, staged-relay total
     /// order, wheel FIFO and cross-island packet conservation (see the
     /// [`sanitizer`](crate::SanitizerCheck) docs). The engine halts at the
-    /// end of the round that records the first finding, and a halted run's
-    /// report is withheld; a clean sanitized run returns a report
-    /// **byte-identical** to the unsanitized run of the same
-    /// configuration. Plain [`run`](ScatternetSim::run) compiles all of
-    /// this out.
+    /// end of the round that records the first finding, and the report of
+    /// a run with any finding is withheld; a clean sanitized run returns a
+    /// report **byte-identical** to the unsanitized run of the same
+    /// configuration. Plain [`run`](ScatternetSim::run) instantiates the
+    /// engine without any of this.
     ///
     /// # Errors
     ///
     /// See [`ScatternetSim::run`].
     pub fn run_sanitized(self, horizon: SimTime) -> Result<SanitizedRun, PiconetError> {
-        let out = self.run_inner(horizon, horizon, &mut || {}, true, None, None)?;
+        let (report, sanitizer, islands) = self.run_mutated(horizon, Sanitizer::default())?;
+        let sanitizer = sanitizer.into_report(islands);
         Ok(SanitizedRun {
-            report: out.report,
-            sanitizer: out
-                .sanitizer
-                .expect("sanitized runs carry a sanitizer report"),
+            report: sanitizer.clean().then_some(report),
+            sanitizer,
         })
     }
 
@@ -1830,16 +1550,20 @@ impl ScatternetSim {
         horizon: SimTime,
         trace: TraceConfig,
     ) -> Result<(ScatternetReport, RunTrace), PiconetError> {
-        let out = self.run_inner(horizon, horizon, &mut || {}, false, Some(trace), None)?;
-        Ok((
-            out.report.expect("traced runs always carry a report"),
-            out.trace.expect("traced runs carry a trace"),
-        ))
+        let (report, _, islands) = self.run_mutated(horizon, Recorder::new(trace))?;
+        let islands = islands
+            .into_iter()
+            .map(RecorderIsland::into_trace)
+            .collect();
+        Ok((report, RunTrace { islands }))
     }
 
     /// Seeds one deliberately broken engine variant (builder style).
     /// Test-only: the sanitizer-corpus tests prove each mutation is caught
-    /// and localized; never part of a supported configuration.
+    /// and localized; never part of a supported configuration. Only
+    /// [`run_sanitized`](ScatternetSim::run_sanitized) and
+    /// [`run_traced`](ScatternetSim::run_traced) apply it; every other run
+    /// ignores it, so a plain run's engine cannot contain the mutation.
     #[doc(hidden)]
     #[must_use]
     pub fn with_mutation(mut self, mutation: EngineMutation) -> ScatternetSim {
@@ -1847,22 +1571,42 @@ impl ScatternetSim {
         self
     }
 
-    /// The shared run loop behind [`run_probed`](ScatternetSim::run_probed)
-    /// (uninstrumented), [`run_sanitized`](ScatternetSim::run_sanitized)
-    /// and [`run_traced`](ScatternetSim::run_traced): seeds the islands,
-    /// splits the islands into per-thread blocks, runs the phase loop
-    /// (the instrumented monomorphisation only when sanitizing, tracing
-    /// or observing), and assembles
-    /// the report plus whatever instrumentation output was requested.
-    fn run_inner(
+    /// Runs to `horizon` with `hooks`, wrapped in the seeded mutation when
+    /// one is set, and hands back the report, the hooks and the island
+    /// hooks in piconet order.
+    fn run_mutated<H: EngineHooks>(
+        self,
+        horizon: SimTime,
+        hooks: H,
+    ) -> Result<(ScatternetReport, H, Vec<H::Island>), PiconetError> {
+        let probe = &mut || {};
+        match self.mutation {
+            None => {
+                let (report, _, hooks, islands) = self.run_inner(horizon, horizon, probe, hooks)?;
+                Ok((report, hooks, islands))
+            }
+            Some(which) => {
+                let mutated = Mutator::new(which, hooks);
+                let (report, _, mutated, islands) =
+                    self.run_inner(horizon, horizon, probe, mutated)?;
+                Ok((report, mutated.into_inner(), islands))
+            }
+        }
+    }
+
+    /// The shared run loop behind every public run: seeds the islands,
+    /// builds one island hook per piconet, lays islands and hooks out in
+    /// visit order, splits them into per-thread blocks, runs the phase
+    /// loop and assembles the report. Hands back the report, the engine
+    /// counters, `hooks` and the island hooks in piconet order.
+    #[allow(clippy::type_complexity)]
+    fn run_inner<H: EngineHooks>(
         mut self,
         checkpoint: SimTime,
         horizon: SimTime,
         probe: &mut dyn FnMut(),
-        sanitize: bool,
-        trace: Option<TraceConfig>,
-        obs: Option<(ObsConfig, Vec<Box<dyn EventMeter>>)>,
-    ) -> Result<RunInnerOutput, PiconetError> {
+        mut hooks: H,
+    ) -> Result<(ScatternetReport, EngineCounters, H, Vec<H::Island>), PiconetError> {
         // `self` is consumed, so a sim cannot run twice by construction.
         for (pic, island) in self.islands.iter_mut().enumerate() {
             let fed = &self.relay_fed[pic];
@@ -1873,49 +1617,14 @@ impl ScatternetSim {
             seed_world(sched, &mut st.world);
         }
 
-        // Instrumentation: install the per-island probes (sanitizer state,
-        // trace sinks, observability recorders) and the coordinator-side
-        // control. All of it is behind the `I` monomorphisation seam —
-        // default runs never touch any of this beyond a handful of
-        // `Option::None` branches per round.
-        let (obs_cfg, obs_meters) = match obs {
-            Some((cfg, meters)) => (Some(cfg), meters),
-            None => (None, Vec::new()),
-        };
-        let instrumented = sanitize || trace.is_some() || obs_cfg.is_some();
-        let tripped = Arc::new(AtomicBool::new(false));
-        if instrumented {
-            // An empty meter vector yields `None` for every island.
-            let mut meters = obs_meters.into_iter();
-            for island in self.islands.iter_mut() {
-                let st = island.state_mut();
-                let island_obs = obs_cfg
-                    .as_ref()
-                    .map(|cfg| IslandObs::new(st.pic, cfg, meters.next()));
-                st.probe = Some(Box::new(IslandProbe::new(
-                    st.pic,
-                    Arc::clone(&tripped),
-                    sanitize,
-                    trace.as_ref(),
-                    island_obs,
-                )));
-            }
-        }
-        let mut coord_obs = obs_cfg.as_ref().map(CoordObs::new);
-        let mut san = sanitize.then(|| EngineSanitizer::new(Arc::clone(&tripped)));
-        let mut muts = self.mutation.map(MutationState::new);
-        let mut ctl = EngineCtl {
-            san: san.as_mut(),
-            muts: muts.as_mut(),
-            obs: coord_obs.as_mut(),
-        };
-
         // The island visit order: identity, or a deterministic shuffle to
-        // prove order independence. The islands are laid out in that order
-        // (by the shuffle's own swaps, undone in reverse after the run),
-        // so the contiguous block each participant owns is one slice.
+        // prove order independence. The islands and their hooks are laid
+        // out in that order (by the shuffle's own swaps, undone in reverse
+        // after the run), so the contiguous block each participant owns is
+        // one slice of each.
         let n = self.islands.len();
         let mut islands = self.islands;
+        let mut island_hooks: Vec<H::Island> = (0..n).map(|pic| hooks.island(pic as u16)).collect();
         let swaps: Vec<(usize, usize)> = match self.shuffle_seed {
             Some(seed) => {
                 let mut rng = DetRng::seed_from_u64(seed);
@@ -1928,6 +1637,7 @@ impl ScatternetSim {
         };
         for &(i, j) in &swaps {
             islands.swap(i, j);
+            island_hooks.swap(i, j);
         }
         let mut pos_of = vec![0; n];
         for (pos, island) in islands.iter().enumerate() {
@@ -1953,23 +1663,20 @@ impl ScatternetSim {
             .map(|island| island.state().world.table.len())
             .collect();
         let bounds = block_bounds(&weights, participants);
-        let run = if instrumented {
-            run_phases::<true>
-        } else {
-            run_phases::<false>
-        };
-        let counters = run(
+        let counters = run_phases(
             &mut islands,
+            &mut island_hooks,
             &pos_of,
             &bounds,
             &self.sync_points,
             checkpoint,
             horizon,
             probe,
-            &mut ctl,
+            &mut hooks,
         );
         for &(i, j) in swaps.iter().rev() {
             islands.swap(i, j);
+            island_hooks.swap(i, j);
         }
 
         let mut chains: Vec<ChainReport> = self
@@ -1984,16 +1691,11 @@ impl ScatternetSim {
             })
             .collect();
         let mut piconets = Vec::with_capacity(islands.len());
-        let mut probes: Vec<IslandProbe> =
-            Vec::with_capacity(if instrumented { piconets.capacity() } else { 0 });
         let mut events_processed = 0;
         for island in islands {
             let events = island.events_processed();
             events_processed += events;
-            let mut st = island.into_state();
-            if let Some(probe) = st.probe.take() {
-                probes.push(*probe);
-            }
+            let st = island.into_state();
             for (ci, local) in st.chain_stats.into_iter().enumerate() {
                 let report = &mut chains[ci];
                 report.relayed_packets += local.relayed;
@@ -2015,30 +1717,7 @@ impl ScatternetSim {
             islands_skipped_idle: 0,
             relays_injected: counters.relays_injected,
         };
-
-        let sanitizer = san.map(|mut s| {
-            s.finish(&probes);
-            s.into_report(&mut probes)
-        });
-        let run_trace = trace.is_some().then(|| RunTrace {
-            islands: probes.iter_mut().map(IslandProbe::take_trace).collect(),
-        });
-        let observed = coord_obs.map(|coord| {
-            let island_obs: Vec<IslandObs> = probes
-                .iter_mut()
-                .filter_map(IslandProbe::take_obs)
-                .collect();
-            crate::telemetry::assemble(coord, island_obs, &counters, &report)
-        });
-        // ord: Relaxed — every engine participant has joined or unlocked
-        // by now; this is a post-run summary read.
-        let halted = sanitize && tripped.load(Ordering::Relaxed);
-        Ok(RunInnerOutput {
-            report: if halted { None } else { Some(report) },
-            sanitizer,
-            trace: run_trace,
-            observed,
-        })
+        Ok((report, counters, hooks, island_hooks))
     }
 }
 

@@ -1,9 +1,10 @@
 //! The deterministic observability layer of the island engine.
 //!
-//! Three pillars, all behind the same const-generic `I` seam as the
-//! causality sanitizer (so plain [`run`](crate::ScatternetSim::run)
-//! compiles every capture site out and the default path stays
-//! bit-and-allocation identical):
+//! Three pillars, all in the `Observer` implementation of the engine's
+//! hook traits (see the `hooks` module), the same seam as the causality
+//! sanitizer. Plain [`run`](crate::ScatternetSim::run) instantiates the
+//! engine with `()` instead, so no capture site is compiled into it and
+//! the default path stays bit-and-allocation identical:
 //!
 //! * **structured tracing** — fixed-capacity ring buffers
 //!   ([`TraceSink`]) of typed [`TraceRecord`]s: phase spans, island
@@ -23,18 +24,20 @@
 //!
 //! * **per-event cost metering** — an [`EventMeter`] callback pair
 //!   (`begin`/`end(tag)`) around every island event. The trait object
-//!   is supplied by the harness (`btgs-obs`), which is where the
-//!   wall-clock reads live; this crate never touches an ambient clock.
+//!   is supplied by a harness (perfbench's per-island meter), which is
+//!   where the wall-clock reads live; this crate never touches an ambient
+//!   clock.
 //!
 //! Everything here is pre-sized at run start: ring buffers at their
 //! configured capacity (overflow is *dropped and counted*, never
 //! grown), histograms as fixed arrays. The zero-allocation gate
 //! brackets an observed steady state to prove it.
 
-use crate::sanitizer::TraceKind;
-use crate::scatternet::{nanos_of, EngineCounters};
+use crate::hooks::{descriptor, EngineHooks, IslandHooks};
+use crate::scatternet::{nanos_of, EngineCounters, PooledRelay};
+use crate::sim::Ev;
 use crate::ScatternetReport;
-use btgs_des::SimTime;
+use btgs_des::{QueueOccupancy, SimTime};
 
 /// Event-kind names, indexed by the tag byte handed to
 /// [`EventMeter::end`] and carried in fine-grained [`TraceRecord`]s
@@ -331,10 +334,10 @@ pub struct ObservedRun {
     pub meters: Vec<Box<dyn EventMeter>>,
 }
 
-/// Per-island observability state, owned by the island's probe and
-/// driven from behind the `I` seam. Each island writes its own sink:
-/// no cross-thread sharing, so parallel claims cannot interleave
-/// records.
+/// Per-island observability state: the island's own trace ring, its
+/// queue and claim histograms, and its optional event meter. It rides
+/// with the island on its owner thread, so parallel claims cannot
+/// interleave records.
 pub(crate) struct IslandObs {
     sink: TraceSink,
     fine: bool,
@@ -348,23 +351,9 @@ pub(crate) struct IslandObs {
     events_per_claim: Histo32,
 }
 
-impl IslandObs {
-    pub(crate) fn new(pic: u16, cfg: &ObsConfig, meter: Option<Box<dyn EventMeter>>) -> IslandObs {
-        IslandObs {
-            sink: TraceSink::new(cfg.ring_capacity),
-            fine: cfg.fine_events,
-            track: pic + 1,
-            prev_b_ns: 0,
-            events_in_claim: 0,
-            last_tag: 0,
-            meter,
-            wheel_pending: Histo32::default(),
-            wheel_near: Histo32::default(),
-            events_per_claim: Histo32::default(),
-        }
-    }
-
-    pub(crate) fn on_event(&mut self, t: SimTime, kind: TraceKind, a: u64, _b: u64) {
+impl IslandHooks for IslandObs {
+    fn on_event(&mut self, t: SimTime, ev: &Ev) {
+        let (kind, a, _) = descriptor(ev);
         self.events_in_claim += 1;
         self.last_tag = kind as u8;
         if self.fine {
@@ -383,26 +372,27 @@ impl IslandObs {
         }
     }
 
-    pub(crate) fn after_event(&mut self) {
+    fn after_event(&mut self) {
         if let Some(m) = self.meter.as_mut() {
             m.end(self.last_tag);
         }
     }
 
-    pub(crate) fn on_staged(&mut self, target_pic: u16, _flow_idx: u32, at: SimTime, seq: u64) {
+    fn on_staged(&mut self, target: u16, _flow_idx: u32, at: SimTime, seq: u64) {
         let at_ns = nanos_of(at);
         self.sink.push(
             at_ns,
             at_ns,
             self.track,
             TraceRecordKind::RelayStage,
-            u64::from(target_pic),
+            u64::from(target),
             seq,
         );
     }
 
-    pub(crate) fn on_island_ran(&mut self, b: SimTime, live: u64, near: u64) {
+    fn on_island_ran(&mut self, b: SimTime, occ: QueueOccupancy) {
         let b_ns = nanos_of(b);
+        let (live, near) = (occ.live as u64, occ.near as u64);
         self.sink.push(
             self.prev_b_ns,
             b_ns,
@@ -419,26 +409,110 @@ impl IslandObs {
     }
 }
 
-/// Coordinator-side observability state: phase spans, injections and
-/// the engine-shape histograms. Only ever touched by the coordinating
-/// thread (between barrier rounds in the parallel engine), so its
-/// record order is thread-count-invariant.
-pub(crate) struct CoordObs {
+/// The observability hooks: coordinator-side phase spans, injections and
+/// engine-shape histograms, plus one [`IslandObs`] per island. Only ever
+/// touched by the coordinating thread (between barrier rounds in the
+/// parallel engine), so its record order is thread-count-invariant.
+pub(crate) struct Observer {
+    cfg: ObsConfig,
+    /// The caller's meters, handed out in piconet order (none left means
+    /// no meter).
+    meters: std::vec::IntoIter<Box<dyn EventMeter>>,
     sink: TraceSink,
     phase_width_ns: Histo32,
     relay_pool: Histo32,
 }
 
-impl CoordObs {
-    pub(crate) fn new(cfg: &ObsConfig) -> CoordObs {
-        CoordObs {
+impl Observer {
+    pub(crate) fn new(cfg: ObsConfig, meters: Vec<Box<dyn EventMeter>>) -> Observer {
+        Observer {
+            cfg,
+            meters: meters.into_iter(),
             sink: TraceSink::new(cfg.ring_capacity),
             phase_width_ns: Histo32::default(),
             relay_pool: Histo32::default(),
         }
     }
 
-    pub(crate) fn on_phase(&mut self, t: SimTime, b: SimTime, islands: u64, pool_len: usize) {
+    /// Merges the coordinator's and every island's sinks (`islands` in
+    /// piconet order) into the final [`EngineTrace`], assembles the
+    /// [`TelemetryReport`] from the engine counters, the report's poll mix
+    /// and the registered histograms, and hands the meters back.
+    pub(crate) fn assemble(
+        self,
+        islands: Vec<IslandObs>,
+        counters: &EngineCounters,
+        report: ScatternetReport,
+    ) -> ObservedRun {
+        let mut telemetry = TelemetryReport {
+            events_processed: report.events_processed,
+            phases_run: counters.phases_run,
+            barrier_rounds: counters.barrier_rounds,
+            islands_claimed: counters.islands_claimed,
+            relays_staged: counters.relays_staged,
+            relays_injected: counters.relays_injected,
+            phase_width_ns: self.phase_width_ns,
+            relay_pool: self.relay_pool,
+            ..TelemetryReport::default()
+        };
+        for p in &report.piconets {
+            telemetry.gs_polls_successful += p.gs_polls.successful;
+            telemetry.gs_polls_unsuccessful += p.gs_polls.unsuccessful;
+            telemetry.be_polls_successful += p.be_polls.successful;
+            telemetry.be_polls_unsuccessful += p.be_polls.unsuccessful;
+        }
+
+        let mut dropped = self.sink.dropped;
+        let mut records = self.sink.records;
+        let mut meters = Vec::new();
+        for island in islands {
+            dropped += island.sink.dropped;
+            records.extend_from_slice(&island.sink.records);
+            telemetry.wheel_pending.merge(&island.wheel_pending);
+            telemetry.wheel_near.merge(&island.wheel_near);
+            telemetry.events_per_claim.merge(&island.events_per_claim);
+            if let Some(m) = island.meter {
+                meters.push(m);
+            }
+        }
+        telemetry.trace_dropped = dropped;
+        // analyze: allow(unstable-sort): the key `(start_ns, track, seq)` is
+        // provably unique — `track` identifies the originating sink and `seq`
+        // is that sink's monotone per-record counter, so no two records
+        // compare equal.
+        records.sort_unstable_by_key(|r| (r.start_ns, r.track, r.seq));
+        ObservedRun {
+            report,
+            telemetry,
+            trace: EngineTrace { records, dropped },
+            meters,
+        }
+    }
+}
+
+impl EngineHooks for Observer {
+    type Island = IslandObs;
+
+    fn island(&mut self, pic: u16) -> IslandObs {
+        IslandObs {
+            sink: TraceSink::new(self.cfg.ring_capacity),
+            fine: self.cfg.fine_events,
+            track: pic + 1,
+            prev_b_ns: 0,
+            events_in_claim: 0,
+            last_tag: 0,
+            meter: self.meters.next(),
+            wheel_pending: Histo32::default(),
+            wheel_near: Histo32::default(),
+            events_per_claim: Histo32::default(),
+        }
+    }
+
+    /// Records one closed phase: the `[t, b]` slice, the islands run and
+    /// the post-collect relay pool occupancy. Every argument is derived
+    /// from thread-count-invariant engine state, so the recorded trace is
+    /// byte-identical across 1/2/4 threads and island orders.
+    fn on_phase(&mut self, t: SimTime, b: SimTime, islands: u64, pool_len: usize) {
         let t_ns = nanos_of(t);
         let b_ns = nanos_of(b);
         self.sink.push(
@@ -453,76 +527,24 @@ impl CoordObs {
         self.relay_pool.record(pool_len as u64);
     }
 
-    pub(crate) fn on_injected(&mut self, t: SimTime, target: u16, seq: u64) {
+    /// Records one dealt relay (target island and staging sequence).
+    fn on_dealt(&mut self, t: SimTime, p: &PooledRelay) {
         let t_ns = nanos_of(t);
         self.sink.push(
             t_ns,
             t_ns,
             0,
             TraceRecordKind::RelayInject,
-            u64::from(target),
-            seq,
+            u64::from(p.relay.pic),
+            p.seq,
         );
     }
-}
-
-/// What [`assemble`] hands back: the merged trace, the telemetry block,
-/// and the caller's meters, in island order.
-pub(crate) type ObservedParts = (EngineTrace, TelemetryReport, Vec<Box<dyn EventMeter>>);
-
-/// Merges the coordinator's and every island's sinks into the final
-/// [`EngineTrace`], assembles the [`TelemetryReport`] from the engine
-/// counters, the report's poll mix and the registered histograms, and
-/// hands the meters back.
-pub(crate) fn assemble(
-    coord: CoordObs,
-    islands: Vec<IslandObs>,
-    counters: &EngineCounters,
-    report: &ScatternetReport,
-) -> ObservedParts {
-    let mut telemetry = TelemetryReport {
-        events_processed: report.events_processed,
-        phases_run: counters.phases_run,
-        barrier_rounds: counters.barrier_rounds,
-        islands_claimed: counters.islands_claimed,
-        relays_staged: counters.relays_staged,
-        relays_injected: counters.relays_injected,
-        phase_width_ns: coord.phase_width_ns,
-        relay_pool: coord.relay_pool,
-        ..TelemetryReport::default()
-    };
-    for p in &report.piconets {
-        telemetry.gs_polls_successful += p.gs_polls.successful;
-        telemetry.gs_polls_unsuccessful += p.gs_polls.unsuccessful;
-        telemetry.be_polls_successful += p.be_polls.successful;
-        telemetry.be_polls_unsuccessful += p.be_polls.unsuccessful;
-    }
-
-    let mut dropped = coord.sink.dropped;
-    let mut records = coord.sink.records;
-    let mut meters = Vec::new();
-    for island in islands {
-        dropped += island.sink.dropped;
-        records.extend_from_slice(&island.sink.records);
-        telemetry.wheel_pending.merge(&island.wheel_pending);
-        telemetry.wheel_near.merge(&island.wheel_near);
-        telemetry.events_per_claim.merge(&island.events_per_claim);
-        if let Some(m) = island.meter {
-            meters.push(m);
-        }
-    }
-    telemetry.trace_dropped = dropped;
-    // analyze: allow(unstable-sort): the key `(start_ns, track, seq)` is
-    // provably unique — `track` identifies the originating sink and `seq`
-    // is that sink's monotone per-record counter, so no two records
-    // compare equal.
-    records.sort_unstable_by_key(|r| (r.start_ns, r.track, r.seq));
-    (EngineTrace { records, dropped }, telemetry, meters)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sanitizer::TraceKind;
 
     #[test]
     fn histo_buckets_are_log2() {

@@ -97,22 +97,61 @@ fn every_mutation_is_caught_and_bisector_localized() {
     }
 }
 
+/// Runs every corpus scenario sanitized at `threads` with `mutation`
+/// seeded, and returns the label of the first scenario whose findings
+/// include the mutation's expected check.
+fn caught_on(mutation: EngineMutation, threads: usize) -> Option<&'static str> {
+    let want = expected_check(mutation);
+    sanitizer_corpus().into_iter().find_map(|(label, params)| {
+        let run = build_sim(params, threads)
+            .with_mutation(mutation)
+            .run_sanitized(HORIZON)
+            .expect("mutated corpus run completes");
+        let caught = run.sanitizer.findings.iter().any(|f| f.check == want);
+        assert!(
+            caught || run.sanitizer.clean(),
+            "{label} at {threads} threads: mutation {} caught, but not by the \
+             {want} check:\n{:#?}",
+            mutation.name(),
+            run.sanitizer.findings
+        );
+        caught.then_some(label)
+    })
+}
+
 #[test]
 fn mutations_are_caught_under_parallel_execution_too() {
-    // The drop mutation exercises the coordinator's pooled-drain path;
-    // catching it at 4 threads proves the sanitizer seam rides through
-    // the owners' blocks and mailboxes, not just a single participant.
-    let (_, params) = sanitizer_corpus()[0];
-    let run = build_sim(params, 4)
-        .with_mutation(EngineMutation::DroppedRelay)
-        .run_sanitized(HORIZON)
-        .expect("mutated parallel run completes");
-    assert!(
-        run.sanitizer
-            .findings
-            .iter()
-            .any(|f| f.check == SanitizerCheck::Conservation),
-        "parallel drop not caught: {:#?}",
-        run.sanitizer.findings
-    );
+    // At 4 threads the pool drain, the deal and the owners' injections
+    // (where the lookahead check runs) are spread across participants:
+    // every mutation must still trip its own check on some scenario.
+    for mutation in EngineMutation::ALL {
+        assert!(
+            caught_on(mutation, 4).is_some(),
+            "mutation {} was not caught by the {} check at 4 threads",
+            mutation.name(),
+            expected_check(mutation)
+        );
+    }
+}
+
+#[test]
+fn mutations_never_reach_plain_runs() {
+    // A seeded mutation applies to sanitized and traced runs only: a
+    // plain run with one set must be byte-identical to the clean run,
+    // engine counters included.
+    for (label, params) in sanitizer_corpus() {
+        let clean = build_sim(params, 2).run(HORIZON).expect("clean run");
+        let clean = format!("{clean:?}");
+        for mutation in EngineMutation::ALL {
+            let plain = build_sim(params, 2)
+                .with_mutation(mutation)
+                .run(HORIZON)
+                .expect("plain run with a mutation set");
+            assert!(
+                format!("{plain:?}") == clean,
+                "{label}: mutation {} reached a plain run",
+                mutation.name()
+            );
+        }
+    }
 }

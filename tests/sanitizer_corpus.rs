@@ -46,7 +46,7 @@ fn clean_engine_has_zero_findings_across_corpus() {
             );
             assert!(
                 run.sanitizer.events_checked > 0,
-                "{label}: sanitizer observed no events — the probe seam is dead"
+                "{label}: sanitizer observed no events — the hook seam is dead"
             );
             assert!(
                 run.sanitizer.relays_tracked > 0,
@@ -80,6 +80,46 @@ fn sanitizer_leaves_report_bytes_unchanged() {
             report_digest(&plain),
             report_digest(sanitized.report.as_ref().expect("clean run keeps report")),
             "{label}: enabling the sanitizer moved report bytes"
+        );
+    }
+}
+
+#[test]
+fn long_horizon_corpus_is_thread_order_and_sanitizer_invariant() {
+    // Two simulated minutes per scenario: the determinism invariants must
+    // hold far past the short horizons the rest of the corpus runs.
+    let horizon = SimTime::from_secs(120);
+    for (label, params) in sanitizer_corpus() {
+        let reference = build_sim(params, 1).run(horizon).expect("1-thread run");
+        let reference = report_digest(&reference);
+        let two = build_sim(params, 2).run(horizon).expect("2-thread run");
+        assert_eq!(
+            report_digest(&two),
+            reference,
+            "{label}: 2 threads moved report bytes"
+        );
+        let shuffled = build_sim(params, 2)
+            .with_island_shuffle(7)
+            .run(horizon)
+            .expect("shuffled run");
+        assert_eq!(
+            report_digest(&shuffled),
+            reference,
+            "{label}: the island shuffle moved report bytes"
+        );
+        let sanitized = build_sim(params, 2)
+            .run_sanitized(horizon)
+            .expect("sanitized run");
+        assert!(
+            sanitized.sanitizer.clean(),
+            "{label}: findings over the long horizon:\n{:#?}",
+            sanitized.sanitizer.findings
+        );
+        let report = sanitized.report.as_ref().expect("clean run keeps report");
+        assert_eq!(
+            report_digest(report),
+            reference,
+            "{label}: the sanitizer moved report bytes"
         );
     }
 }
