@@ -6,7 +6,8 @@
 //! module provides the proof: install [`CountingAllocator`] as the
 //! `#[global_allocator]` of a test or bench binary, snapshot
 //! [`allocation_count`] around the code under test, and assert the delta
-//! is zero.
+//! is zero. [`allocated_bytes`] sums the sizes those allocations asked
+//! for, for budgets on code that must allocate, such as set-up.
 //!
 //! Counting uses a relaxed atomic — the counter is a diagnostic, not a
 //! synchronisation point — and adds a handful of nanoseconds per
@@ -22,7 +23,18 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Tallies one allocation event of `bytes` bytes.
+#[inline]
+fn count(bytes: usize) {
+    // ord: Relaxed — statistical tallies; the assertions read them from
+    // the same thread that allocated.
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // ord: Relaxed — same tally as above.
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 /// A [`System`]-delegating allocator that counts every allocation.
 ///
@@ -50,9 +62,7 @@ pub struct CountingAllocator;
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // ord: Relaxed — a statistical tally; the zero-alloc assertions
-        // read it from the same thread that allocated.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -63,16 +73,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A realloc may move the block: count it as an allocation event —
-        // the steady state must not grow *any* buffer.
-        // ord: Relaxed — same tally as above.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // A realloc may move the block: count it as an allocation event of
+        // its new size — the steady state must not grow *any* buffer.
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // ord: Relaxed — same tally as above.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -83,6 +91,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 pub fn allocation_count() -> u64 {
     // ord: Relaxed — the assertion brackets run on the allocating thread.
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by every allocation event since process start (a
+/// realloc counts its new size). Only meaningful when
+/// [`CountingAllocator`] is installed as the global allocator.
+pub fn allocated_bytes() -> u64 {
+    // ord: Relaxed — same single-thread bracket read as above.
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 /// Heap deallocation events since process start.

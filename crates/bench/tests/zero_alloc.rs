@@ -8,13 +8,16 @@
 //! 3. the full piconet simulator's steady state, bracketed inside a run
 //!    via [`PiconetSim::run_probed`] after warm-up growth has settled.
 //!
+//! It also holds the one-island build of the Fig. 4 piconet to a fixed
+//! allocation budget, in set-up and at run start.
+//!
 //! The binary runs **without the libtest harness** (`harness = false`):
 //! the allocation counter is process-global, and even an otherwise idle
 //! harness occasionally allocates from its controller thread, which would
 //! make a zero-delta assertion flaky. Here `main` is the only thread.
 
-use btgs_baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType};
-use btgs_bench::alloc_counter::{allocation_count, CountingAllocator};
+use btgs_baseband::{AmAddr, ChannelModel, Direction, IdealChannel, LogicalChannel, PacketType};
+use btgs_bench::alloc_counter::{allocated_bytes, allocation_count, CountingAllocator};
 use btgs_core::{
     BeSourceMix, PaperScenario, PaperScenarioParams, PollerKind, ScatternetScenario,
     ScatternetScenarioParams, Topology,
@@ -171,6 +174,57 @@ fn sim_steady_state_is_allocation_free() {
     // Sanity: the bracketed window processed real work.
     assert!(report.events_processed > 2_000);
     assert!(report.total_throughput_kbps() > 200.0);
+}
+
+/// Allocation budget of a one-island build. The Fig. 4 `PiconetSim` runs
+/// on the island engine, and must still build and start about as cheaply
+/// as a dedicated single-piconet engine: set-up (`PiconetSim::new` plus
+/// the sources) and run start (the island's event queue, seeding, the
+/// first simulated millisecond) are counted separately. Allocation counts
+/// are deterministic, so this pins the set-up cost where wall-clock
+/// timings on a drifting host cannot.
+fn one_island_build_stays_within_budget() {
+    const BUILD_ALLOCS: u64 = 80;
+    const START_ALLOCS: u64 = 24;
+    const START_BYTES: u64 = 16 * 1024;
+    let scenario = PaperScenario::build(PaperScenarioParams {
+        delay_requirement: SimDuration::from_millis(40),
+        seed: 1,
+        warmup: SimDuration::from_millis(500),
+        include_be: true,
+        ..Default::default()
+    });
+    let config = scenario.config.clone();
+    let poller: Box<dyn Poller> = Box::new(scenario.poller(PollerKind::PfpGs));
+    let channel: Box<dyn ChannelModel> = Box::new(IdealChannel);
+    let sources = scenario.sources();
+
+    let before = allocation_count();
+    let mut sim = PiconetSim::new(config, poller, channel).unwrap();
+    for src in sources {
+        sim.add_source(src).unwrap();
+    }
+    let build = allocation_count() - before;
+    assert!(
+        build <= BUILD_ALLOCS,
+        "PiconetSim::new plus sources allocated {build} times (budget {BUILD_ALLOCS})"
+    );
+
+    let (count0, bytes0) = (allocation_count(), allocated_bytes());
+    let mut start = None;
+    let report = sim
+        .run_probed(SimTime::from_millis(1), SimTime::from_secs(1), &mut || {
+            start.get_or_insert((allocation_count() - count0, allocated_bytes() - bytes0));
+        })
+        .unwrap();
+    let (allocs, bytes) = start.expect("the probe fires at the checkpoint");
+    assert!(
+        allocs <= START_ALLOCS && bytes <= START_BYTES,
+        "run start to a 1 ms checkpoint allocated {allocs} times, {bytes} bytes \
+         (budget {START_ALLOCS} times, {START_BYTES} bytes)"
+    );
+    assert!(report.events_processed > 0);
+    println!("  build: {build} allocations; run start: {allocs} allocations, {bytes} bytes");
 }
 
 fn scatternet_steady_state_is_allocation_free() {
@@ -530,6 +584,8 @@ fn main() {
     println!("ok - simulator steady state is allocation-free");
     mixed_acl_sco_steady_state_is_allocation_free();
     println!("ok - ACL+SCO steady state is allocation-free");
+    one_island_build_stays_within_budget();
+    println!("ok - one-island build stays within its allocation budget");
     scatternet_steady_state_is_allocation_free();
     println!("ok - scatternet steady state is allocation-free");
     observed_scatternet_steady_state_is_allocation_free();

@@ -29,8 +29,7 @@ use btgs_baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType}
 use btgs_des::{DetRng, SimDuration, SimTime};
 use btgs_gs::{delay_bound, required_rate, ErrorTerms, TokenBucketSpec};
 use btgs_piconet::{
-    EventQueueBackend, FlowSpec, PiconetConfig, PiconetError, PiconetSim, Poller, RunReport,
-    SarPolicy,
+    FlowSpec, PiconetConfig, PiconetError, PiconetSim, Poller, RunReport, SarPolicy,
 };
 use btgs_pollers::PfpBePoller;
 use btgs_traffic::{CbrSource, FlowId, OnOffSource, PoissonSource, Source};
@@ -448,30 +447,11 @@ impl PaperScenario {
     /// Propagates simulator configuration errors (none are expected for a
     /// well-formed scenario).
     pub fn run(&self, kind: PollerKind, horizon: SimTime) -> Result<RunReport, PiconetError> {
-        self.run_with_backend(kind, horizon, EventQueueBackend::Sorted)
-    }
-
-    /// Runs the scenario on an explicit event-queue backend.
-    ///
-    /// The differential tests use this to demand byte-identical reports
-    /// from the sorted buffer and the binary-heap reference.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator configuration errors (none are expected for a
-    /// well-formed scenario).
-    pub fn run_with_backend(
-        &self,
-        kind: PollerKind,
-        horizon: SimTime,
-        backend: EventQueueBackend,
-    ) -> Result<RunReport, PiconetError> {
         let poller = self.poller(kind);
-        let mut sim = PiconetSim::with_backend(
+        let mut sim = PiconetSim::new(
             self.config.clone(),
             Box::new(poller),
             Box::new(IdealChannel),
-            backend,
         )?;
         for src in self.sources() {
             sim.add_source(src)?;

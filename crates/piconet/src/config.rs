@@ -394,7 +394,7 @@ impl PiconetConfig {
     /// Returns a [`PiconetError`] naming the first violated rule: flow-set
     /// rules (see [`validate_flows`]), a data-bearing allowed set for every
     /// flow, at most seven slaves, non-overlapping SCO reservations, and
-    /// voice-flow ids distinct from ACL flow ids.
+    /// voice-flow ids distinct from ACL flow ids and from each other.
     pub fn validate(&self) -> Result<(), PiconetError> {
         if self.arrival_batch == 0 {
             return Err(PiconetError(
@@ -439,11 +439,16 @@ impl PiconetConfig {
                 }
             }
         }
-        for s in &self.sco {
+        for (i, s) in self.sco.iter().enumerate() {
             if let Some(vf) = s.voice_flow {
                 if self.flows.iter().any(|f| f.id == vf) {
                     return Err(PiconetError(format!(
                         "SCO voice flow id {vf} collides with an ACL flow id"
+                    )));
+                }
+                if self.sco[i + 1..].iter().any(|b| b.voice_flow == Some(vf)) {
+                    return Err(PiconetError(format!(
+                        "SCO voice flow id {vf} is bound to two SCO links"
                     )));
                 }
             }

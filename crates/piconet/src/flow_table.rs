@@ -62,7 +62,7 @@ const fn slave_slot(slave: AmAddr) -> usize {
 
 /// Multiplicative hasher for `FlowId` keys: a `u32` id needs mixing, not
 /// SipHash — on piconet-sized tables the default hasher costs more than the
-/// linear scan it replaces. Shared with the scatternet's sharded arena.
+/// linear scan it replaces. Shared with the scatternet's route index.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FlowIdHasher(u64);
 
@@ -106,8 +106,9 @@ impl Default for IdIndex {
     }
 }
 
-/// Largest id the direct map will spend memory on, relative to flow count.
-const DENSE_ID_HEADROOM: usize = 64;
+/// Largest id a direct map will spend memory on, relative to flow count.
+/// Shared with the scatternet's global route index.
+pub(crate) const DENSE_ID_HEADROOM: usize = 64;
 
 impl IdIndex {
     fn build(specs: &[FlowSpec]) -> IdIndex {

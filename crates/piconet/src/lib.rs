@@ -20,11 +20,13 @@
 //!   retransmission for the paper's future-work benches;
 //! * full accounting: per-flow delays and throughput, per-category
 //!   [slot usage](SlotLedger), poll success counters;
-//! * a **scatternet layer** ([`ScatternetSim`]): N piconets on one shared
-//!   engine, a sharded flow arena ([`ShardedFlowArena`]) routing global
-//!   flow ids, bridge slaves on deterministic rendezvous schedules
-//!   ([`PresenceMask`]), and cross-piconet chains with end-to-end and
-//!   bridge-residence delay accounting ([`ChainReport`]).
+//! * one engine for one piconet or many: [`ScatternetSim`] runs each
+//!   piconet as an island with its own event queue, routes globally
+//!   unique flow ids to their islands, time-shares bridge slaves on
+//!   deterministic rendezvous schedules ([`PresenceMask`]), and relays
+//!   cross-piconet chains with end-to-end and bridge-residence delay
+//!   accounting ([`ChainReport`]); [`PiconetSim`] is a one-island
+//!   `ScatternetSim` with no bridges and no chains.
 //!
 //! Polling *policies* plug in through the [`Poller`] trait; baselines live
 //! in `btgs-pollers`, and the paper's Guaranteed Service pollers in
@@ -65,9 +67,8 @@ pub use sar::{
 };
 pub use scatternet::{
     BridgeSpec, ChainReport, ChainSpec, ScatternetConfig, ScatternetReport, ScatternetSim,
-    ShardedFlowArena,
 };
-pub use sim::{EventQueueBackend, PiconetSim, RoundRobinForTest};
+pub use sim::{PiconetSim, RoundRobinForTest};
 pub use telemetry::{
     EngineTrace, EventMeter, Histo32, ObsConfig, ObservedRun, TelemetryReport, TraceRecord,
     TraceRecordKind, EVENT_KIND_NAMES,

@@ -5,9 +5,9 @@
 //! module opens that workload without touching the single-piconet
 //! semantics:
 //!
-//! * a [`ShardedFlowArena`] routes every global [`FlowId`] to its
-//!   `(PiconetId, FlowIdx)` shard — per-piconet [`FlowTable`]s stay dense
-//!   and the global id space stays O(1) to resolve;
+//! * every global [`FlowId`] (ACL or SCO voice) is unique across the
+//!   scatternet, and a private route index resolves it in O(1) to the
+//!   island that owns it, against the islands' own dense flow tables;
 //! * [`BridgeSpec`]s describe slaves that time-share between two piconets
 //!   on a periodic rendezvous cycle; their [`PresenceWindow`]s are injected
 //!   into each piconet's presence mask, so pollers skip absent bridges;
@@ -16,14 +16,14 @@
 //!   exchange end for master relays (same device), or when the bridge next
 //!   appears in the target piconet (the *residence time*);
 //! * [`ScatternetSim`] runs each piconet as an **island**: a full
-//!   single-piconet simulator (own event queue, own clock) reusing the
-//!   single-piconet event handlers verbatim — a piconet inside a
-//!   scatternet and a [`PiconetSim`](crate::PiconetSim) run the same
-//!   code. Islands only interact through bridge relays, and a relay is
-//!   never live before the bridge's next presence window opens in the
-//!   target piconet, so the window starts are *conservative sync points*
-//!   (classic conservative parallel DES, with the rendezvous schedule as
-//!   the lookahead):
+//!   single-piconet simulator (own event queue, own clock) running the
+//!   piconet event handlers verbatim. [`PiconetSim`](crate::PiconetSim)
+//!   is a one-island `ScatternetSim`, so the paper's own scenario runs on
+//!   this engine too. Islands only interact through bridge relays, and a
+//!   relay is never live before the bridge's next presence window opens
+//!   in the target piconet, so the window starts are *conservative sync
+//!   points* (classic conservative parallel DES, with the rendezvous
+//!   schedule as the lookahead):
 //!
 //!   ```text
 //!    island 0  ──phase──▶|        ──▶|          ──▶|
@@ -55,17 +55,19 @@
 //!   exactly the sum of per-hop queueing delays plus bridge residence.
 //!
 //! The round loop is generic over the engine's hook traits (see the
-//! `hooks` module). Plain runs instantiate it with `()`; the sanitized,
-//! traced and observed runs bring their own hooks, so no instrumentation
-//! is compiled into the production engine.
+//! `hooks` module) and over the islands' event queue. Plain runs
+//! instantiate it with `()` and the sorted buffer; the sanitized, traced
+//! and observed runs bring their own hooks, so no instrumentation is
+//! compiled into the production engine. A test-only builder swaps in the
+//! binary-heap reference queue for differential tests.
 //!
-//! The steady state is allocation-free like the single-piconet loop: relay
-//! outboxes, staging buffers, origin FIFOs and report buffers are
-//! pre-reserved at build time.
+//! The steady state is allocation-free: relay outboxes, staging buffers,
+//! origin FIFOs and report buffers are pre-reserved at build time, and
+//! only on islands a chain touches, so a lone piconet builds no relay
+//! machinery at all.
 
 use crate::config::{PiconetConfig, PiconetError};
-use crate::flow::FlowSpec;
-use crate::flow_table::{FlowIdHasher, FlowIdx, FlowTable};
+use crate::flow_table::{FlowIdHasher, FlowIdx, DENSE_ID_HEADROOM};
 use crate::hooks::{EngineHooks, IslandHooks};
 use crate::poller::Poller;
 use crate::report::RunReport;
@@ -73,11 +75,13 @@ use crate::sanitizer::{
     EngineMutation, Mutator, Recorder, RecorderIsland, RunTrace, SanitizedRun, Sanitizer,
     TraceConfig,
 };
-use crate::sim::{handle, seed_world, Ev, World};
+use crate::sim::{handle, seed_world, Ev, Target, World};
 use crate::sync_protocol::{barrier_wait, block_bounds, BarrierOrderings, SyncEnv};
 use crate::telemetry::{EventMeter, ObsConfig, ObservedRun, Observer};
 use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave};
-use btgs_des::{DetRng, EventQueue, Scheduler, SimDuration, SimTime, Simulator};
+use btgs_des::{
+    DetRng, EventQueue, HeapEventQueue, PendingEvents, Scheduler, SimDuration, SimTime, Simulator,
+};
 use btgs_metrics::DelayStats;
 use btgs_traffic::{AppPacket, FlowId, Source};
 use std::collections::{HashMap, VecDeque};
@@ -85,149 +89,85 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// How one global flow id resolves to its shard. Mirrors the dense/spread
-/// split of the per-piconet id index.
-#[derive(Clone, Debug)]
+/// The owner of one global flow id.
+#[derive(Clone, Copy, Debug)]
+enum Owner {
+    /// An ACL flow: its piconet and its dense index there.
+    Acl(PiconetId, FlowIdx),
+    /// The voice flow of the piconet's SCO binding with this index.
+    Voice(PiconetId, u32),
+}
+
+/// Resolves global flow ids against the islands' own flow tables and SCO
+/// bindings. Mirrors the dense/spread split of the per-piconet id index.
 enum RouteIndex {
-    /// Direct map for small id spaces: one masked array read.
-    Dense(Vec<Option<(PiconetId, FlowIdx)>>),
+    /// Direct map for small id spaces: one array read.
+    Dense(Vec<Option<Owner>>),
     /// Fast-hash map for sparse id spaces.
     // analyze: allow(hash-iter): lookup-only — `route` does keyed `get`s and
     // nothing ever iterates the map, so hash order cannot reach a report.
-    Spread(HashMap<FlowId, (PiconetId, FlowIdx), BuildHasherDefault<FlowIdHasher>>),
+    Spread(HashMap<FlowId, Owner, BuildHasherDefault<FlowIdHasher>>),
 }
 
-/// Largest id the direct map will spend memory on, relative to flow count.
-const DENSE_ID_HEADROOM: usize = 64;
-
-/// The sharded flow arena of a scatternet: one dense [`FlowTable`] per
-/// piconet, plus a global index from [`FlowId`] to `(PiconetId, FlowIdx)`.
-///
-/// Flow ids are globally unique across shards (validated at construction),
-/// so a global id resolves to exactly one shard — no cross-shard aliasing.
-///
-/// # Examples
-///
-/// ```
-/// use btgs_piconet::{FlowSpec, FlowTable, ShardedFlowArena};
-/// use btgs_baseband::{AmAddr, Direction, LogicalChannel, PiconetId};
-/// use btgs_traffic::FlowId;
-///
-/// let s = |n| AmAddr::new(n).unwrap();
-/// let shard0 = FlowTable::new(vec![FlowSpec::new(
-///     FlowId(1), s(1), Direction::SlaveToMaster, LogicalChannel::GuaranteedService,
-/// )]).unwrap();
-/// let shard1 = FlowTable::new(vec![FlowSpec::new(
-///     FlowId(101), s(1), Direction::SlaveToMaster, LogicalChannel::GuaranteedService,
-/// )]).unwrap();
-/// let arena = ShardedFlowArena::new(vec![shard0, shard1]).unwrap();
-/// let (pic, idx) = arena.route(FlowId(101)).unwrap();
-/// assert_eq!(pic, PiconetId(1));
-/// assert_eq!(arena.shard(pic).id(idx), FlowId(101));
-/// assert!(arena.route(FlowId(2)).is_none());
-/// ```
-#[derive(Clone, Debug)]
-pub struct ShardedFlowArena {
-    shards: Vec<FlowTable>,
-    route: RouteIndex,
-    len: usize,
-}
-
-impl ShardedFlowArena {
-    /// Builds the arena from per-piconet flow tables.
+impl RouteIndex {
+    /// Indexes every ACL and voice flow id of `islands`.
     ///
     /// # Errors
     ///
-    /// Returns an error if a flow id appears in more than one shard, or if
-    /// there are more than 65535 shards (piconet ids are 16-bit).
-    pub fn new(shards: Vec<FlowTable>) -> Result<ShardedFlowArena, String> {
-        if shards.len() > u16::MAX as usize {
-            return Err(format!(
-                "{} piconets exceed the 65535 the 16-bit PiconetId can name",
-                shards.len()
-            ));
-        }
-        let len: usize = shards.iter().map(|t| t.len()).sum();
-        let max_id = shards
-            .iter()
-            .flat_map(|t| t.specs())
-            .map(|f| f.id.0 as usize)
-            .max()
-            .unwrap_or(0);
-        let entries = shards.iter().enumerate().flat_map(|(p, t)| {
-            t.iter()
-                .map(move |(idx, f)| (f.id, (PiconetId(p as u16), idx)))
+    /// Returns an error if an id appears in more than one piconet (each
+    /// piconet's own validation already rejects an id used twice within
+    /// it).
+    fn build(islands: &[IslandState]) -> Result<RouteIndex, PiconetError> {
+        let entries = || {
+            islands.iter().flat_map(|st| {
+                let pic = PiconetId(st.pic);
+                let acl = st
+                    .world
+                    .table
+                    .iter()
+                    .map(move |(idx, f)| (f.id, Owner::Acl(pic, idx)));
+                acl.chain(
+                    st.world
+                        .voice_flows()
+                        .map(move |(sco, id)| (id, Owner::Voice(pic, sco as u32))),
+                )
+            })
+        };
+        let (len, max_id) = entries().fold((0, 0), |(len, max), (id, _)| {
+            (len + 1, max.max(id.0 as usize))
         });
-        let route = if max_id <= len * 8 + DENSE_ID_HEADROOM {
+        let taken =
+            |id: FlowId| PiconetError(format!("flow id {id} appears in more than one piconet"));
+        if max_id <= len * 8 + DENSE_ID_HEADROOM {
             let mut dense = vec![None; max_id + 1];
-            for (id, target) in entries {
-                let slot = &mut dense[id.0 as usize];
-                if slot.is_some() {
-                    return Err(format!("flow id {id} appears in more than one piconet"));
+            for (id, owner) in entries() {
+                if dense[id.0 as usize].replace(owner).is_some() {
+                    return Err(taken(id));
                 }
-                *slot = Some(target);
             }
-            RouteIndex::Dense(dense)
+            Ok(RouteIndex::Dense(dense))
         } else {
             // analyze: allow(hash-iter): construction of the lookup-only
-            // route index; filled by keyed inserts from the deterministic
-            // shard iteration, never iterated itself.
+            // route index; filled by keyed inserts in piconet order, never
+            // iterated itself.
             let mut map: HashMap<_, _, BuildHasherDefault<FlowIdHasher>> =
                 // analyze: allow(hash-iter): see above — same site.
                 HashMap::with_capacity_and_hasher(len, BuildHasherDefault::default());
-            for (id, target) in entries {
-                if map.insert(id, target).is_some() {
-                    return Err(format!("flow id {id} appears in more than one piconet"));
+            for (id, owner) in entries() {
+                if map.insert(id, owner).is_some() {
+                    return Err(taken(id));
                 }
             }
-            RouteIndex::Spread(map)
-        };
-        Ok(ShardedFlowArena { shards, route, len })
-    }
-
-    /// Number of piconet shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total number of flows across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no shard holds any flow.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The dense flow table of one piconet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pic` is out of range.
-    pub fn shard(&self, pic: PiconetId) -> &FlowTable {
-        &self.shards[pic.index()]
-    }
-
-    /// All shards, in piconet order.
-    pub fn shards(&self) -> &[FlowTable] {
-        &self.shards
-    }
-
-    /// Resolves a global flow id to its `(piconet, dense index)` pair,
-    /// O(1).
-    #[inline]
-    pub fn route(&self, id: FlowId) -> Option<(PiconetId, FlowIdx)> {
-        match &self.route {
-            RouteIndex::Dense(dense) => *dense.get(id.0 as usize)?,
-            RouteIndex::Spread(map) => map.get(&id).copied(),
+            Ok(RouteIndex::Spread(map))
         }
     }
 
-    /// The spec of a global flow id, O(1).
-    pub fn spec_of(&self, id: FlowId) -> Option<&FlowSpec> {
-        let (pic, idx) = self.route(id)?;
-        Some(self.shards[pic.index()].spec(idx))
+    /// The owner of `id`, O(1).
+    fn route(&self, id: FlowId) -> Option<Owner> {
+        match self {
+            RouteIndex::Dense(dense) => *dense.get(id.0 as usize)?,
+            RouteIndex::Spread(map) => map.get(&id).copied(),
+        }
     }
 }
 
@@ -374,6 +314,7 @@ pub(crate) struct StagedRelay {
 /// The origin rides along with the packet (in the per-flow origin FIFOs
 /// and in [`StagedRelay::origin`]), so the counted check is a direct
 /// `origin >= warmup` comparison at every hop.
+#[derive(Default)]
 struct ChainLocal {
     relayed: u64,
     delivered: u64,
@@ -382,20 +323,24 @@ struct ChainLocal {
 }
 
 /// One piconet's island: its [`World`] plus the relay fabric it can see
-/// without touching any other island.
+/// without touching any other island. The per-flow relay tables stay empty
+/// on an island no chain touches.
 struct IslandState {
     world: World,
     /// This island's piconet id.
     pic: u16,
     /// `routes[flow_idx]`: relay action for captured flows of this island.
     routes: Vec<Option<HopNext>>,
+    /// `relay_fed[flow_idx]`: fed by relaying, exempt from the
+    /// one-source-per-flow rule.
+    relay_fed: Vec<bool>,
     /// `origins[flow_idx]`: origin timestamps of in-flight packets on a
     /// relay-fed flow, FIFO — per-flow order is preserved across hops, so
     /// the consuming hop pops its packet's own origin.
     origins: Vec<VecDeque<SimTime>>,
     /// Cross-island relays captured this phase, each already keyed for
     /// the pool; the island's owner drains them into its outbox after
-    /// every run.
+    /// every run. Sized only on islands with a bridge route.
     staged: Vec<PooledRelay>,
     /// Monotone count of relays ever staged by this island — the staging
     /// sequence assigned at capture time, the last key of the
@@ -409,15 +354,101 @@ struct IslandState {
     chain_stats: Vec<ChainLocal>,
 }
 
-/// One island: a full single-piconet simulator (own sorted event buffer,
-/// own clock) over an [`IslandState`].
-type IslandSim = Simulator<IslandState, Ev, EventQueue<Ev>>;
+impl IslandState {
+    /// An island with no relay machinery; [`IslandState::join_chain`] and
+    /// [`IslandState::arm_relays`] size it once a chain touches it.
+    fn new(world: World, pic: u16, warmup: SimTime) -> IslandState {
+        IslandState {
+            world,
+            pic,
+            routes: Vec::new(),
+            relay_fed: Vec::new(),
+            origins: Vec::new(),
+            staged: Vec::new(),
+            staged_seq: 0,
+            warmup,
+            chain_stats: Vec::new(),
+        }
+    }
 
-/// The per-event handler of one island: the single-piconet handler
-/// verbatim, plus capture routing against island-local state only, with
-/// the island's hooks around it (no-ops in plain runs).
-fn island_handle<H: IslandHooks>(
-    sched: &mut Scheduler<Ev, EventQueue<Ev>>,
+    /// Sizes the route and relay-fed tables on the first chain through
+    /// this island.
+    fn join_chain(&mut self) {
+        if self.routes.is_empty() {
+            let flows = self.world.table.len();
+            self.routes = vec![None; flows];
+            self.relay_fed = vec![false; flows];
+        }
+    }
+
+    /// Arms capture on every routed flow and pre-sizes the relay buffers
+    /// of a chain-touched island, so its steady state stays
+    /// allocation-free.
+    fn arm_relays(&mut self, num_chains: usize) {
+        self.chain_stats
+            .resize_with(num_chains, ChainLocal::default);
+        let mut bridged = false;
+        for (idx, r) in self.routes.iter().enumerate() {
+            let Some(r) = r else { continue };
+            self.world.capture[idx] = true;
+            self.world.reserve_relay(idx, 64);
+            match *r {
+                HopNext::Terminal { chain } => {
+                    self.chain_stats[chain as usize].e2e.reserve(4096);
+                }
+                HopNext::Forward {
+                    chain,
+                    window: Some(_),
+                    ..
+                } => {
+                    self.chain_stats[chain as usize].residence.reserve(4096);
+                    bridged = true;
+                }
+                HopNext::Forward { .. } => {}
+            }
+        }
+        // Every relay-fed flow is a later hop of its chain, so it has a
+        // route and its queue was reserved above.
+        self.origins = self
+            .relay_fed
+            .iter()
+            .map(|&fed| VecDeque::with_capacity(if fed { 1024 } else { 0 }))
+            .collect();
+        if bridged {
+            self.staged.reserve(128);
+        }
+    }
+
+    /// Records the relay action of hop flow `idx`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the flow already serves a chain position.
+    fn set_route(&mut self, idx: FlowIdx, next: HopNext) -> Result<(), PiconetError> {
+        let slot = &mut self.routes[idx.get()];
+        if slot.is_some() {
+            return Err(PiconetError(format!(
+                "hop flow {} is shared by two chain positions",
+                self.world.table.id(idx)
+            )));
+        }
+        *slot = Some(next);
+        Ok(())
+    }
+}
+
+/// One island: a full single-piconet simulator (own event queue, own
+/// clock) over an [`IslandState`].
+type IslandSim<Q> = Simulator<IslandState, Ev, Q>;
+
+/// The per-event handler of one island: the piconet handler verbatim,
+/// plus capture routing against island-local state only, with the
+/// island's hooks around it (no-ops in plain runs). Inlined into the run
+/// loop, so a plain run makes one call per event, into the handler, and
+/// routes captures out of line.
+#[inline]
+fn island_handle<Q: PendingEvents<Ev>, H: IslandHooks>(
+    sched: &mut Scheduler<Ev, Q>,
     st: &mut IslandState,
     hooks: &mut H,
     ev: Ev,
@@ -436,8 +467,8 @@ fn island_handle<H: IslandHooks>(
 /// draining (routing only schedules or stages), so the indexed loop is
 /// exact; `Captured` is `Copy`, so each read ends its borrow before the
 /// routing mutates the island.
-fn route_captures<H: IslandHooks>(
-    sched: &mut Scheduler<Ev, EventQueue<Ev>>,
+fn route_captures<Q: PendingEvents<Ev>, H: IslandHooks>(
+    sched: &mut Scheduler<Ev, Q>,
     st: &mut IslandState,
     hooks: &mut H,
 ) {
@@ -722,9 +753,15 @@ pub(crate) struct PooledRelay {
 }
 
 /// Pool head-room: enough for every relay in flight across one rendezvous
-/// cycle at mesh scale, so the steady state never grows the buffer.
-fn pool_capacity(islands: usize) -> usize {
-    (islands * 8).max(1024)
+/// cycle at mesh scale, so the steady state never grows the buffer. With
+/// no bridge route (an empty calendar) nothing is ever staged, so the
+/// pool and the mailboxes stay unallocated.
+fn pool_capacity(islands: usize, bridged: bool) -> usize {
+    if bridged {
+        (islands * 8).max(1024)
+    } else {
+        0
+    }
 }
 
 /// Restores the pool's descending key order (minimum last, so due entries
@@ -745,7 +782,11 @@ fn sort_pool(pool: &mut [PooledRelay]) {
 /// FIFO order, in dealing order — an ordering that holds identically
 /// across thread counts and island orders, which is what makes the
 /// reports byte-identical across both.
-fn inject_relay<H: IslandHooks>(island: &mut IslandSim, hooks: &mut H, relay: &StagedRelay) {
+fn inject_relay<Q: PendingEvents<Ev>, H: IslandHooks>(
+    island: &mut IslandSim<Q>,
+    hooks: &mut H,
+    relay: &StagedRelay,
+) {
     let (sched, st) = island.split_mut();
     st.origins[relay.flow_idx as usize].push_back(relay.origin);
     let now = sched.now();
@@ -790,10 +831,10 @@ struct Mailbox {
 }
 
 impl Mailbox {
-    fn new(islands: usize) -> Mailbox {
+    fn new(capacity: usize) -> Mailbox {
         Mailbox {
-            inbox: Vec::with_capacity(pool_capacity(islands)),
-            outbox: Vec::with_capacity(pool_capacity(islands)),
+            inbox: Vec::with_capacity(capacity),
+            outbox: Vec::with_capacity(capacity),
         }
     }
 }
@@ -801,8 +842,8 @@ impl Mailbox {
 /// One participant's share of a round: inject the relays dealt to its
 /// islands, run every island to `b` and drain what it staged into the
 /// outbox. `hooks` is parallel to `block`.
-fn run_block<H: IslandHooks>(
-    block: &mut [IslandSim],
+fn run_block<Q: PendingEvents<Ev>, H: IslandHooks>(
+    block: &mut [IslandSim<Q>],
     hooks: &mut [H],
     mail: &mut Mailbox,
     b: SimTime,
@@ -841,8 +882,8 @@ fn split_blocks<'a, T>(mut rest: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [
 /// and runs `hooks`; no island is touched by two threads. One participant
 /// spawns no thread, crosses no barrier and takes no lock.
 #[allow(clippy::too_many_arguments)]
-fn run_phases<H: EngineHooks>(
-    islands: &mut [IslandSim],
+fn run_phases<Q: PendingEvents<Ev> + Send, H: EngineHooks>(
+    islands: &mut [IslandSim<Q>],
     island_hooks: &mut [H::Island],
     pos_of: &[usize],
     bounds: &[usize],
@@ -860,15 +901,16 @@ fn run_phases<H: EngineHooks>(
         .flat_map(|(p, w)| std::iter::repeat_n(p, w[1] - w[0]))
         .collect();
     let mut counters = EngineCounters::default();
-    let mut pool: Vec<PooledRelay> = Vec::with_capacity(pool_capacity(n));
+    let bridged = !groups.is_empty();
+    let mut pool: Vec<PooledRelay> = Vec::with_capacity(pool_capacity(n, bridged));
     let mut blocks = split_blocks(islands, bounds)
         .into_iter()
         .zip(split_blocks(island_hooks, bounds));
     let (own, own_hooks) = blocks.next().expect("at least one participant");
-    let mut mail = Mailbox::new(bounds[1]);
+    let mut mail = Mailbox::new(pool_capacity(bounds[1], bridged));
     let mailboxes: Vec<Mutex<Mailbox>> = bounds[1..]
         .windows(2)
-        .map(|w| Mutex::new(Mailbox::new(w[1] - w[0])))
+        .map(|w| Mutex::new(Mailbox::new(pool_capacity(w[1] - w[0], bridged))))
         .collect();
     let barrier = SpinBarrier::new(participants);
     let bound = AtomicU64::new(0);
@@ -1076,14 +1118,14 @@ impl ScatternetReport {
 
 /// A configured scatternet simulation, ready to run.
 ///
-/// Owns one island simulator per piconet; see the [module docs](self) for
-/// the phased conservative execution and the relay semantics.
+/// Owns one island per piconet; see the [module docs](self) for the
+/// phased conservative execution and the relay semantics.
 pub struct ScatternetSim {
-    islands: Vec<IslandSim>,
-    arena: ShardedFlowArena,
-    /// `relay_fed[pic][flow_idx]`: fed by relaying, exempt from the
-    /// one-source-per-flow rule.
-    relay_fed: Vec<Vec<bool>>,
+    /// The islands in piconet order. Each gets its event queue at run
+    /// start.
+    islands: Vec<IslandState>,
+    /// Global flow id routing across the islands.
+    index: RouteIndex,
     /// The chains' hop lists, for report assembly.
     chain_hops: Vec<Vec<FlowId>>,
     /// The boundary calendar: every presence window that is the target of
@@ -1094,6 +1136,8 @@ pub struct ScatternetSim {
     /// Test-only seeded engine corruption (see [`EngineMutation`]); `None`
     /// for every supported configuration.
     mutation: Option<EngineMutation>,
+    /// Test-only: plain runs use the binary-heap reference queue.
+    reference_queue: bool,
 }
 
 impl ScatternetSim {
@@ -1104,15 +1148,21 @@ impl ScatternetSim {
     /// # Errors
     ///
     /// Returns the first violated rule: per-piconet configuration errors,
-    /// bridge windows that do not fit their cycle, bridges naming unknown
-    /// piconets or doubling up on a slave, chains whose hops are unknown,
-    /// shared, or not connected device-to-device.
+    /// a flow id (ACL or SCO voice) used in two piconets, bridge windows
+    /// that do not fit their cycle, bridges naming unknown piconets or
+    /// doubling up on a slave, chains whose hops are unknown, shared, or
+    /// not connected device-to-device.
     pub fn new(
         config: ScatternetConfig,
         pollers: Vec<Box<dyn Poller>>,
         channels: Vec<Box<dyn ChannelModel>>,
     ) -> Result<ScatternetSim, PiconetError> {
-        let n = config.piconets.len();
+        let ScatternetConfig {
+            mut piconets,
+            bridges,
+            chains,
+        } = config;
+        let n = piconets.len();
         if n == 0 {
             return Err(PiconetError(
                 "a scatternet needs at least one piconet".into(),
@@ -1130,10 +1180,9 @@ impl ScatternetSim {
         }
 
         // Inject the bridge presence windows into each piconet's mask.
-        let mut piconets = config.piconets.clone();
         let mut bridge_windows: Vec<(PresenceWindow, PresenceWindow)> =
-            Vec::with_capacity(config.bridges.len());
-        for b in &config.bridges {
+            Vec::with_capacity(bridges.len());
+        for b in &bridges {
             if b.upstream.piconet.index() >= n || b.downstream.piconet.index() >= n {
                 return Err(PiconetError(format!(
                     "bridge {} -> {} names an unknown piconet",
@@ -1156,30 +1205,26 @@ impl ScatternetSim {
             bridge_windows.push((up, down));
         }
 
-        // Build the per-piconet worlds and the sharded arena over their
-        // dense flow tables.
-        let mut worlds = Vec::with_capacity(n);
-        let mut chans = channels;
-        let mut polls = pollers;
-        for cfg in piconets.iter().rev() {
-            // Pop from the back so ownership moves without index juggling.
-            let poller = polls.pop().expect("length checked");
-            let channel = chans.pop().expect("length checked");
-            worlds.push(World::build(cfg, poller, channel)?);
+        // Build the islands, then the global id routing over their own
+        // flow tables.
+        let warmup = piconets
+            .iter()
+            .map(|c| SimTime::ZERO + c.warmup)
+            .max()
+            .expect("at least one piconet");
+        let mut islands = Vec::with_capacity(n);
+        for (pic, ((cfg, poller), channel)) in
+            piconets.into_iter().zip(pollers).zip(channels).enumerate()
+        {
+            let world = World::build(cfg, poller, channel)?;
+            islands.push(IslandState::new(world, pic as u16, warmup));
         }
-        worlds.reverse();
-        let arena = ShardedFlowArena::new(worlds.iter().map(|w| w.table.clone()).collect())
-            .map_err(PiconetError)?;
+        let index = RouteIndex::build(&islands)?;
 
         // Resolve the chains into relay routes, and record every
         // route-target presence window as a sync point.
-        let mut routes: Vec<Vec<Option<HopNext>>> =
-            worlds.iter().map(|w| vec![None; w.table.len()]).collect();
-        let mut relay_fed: Vec<Vec<bool>> =
-            worlds.iter().map(|w| vec![false; w.table.len()]).collect();
         let mut sync_points: Vec<SyncPoint> = Vec::new();
-        let mut chain_hops = Vec::with_capacity(config.chains.len());
-        for (ci, chain) in config.chains.iter().enumerate() {
+        for (ci, chain) in chains.iter().enumerate() {
             if chain.hops.len() < 2 {
                 return Err(PiconetError(format!(
                     "chain {ci} needs at least two hops (a single-hop chain is just a flow)"
@@ -1195,17 +1240,19 @@ impl ScatternetSim {
             let resolved: Vec<(PiconetId, FlowIdx)> = chain
                 .hops
                 .iter()
-                .map(|id| {
-                    arena
-                        .route(*id)
-                        .ok_or_else(|| PiconetError(format!("chain {ci}: unknown hop flow {id}")))
+                .map(|id| match index.route(*id) {
+                    Some(Owner::Acl(pic, idx)) => Ok((pic, idx)),
+                    _ => Err(PiconetError(format!("chain {ci}: unknown hop flow {id}"))),
                 })
                 .collect::<Result<_, _>>()?;
+            for &(pic, _) in &resolved {
+                islands[pic.index()].join_chain();
+            }
             for (k, window) in resolved.windows(2).enumerate() {
                 let (apic, aidx) = window[0];
                 let (bpic, bidx) = window[1];
-                let a = arena.shard(apic).spec(aidx);
-                let b = arena.shard(bpic).spec(bidx);
+                let a = islands[apic.index()].world.table.spec(aidx);
+                let b = islands[bpic.index()].world.table.spec(bidx);
                 let bridge_window = if apic == bpic {
                     // Master relay: hop k terminates at the master, hop k+1
                     // originates there.
@@ -1232,8 +1279,7 @@ impl ScatternetSim {
                     // piconet the packet continues into.
                     let from = ScopedSlave::new(apic, a.slave);
                     let into = ScopedSlave::new(bpic, b.slave);
-                    let (window, phase, cycle) = config
-                        .bridges
+                    let (window, phase, cycle) = bridges
                         .iter()
                         .zip(&bridge_windows)
                         .find_map(|(br, (up, down))| {
@@ -1254,117 +1300,38 @@ impl ScatternetSim {
                     push_sync_point(&mut sync_points, phase, cycle);
                     Some(window)
                 };
-                let slot = &mut routes[apic.index()][aidx.get()];
-                if slot.is_some() {
-                    return Err(PiconetError(format!(
-                        "hop flow {} is shared by two chain positions",
-                        a.id
-                    )));
-                }
-                *slot = Some(HopNext::Forward {
+                let next = HopNext::Forward {
                     chain: ci as u32,
                     hop: k as u16,
                     pic: bpic.0,
                     flow_idx: bidx.0,
                     flow: b.id,
                     window: bridge_window,
-                });
-                relay_fed[bpic.index()][bidx.get()] = true;
+                };
+                islands[apic.index()].set_route(aidx, next)?;
+                islands[bpic.index()].relay_fed[bidx.get()] = true;
             }
             let (lpic, lidx) = *resolved.last().expect("at least two hops");
-            let slot = &mut routes[lpic.index()][lidx.get()];
-            if slot.is_some() {
-                return Err(PiconetError(format!(
-                    "hop flow {} is shared by two chain positions",
-                    arena.shard(lpic).id(lidx)
-                )));
-            }
-            *slot = Some(HopNext::Terminal { chain: ci as u32 });
-
-            chain_hops.push(chain.hops.clone());
+            islands[lpic.index()].set_route(lidx, HopNext::Terminal { chain: ci as u32 })?;
         }
 
-        // Arm the capture flags and pre-size the relay machinery.
-        for (pic, picroutes) in routes.iter().enumerate() {
-            for (idx, r) in picroutes.iter().enumerate() {
-                if r.is_some() {
-                    worlds[pic].capture[idx] = true;
-                    worlds[pic].reserve_relay(idx, 64);
-                }
-            }
-            for (idx, fed) in relay_fed[pic].iter().enumerate() {
-                if *fed {
-                    worlds[pic].reserve_relay(idx, 64);
-                }
+        // Arm the capture flags and pre-size the relay machinery of every
+        // island a chain touches.
+        for st in &mut islands {
+            if !st.routes.is_empty() {
+                st.arm_relays(chains.len());
             }
         }
-
-        let warmup = piconets
-            .iter()
-            .map(|c| SimTime::ZERO + c.warmup)
-            .max()
-            .expect("at least one piconet");
-
-        // Assemble the islands: per-piconet stat shares sized so the
-        // steady state stays allocation-free.
-        let num_chains = chain_hops.len();
-        let islands = worlds
-            .into_iter()
-            .zip(routes)
-            .enumerate()
-            .map(|(pic, (world, routes))| {
-                let origins = relay_fed[pic]
-                    .iter()
-                    .map(|fed| {
-                        if *fed {
-                            VecDeque::with_capacity(1024)
-                        } else {
-                            VecDeque::new()
-                        }
-                    })
-                    .collect();
-                let mut chain_stats: Vec<ChainLocal> = (0..num_chains)
-                    .map(|_| ChainLocal {
-                        relayed: 0,
-                        delivered: 0,
-                        e2e: DelayStats::new(),
-                        residence: DelayStats::new(),
-                    })
-                    .collect();
-                for r in routes.iter().flatten() {
-                    match r {
-                        HopNext::Terminal { chain } => {
-                            chain_stats[*chain as usize].e2e.reserve(4096);
-                        }
-                        HopNext::Forward { chain, window, .. } if window.is_some() => {
-                            chain_stats[*chain as usize].residence.reserve(4096);
-                        }
-                        HopNext::Forward { .. } => {}
-                    }
-                }
-                let state = IslandState {
-                    world,
-                    pic: pic as u16,
-                    routes,
-                    origins,
-                    staged: Vec::with_capacity(128),
-                    staged_seq: 0,
-                    warmup,
-                    chain_stats,
-                };
-                Simulator::with_queue(state, EventQueue::new())
-            })
-            .collect();
 
         Ok(ScatternetSim {
             islands,
-            arena,
-            relay_fed,
-            chain_hops,
+            index,
+            chain_hops: chains.into_iter().map(|c| c.hops).collect(),
             sync_points,
             threads: 1,
             shuffle_seed: None,
             mutation: None,
+            reference_queue: false,
         })
     }
 
@@ -1392,13 +1359,8 @@ impl ScatternetSim {
         self
     }
 
-    /// The sharded flow arena (global id routing) of this scatternet.
-    pub fn arena(&self) -> &ShardedFlowArena {
-        &self.arena
-    }
-
-    /// Registers the traffic source of one flow, resolved through the
-    /// global id space.
+    /// Registers the traffic source of one flow (ACL or SCO voice),
+    /// resolved through the global id space.
     ///
     /// # Errors
     ///
@@ -1406,27 +1368,19 @@ impl ScatternetSim {
     /// names a relay-fed hop (those are fed by the previous hop).
     pub fn add_source(&mut self, source: Box<dyn Source>) -> Result<(), PiconetError> {
         let id = source.flow();
-        if let Some((pic, idx)) = self.arena.route(id) {
-            if self.relay_fed[pic.index()][idx.get()] {
-                return Err(PiconetError(format!(
-                    "flow {id} is relay-fed; it cannot also have a source"
-                )));
+        let (pic, target) = match self.index.route(id) {
+            Some(Owner::Acl(pic, idx)) => {
+                if self.islands[pic.index()].relay_fed.get(idx.get()) == Some(&true) {
+                    return Err(PiconetError(format!(
+                        "flow {id} is relay-fed; it cannot also have a source"
+                    )));
+                }
+                (pic, Target::Flow(idx.get()))
             }
-            return self.islands[pic.index()]
-                .state_mut()
-                .world
-                .add_source(source);
-        }
-        // SCO voice flows are not in the arena: route to the world whose
-        // SCO binding claims the id.
-        match self
-            .islands
-            .iter_mut()
-            .position(|i| i.state_mut().world.has_sco_voice(id))
-        {
-            Some(pic) => self.islands[pic].state_mut().world.add_source(source),
-            None => Err(PiconetError(format!("no flow {id} configured"))),
-        }
+            Some(Owner::Voice(pic, sco)) => (pic, Target::Sco(sco as usize)),
+            None => return Err(PiconetError(format!("no flow {id} configured"))),
+        };
+        self.islands[pic.index()].world.add_source(source, target)
     }
 
     /// Runs the scatternet until `horizon` and returns the report.
@@ -1440,13 +1394,14 @@ impl ScatternetSim {
         self.run_probed(horizon, horizon, &mut || {})
     }
 
-    /// Runs to `horizon`, invoking `probe` when the clock reaches
-    /// `checkpoint` and once more when the run loop finishes (before report
-    /// assembly) — the same bracketing hook as
-    /// [`PiconetSim::run_probed`](crate::PiconetSim::run_probed), used by
-    /// the zero-allocation gate. The probe always fires at a phase
-    /// boundary, with every island at the same instant and every other
-    /// thread waiting at the barrier.
+    /// Runs to `horizon`, invoking `probe` at the first phase boundary at
+    /// or after `checkpoint` and once more when the run loop finishes
+    /// (before report assembly) — the bracketing hook of the
+    /// zero-allocation gate. A checkpoint before the horizon is itself a
+    /// boundary, so the first call comes exactly at `checkpoint`, with
+    /// every island at that instant and every other thread waiting at the
+    /// barrier. A checkpoint past the horizon is never reached and fires
+    /// only the loop-end call; it never extends the run.
     ///
     /// # Errors
     ///
@@ -1457,8 +1412,25 @@ impl ScatternetSim {
         horizon: SimTime,
         probe: &mut dyn FnMut(),
     ) -> Result<ScatternetReport, PiconetError> {
-        let (report, ..) = self.run_inner(checkpoint, horizon, probe, ())?;
+        let (report, ..) = if self.reference_queue {
+            self.run_inner::<HeapEventQueue<Ev>, _>(checkpoint, horizon, probe, ())?
+        } else {
+            self.run_inner::<EventQueue<Ev>, _>(checkpoint, horizon, probe, ())?
+        };
         Ok(report)
+    }
+
+    /// Runs every island on the binary-heap reference queue
+    /// ([`HeapEventQueue`]) instead of the sorted buffer (builder style).
+    /// Test-only: the differential tests demand byte-identical reports
+    /// from both queues. Only [`run`](ScatternetSim::run) and
+    /// [`run_probed`](ScatternetSim::run_probed) apply it; the sanitized,
+    /// traced and observed runs always use the sorted buffer.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_reference_queue(mut self) -> ScatternetSim {
+        self.reference_queue = true;
+        self
     }
 
     /// Runs to `horizon` with the observability layer enabled: a
@@ -1510,7 +1482,7 @@ impl ScatternetSim {
         }
         let observer = Observer::new(cfg, meters);
         let (report, counters, observer, islands) =
-            self.run_inner(checkpoint, horizon, probe, observer)?;
+            self.run_inner::<EventQueue<Ev>, _>(checkpoint, horizon, probe, observer)?;
         Ok(observer.assemble(islands, &counters, report))
     }
 
@@ -1582,48 +1554,56 @@ impl ScatternetSim {
         let probe = &mut || {};
         match self.mutation {
             None => {
-                let (report, _, hooks, islands) = self.run_inner(horizon, horizon, probe, hooks)?;
+                let (report, _, hooks, islands) =
+                    self.run_inner::<EventQueue<Ev>, _>(horizon, horizon, probe, hooks)?;
                 Ok((report, hooks, islands))
             }
             Some(which) => {
                 let mutated = Mutator::new(which, hooks);
                 let (report, _, mutated, islands) =
-                    self.run_inner(horizon, horizon, probe, mutated)?;
+                    self.run_inner::<EventQueue<Ev>, _>(horizon, horizon, probe, mutated)?;
                 Ok((report, mutated.into_inner(), islands))
             }
         }
     }
 
-    /// The shared run loop behind every public run: seeds the islands,
-    /// builds one island hook per piconet, lays islands and hooks out in
-    /// visit order, splits them into per-thread blocks, runs the phase
-    /// loop and assembles the report. Hands back the report, the engine
-    /// counters, `hooks` and the island hooks in piconet order.
+    /// The shared run loop behind every public run: gives each island its
+    /// event queue and seeds it, builds one island hook per piconet, lays
+    /// islands and hooks out in visit order, splits them into per-thread
+    /// blocks, runs the phase loop and assembles the report. Hands back the
+    /// report, the engine counters, `hooks` and the island hooks in
+    /// piconet order.
     #[allow(clippy::type_complexity)]
-    fn run_inner<H: EngineHooks>(
-        mut self,
+    fn run_inner<Q: PendingEvents<Ev> + Default + Send, H: EngineHooks>(
+        self,
         checkpoint: SimTime,
         horizon: SimTime,
         probe: &mut dyn FnMut(),
         mut hooks: H,
     ) -> Result<(ScatternetReport, EngineCounters, H, Vec<H::Island>), PiconetError> {
         // `self` is consumed, so a sim cannot run twice by construction.
-        for (pic, island) in self.islands.iter_mut().enumerate() {
-            let fed = &self.relay_fed[pic];
-            let (sched, st) = island.split_mut();
-            st.world.check_sources(&|idx| fed[idx])?;
+        for st in &self.islands {
+            st.world.check_sources(&st.relay_fed)?;
             st.world.check_horizon(horizon)?;
-            st.world.horizon = horizon;
-            seed_world(sched, &mut st.world);
         }
+        let mut islands: Vec<IslandSim<Q>> = self
+            .islands
+            .into_iter()
+            .map(|st| {
+                let mut island = Simulator::with_queue(st, Q::default());
+                let (sched, st) = island.split_mut();
+                st.world.horizon = horizon;
+                seed_world(sched, &mut st.world);
+                island
+            })
+            .collect();
 
         // The island visit order: identity, or a deterministic shuffle to
         // prove order independence. The islands and their hooks are laid
         // out in that order (by the shuffle's own swaps, undone in reverse
         // after the run), so the contiguous block each participant owns is
         // one slice of each.
-        let n = self.islands.len();
-        let mut islands = self.islands;
+        let n = islands.len();
         let mut island_hooks: Vec<H::Island> = (0..n).map(|pic| hooks.island(pic as u16)).collect();
         let swaps: Vec<(usize, usize)> = match self.shuffle_seed {
             Some(seed) => {

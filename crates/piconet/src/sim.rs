@@ -7,6 +7,12 @@
 //! (data segment or NULL), after which the channel is free again. SCO
 //! reservations pre-empt polling; ACL exchanges are sized to fit between
 //! them.
+//!
+//! This module holds one piconet's state (`World`) and its event handlers,
+//! and has no run loop of its own. Every piconet runs as an island of the
+//! scatternet engine, and [`PiconetSim`] is a one-island [`ScatternetSim`]
+//! with no bridges and no chains, so the paper's own scenario and every
+//! scatternet share one engine.
 
 use crate::config::{
     AllowedByCap, PiconetConfig, PiconetError, PresenceMask, SarPolicy, ScoBinding,
@@ -16,66 +22,22 @@ use crate::ledger::{PollCounters, SlotLedger};
 use crate::poller::{ExchangeReport, MasterView, PollDecision, Poller, SegmentOutcome};
 use crate::queue::{FlowQueue, SegmentPlan};
 use crate::report::{FlowReport, RunReport};
+use crate::scatternet::{ScatternetConfig, ScatternetSim};
 use btgs_baseband::{
     next_master_tx_start, AmAddr, ChannelModel, Direction, LogicalChannel, PacketType, SLOT,
     SLOT_PAIR,
 };
-use btgs_des::{
-    EventKey, EventQueue, HeapEventQueue, PendingEvents, Scheduler, SimDuration, SimTime, Simulator,
-};
+use btgs_des::{EventKey, PendingEvents, Scheduler, SimDuration, SimTime};
 use btgs_traffic::{AppPacket, Source};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Destination of a source's packets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Target {
+pub(crate) enum Target {
     /// Index into the ACL flow tables.
     Flow(usize),
     /// Index into the SCO bindings.
     Sco(usize),
-}
-
-/// The event-scheduling surface the piconet handlers need.
-///
-/// Handlers used to take `&mut Scheduler<Ev, Q>` directly; the scatternet
-/// layer drives the *same* handlers from a shared scheduler whose event
-/// type wraps [`Ev`] with a piconet id. This trait is the seam: a plain
-/// scheduler implements it 1:1 (the single-piconet path compiles to exactly
-/// the old code), while the scatternet adapter tags every scheduled event
-/// with its piconet before it reaches the shared queue.
-pub(crate) trait EvSink {
-    /// The current simulated time.
-    fn now(&self) -> SimTime;
-    /// Schedules `ev` at the absolute instant `at`.
-    fn schedule_at(&mut self, at: SimTime, ev: Ev) -> EventKey;
-    /// Cancels a pending event scheduled through this sink.
-    fn cancel(&mut self, key: EventKey);
-    /// The firing time of the next pending event — *any* event, including
-    /// other piconets' in a scatternet (the same-instant-wake inlining in
-    /// [`wake_now`] only needs a conservative answer).
-    fn next_event_time(&mut self) -> Option<SimTime>;
-}
-
-impl<Q: PendingEvents<Ev>> EvSink for Scheduler<Ev, Q> {
-    #[inline]
-    fn now(&self) -> SimTime {
-        Scheduler::now(self)
-    }
-
-    #[inline]
-    fn schedule_at(&mut self, at: SimTime, ev: Ev) -> EventKey {
-        Scheduler::schedule_at(self, at, ev)
-    }
-
-    #[inline]
-    fn cancel(&mut self, key: EventKey) {
-        let _ = Scheduler::cancel(self, key);
-    }
-
-    #[inline]
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        Scheduler::next_event_time(self)
-    }
 }
 
 /// One planned transmission direction of an exchange.
@@ -220,25 +182,25 @@ pub(crate) struct World {
 
 impl World {
     /// Builds the per-piconet simulation state from a configuration, a
-    /// poller and a channel model. Shared by [`PiconetSim`] and the
-    /// scatternet simulator (which builds one world per piconet).
+    /// poller and a channel model. The configuration is consumed, so its
+    /// flows and SCO bindings move into the world instead of being copied.
     ///
     /// # Errors
     ///
     /// Returns the configuration's validation error, if any.
     pub(crate) fn build(
-        config: &PiconetConfig,
+        config: PiconetConfig,
         poller: Box<dyn Poller>,
         channel: Box<dyn ChannelModel>,
     ) -> Result<World, PiconetError> {
         config.validate()?;
-        // `config.validate()` above already ran `validate_flows`.
-        let table = FlowTable::from_validated(config.flows.clone());
-        let allowed: Vec<AllowedByCap> = table
-            .specs()
+        let allowed: Vec<AllowedByCap> = config
+            .flows
             .iter()
             .map(|f| config.allowed_by_cap_for(f))
             .collect();
+        // `config.validate()` above already ran `validate_flows`.
+        let table = FlowTable::from_validated(config.flows);
         let down_queues = table
             .specs()
             .iter()
@@ -262,9 +224,9 @@ impl World {
             .collect();
         let sco = config
             .sco
-            .iter()
-            .map(|b| ScoRt {
-                binding: b.clone(),
+            .into_iter()
+            .map(|binding| ScoRt {
+                binding,
                 queue: FlowQueue::new(),
                 report: {
                     let mut r = FlowReport::default();
@@ -292,7 +254,7 @@ impl World {
             busy_until: SimTime::ZERO,
             wake: None,
             warmup: SimTime::ZERO + config.warmup,
-            presence: config.presence.clone(),
+            presence: config.presence,
             horizon: SimTime::MAX,
             capture,
             outbox: Vec::new(),
@@ -304,25 +266,19 @@ impl World {
         })
     }
 
-    /// Registers the traffic source of one flow (ACL or SCO voice).
+    /// Registers the traffic source feeding `target`, the ACL flow or SCO
+    /// binding the caller resolved the source's flow id to.
     ///
     /// # Errors
     ///
-    /// Returns an error if the flow id is unknown or already has a source.
-    pub(crate) fn add_source(&mut self, source: Box<dyn Source>) -> Result<(), PiconetError> {
-        let id = source.flow();
-        let target = if let Some(idx) = self.table.idx_of(id) {
-            Target::Flow(idx.get())
-        } else if let Some(idx) = self
-            .sco
-            .iter()
-            .position(|s| s.binding.voice_flow == Some(id))
-        {
-            Target::Sco(idx)
-        } else {
-            return Err(PiconetError(format!("no flow {id} configured")));
-        };
+    /// Returns an error if the target already has a source.
+    pub(crate) fn add_source(
+        &mut self,
+        source: Box<dyn Source>,
+        target: Target,
+    ) -> Result<(), PiconetError> {
         if self.sources.iter().any(|s| s.target == target) {
+            let id = source.flow();
             return Err(PiconetError(format!("flow {id} already has a source")));
         }
         self.sources.push(SourceSlot { source, target });
@@ -335,18 +291,16 @@ impl World {
         Ok(())
     }
 
-    /// Checks that every flow has a source. `relay_fed(idx)` exempts flows
-    /// the scatternet feeds by relaying (they have no source of their own).
+    /// Checks that every flow has a source. `relay_fed[idx]` exempts flows
+    /// the scatternet feeds by relaying (they have no source of their own);
+    /// flows past its end are not relay-fed.
     ///
     /// # Errors
     ///
     /// Returns an error naming the first flow without a source.
-    pub(crate) fn check_sources(
-        &self,
-        relay_fed: &dyn Fn(usize) -> bool,
-    ) -> Result<(), PiconetError> {
+    pub(crate) fn check_sources(&self, relay_fed: &[bool]) -> Result<(), PiconetError> {
         for (idx, f) in self.table.specs().iter().enumerate() {
-            if relay_fed(idx) {
+            if relay_fed.get(idx) == Some(&true) {
                 continue;
             }
             if !self.sources.iter().any(|s| s.target == Target::Flow(idx)) {
@@ -412,9 +366,13 @@ impl World {
         }
     }
 
-    /// `true` if one of this world's SCO bindings carries voice flow `id`.
-    pub(crate) fn has_sco_voice(&self, id: btgs_traffic::FlowId) -> bool {
-        self.sco.iter().any(|s| s.binding.voice_flow == Some(id))
+    /// The voice flow ids of this world's SCO bindings, each with its
+    /// binding's index.
+    pub(crate) fn voice_flows(&self) -> impl Iterator<Item = (usize, btgs_traffic::FlowId)> + '_ {
+        self.sco
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.binding.voice_flow?)))
     }
 
     /// Pre-sizes the relay machinery of a scatternet piconet: `capture`
@@ -514,7 +472,7 @@ impl World {
     }
 }
 
-fn ensure_wake<S: EvSink>(sched: &mut S, w: &mut World, t: SimTime) {
+fn ensure_wake<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World, t: SimTime) {
     let target = next_master_tx_start(t.max(sched.now()));
     if let Some((existing, key)) = w.wake {
         if existing <= target {
@@ -535,7 +493,7 @@ fn ensure_wake<S: EvSink>(sched: &mut S, w: &mut World, t: SimTime) {
 /// one is (e.g. an arrival stamped exactly at the exchange boundary), the
 /// wake is queued as before so the strict FIFO rule — same-time arrivals
 /// become visible before the master decides — is preserved bit for bit.
-fn wake_now<S: EvSink>(sched: &mut S, w: &mut World) {
+fn wake_now<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World) {
     let now = sched.now();
     debug_assert_eq!(now, next_master_tx_start(now), "wake_now off the slot grid");
     if let Some((t, key)) = w.wake {
@@ -554,7 +512,7 @@ fn wake_now<S: EvSink>(sched: &mut S, w: &mut World) {
     }
 }
 
-pub(crate) fn handle<S: EvSink>(sched: &mut S, w: &mut World, ev: Ev) {
+pub(crate) fn handle<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World, ev: Ev) {
     match ev {
         Ev::Arrival { source_idx, pkt } => on_arrival(sched, w, source_idx, pkt),
         Ev::Wake => on_wake(sched, w),
@@ -615,7 +573,7 @@ fn ingress_packet(w: &mut World, target: Target, pkt: AppPacket, at: SimTime) {
 /// A free master may want to react to fresh data (e.g. serve a downlink
 /// packet); a busy one re-evaluates at exchange end anyway. Tail shared by
 /// the arrival and relay paths.
-fn wake_if_free<S: EvSink>(sched: &mut S, w: &mut World, now: SimTime) {
+fn wake_if_free<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World, now: SimTime) {
     if now >= w.busy_until {
         ensure_wake(sched, w, now);
     }
@@ -629,7 +587,11 @@ fn wake_if_free<S: EvSink>(sched: &mut S, w: &mut World, now: SimTime) {
 /// future packets are materialized into the queue right away (offered
 /// accounting at their own arrival instants) before one real `Ev::Arrival`
 /// is scheduled — one engine event then carries a whole batch.
-fn arm_next_arrival<S: EvSink>(sched: &mut S, w: &mut World, source_idx: usize) {
+fn arm_next_arrival<Q: PendingEvents<Ev>>(
+    sched: &mut Scheduler<Ev, Q>,
+    w: &mut World,
+    source_idx: usize,
+) {
     let now = sched.now();
     let target = w.sources[source_idx].target;
     if w.batchable(target) {
@@ -666,7 +628,12 @@ fn arm_next_arrival<S: EvSink>(sched: &mut S, w: &mut World, source_idx: usize) 
     }
 }
 
-fn on_arrival<S: EvSink>(sched: &mut S, w: &mut World, source_idx: usize, pkt: AppPacket) {
+fn on_arrival<Q: PendingEvents<Ev>>(
+    sched: &mut Scheduler<Ev, Q>,
+    w: &mut World,
+    source_idx: usize,
+    pkt: AppPacket,
+) {
     let now = sched.now();
     debug_assert_eq!(pkt.arrival, now);
     debug_assert!(
@@ -687,14 +654,19 @@ fn on_arrival<S: EvSink>(sched: &mut S, w: &mut World, source_idx: usize, pkt: A
 /// relay): same bookkeeping as an arrival, but there is no source to
 /// re-arm — the next relay is scheduled by the scatternet layer when its
 /// packet completes the previous hop.
-fn on_relay<S: EvSink>(sched: &mut S, w: &mut World, flow_idx: usize, pkt: AppPacket) {
+fn on_relay<Q: PendingEvents<Ev>>(
+    sched: &mut Scheduler<Ev, Q>,
+    w: &mut World,
+    flow_idx: usize,
+    pkt: AppPacket,
+) {
     let now = sched.now();
     debug_assert_eq!(pkt.arrival, now, "relay handoff lands at its event time");
     ingress_packet(w, Target::Flow(flow_idx), pkt, now);
     wake_if_free(sched, w, now);
 }
 
-fn on_wake<S: EvSink>(sched: &mut S, w: &mut World) {
+fn on_wake<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World) {
     let now = sched.now();
     if let Some((t, _)) = w.wake {
         if t == now {
@@ -764,8 +736,8 @@ fn plan_direction(
     queue?.peek_segment(now, &sar, usable)
 }
 
-fn start_exchange<S: EvSink>(
-    sched: &mut S,
+fn start_exchange<Q: PendingEvents<Ev>>(
+    sched: &mut Scheduler<Ev, Q>,
     w: &mut World,
     now: SimTime,
     slave: AmAddr,
@@ -881,7 +853,11 @@ fn start_exchange<S: EvSink>(
     sched.schedule_at(w.busy_until, Ev::ExchangeDone);
 }
 
-fn on_exchange_done<S: EvSink>(sched: &mut S, w: &mut World, ex: PendingExchange) {
+fn on_exchange_done<Q: PendingEvents<Ev>>(
+    sched: &mut Scheduler<Ev, Q>,
+    w: &mut World,
+    ex: PendingExchange,
+) {
     let now = sched.now();
     let in_window = w.in_window(ex.start);
 
@@ -987,7 +963,12 @@ fn apply_delivery(w: &mut World, tx: PlannedTx, at: SimTime, in_window: bool, di
     }
 }
 
-fn start_sco<S: EvSink>(sched: &mut S, w: &mut World, sco_idx: usize, now: SimTime) {
+fn start_sco<Q: PendingEvents<Ev>>(
+    sched: &mut Scheduler<Ev, Q>,
+    w: &mut World,
+    sco_idx: usize,
+    now: SimTime,
+) {
     w.busy_until = now + SLOT_PAIR;
     sched.schedule_at(
         w.busy_until,
@@ -998,7 +979,12 @@ fn start_sco<S: EvSink>(sched: &mut S, w: &mut World, sco_idx: usize, now: SimTi
     );
 }
 
-fn on_sco_done<S: EvSink>(sched: &mut S, w: &mut World, sco_idx: usize, start: SimTime) {
+fn on_sco_done<Q: PendingEvents<Ev>>(
+    sched: &mut Scheduler<Ev, Q>,
+    w: &mut World,
+    sco_idx: usize,
+    start: SimTime,
+) {
     let now = sched.now();
     let in_window = w.in_window(start);
     if in_window {
@@ -1042,6 +1028,10 @@ fn on_sco_done<S: EvSink>(sched: &mut S, w: &mut World, sco_idx: usize, start: S
 
 /// A configured piconet simulation, ready to run.
 ///
+/// A thin wrapper over a one-island [`ScatternetSim`]: the same engine,
+/// event queue and hook seam as any scatternet, with a single
+/// [`RunReport`] as its result.
+///
 /// # Examples
 ///
 /// ```
@@ -1072,45 +1062,13 @@ fn on_sco_done<S: EvSink>(sched: &mut S, w: &mut World, sco_idx: usize, start: S
 /// let report = sim.run(SimTime::from_secs(2)).unwrap();
 /// assert!(report.throughput_kbps(FlowId(1)) > 60.0);
 /// ```
-pub struct PiconetSim {
-    sim: Engine,
-}
-
-/// Selects the pending-event structure backing a [`PiconetSim`] run.
-///
-/// Production runs use the sorted buffer; the heap exists so differential
-/// tests can demand byte-identical [`RunReport`]s from both backends.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EventQueueBackend {
-    /// The sorted buffer ([`btgs_des::EventQueue`]).
-    #[default]
-    Sorted,
-    /// The `BinaryHeap` reference ([`btgs_des::HeapEventQueue`]).
-    BinaryHeap,
-}
-
-/// The simulator monomorphised per queue backend: the run loop is matched
-/// once, so backend selection costs nothing per event.
-enum Engine {
-    Sorted(Simulator<World, Ev, EventQueue<Ev>>),
-    Heap(Simulator<World, Ev, HeapEventQueue<Ev>>),
-}
-
-impl Engine {
-    fn world_mut(&mut self) -> &mut World {
-        match self {
-            Engine::Sorted(s) => s.state_mut(),
-            Engine::Heap(s) => s.state_mut(),
-        }
-    }
-}
+pub struct PiconetSim(ScatternetSim);
 
 /// Seeds one world's initial arrivals and wake-up. Same-time events fire in
 /// scheduling order, so packets arriving at t = 0 are already queued when
-/// the master makes its first decision. Shared by the single-piconet run
-/// loop and the scatternet (which seeds every piconet through its tagging
-/// [`EvSink`]).
-pub(crate) fn seed_world<S: EvSink>(sched: &mut S, w: &mut World) {
+/// the master makes its first decision. The island engine seeds every
+/// island through this at run start.
+pub(crate) fn seed_world<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World) {
     for source_idx in 0..w.sources.len() {
         if let Some(pkt) = w.sources[source_idx].source.next_packet() {
             if pkt.arrival <= w.horizon {
@@ -1123,28 +1081,10 @@ pub(crate) fn seed_world<S: EvSink>(sched: &mut S, w: &mut World) {
     w.wake = None;
 }
 
-/// Seeds the initial arrivals and wake-up, then drives the run loop to
-/// `horizon`, invoking `probe` at `checkpoint` and again when the loop
-/// finishes.
-fn drive<Q: PendingEvents<Ev>>(
-    sim: &mut Simulator<World, Ev, Q>,
-    checkpoint: SimTime,
-    horizon: SimTime,
-    probe: &mut dyn FnMut(),
-) {
-    let (sched, w) = sim.split_mut();
-    w.horizon = horizon;
-    seed_world(sched, w);
-
-    sim.run_until(checkpoint, handle);
-    probe();
-    sim.run_until(horizon, handle);
-    probe();
-}
-
 impl PiconetSim {
     /// Builds a simulation from a validated configuration, a poller and a
-    /// channel model, backed by the default sorted-buffer event queue.
+    /// channel model: a one-island [`ScatternetSim`] with no bridges and
+    /// no chains.
     ///
     /// # Errors
     ///
@@ -1154,31 +1094,12 @@ impl PiconetSim {
         poller: Box<dyn Poller>,
         channel: Box<dyn ChannelModel>,
     ) -> Result<PiconetSim, PiconetError> {
-        PiconetSim::with_backend(config, poller, channel, EventQueueBackend::Sorted)
-    }
-
-    /// Builds a simulation on an explicit event-queue backend (differential
-    /// testing of the sorted buffer against the heap reference).
-    ///
-    /// # Errors
-    ///
-    /// Returns the configuration's validation error, if any.
-    pub fn with_backend(
-        config: PiconetConfig,
-        poller: Box<dyn Poller>,
-        channel: Box<dyn ChannelModel>,
-        backend: EventQueueBackend,
-    ) -> Result<PiconetSim, PiconetError> {
-        let world = World::build(&config, poller, channel)?;
-        let sim = match backend {
-            EventQueueBackend::Sorted => {
-                Engine::Sorted(Simulator::with_queue(world, EventQueue::new()))
-            }
-            EventQueueBackend::BinaryHeap => {
-                Engine::Heap(Simulator::with_queue(world, HeapEventQueue::new()))
-            }
+        let config = ScatternetConfig {
+            piconets: vec![config],
+            bridges: Vec::new(),
+            chains: Vec::new(),
         };
-        Ok(PiconetSim { sim })
+        ScatternetSim::new(config, vec![poller], vec![channel]).map(PiconetSim)
     }
 
     /// Registers the traffic source of one flow (ACL or SCO voice).
@@ -1187,7 +1108,7 @@ impl PiconetSim {
     ///
     /// Returns an error if the flow id is unknown or already has a source.
     pub fn add_source(&mut self, source: Box<dyn Source>) -> Result<(), PiconetError> {
-        self.sim.world_mut().add_source(source)
+        self.0.add_source(source)
     }
 
     /// Runs the simulation until `horizon` and returns the report.
@@ -1195,14 +1116,18 @@ impl PiconetSim {
     /// # Errors
     ///
     /// Returns an error if any configured flow lacks a source or the
-    /// simulation was already run.
+    /// warm-up reaches the horizon.
     pub fn run(self, horizon: SimTime) -> Result<RunReport, PiconetError> {
         self.run_probed(horizon, horizon, &mut || {})
     }
 
-    /// Runs to `horizon`, invoking `probe` when the clock reaches
-    /// `checkpoint` and once more when the run loop finishes (before report
-    /// assembly).
+    /// Runs to `horizon`, invoking `probe` at the first phase boundary at
+    /// or after `checkpoint` and once more when the run loop finishes
+    /// (before report assembly). A lone piconet has no bridge windows, so
+    /// its only boundaries are the checkpoint and the horizon: the first
+    /// call comes exactly at `checkpoint`. A checkpoint past the horizon
+    /// is never reached and fires only the loop-end call; it never extends
+    /// the run.
     ///
     /// The allocation-counting benches use this to bracket the steady-state
     /// window: the first call snapshots the allocator counters after warm-up
@@ -1212,29 +1137,16 @@ impl PiconetSim {
     /// # Errors
     ///
     /// Returns an error if any configured flow lacks a source or the
-    /// simulation was already run.
+    /// warm-up reaches the horizon.
     pub fn run_probed(
-        mut self,
+        self,
         checkpoint: SimTime,
         horizon: SimTime,
         probe: &mut dyn FnMut(),
     ) -> Result<RunReport, PiconetError> {
         // `self` is consumed, so a sim cannot run twice by construction.
-        let w = self.sim.world_mut();
-        w.check_sources(&|_| false)?;
-        w.check_horizon(horizon)?;
-
-        let (events_processed, w) = match self.sim {
-            Engine::Sorted(mut sim) => {
-                drive(&mut sim, checkpoint, horizon, probe);
-                (sim.events_processed(), sim.into_state())
-            }
-            Engine::Heap(mut sim) => {
-                drive(&mut sim, checkpoint, horizon, probe);
-                (sim.events_processed(), sim.into_state())
-            }
-        };
-        Ok(w.into_report(horizon, events_processed))
+        let mut report = self.0.run_probed(checkpoint, horizon, probe)?;
+        Ok(report.piconets.pop().expect("one island, one report"))
     }
 }
 

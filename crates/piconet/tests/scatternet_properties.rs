@@ -3,18 +3,22 @@
 //! proptest dependency.
 //!
 //! Covered:
-//! * the sharded arena — global-id ↔ `(piconet, index)` round-trips, no
-//!   cross-shard aliasing;
+//! * global id routing — every flow of a random layout takes its source
+//!   and shows its traffic in its own piconet's report; an id (ACL or SCO
+//!   voice) in two piconets is rejected at build time, an unknown id at
+//!   `add_source`;
 //! * bridge forwarding — per-flow FIFO across the hop, and the end-to-end
 //!   identity `e2e = Σ per-hop queueing + Σ bridge residence` (exact, via
-//!   sample sums);
-//! * a 1-piconet scatternet is observationally identical to `PiconetSim`.
+//!   sample sums).
 
-use btgs_baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PiconetId, ScopedSlave};
+use btgs_baseband::{
+    AmAddr, ChannelModel, Direction, IdealChannel, LogicalChannel, PacketType, PiconetId, ScoLink,
+    ScopedSlave,
+};
 use btgs_des::{DetRng, SimDuration, SimTime};
 use btgs_piconet::{
-    BridgeSpec, ChainSpec, FlowSpec, FlowTable, MasterView, PiconetConfig, PiconetSim,
-    PollDecision, Poller, RunReport, ScatternetConfig, ScatternetSim, ShardedFlowArena,
+    BridgeSpec, ChainSpec, FlowSpec, MasterView, PiconetConfig, PollDecision, Poller,
+    RoundRobinForTest, ScatternetConfig, ScatternetSim, ScoBinding,
 };
 use btgs_traffic::{CbrSource, FlowId, Source, TraceSource};
 
@@ -52,36 +56,78 @@ fn random_shards(rng: &mut DetRng, n_shards: usize) -> Vec<Vec<FlowSpec>> {
     shards
 }
 
+/// A bridgeless scatternet over `piconets`, one round-robin poller and an
+/// ideal channel per piconet.
+fn unbridged(piconets: Vec<PiconetConfig>) -> Result<ScatternetSim, btgs_piconet::PiconetError> {
+    let n = piconets.len();
+    ScatternetSim::new(
+        ScatternetConfig {
+            piconets,
+            bridges: Vec::new(),
+            chains: Vec::new(),
+        },
+        (0..n)
+            .map(|_| Box::new(RoundRobinForTest::default()) as Box<dyn Poller>)
+            .collect(),
+        (0..n)
+            .map(|_| Box::new(IdealChannel) as Box<dyn ChannelModel>)
+            .collect(),
+    )
+}
+
+fn layout_config(flows: &[FlowSpec]) -> PiconetConfig {
+    flows.iter().cloned().fold(
+        PiconetConfig::new(vec![PacketType::Dh1, PacketType::Dh3]),
+        PiconetConfig::with_flow,
+    )
+}
+
+fn cbr(flow: FlowId, seed: u64) -> Box<dyn Source> {
+    Box::new(CbrSource::new(
+        flow,
+        SimDuration::from_millis(20),
+        100,
+        100,
+        DetRng::seed_from_u64(seed),
+    ))
+}
+
 #[test]
-fn arena_round_trips_every_global_id() {
+fn every_flow_routes_to_its_own_piconet() {
     let mut rng = DetRng::seed_from_u64(0xA7E7A);
-    for case in 0..50 {
+    for case in 0..20 {
         let n_shards = 1 + rng.below(5) as usize;
         let layouts = random_shards(&mut rng, n_shards);
-        let tables: Vec<FlowTable> = layouts
-            .iter()
-            .map(|f| FlowTable::new(f.clone()).expect("layout is valid"))
-            .collect();
-        let arena = ShardedFlowArena::new(tables).expect("unique ids");
-        let total: usize = layouts.iter().map(Vec::len).sum();
-        assert_eq!(arena.len(), total, "case {case}");
-        assert_eq!(arena.num_shards(), n_shards);
+        let mut sim = unbridged(layouts.iter().map(|f| layout_config(f)).collect())
+            .expect("unique ids build");
+        for f in layouts.iter().flatten() {
+            sim.add_source(cbr(f.id, u64::from(f.id.0)))
+                .unwrap_or_else(|e| panic!("case {case}: {} takes no source: {e}", f.id));
+        }
+        let report = sim.run(SimTime::from_millis(200)).expect("runs");
         for (p, flows) in layouts.iter().enumerate() {
+            let own = report.piconet(pic(p as u8));
+            assert_eq!(own.flows, *flows, "case {case}: piconet {p} flows");
             for f in flows {
-                // id -> (piconet, idx) -> id round-trip.
-                let (rp, idx) = arena
-                    .route(f.id)
-                    .unwrap_or_else(|| panic!("case {case}: {} unroutable", f.id));
-                assert_eq!(rp, pic(p as u8), "case {case}: {} in wrong shard", f.id);
-                assert_eq!(arena.shard(rp).id(idx), f.id);
-                assert_eq!(arena.spec_of(f.id).unwrap(), f);
+                assert!(
+                    own.flow(f.id).offered_packets > 0,
+                    "case {case}: {} shows no offered traffic in piconet {p}",
+                    f.id
+                );
+                for (q, other) in report.piconets.iter().enumerate() {
+                    assert!(
+                        q == p || !other.per_flow.contains_key(&f.id),
+                        "case {case}: {} leaked into piconet {q}",
+                        f.id
+                    );
+                }
             }
         }
     }
 }
 
 #[test]
-fn arena_rejects_cross_shard_aliasing_and_misses_unknown_ids() {
+fn ids_in_two_piconets_and_unknown_ids_are_rejected() {
     let mut rng = DetRng::seed_from_u64(0xBEEF);
     for _ in 0..50 {
         let n_shards = 1 + rng.below(4) as usize;
@@ -90,28 +136,85 @@ fn arena_rejects_cross_shard_aliasing_and_misses_unknown_ids() {
         if all_ids.is_empty() {
             continue;
         }
-        let tables: Vec<FlowTable> = layouts
-            .iter()
-            .map(|f| FlowTable::new(f.clone()).unwrap())
-            .collect();
-        let arena = ShardedFlowArena::new(tables.clone()).unwrap();
-        // Ids not in any shard miss.
+        let configs: Vec<PiconetConfig> = layouts.iter().map(|f| layout_config(f)).collect();
+        // Ids not in any piconet take no source.
+        let mut sim = unbridged(configs.clone()).expect("unique ids build");
         let max = all_ids.iter().map(|i| i.0).max().unwrap();
-        assert!(arena.route(FlowId(max + 1)).is_none());
-        assert!(arena.route(FlowId(max + 999)).is_none());
-        // Duplicating any shard aliases every one of its ids: rejected.
-        let dup = tables.iter().find(|t| !t.is_empty()).map(|t| {
-            let mut v = tables.clone();
-            v.push(t.clone());
-            v
-        });
-        if let Some(aliased) = dup {
-            assert!(
-                ShardedFlowArena::new(aliased).is_err(),
-                "aliased ids must be rejected"
-            );
+        for unknown in [max + 1, max + 999] {
+            let err = sim.add_source(cbr(FlowId(unknown), 1)).unwrap_err();
+            assert!(err.to_string().contains("no flow"), "{err}");
         }
+        // Duplicating any non-empty piconet puts every one of its ids in
+        // two piconets: rejected.
+        let dup = layouts
+            .iter()
+            .position(|f| !f.is_empty())
+            .expect("an id exists");
+        let mut aliased = configs;
+        aliased.push(aliased[dup].clone());
+        let err = unbridged(aliased)
+            .err()
+            .expect("aliased ids must be rejected");
+        assert!(
+            err.to_string().contains("appears in more than one piconet"),
+            "{err}"
+        );
     }
+}
+
+#[test]
+fn sco_voice_ids_are_unique_across_piconets() {
+    let voice = |id: u32| ScoBinding {
+        slave: s(3),
+        link: ScoLink::new(PacketType::Hv3, 0).unwrap(),
+        voice_flow: Some(FlowId(id)),
+    };
+    let acl = |id: u32| {
+        FlowSpec::new(
+            FlowId(id),
+            s(1),
+            Direction::SlaveToMaster,
+            LogicalChannel::BestEffort,
+        )
+    };
+    let base = || PiconetConfig::new(vec![PacketType::Dh1, PacketType::Dh3]);
+    // Voice flow 9 in piconet 0, and again as piconet 1's voice flow or
+    // as piconet 1's ACL flow: one id, two piconets.
+    for other in [
+        base().with_flow(acl(2)).with_sco(voice(9)),
+        base().with_flow(acl(9)),
+    ] {
+        let piconets = vec![base().with_flow(acl(1)).with_sco(voice(9)), other];
+        let err = unbridged(piconets)
+            .err()
+            .expect("a voice id shared across piconets must be rejected");
+        assert!(
+            err.to_string().contains("appears in more than one piconet"),
+            "{err}"
+        );
+    }
+    // Distinct voice ids route to their own piconets.
+    let mut sim = unbridged(vec![
+        base().with_flow(acl(1)).with_sco(voice(9)),
+        base().with_flow(acl(2)).with_sco(voice(10)),
+    ])
+    .expect("distinct ids build");
+    for id in [1, 2] {
+        sim.add_source(cbr(FlowId(id), u64::from(id))).unwrap();
+    }
+    for id in [9, 10] {
+        sim.add_source(Box::new(CbrSource::new(
+            FlowId(id),
+            SimDuration::from_micros(3750),
+            30,
+            30,
+            DetRng::seed_from_u64(u64::from(id)),
+        )))
+        .unwrap();
+    }
+    let report = sim.run(SimTime::from_secs(1)).expect("runs");
+    assert!(report.piconet(pic(0)).flow(FlowId(9)).delivered_packets > 0);
+    assert!(report.piconet(pic(1)).flow(FlowId(10)).delivered_packets > 0);
 }
 
 /// A minimal presence-aware GS poller for chain tests: polls its slave's GS
@@ -369,88 +472,6 @@ fn relay_fed_hops_reject_sources_and_first_hops_require_them() {
     // Without the first-hop source the run refuses to start.
     let err = sim.run(SimTime::from_secs(1)).unwrap_err();
     assert!(err.to_string().contains("has no source"), "{err}");
-}
-
-/// Flattens the observable per-flow surface of a [`RunReport`].
-fn digest(r: &RunReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for f in &r.flows {
-        let fr = r.flow(f.id);
-        let _ = write!(
-            out,
-            "{}:{}:{}:{}:{}:{};",
-            f.id,
-            fr.offered_packets,
-            fr.delivered_packets,
-            fr.delivered_bytes,
-            fr.delay.count(),
-            fr.delay.max().map_or_else(|| "-".into(), |d| d.to_string()),
-        );
-    }
-    out
-}
-
-#[test]
-fn one_piconet_scatternet_matches_piconet_sim_exactly() {
-    let allowed = vec![
-        btgs_baseband::PacketType::Dh1,
-        btgs_baseband::PacketType::Dh3,
-    ];
-    let config = PiconetConfig::new(allowed)
-        .with_flow(FlowSpec::new(
-            FlowId(1),
-            s(1),
-            Direction::SlaveToMaster,
-            LogicalChannel::BestEffort,
-        ))
-        .with_flow(FlowSpec::new(
-            FlowId(2),
-            s(2),
-            Direction::MasterToSlave,
-            LogicalChannel::BestEffort,
-        ))
-        .with_warmup(SimDuration::from_millis(250));
-    let source = |flow: u32, seed: u64| {
-        Box::new(CbrSource::new(
-            FlowId(flow),
-            SimDuration::from_millis(15),
-            100,
-            300,
-            DetRng::seed_from_u64(seed),
-        )) as Box<dyn Source>
-    };
-
-    let mut single = PiconetSim::new(
-        config.clone(),
-        Box::new(btgs_piconet::RoundRobinForTest::default()),
-        Box::new(IdealChannel),
-    )
-    .unwrap();
-    single.add_source(source(1, 11)).unwrap();
-    single.add_source(source(2, 22)).unwrap();
-    let single_report = single.run(SimTime::from_secs(3)).unwrap();
-
-    let mut scatter = ScatternetSim::new(
-        ScatternetConfig {
-            piconets: vec![config],
-            bridges: Vec::new(),
-            chains: Vec::new(),
-        },
-        vec![Box::new(btgs_piconet::RoundRobinForTest::default())],
-        vec![Box::new(IdealChannel)],
-    )
-    .unwrap();
-    scatter.add_source(source(1, 11)).unwrap();
-    scatter.add_source(source(2, 22)).unwrap();
-    let scatter_report = scatter.run(SimTime::from_secs(3)).unwrap();
-
-    assert_eq!(
-        digest(&single_report),
-        digest(scatter_report.piconet(pic(0))),
-        "a 1-piconet scatternet must be observationally identical"
-    );
-    assert!(scatter_report.chains.is_empty());
 }
 
 /// Two chains cross ONE bridge in opposite directions: the forward chain

@@ -1,11 +1,13 @@
 //! Behavioural tests of the piconet simulator: slot-grid discipline,
 //! master ignorance, logical-channel separation, and exchange accounting.
 
-use btgs_baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType, SLOT_PAIR};
+use btgs_baseband::{
+    AmAddr, Direction, IdealChannel, LogicalChannel, PacketType, ScoLink, SLOT_PAIR,
+};
 use btgs_des::{DetRng, SimDuration, SimTime};
 use btgs_piconet::{
     ExchangeReport, FlowSpec, MasterView, PiconetConfig, PiconetSim, PollDecision, Poller,
-    SegmentOutcome,
+    RoundRobinForTest, ScoBinding, SegmentOutcome,
 };
 use btgs_traffic::{CbrSource, FlowId, TraceSource};
 use std::sync::{Arc, Mutex};
@@ -312,4 +314,80 @@ fn duplicate_source_is_rejected() {
         DetRng::seed_from_u64(1),
     ));
     assert!(sim.add_source(unknown).is_err());
+}
+
+/// A piconet with one uplink and one downlink best-effort flow, each fed
+/// by CBR traffic, polled round-robin.
+fn two_flow_sim() -> PiconetSim {
+    let config = PiconetConfig::new(vec![PacketType::Dh1, PacketType::Dh3])
+        .with_flow(FlowSpec::new(
+            FlowId(1),
+            s(1),
+            Direction::SlaveToMaster,
+            LogicalChannel::BestEffort,
+        ))
+        .with_flow(FlowSpec::new(
+            FlowId(2),
+            s(2),
+            Direction::MasterToSlave,
+            LogicalChannel::BestEffort,
+        ))
+        .with_warmup(SimDuration::from_millis(250));
+    let mut sim = PiconetSim::new(
+        config,
+        Box::new(RoundRobinForTest::default()),
+        Box::new(IdealChannel),
+    )
+    .unwrap();
+    for (flow, seed) in [(1, 11), (2, 22)] {
+        sim.add_source(Box::new(CbrSource::new(
+            FlowId(flow),
+            SimDuration::from_millis(15),
+            100,
+            300,
+            DetRng::seed_from_u64(seed),
+        )))
+        .unwrap();
+    }
+    sim
+}
+
+#[test]
+fn checkpoint_past_the_horizon_does_not_extend_the_run() {
+    // The probe checkpoint is never reached when it lies past the
+    // horizon: the run stops at the horizon, exactly like a plain run,
+    // and only the loop-end probe fires.
+    let horizon = SimTime::from_secs(3);
+    let plain = two_flow_sim().run(horizon).unwrap();
+    let mut calls = 0;
+    let probed = two_flow_sim()
+        .run_probed(SimTime::from_secs(4), horizon, &mut || calls += 1)
+        .unwrap();
+    assert_eq!(calls, 1, "only the loop-end probe fires");
+    assert_eq!(probed.events_processed, plain.events_processed);
+    assert_eq!(format!("{probed:#?}"), format!("{plain:#?}"));
+}
+
+#[test]
+fn sco_voice_id_bound_to_two_links_is_rejected() {
+    // Two non-colliding HV3 links claim the same voice flow id: one
+    // source could feed only one of them, so the configuration is invalid.
+    let voice = |slave, offset_pairs| ScoBinding {
+        slave: s(slave),
+        link: ScoLink::new(PacketType::Hv3, offset_pairs).unwrap(),
+        voice_flow: Some(FlowId(9)),
+    };
+    let config = one_uplink_flow(LogicalChannel::BestEffort)
+        .with_sco(voice(2, 0))
+        .with_sco(voice(3, 1));
+    let err = config.validate().unwrap_err();
+    assert!(err.to_string().contains("two SCO links"), "{err}");
+    let err = PiconetSim::new(
+        config,
+        Box::new(RoundRobinForTest::default()),
+        Box::new(IdealChannel),
+    )
+    .err()
+    .expect("PiconetSim::new rejects a voice id bound twice");
+    assert!(err.to_string().contains("two SCO links"), "{err}");
 }

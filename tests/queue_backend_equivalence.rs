@@ -1,27 +1,49 @@
-//! Differential end-to-end test: every paper figure must reproduce
-//! unchanged on the sorted-buffer event queue.
+//! Differential end-to-end test: every paper figure and every corpus
+//! scatternet must reproduce unchanged on the sorted-buffer event queue.
 //!
 //! The heap-backed [`btgs::des::HeapEventQueue`] is the reference model;
-//! the sorted buffer replaced it purely for speed. Here full
-//! [`PaperScenario`] simulations run on both backends across pollers and
-//! seeds, and the resulting `RunReport`s must be **byte-identical** (the
+//! the sorted buffer replaced it purely for speed. Full simulations run on
+//! both queues, and the resulting reports must be **byte-identical** (the
 //! full `Debug` rendering — every delay sample, ledger cell and counter —
-//! not just summary statistics).
+//! not just summary statistics). The heap run goes through
+//! `ScatternetSim::with_reference_queue`: the paper scenario as a
+//! one-island scatternet, exactly what `PiconetSim` builds, and the corpus
+//! scatternets with their bridges and relay injection.
 
-use btgs::core::{PaperScenario, PaperScenarioParams, PollerKind};
+use btgs::baseband::IdealChannel;
+use btgs::core::{
+    sanitizer_corpus, PaperScenario, PaperScenarioParams, PollerKind, ScatternetScenario,
+};
 use btgs::des::{SimDuration, SimTime};
-use btgs::piconet::EventQueueBackend;
+use btgs::piconet::{RunReport, ScatternetConfig, ScatternetSim};
 
-fn report_bytes(
-    scenario: &PaperScenario,
-    kind: PollerKind,
-    horizon: SimTime,
-    backend: EventQueueBackend,
-) -> String {
-    let report = scenario
-        .run_with_backend(kind, horizon, backend)
+/// The paper scenario through `PaperScenario::run`, on the sorted buffer.
+fn sorted_report(scenario: &PaperScenario, kind: PollerKind, horizon: SimTime) -> RunReport {
+    scenario.run(kind, horizon).expect("scenario runs")
+}
+
+/// The same run on the heap reference: the one-island scatternet
+/// `PiconetSim` wraps, built by hand so the test-only builder applies.
+fn heap_report(scenario: &PaperScenario, kind: PollerKind, horizon: SimTime) -> RunReport {
+    let config = ScatternetConfig {
+        piconets: vec![scenario.config.clone()],
+        bridges: Vec::new(),
+        chains: Vec::new(),
+    };
+    let mut sim = ScatternetSim::new(
+        config,
+        vec![Box::new(scenario.poller(kind))],
+        vec![Box::new(IdealChannel)],
+    )
+    .expect("scenario builds");
+    for src in scenario.sources() {
+        sim.add_source(src).expect("one source per flow");
+    }
+    let mut report = sim
+        .with_reference_queue()
+        .run(horizon)
         .expect("scenario runs");
-    format!("{report:#?}")
+    report.piconets.pop().expect("one island")
 }
 
 #[test]
@@ -36,8 +58,8 @@ fn paper_scenario_reports_identical_across_backends() {
                 include_be: true,
                 ..Default::default()
             });
-            let sorted = report_bytes(&scenario, kind, horizon, EventQueueBackend::Sorted);
-            let heap = report_bytes(&scenario, kind, horizon, EventQueueBackend::BinaryHeap);
+            let sorted = format!("{:#?}", sorted_report(&scenario, kind, horizon));
+            let heap = format!("{:#?}", heap_report(&scenario, kind, horizon));
             assert_eq!(
                 sorted, heap,
                 "RunReport diverged between queue backends ({kind:?}, seed {seed})"
@@ -59,18 +81,11 @@ fn gs_only_and_tight_requirement_reports_identical() {
             include_be,
             ..Default::default()
         });
-        let sorted = report_bytes(
-            &scenario,
-            PollerKind::PfpGs,
-            horizon,
-            EventQueueBackend::Sorted,
+        let sorted = format!(
+            "{:#?}",
+            sorted_report(&scenario, PollerKind::PfpGs, horizon)
         );
-        let heap = report_bytes(
-            &scenario,
-            PollerKind::PfpGs,
-            horizon,
-            EventQueueBackend::BinaryHeap,
-        );
+        let heap = format!("{:#?}", heap_report(&scenario, PollerKind::PfpGs, horizon));
         assert_eq!(
             sorted, heap,
             "RunReport diverged (Dreq {dreq_ms} ms, include_be {include_be})"
@@ -92,43 +107,42 @@ fn long_horizon_paper_scenario_reports_identical() {
         include_be: true,
         ..Default::default()
     });
-    let sorted = scenario
-        .run_with_backend(PollerKind::PfpGs, horizon, EventQueueBackend::Sorted)
-        .expect("scenario runs");
+    let sorted = sorted_report(&scenario, PollerKind::PfpGs, horizon);
     assert!(sorted.events_processed > 90_000, "the run covers all 120 s");
-    let heap = report_bytes(
-        &scenario,
-        PollerKind::PfpGs,
-        horizon,
-        EventQueueBackend::BinaryHeap,
-    );
+    let heap = heap_report(&scenario, PollerKind::PfpGs, horizon);
     // `assert!`, not `assert_eq!`: a failure should not print two
     // multi-megabyte reports.
     assert!(
-        format!("{sorted:#?}") == heap,
+        format!("{sorted:#?}") == format!("{heap:#?}"),
         "120 s RunReport diverged between queue backends"
     );
 }
 
 #[test]
-fn sorted_is_the_default_backend() {
-    let scenario = PaperScenario::build(PaperScenarioParams {
-        delay_requirement: SimDuration::from_millis(40),
-        seed: 3,
-        warmup: SimDuration::from_millis(500),
-        include_be: true,
-        ..Default::default()
-    });
-    let horizon = SimTime::from_secs(2);
-    let via_default = format!(
-        "{:#?}",
-        scenario.run(PollerKind::PfpGs, horizon).expect("runs")
-    );
-    let via_sorted = report_bytes(
-        &scenario,
-        PollerKind::PfpGs,
-        horizon,
-        EventQueueBackend::Sorted,
-    );
-    assert_eq!(via_default, via_sorted);
+fn corpus_scatternet_reports_identical_across_backends() {
+    // The three sanitizer-corpus scatternets (chain, ring, mesh): bridge
+    // windows, the boundary calendar, pooled relays and their injection
+    // all run on both queues.
+    let horizon = SimTime::from_secs(3);
+    for (label, params) in sanitizer_corpus() {
+        let scenario = ScatternetScenario::build(params);
+        let build = || {
+            scenario
+                .simulator(PollerKind::PfpGs)
+                .expect("corpus scenario builds")
+        };
+        let sorted = build().run(horizon).expect("corpus scenario runs");
+        let heap = build()
+            .with_reference_queue()
+            .run(horizon)
+            .expect("corpus scenario runs");
+        assert!(
+            sorted.relays_injected > 0,
+            "{label}: no relay crossed a bridge"
+        );
+        assert!(
+            format!("{sorted:#?}") == format!("{heap:#?}"),
+            "{label}: ScatternetReport diverged between queue backends"
+        );
+    }
 }
