@@ -116,9 +116,7 @@ fn scatternet_mode(args: &BenchArgs) {
             be_source_mix: BeSourceMix::Cbr,
             telemetry: false,
         };
-        let report = ExperimentRunner::new()
-            .try_run_grid(&grid)
-            .expect("the smoke grid is admissible by construction");
+        let report = ExperimentRunner::new().run_grid(&grid);
         for cell in &report.cells {
             let scatter = cell.scatternet.as_ref().expect("scatternet cells");
             for (ci, chain) in scatter.report.chains.iter().enumerate() {

@@ -3,9 +3,9 @@
 //! Runs one grid twice — in-process via `ExperimentRunner`, and sharded
 //! across worker *processes* via `btgs_grid::ShardedGridRunner` — and
 //! asserts the merged `GridReport`s are **bit-for-bit identical**
-//! (digest and summary table). The sharded pass also streams every cell
-//! through the bounded-memory `OnlineAggregator` and archives it to a
-//! JSONL spill file for the CI artifacts.
+//! (digest and summary table). The sharded pass streams every cell into
+//! a `CollectSink` for its merged report, through the bounded-memory
+//! `OnlineAggregator`, and into a JSONL spill file for the CI artifacts.
 //!
 //! Usage: `grid_smoke [--seconds N] [--seed N] [--workers N]`. The
 //! spill and checkpoints land in `$BTGS_GRID_ARTIFACTS` (default
@@ -14,7 +14,8 @@
 //! Exits non-zero on any mismatch.
 
 use btgs_core::{
-    comparison_pollers, BeSourceMix, ExperimentRunner, MultiSink, ScenarioGrid, Topology,
+    comparison_pollers, BeSourceMix, CollectSink, ExperimentRunner, MultiSink, ScenarioGrid,
+    Topology,
 };
 use btgs_des::{SimDuration, SimTime};
 use btgs_grid::{GridPartitioner, JsonlSpillSink, OnlineAggregator, ShardedGridRunner};
@@ -83,31 +84,33 @@ fn main() -> ExitCode {
     // A fresh smoke run must not resume an older one's checkpoints.
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
+    let mut collect = CollectSink::new();
     let mut aggregator = OnlineAggregator::for_grid(&grid);
     let mut spill =
         JsonlSpillSink::create(&artifacts.join("grid_cells.jsonl"), &grid).expect("spill file");
-    let outcome = {
-        let mut sinks = MultiSink::new(vec![&mut aggregator, &mut spill]);
+    let stats = {
+        let mut sinks = MultiSink::new(vec![&mut collect, &mut aggregator, &mut spill]);
         ShardedGridRunner::new(&worker_bin(), &ckpt_dir, workers)
             .with_partitioner(GridPartitioner::with_target_cells_per_shard(4))
-            .run_observed(&grid, &mut sinks)
+            .run_streaming(&grid, &mut sinks)
             .expect("sharded run must complete")
     };
     let (spill_path, lines) = spill.finish().expect("spill flushed");
     println!(
         "sharded: {} workers spawned, {} cells executed, {} replayed; spill {} ({lines} lines)",
-        outcome.workers_spawned,
-        outcome.executed_cells,
-        outcome.replayed_cells,
+        stats.workers_spawned,
+        stats.executed_cells,
+        stats.replayed_cells,
         spill_path.display(),
     );
+    let sharded = collect.into_report();
 
     let mut failed = false;
-    if reference.digest() != outcome.report.digest() {
+    if reference.digest() != sharded.digest() {
         eprintln!("FAIL: sharded digest differs from in-process digest");
         failed = true;
     }
-    if reference.summary_table().render() != outcome.report.summary_table().render() {
+    if reference.summary_table().render() != sharded.summary_table().render() {
         eprintln!("FAIL: sharded summary table differs from in-process table");
         failed = true;
     }

@@ -1,8 +1,8 @@
 //! Multi-process sharded-runner contract tests.
 //!
-//! The acceptance bar: a sharded run of a ≥ 64-cell grid produces a
-//! `GridReport` **byte-identical** to the single-process
-//! `ExperimentRunner` at any worker count (1, 2, 4), including after a
+//! The acceptance bar: a sharded run of a ≥ 64-cell grid streams into a
+//! `CollectSink` a `GridReport` **byte-identical** to the single-process
+//! `ExperimentRunner`'s at any worker count (1, 2, 4), including after a
 //! worker is killed mid-shard and the run resumed from checkpoints.
 //!
 //! These tests spawn the real `grid_worker` binary
@@ -11,8 +11,8 @@
 //! stdout, checkpoint append/replay/truncation, retry, and the merge.
 
 use btgs_core::{
-    comparison_pollers, BeSourceMix, CellOutcome, CellResult, CellSink, ExperimentRunner,
-    PaperScenario, ScenarioGrid, Topology,
+    comparison_pollers, BeSourceMix, CellOutcome, CellResult, CellSink, CollectSink,
+    ExperimentRunner, MultiSink, PaperScenario, ScenarioGrid, Topology,
 };
 use btgs_des::{SimDuration, SimTime};
 use btgs_grid::wire::{
@@ -100,24 +100,29 @@ fn sharded_64_cell_grid_is_byte_identical_at_any_worker_count() {
 
     for workers in [1, 2, 4] {
         let dir = scratch(&format!("workers{workers}"));
+        let mut collect = CollectSink::new();
         let mut aggregator = OnlineAggregator::for_grid(&grid);
-        let outcome = ShardedGridRunner::new(worker_bin(), &dir, workers)
+        let stats = ShardedGridRunner::new(worker_bin(), &dir, workers)
             .with_partitioner(GridPartitioner::with_target_cells_per_shard(8))
-            .run_observed(&grid, &mut aggregator)
+            .run_streaming(
+                &grid,
+                &mut MultiSink::new(vec![&mut collect, &mut aggregator]),
+            )
             .expect("sharded run completes");
+        let report = collect.into_report();
         assert_eq!(
-            outcome.report.digest(),
+            report.digest(),
             ref_digest,
             "{workers} workers: digest mismatch"
         );
         assert_eq!(
-            outcome.report.summary_table().render(),
+            report.summary_table().render(),
             ref_table,
             "{workers} workers: summary mismatch"
         );
-        assert_eq!(outcome.executed_cells, 64);
-        assert_eq!(outcome.replayed_cells, 0);
-        assert!(outcome.workers_spawned >= workers.min(8));
+        assert_eq!(stats.executed_cells, 64);
+        assert_eq!(stats.replayed_cells, 0);
+        assert!(stats.workers_spawned >= workers.min(8));
         assert_eq!(aggregator.cells(), 64, "sink saw every streamed cell");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -129,13 +134,15 @@ fn scatternet_cells_cross_the_process_boundary_intact() {
     let grid = grid_scatternet();
     let reference = ExperimentRunner::new().run_grid(&grid);
     let dir = scratch("scatternet");
-    let outcome = ShardedGridRunner::new(worker_bin(), &dir, 2)
+    let mut collect = CollectSink::new();
+    ShardedGridRunner::new(worker_bin(), &dir, 2)
         .with_partitioner(GridPartitioner::with_target_cells_per_shard(1))
-        .run(&grid)
+        .run_streaming(&grid, &mut collect)
         .expect("sharded run completes");
-    assert_eq!(outcome.report.digest(), reference.digest());
+    let report = collect.into_report();
+    assert_eq!(report.digest(), reference.digest());
     // Chain statistics survived the wire with exact sums.
-    for (a, b) in reference.cells.iter().zip(&outcome.report.cells) {
+    for (a, b) in reference.cells.iter().zip(&report.cells) {
         match (&a.scatternet, &b.scatternet) {
             (None, None) => {}
             (Some(x), Some(y)) => {
@@ -169,7 +176,7 @@ fn kill_and_resume_is_byte_identical() {
     let crashed = ShardedGridRunner::new(worker_bin(), &dir, 2)
         .with_partitioner(GridPartitioner::with_target_cells_per_shard(8))
         .with_retries(0)
-        .run(&grid);
+        .run_streaming(&grid, &mut CollectSink::new());
     std::env::remove_var("BTGS_GRID_CRASH_AFTER_CELLS");
     std::env::remove_var("BTGS_GRID_CRASH_TORN");
     let err = crashed.expect_err("crashing workers must not complete the run");
@@ -178,23 +185,28 @@ fn kill_and_resume_is_byte_identical() {
 
     // Resume: checkpoints hold the partial results; the rerun replays
     // them and only simulates the remainder.
+    let mut collect = CollectSink::new();
     let mut aggregator = OnlineAggregator::for_grid(&grid);
-    let outcome = ShardedGridRunner::new(worker_bin(), &dir, 4)
+    let stats = ShardedGridRunner::new(worker_bin(), &dir, 4)
         .with_partitioner(GridPartitioner::with_target_cells_per_shard(8))
-        .run_observed(&grid, &mut aggregator)
+        .run_streaming(
+            &grid,
+            &mut MultiSink::new(vec![&mut collect, &mut aggregator]),
+        )
         .expect("resume completes");
     assert!(
-        outcome.replayed_cells > 0,
+        stats.replayed_cells > 0,
         "the crashed run's cells must be replayed, not re-simulated"
     );
-    assert_eq!(outcome.replayed_cells + outcome.executed_cells, 64);
+    assert_eq!(stats.replayed_cells + stats.executed_cells, 64);
+    let report = collect.into_report();
     assert_eq!(
-        outcome.report.digest(),
+        report.digest(),
         reference.digest(),
         "kill-and-resume changed the merged report"
     );
     assert_eq!(
-        outcome.report.summary_table().render(),
+        report.summary_table().render(),
         reference.summary_table().render()
     );
     assert_eq!(aggregator.cells(), 64, "replayed cells reach the sink too");
@@ -211,17 +223,18 @@ fn retries_recover_from_crashes_within_one_run() {
     // Every spawned worker crashes after writing one cell, so each
     // attempt banks exactly one more cell per live shard into the
     // checkpoints; with 4 cells across up-to-4-cell shards, 4 retries
-    // are guaranteed to drain the grid within one `run` call (retries
-    // re-dispatch only each shard's missing remainder).
+    // are guaranteed to drain the grid within one `run_streaming` call
+    // (retries re-dispatch only each shard's missing remainder).
     std::env::set_var("BTGS_GRID_CRASH_AFTER_CELLS", "1");
-    let outcome = ShardedGridRunner::new(worker_bin(), &dir, 2)
+    let mut collect = CollectSink::new();
+    let stats = ShardedGridRunner::new(worker_bin(), &dir, 2)
         .with_partitioner(GridPartitioner::with_target_cells_per_shard(4))
         .with_retries(4)
-        .run(&grid);
+        .run_streaming(&grid, &mut collect);
     std::env::remove_var("BTGS_GRID_CRASH_AFTER_CELLS");
-    let outcome = outcome.expect("retries drain the crash-looping shards");
-    assert_eq!(outcome.executed_cells, 4);
-    assert_eq!(outcome.report.digest(), reference.digest());
+    let stats = stats.expect("retries drain the crash-looping shards");
+    assert_eq!(stats.executed_cells, 4);
+    assert_eq!(collect.into_report().digest(), reference.digest());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -238,7 +251,7 @@ fn spill_archive_round_trips_through_frames() {
     {
         let mut sinks = btgs_core::MultiSink::new(vec![&mut live, &mut spill]);
         ShardedGridRunner::new(worker_bin(), &dir.join("ckpt"), 2)
-            .run_observed(&grid, &mut sinks)
+            .run_streaming(&grid, &mut sinks)
             .expect("sharded run completes");
     }
     let (path, lines) = spill.finish().unwrap();
@@ -259,38 +272,39 @@ fn spill_archive_round_trips_through_frames() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The bounded-memory entry point retains nothing in the parent but
-/// feeds the sink identically: its aggregation equals the retaining
-/// run's, cell for cell.
+/// The runner retains nothing in the parent but feeds every sink each
+/// cell once: a live aggregation equals one rebuilt from the collected
+/// report, and a rerun replays every cell from the checkpoints into the
+/// same aggregate.
 #[test]
 fn run_streaming_feeds_sinks_without_retaining_results() {
     let _env = env_guard();
     let grid = grid_scatternet();
+    let cells = grid.cells().len();
     let dir = scratch("streaming");
+    let runner = ShardedGridRunner::new(worker_bin(), &dir, 2);
 
-    let mut retained = OnlineAggregator::for_grid(&grid);
-    let outcome = ShardedGridRunner::new(worker_bin(), &dir.join("a"), 2)
-        .run_observed(&grid, &mut retained)
-        .expect("retaining run completes");
-
-    let mut streamed = OnlineAggregator::for_grid(&grid);
-    let stats = ShardedGridRunner::new(worker_bin(), &dir.join("b"), 2)
-        .run_streaming(&grid, &mut streamed)
+    let mut collect = CollectSink::new();
+    let mut live = OnlineAggregator::for_grid(&grid);
+    let stats = runner
+        .run_streaming(&grid, &mut MultiSink::new(vec![&mut collect, &mut live]))
         .expect("streaming run completes");
-    assert_eq!(stats.cells, grid.cells().len());
-    assert_eq!(stats.executed_cells, grid.cells().len());
-    assert_eq!(streamed.digest(), retained.digest());
-    assert_eq!(streamed.cells(), outcome.report.cells.len() as u64);
+    assert_eq!(stats.cells, cells);
+    assert_eq!(stats.executed_cells, cells);
+    assert_eq!(live.cells(), cells as u64);
+    let mut rebuilt = OnlineAggregator::for_grid(&grid);
+    for (index, result) in collect.into_report().cells.iter().enumerate() {
+        rebuilt.accept(index, result);
+    }
+    assert_eq!(live.digest(), rebuilt.digest());
 
-    // Resume works identically without retention: a second streaming
-    // run replays everything from checkpoints.
     let mut again = OnlineAggregator::for_grid(&grid);
-    let stats = ShardedGridRunner::new(worker_bin(), &dir.join("b"), 2)
+    let stats = runner
         .run_streaming(&grid, &mut again)
         .expect("streaming resume completes");
-    assert_eq!(stats.replayed_cells, grid.cells().len());
+    assert_eq!(stats.replayed_cells, cells);
     assert_eq!(stats.executed_cells, 0);
-    assert_eq!(again.digest(), retained.digest());
+    assert_eq!(again.digest(), live.digest());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -305,18 +319,23 @@ fn foreign_checkpoints_are_never_merged() {
     let dir = scratch("foreign");
 
     let runner = ShardedGridRunner::new(worker_bin(), &dir, 2);
-    let a = runner.run(&grid_a).expect("run A");
+    let run = |grid: &ScenarioGrid, what: &str| {
+        let mut collect = CollectSink::new();
+        let stats = runner.run_streaming(grid, &mut collect).expect(what);
+        (stats, collect.into_report().digest())
+    };
+    let (a, a_digest) = run(&grid_a, "run A");
     // Run B into the same checkpoint dir: shard ids differ, so nothing
     // of A's is replayed.
-    let b = runner.run(&grid_b).expect("run B");
+    let (b, b_digest) = run(&grid_b, "run B");
     assert_eq!(a.replayed_cells, 0);
     assert_eq!(b.replayed_cells, 0, "foreign checkpoints must not replay");
-    assert_ne!(a.report.digest(), b.report.digest());
+    assert_ne!(a_digest, b_digest);
     // Re-running A now replays everything and simulates nothing.
-    let again = runner.run(&grid_a).expect("rerun A");
+    let (again, again_digest) = run(&grid_a, "rerun A");
     assert_eq!(again.replayed_cells, grid_a.cells().len());
     assert_eq!(again.executed_cells, 0);
-    assert_eq!(again.report.digest(), a.report.digest());
+    assert_eq!(again_digest, a_digest);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -347,7 +366,7 @@ fn scatternet_checkpoint(dir: &Path) -> (PathBuf, CellFrame) {
 /// A checkpoint frame that parses but does not fit its cell — a
 /// scatternet report without piconets, or piconet 0 without one of the
 /// cell's planned GS flows — is rejected on replay: the cell is
-/// re-simulated and the aggregate matches the clean run's.
+/// re-simulated and the merged report matches the clean run's.
 #[test]
 fn corrupt_checkpoint_frames_are_resimulated() {
     let _env = env_guard();
@@ -357,10 +376,11 @@ fn corrupt_checkpoint_frames_are_resimulated() {
     // One cell per shard: each checkpoint file holds exactly one frame.
     let runner = ShardedGridRunner::new(worker_bin(), &dir, 2)
         .with_partitioner(GridPartitioner::with_target_cells_per_shard(1));
-    let mut clean = OnlineAggregator::for_grid(&grid);
+    let mut clean = CollectSink::new();
     runner
-        .run_observed(&grid, &mut clean)
+        .run_streaming(&grid, &mut clean)
         .expect("clean run completes");
+    let clean = clean.into_report().digest();
 
     type Corruption = fn(&CellFrame, &mut ScatternetReport);
     let corruptions: [(&str, Corruption); 2] = [
@@ -391,16 +411,14 @@ fn corrupt_checkpoint_frames_are_resimulated() {
         write_frame(&mut file, &payload).expect("frame writes");
         drop(file);
 
-        let mut again = OnlineAggregator::for_grid(&grid);
-        let outcome = runner
-            .run_observed(&grid, &mut again)
+        let mut again = CollectSink::new();
+        let stats = runner
+            .run_streaming(&grid, &mut again)
             .expect("replay over a corrupt frame completes");
-        assert_eq!(
-            outcome.executed_cells, 1,
-            "{what}: the cell is re-simulated"
-        );
-        assert_eq!(outcome.replayed_cells, cells - 1, "{what}");
-        assert_eq!(again.digest(), clean.digest(), "{what}: aggregate moved");
+        assert_eq!(stats.executed_cells, 1, "{what}: the cell is re-simulated");
+        assert_eq!(stats.replayed_cells, cells - 1, "{what}");
+        let again = again.into_report().digest();
+        assert_eq!(again, clean, "{what}: merged report moved");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -418,10 +436,11 @@ fn rejected_frame_behind_a_padded_prefix_is_rewound_exactly() {
     // One cell per shard: each checkpoint file holds exactly one frame.
     let runner = ShardedGridRunner::new(worker_bin(), &dir, 2)
         .with_partitioner(GridPartitioner::with_target_cells_per_shard(1));
-    let mut clean = OnlineAggregator::for_grid(&grid);
+    let mut clean = CollectSink::new();
     runner
-        .run_observed(&grid, &mut clean)
+        .run_streaming(&grid, &mut clean)
         .expect("clean run completes");
+    let clean = clean.into_report().digest();
 
     let (path, frame) = scatternet_checkpoint(&dir);
     let foreign = frame_to_json(
@@ -434,16 +453,14 @@ fn rejected_frame_behind_a_padded_prefix_is_rewound_exactly() {
     std::fs::write(&path, padded).expect("checkpoint rewrites");
 
     for (run, executed) in [("first rerun", 1), ("second rerun", 0)] {
-        let mut again = OnlineAggregator::for_grid(&grid);
-        let outcome = runner
-            .run_observed(&grid, &mut again)
+        let mut again = CollectSink::new();
+        let stats = runner
+            .run_streaming(&grid, &mut again)
             .expect("replay over a rejected frame completes");
-        assert_eq!(
-            outcome.executed_cells, executed,
-            "{run}: cells re-simulated"
-        );
-        assert_eq!(outcome.replayed_cells, cells - executed, "{run}");
-        assert_eq!(again.digest(), clean.digest(), "{run}: aggregate moved");
+        assert_eq!(stats.executed_cells, executed, "{run}: cells re-simulated");
+        assert_eq!(stats.replayed_cells, cells - executed, "{run}");
+        let again = again.into_report().digest();
+        assert_eq!(again, clean, "{run}: merged report moved");
     }
 
     let bytes = std::fs::read_to_string(&path).expect("checkpoint reads");

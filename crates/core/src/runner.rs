@@ -105,7 +105,8 @@ pub struct ScenarioGrid {
     /// (single-piconet cells ignore it). Ring and tree topologies are
     /// measurement-only: [`ScenarioGrid::validate`] rejects them combined
     /// with `chain_deadlines` other than `None`; `bidirectional` requires
-    /// the chain topology; trees and meshes reject `include_be`.
+    /// the chain topology; trees and meshes reject `include_be`; mesh
+    /// degrees must lie in 2..=4.
     pub topologies: Vec<Topology>,
     /// The delay requirements to sweep.
     pub delay_requirements: Vec<SimDuration>,
@@ -171,10 +172,11 @@ impl ScenarioGrid {
     /// axis non-empty, the warm-up inside the horizon, piconet counts the
     /// scenarios support, scatternet-only axes (`chain_deadlines` other
     /// than `None`, `bidirectional`) not combined with single-piconet
-    /// cells, and every admission-controlled scatternet cell's chain
-    /// actually admissible — so an infeasible deadline is a
-    /// grid-construction error, not a panic mid-run inside
-    /// [`ExperimentRunner`].
+    /// cells, every scatternet cell's parameters accepted by the
+    /// scenario's own rules, and every admission-controlled scatternet
+    /// cell's chain actually admissible — so an unsupported topology or an
+    /// infeasible deadline is a grid-construction error, not a panic
+    /// mid-run inside [`ExperimentRunner`].
     ///
     /// # Errors
     ///
@@ -229,31 +231,6 @@ impl ScenarioGrid {
                 );
             }
         }
-        for &topology in &self.topologies {
-            if topology == Topology::Chain {
-                continue;
-            }
-            let is_mesh = matches!(topology, Topology::Mesh { .. });
-            let label = topology.label();
-            if self.chain_deadlines.iter().any(Option::is_some) && !is_mesh {
-                return Err(format!(
-                    "chain_deadlines are derived for the chain topology only, not `{label}`"
-                ));
-            }
-            if self.bidirectional {
-                return Err(format!(
-                    "bidirectional requires the chain topology, not `{label}`"
-                ));
-            }
-            if topology == Topology::Tree && self.include_be {
-                return Err("tree topology cells cannot include_be (S5 is a bridge)".into());
-            }
-            if is_mesh && self.include_be {
-                return Err(
-                    "mesh topology cells cannot include_be (bridge roles use S4–S7)".into(),
-                );
-            }
-        }
         // Scatternet cells split the rendezvous cycle evenly, and both
         // halves must be valid presence windows (positive, slot-pair
         // aligned) — otherwise BridgeSpec::windows fails inside a worker
@@ -270,30 +247,32 @@ impl ScenarioGrid {
                 })
                 .map_err(|e| format!("bridge_cycle {}: {e}", self.bridge_cycle))?;
         }
-        // Admission feasibility is deterministic per (piconets,
-        // requirement, deadline) — seeds only affect traffic. Reject
-        // inadmissible cells here, where the caller can still react.
-        for &p in &self.piconets {
-            if p < 2 {
-                continue;
-            }
-            for &dreq in &self.delay_requirements {
-                for deadline in self.chain_deadlines.iter().flatten() {
-                    // Ring/tree + deadline combinations were rejected
-                    // above; deadlines only reach here with chain or mesh
-                    // topologies in play.
-                    for &topology in &self.topologies {
-                        if !matches!(topology, Topology::Chain | Topology::Mesh { .. }) {
-                            continue;
-                        }
-                        let mut params = ScatternetScenarioParams::chained(p);
-                        params.topology = topology;
+        // Every scatternet cell shape passes the scenario's own parameter
+        // rules. Admission feasibility is deterministic per (piconets,
+        // topology, deadline, requirement) — seeds only affect traffic —
+        // so inadmissible cells are rejected here, where the caller can
+        // still react; deadline-free cells build no scenario.
+        for &p in self.piconets.iter().filter(|&&p| p >= 2) {
+            for &topology in &self.topologies {
+                for &chain_deadline in &self.chain_deadlines {
+                    let mut params = ScatternetScenarioParams::chained(p);
+                    params.topology = topology;
+                    params.warmup = self.warmup;
+                    params.include_be = self.include_be;
+                    params.chain_deadline = chain_deadline;
+                    params.bidirectional = self.bidirectional;
+                    params.bridge_cycle = self.bridge_cycle;
+                    params.check().map_err(|e| {
+                        format!(
+                            "cell (piconets = {p}, topology = {}): {e}",
+                            topology.label()
+                        )
+                    })?;
+                    let Some(deadline) = chain_deadline else {
+                        continue;
+                    };
+                    for &dreq in &self.delay_requirements {
                         params.delay_requirement = dreq;
-                        params.warmup = self.warmup;
-                        params.include_be = self.include_be;
-                        params.chain_deadline = Some(*deadline);
-                        params.bidirectional = self.bidirectional;
-                        params.bridge_cycle = self.bridge_cycle;
                         ScatternetScenario::try_build(params).map_err(|e| {
                             format!(
                                 "cell (piconets = {p}, topology = {}, Dreq = {dreq}, chain \
@@ -801,73 +780,37 @@ impl ExperimentRunner {
         R: Send,
         F: Fn(&C) -> R + Sync,
     {
-        if cells.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.threads.min(cells.len());
-        if workers == 1 {
-            return cells.iter().map(f).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(cells.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Claim-and-run until the grid is exhausted. Each worker
-                    // batches its results locally and merges once, keeping
-                    // lock traffic negligible next to simulation time.
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        // ord: Relaxed — RMW atomicity alone partitions
-                        // cell indices across workers; results are
-                        // ordered by the scope join and the result lock.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            break;
-                        }
-                        local.push((i, f(&cells[i])));
-                    }
-                    collected
-                        .lock()
-                        .expect("worker panicked while holding the result lock")
-                        .append(&mut local);
-                });
-            }
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(cells.len(), || None);
+        let slots = Mutex::new(slots);
+        self.claim_each(cells.len(), |i| {
+            let result = f(&cells[i]);
+            slots
+                .lock()
+                .expect("a worker panicked while holding the result lock")[i] = Some(result);
         });
-        let mut pairs = collected.into_inner().expect("workers joined");
-        pairs.sort_by_key(|(i, _)| *i);
-        debug_assert_eq!(pairs.len(), cells.len());
-        pairs.into_iter().map(|(_, r)| r).collect()
+        slots
+            .into_inner()
+            .expect("workers joined")
+            .into_iter()
+            .map(|r| r.expect("the pool runs every cell once"))
+            .collect()
     }
 
-    /// Runs a whole [`ScenarioGrid`] and merges the results.
+    /// Runs a whole [`ScenarioGrid`] and merges the results: the grid
+    /// streams into a [`CollectSink`] through
+    /// [`ExperimentRunner::run_grid_streaming`].
     ///
     /// # Panics
     ///
     /// Panics — with the validation message, before any cell has run — if
-    /// [`ScenarioGrid::validate`] rejects the grid. Use
-    /// [`ExperimentRunner::try_run_grid`] to handle rejection.
+    /// [`ScenarioGrid::validate`] rejects the grid. Stream into a
+    /// [`CollectSink`] yourself to handle rejection.
     pub fn run_grid(&self, grid: &ScenarioGrid) -> GridReport {
-        self.try_run_grid(grid)
-            .unwrap_or_else(|e| panic!("invalid scenario grid: {e}"))
-    }
-
-    /// Validates the grid, then runs it; an ill-formed grid (including an
-    /// inadmissible chain deadline) is reported as an error before any
-    /// cell executes.
-    ///
-    /// The in-memory report is itself built through the streaming path: a
-    /// [`CollectSink`] is just one [`CellSink`] among the spill and
-    /// aggregation sinks of `btgs-grid`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioGrid::validate`]'s description of the violated
-    /// rule.
-    pub fn try_run_grid(&self, grid: &ScenarioGrid) -> Result<GridReport, String> {
         let mut collect = CollectSink::new();
-        self.run_grid_streaming(grid, &mut collect)?;
-        Ok(collect.into_report())
+        self.run_grid_streaming(grid, &mut collect)
+            .unwrap_or_else(|e| panic!("invalid scenario grid: {e}"));
+        collect.into_report()
     }
 
     /// Runs every cell of the grid, streaming each [`CellResult`] into
@@ -881,7 +824,8 @@ impl ExperimentRunner {
     /// # Errors
     ///
     /// Returns [`ScenarioGrid::validate`]'s description of the violated
-    /// rule, before any cell runs.
+    /// rule (including an inadmissible chain deadline), before any cell
+    /// runs.
     pub fn run_grid_streaming(
         &self,
         grid: &ScenarioGrid,
@@ -889,35 +833,43 @@ impl ExperimentRunner {
     ) -> Result<usize, String> {
         grid.validate()?;
         let cells = grid.cells();
-        let n = cells.len();
-        let workers = self.threads.min(n.max(1));
+        let shared = Mutex::new(sink);
+        self.claim_each(cells.len(), |i| {
+            // Simulate outside the lock; only delivery serialises.
+            let result = cells[i].run();
+            shared
+                .lock()
+                .expect("a worker panicked while holding the sink")
+                .accept_owned(i, result);
+        });
+        Ok(cells.len())
+    }
+
+    /// The one claim pool: calls `work(i)` exactly once for every `i` in
+    /// `0..n`, on `min(threads, n)` scoped workers that claim indices
+    /// from a shared cursor — in the calling thread when that is one.
+    fn claim_each(&self, n: usize, work: impl Fn(usize) + Sync) {
+        let workers = self.threads.min(n);
         if workers <= 1 {
-            for (i, cell) in cells.iter().enumerate() {
-                sink.accept_owned(i, cell.run());
-            }
-            return Ok(n);
+            (0..n).for_each(work);
+            return;
         }
         let cursor = AtomicUsize::new(0);
-        let shared = Mutex::new(sink);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    // ord: Relaxed — claim-only counter (see above); the
-                    // sink mutex orders the deliveries.
+                    // ord: Relaxed — RMW atomicity alone partitions the
+                    // indices across workers; `work` hands its result over
+                    // under its own lock, and the scope join orders every
+                    // result before the caller reads it.
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
-                    // Simulate outside the lock; only delivery serialises.
-                    let result = cells[i].run();
-                    shared
-                        .lock()
-                        .expect("a worker panicked while holding the sink")
-                        .accept_owned(i, result);
+                    work(i);
                 });
             }
         });
-        Ok(n)
     }
 }
 
@@ -1035,6 +987,14 @@ mod tests {
         g.topologies = vec![Topology::Tree];
         g.include_be = true;
         assert!(g.validate().unwrap_err().contains("include_be"));
+        // Mesh degrees outside 2..=4 fail validation, not the first cell.
+        for degree in [1, 5] {
+            let mut g = base_grid();
+            g.piconets = vec![3];
+            g.topologies = vec![Topology::Mesh { degree, seed: 1 }];
+            let err = g.validate().unwrap_err();
+            assert!(err.contains("mesh degree"), "degree {degree}: {err}");
+        }
 
         let mut g = base_grid();
         g.warmup = SimDuration::from_secs(3);
@@ -1068,7 +1028,11 @@ mod tests {
         g.chain_deadlines = vec![Some(SimDuration::from_millis(150))];
         let err = g.validate().unwrap_err();
         assert!(err.contains("not admissible"), "{err}");
-        assert!(ExperimentRunner::with_threads(1).try_run_grid(&g).is_err());
+        let mut collect = CollectSink::new();
+        assert!(ExperimentRunner::with_threads(1)
+            .run_grid_streaming(&g, &mut collect)
+            .is_err());
+        assert!(collect.is_empty(), "no cell ran");
 
         // The same deadline with capacity left (Dreq = 46 ms) validates
         // and runs.

@@ -230,6 +230,52 @@ impl ScatternetScenarioParams {
             ..ScatternetScenarioParams::chained(n)
         }
     }
+
+    /// The parameter-only rules of [`ScatternetScenario::try_build`]: the
+    /// combinations the topology supports (see
+    /// [`ScatternetScenarioParams::topology`]) and the mesh degree. Cheap
+    /// and allocation-free unless it fails, so
+    /// [`ScenarioGrid::validate`](crate::ScenarioGrid::validate) runs it
+    /// for every scatternet cell shape without building a scenario.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let is_mesh = matches!(self.topology, Topology::Mesh { .. });
+        if self.topology != Topology::Chain {
+            let label = self.topology.label();
+            if self.chain_deadline.is_some() && !is_mesh {
+                return Err(format!(
+                    "chain_deadline (multi-hop admission) is derived for the chain \
+                     topology only, not `{label}`"
+                ));
+            }
+            if self.bidirectional {
+                return Err(format!(
+                    "bidirectional reverse chains exist in the chain topology only, \
+                     not `{label}`"
+                ));
+            }
+        }
+        if self.topology == Topology::Tree && self.include_be {
+            return Err(format!(
+                "tree topologies use S{TREE_SECOND_OUT_SLAVE} for second out-bridges; \
+                 set include_be to false"
+            ));
+        }
+        if let Topology::Mesh { degree, .. } = self.topology {
+            if !(2..=4).contains(&degree) {
+                return Err(format!(
+                    "mesh degree {degree} out of range: 2..=4 bridge roles per piconet"
+                ));
+            }
+            if self.include_be {
+                return Err(
+                    "mesh topologies allocate bridge roles down from S7 into the \
+                     best-effort slaves; set include_be to false"
+                        .into(),
+                );
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The sanitizer/bisector corpus: one small scenario per topology class
@@ -500,7 +546,8 @@ impl ScatternetScenario {
     /// rendering when `params.chain_deadline` is set and a chain cannot
     /// be admitted, and a description of the conflict for unsupported
     /// combinations (non-chain topology with `chain_deadline` or
-    /// `bidirectional`; tree with `include_be`).
+    /// `bidirectional`; tree or mesh with `include_be`; a mesh degree
+    /// outside 2..=4).
     ///
     /// # Panics
     ///
@@ -508,42 +555,8 @@ impl ScatternetScenario {
     pub fn try_build(params: ScatternetScenarioParams) -> Result<ScatternetScenario, String> {
         let n = params.piconets;
         assert!(n >= 2, "a scatternet scenario needs at least two piconets");
+        params.check()?;
         let is_mesh = matches!(params.topology, Topology::Mesh { .. });
-        if params.topology != Topology::Chain {
-            let label = params.topology.label();
-            if params.chain_deadline.is_some() && !is_mesh {
-                return Err(format!(
-                    "chain_deadline (multi-hop admission) is derived for the chain \
-                     topology only, not `{label}`"
-                ));
-            }
-            if params.bidirectional {
-                return Err(format!(
-                    "bidirectional reverse chains exist in the chain topology only, \
-                     not `{label}`"
-                ));
-            }
-        }
-        if params.topology == Topology::Tree && params.include_be {
-            return Err(format!(
-                "tree topologies use S{TREE_SECOND_OUT_SLAVE} for second out-bridges; \
-                 set include_be to false"
-            ));
-        }
-        if let Topology::Mesh { degree, .. } = params.topology {
-            if !(2..=4).contains(&degree) {
-                return Err(format!(
-                    "mesh degree {degree} out of range: 2..=4 bridge roles per piconet"
-                ));
-            }
-            if params.include_be {
-                return Err(
-                    "mesh topologies allocate bridge roles down from S7 into the \
-                     best-effort slaves; set include_be to false"
-                        .into(),
-                );
-            }
-        }
         let allowed = vec![PacketType::Dh1, PacketType::Dh3];
         let edges = topology_edges(&params);
         let chains = derive_chain_paths(&params, &edges, &allowed);

@@ -1,14 +1,13 @@
 //! Streaming consumption of grid-cell results.
 //!
-//! [`ExperimentRunner`](crate::ExperimentRunner) used to hold every
-//! [`CellResult`] of a grid in one `Vec` — fine for the paper's 32-cell
-//! evaluation, a wall for the million-cell sweeps the ROADMAP aims at.
-//! The [`CellSink`] trait inverts that: the runner *streams* results out
-//! as cells complete, and what is retained is the sink's choice. The
-//! in-memory path survives as [`CollectSink`]; `btgs-grid` adds an online
+//! Both grid runners — [`ExperimentRunner`](crate::ExperimentRunner) on
+//! threads and `btgs-grid`'s sharded runner on worker processes — stream
+//! every [`CellResult`] into a [`CellSink`] as its cell completes, and
+//! what is retained is the sink's choice. [`CollectSink`] keeps every
+//! result and merges the [`GridReport`]; `btgs-grid` adds an online
 //! aggregator whose memory is bounded by the number of summary series and
-//! a JSONL spill sink for full-fidelity archiving, and its multi-process
-//! runner feeds the same sinks from worker pipes.
+//! a JSONL spill sink for full-fidelity archiving; [`MultiSink`] feeds
+//! several sinks in one pass.
 //!
 //! # Ordering contract
 //!

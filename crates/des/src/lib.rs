@@ -49,12 +49,10 @@ mod engine;
 mod queue;
 mod rng;
 mod sorted;
-mod tag;
 mod time;
 
 pub use engine::{Scheduler, Simulator};
 pub use queue::{EventKey, HeapEventQueue, PendingEvents, QueueOccupancy, Scheduled};
 pub use rng::DetRng;
 pub use sorted::EventQueue;
-pub use tag::Tagged;
 pub use time::{SimDuration, SimTime};

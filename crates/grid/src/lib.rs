@@ -1,11 +1,10 @@
 //! # btgs-grid — sharded, streaming, resumable experiment-grid execution
 //!
-//! `btgs-core`'s [`ExperimentRunner`](btgs_core::ExperimentRunner) runs a
-//! [`ScenarioGrid`](btgs_core::ScenarioGrid) on one process and, until
-//! this crate, held every [`CellResult`](btgs_core::CellResult) in
-//! memory. This crate turns grid execution into a pipeline that scales
-//! past one heap and one process — the ROADMAP's "shard grids across
-//! machines, stream partial reports" item:
+//! `btgs-core`'s [`ExperimentRunner`](btgs_core::ExperimentRunner)
+//! streams the cells of a [`ScenarioGrid`](btgs_core::ScenarioGrid) into
+//! a [`CellSink`](btgs_core::CellSink) on one process. This crate streams
+//! the same grid into the same sinks from worker processes, with
+//! checkpoints that survive a killed run:
 //!
 //! ```text
 //!   ScenarioGrid ──GridPartitioner──▶ GridShards (content-addressed,
@@ -31,9 +30,10 @@
 //!   ([`DelaySummary`](btgs_metrics::DelaySummary) + fixed histograms);
 //!   memory bounded by the number of summary series, not cells.
 //! * [`JsonlSpillSink`] — archives every cell as one JSONL frame.
-//! * [`ShardedGridRunner`] — spawns N `grid_worker` processes, streams
-//!   frames into the caller's sink, checkpoints every frame, and merges
-//!   a [`GridReport`](btgs_core::GridReport) **byte-identical** to the
+//! * [`ShardedGridRunner`] — spawns N `grid_worker` processes,
+//!   checkpoints every frame and streams it into the caller's sink; a
+//!   [`CollectSink`](btgs_core::CollectSink) there merges a
+//!   [`GridReport`](btgs_core::GridReport) **byte-identical** to the
 //!   in-process runner's at any worker count, including after a worker
 //!   is killed mid-shard and the run resumed.
 
@@ -48,6 +48,6 @@ pub mod wire;
 mod worker;
 
 pub use partition::{GridPartitioner, GridShard};
-pub use runner::{GridError, ShardedGridRunner, ShardedRunOutcome, ShardedStreamStats};
+pub use runner::{GridError, ShardedGridRunner, ShardedStreamStats};
 pub use sink::{JsonlSpillSink, OnlineAggregator};
 pub use worker::{fault_injection_from_env, run_worker, FaultInjection};

@@ -6,33 +6,36 @@
 //! frames back over stdout. Every received frame is
 //!
 //! 1. appended (verbatim bytes) to the shard's **checkpoint file**,
-//! 2. reassembled into a [`CellResult`] and offered to the caller's
-//!    [`CellSink`],
-//! 3. retained for the merged [`GridReport`].
+//! 2. reassembled into a [`CellResult`] and handed to the caller's
+//!    [`CellSink`] — the parent keeps nothing else; a
+//!    [`CollectSink`](btgs_core::CollectSink) merges the
+//!    [`GridReport`](btgs_core::GridReport).
+//!
+//! Shard jobs fan out through the in-process runner's claim pool
+//! ([`ExperimentRunner::run`]), one job per pool thread at a time.
 //!
 //! # Determinism & resumability
 //!
 //! Cells are deterministic functions of their grid coordinates, shards
-//! are a pure function of the grid digest ([`GridPartitioner`]), and the
-//! merge keys every frame by cell index — so the merged report is
-//! **byte-identical** to the in-process
-//! [`ExperimentRunner`](btgs_core::ExperimentRunner) at any worker count,
-//! after any interleaving, and across kill-and-resume: a rerun replays
-//! completed cells from the checkpoints (identical bytes, same digest
-//! checks) and only simulates what is missing. Torn checkpoint tails
-//! (a parent killed mid-append) are truncated away on resume.
+//! are a pure function of the grid digest ([`GridPartitioner`]), and every
+//! frame is keyed by cell index — so a collected report is
+//! **byte-identical** to the in-process [`ExperimentRunner`]'s at any
+//! worker count, after any interleaving, and across kill-and-resume: a
+//! rerun replays completed cells from the checkpoints (identical bytes,
+//! same digest checks) and only simulates what is missing. Torn
+//! checkpoint tails (a parent killed mid-append) are truncated away on
+//! resume.
 
 use crate::partition::{GridPartitioner, GridShard};
 use crate::wire::{
     frame_from_json, grid_digest, shard_spec_to_json, write_frame, FrameRead, FrameReader,
 };
-use btgs_core::{CellOutcome, CellResult, CellSink, GridCell, GridReport, ScenarioGrid};
+use btgs_core::{CellOutcome, CellResult, CellSink, ExperimentRunner, GridCell, ScenarioGrid};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// An error from the sharded runner.
@@ -86,23 +89,8 @@ impl From<std::io::Error> for GridError {
     }
 }
 
-/// What a completed sharded run reports alongside the merged grid
-/// report.
-#[derive(Debug)]
-pub struct ShardedRunOutcome {
-    /// The merged report, in grid order — byte-identical to the
-    /// in-process runner's.
-    pub report: GridReport,
-    /// Cells replayed from checkpoint files (no simulation).
-    pub replayed_cells: usize,
-    /// Cells executed by workers in this invocation.
-    pub executed_cells: usize,
-    /// Worker processes spawned.
-    pub workers_spawned: usize,
-}
-
-/// What a bounded-memory [`ShardedGridRunner::run_streaming`] run
-/// reports: counters only, no retained results.
+/// What a [`ShardedGridRunner::run_streaming`] run reports: counters
+/// only — the results themselves went to the sink.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedStreamStats {
     /// Total cells in the grid (all delivered to the sink).
@@ -165,26 +153,14 @@ impl ShardedGridRunner {
         self.checkpoint_dir.join(format!("shard-{}.ckpt", shard.id))
     }
 
-    /// Runs the grid, discarding streamed results except for the merged
-    /// report.
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedGridRunner::run_observed`].
-    pub fn run(&self, grid: &ScenarioGrid) -> Result<ShardedRunOutcome, GridError> {
-        struct Ignore;
-        impl CellSink for Ignore {
-            fn accept(&mut self, _: usize, _: &CellResult) {}
-        }
-        self.run_observed(grid, &mut Ignore)
-    }
-
     /// Runs the grid, streaming every cell result (checkpoint-replayed
-    /// and freshly executed alike) into `sink` as it arrives, **and**
-    /// retaining every result for the merged [`GridReport`] — parent
-    /// memory is O(cells), like the in-process runner. For sweeps too
-    /// large for one heap use [`ShardedGridRunner::run_streaming`],
-    /// which retains nothing.
+    /// and freshly executed alike) into `sink` exactly once, as it
+    /// arrives. Nothing is retained in the parent: with bounded sinks
+    /// ([`OnlineAggregator`](crate::OnlineAggregator),
+    /// [`JsonlSpillSink`](crate::JsonlSpillSink)) its memory is
+    /// independent of the cell count, and a
+    /// [`CollectSink`](btgs_core::CollectSink) merges the
+    /// [`GridReport`](btgs_core::GridReport).
     ///
     /// # Errors
     ///
@@ -192,47 +168,12 @@ impl ShardedGridRunner {
     /// * [`GridError::Io`] on checkpoint/pipe failures,
     /// * [`GridError::Incomplete`] when cells are still missing after the
     ///   configured retries — checkpoints retain all completed cells, so
-    ///   calling `run_observed` again resumes instead of restarting.
-    pub fn run_observed(
-        &self,
-        grid: &ScenarioGrid,
-        sink: &mut dyn CellSink,
-    ) -> Result<ShardedRunOutcome, GridError> {
-        let (report, stats) = self.run_inner(grid, sink, true)?;
-        Ok(ShardedRunOutcome {
-            report: report.expect("retaining run produces a report"),
-            replayed_cells: stats.replayed_cells,
-            executed_cells: stats.executed_cells,
-            workers_spawned: stats.workers_spawned,
-        })
-    }
-
-    /// Runs the grid **without retaining any cell result** in the
-    /// parent: each result reaches `sink` exactly once and is dropped.
-    /// With bounded sinks ([`OnlineAggregator`](crate::OnlineAggregator),
-    /// [`JsonlSpillSink`](crate::JsonlSpillSink)) parent memory is
-    /// independent of the cell count — this is the entry point for
-    /// sweeps that do not fit one heap (the full-fidelity record lives
-    /// in the spill/checkpoints, not in memory).
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedGridRunner::run_observed`].
+    ///   calling `run_streaming` again resumes instead of restarting.
     pub fn run_streaming(
         &self,
         grid: &ScenarioGrid,
         sink: &mut dyn CellSink,
     ) -> Result<ShardedStreamStats, GridError> {
-        let (_, stats) = self.run_inner(grid, sink, false)?;
-        Ok(stats)
-    }
-
-    fn run_inner(
-        &self,
-        grid: &ScenarioGrid,
-        sink: &mut dyn CellSink,
-        retain: bool,
-    ) -> Result<(Option<GridReport>, ShardedStreamStats), GridError> {
         grid.validate().map_err(GridError::InvalidGrid)?;
         let cells = grid.cells();
         let digest = grid_digest(grid);
@@ -240,11 +181,6 @@ impl ShardedGridRunner {
         fs::create_dir_all(&self.checkpoint_dir)?;
 
         let mut merge = MergeState {
-            results: retain.then(|| {
-                let mut slots: Vec<Option<CellResult>> = Vec::new();
-                slots.resize_with(cells.len(), || None);
-                slots
-            }),
             received: vec![false; cells.len()],
             sink,
             done: 0,
@@ -252,82 +188,38 @@ impl ShardedGridRunner {
 
         // Phase 1: replay checkpoints.
         let mut replayed = 0usize;
-        let mut jobs: Vec<ShardJob> = Vec::new();
         for shard in &shards {
             let path = self.checkpoint_path(shard);
             replayed += replay_checkpoint(&path, shard, digest, &cells, &mut merge)?;
-            let remaining: Vec<usize> = shard
-                .cells
-                .iter()
-                .copied()
-                .filter(|&i| !merge.received[i])
-                .collect();
-            if !remaining.is_empty() {
-                jobs.push(ShardJob {
-                    shard: shard.clone(),
-                    remaining,
-                });
-            }
         }
+        let mut jobs: Vec<ShardJob> = shards.iter().filter_map(|s| merge.job_for(s)).collect();
 
         // Phase 2: dispatch workers, retrying failed shards on their
         // remainders.
+        let pool = ExperimentRunner::with_threads(self.workers);
         let mut executed = 0usize;
         let mut spawned = 0usize;
         let mut failures: Vec<String> = Vec::new();
         let mut attempt = 0usize;
         while !jobs.is_empty() && attempt <= self.retries {
             let merge_lock = Mutex::new(&mut merge);
-            let next = AtomicUsize::new(0);
-            let stats = Mutex::new((0usize, 0usize, Vec::<(ShardJob, String)>::new()));
-            std::thread::scope(|scope| {
-                for _ in 0..self.workers.min(jobs.len()) {
-                    scope.spawn(|| loop {
-                        // ord: Relaxed — RMW atomicity alone partitions
-                        // shard jobs; the merge/stats mutexes order the
-                        // results.
-                        let j = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(j) else { break };
-                        let (count, verdict) =
-                            self.run_shard_job(grid, digest, &cells, job, &merge_lock);
-                        let mut stats = stats.lock().expect("stats lock");
-                        stats.1 += 1; // spawned
-                        stats.0 += count; // cells simulated, even by a
-                                          // worker that crashed later
-                        match verdict {
-                            Ok(()) => {}
-                            Err(e) => {
-                                // Recompute the remainder under the merge
-                                // lock so replayed frames from this very
-                                // attempt are not re-run.
-                                let merge = merge_lock.lock().expect("merge lock");
-                                let remaining: Vec<usize> = job
-                                    .shard
-                                    .cells
-                                    .iter()
-                                    .copied()
-                                    .filter(|&i| !merge.received[i])
-                                    .collect();
-                                drop(merge);
-                                if !remaining.is_empty() {
-                                    stats.2.push((
-                                        ShardJob {
-                                            shard: job.shard.clone(),
-                                            remaining,
-                                        },
-                                        e.to_string(),
-                                    ));
-                                }
-                            }
-                        }
-                    });
-                }
+            let verdicts = pool.run(&jobs, |job| {
+                self.run_shard_job(grid, digest, &cells, job, &merge_lock)
             });
-            let (count, procs, failed) = stats.into_inner().expect("stats lock");
-            executed += count;
-            spawned += procs;
-            failures = failed.iter().map(|(_, e)| e.clone()).collect();
-            jobs = failed.into_iter().map(|(job, _)| job).collect();
+            spawned += jobs.len();
+            // Cells simulated count even when their worker crashed later.
+            executed += verdicts.iter().map(|(count, _)| count).sum::<usize>();
+            // Shards are disjoint, so a failed job's remainder is the same
+            // now as when it failed.
+            failures.clear();
+            let mut retry = Vec::new();
+            for (job, (_, verdict)) in jobs.iter().zip(verdicts) {
+                if let (Err(e), Some(next)) = (verdict, merge.job_for(&job.shard)) {
+                    failures.push(e.to_string());
+                    retry.push(next);
+                }
+            }
+            jobs = retry;
             attempt += 1;
         }
 
@@ -338,21 +230,12 @@ impl ShardedGridRunner {
                 failures,
             });
         }
-        let report = merge.results.map(|slots| GridReport {
-            cells: slots
-                .into_iter()
-                .map(|r| r.expect("all cells received"))
-                .collect(),
-        });
-        Ok((
-            report,
-            ShardedStreamStats {
-                cells: cells.len(),
-                replayed_cells: replayed,
-                executed_cells: executed,
-                workers_spawned: spawned,
-            },
-        ))
+        Ok(ShardedStreamStats {
+            cells: cells.len(),
+            replayed_cells: replayed,
+            executed_cells: executed,
+            workers_spawned: spawned,
+        })
     }
 
     /// Spawns one worker for `job` and merges its frames; returns the
@@ -456,30 +339,38 @@ struct ShardJob {
 }
 
 struct MergeState<'a> {
-    /// `Some` only when the caller wants the merged [`GridReport`];
-    /// `None` keeps parent memory independent of the cell count.
-    results: Option<Vec<Option<CellResult>>>,
     received: Vec<bool>,
     sink: &'a mut dyn CellSink,
     done: usize,
 }
 
 impl MergeState<'_> {
-    fn deliver(&mut self, index: usize, result: CellResult) {
+    /// Hands a first delivery of `index` to the sink; returns whether it
+    /// was one.
+    fn deliver(&mut self, index: usize, result: CellResult) -> bool {
         if self.received[index] {
             // A duplicate can only come from overlapping checkpoints of a
             // corrupt dir; first write wins, duplicates are dropped.
-            return;
+            return false;
         }
         self.received[index] = true;
-        match &mut self.results {
-            Some(slots) => {
-                self.sink.accept(index, &result);
-                slots[index] = Some(result);
-            }
-            None => self.sink.accept_owned(index, result),
-        }
+        self.sink.accept_owned(index, result);
         self.done += 1;
+        true
+    }
+
+    /// The job that runs the cells of `shard` not received yet, if any.
+    fn job_for(&self, shard: &GridShard) -> Option<ShardJob> {
+        let remaining: Vec<usize> = shard
+            .cells
+            .iter()
+            .copied()
+            .filter(|&i| !self.received[i])
+            .collect();
+        (!remaining.is_empty()).then(|| ShardJob {
+            shard: shard.clone(),
+            remaining,
+        })
     }
 }
 
@@ -579,12 +470,7 @@ fn replay_checkpoint(
                     // grid after a hash collision, corruption) poisons
                     // the file from that point; keep the valid prefix.
                     Err(_) => break start,
-                    Ok((index, result)) => {
-                        if !merge.received[index] {
-                            merge.deliver(index, result);
-                            replayed += 1;
-                        }
-                    }
+                    Ok((index, result)) => replayed += usize::from(merge.deliver(index, result)),
                 }
             }
         }

@@ -7,8 +7,6 @@
 //!   max) plus bound-violation counting, the paper's §4.2 validation metric.
 //! * [`DelaySummary`] — bounded-size, exactly mergeable delay digests for
 //!   streaming aggregation over arbitrarily many grid cells.
-//! * [`ThroughputMeter`] / [`BinnedThroughput`] — per-flow and per-slave
-//!   throughput, the y-axis of the paper's Fig. 5.
 //! * [`jain_index`] / [`max_min_fair`] — fairness measures for the
 //!   best-effort bandwidth division performed by PFP.
 //! * [`Histogram`] — delay distributions for the extension benches.
@@ -23,11 +21,9 @@ mod fairness;
 mod histogram;
 mod series;
 mod table;
-mod throughput;
 
 pub use delay::{DelayStats, DelaySummary};
 pub use fairness::{jain_index, max_min_fair};
 pub use histogram::{Histogram, HistogramShapeMismatch, InvalidHistogram};
 pub use series::SweepSeries;
 pub use table::{fmt_f64, Table};
-pub use throughput::{BinnedThroughput, ThroughputMeter};

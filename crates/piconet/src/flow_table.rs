@@ -62,7 +62,7 @@ const fn slave_slot(slave: AmAddr) -> usize {
 
 /// Multiplicative hasher for `FlowId` keys: a `u32` id needs mixing, not
 /// SipHash — on piconet-sized tables the default hasher costs more than the
-/// linear scan it replaces. Shared with the scatternet's route index.
+/// linear scan it replaces.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FlowIdHasher(u64);
 
@@ -87,51 +87,70 @@ impl Hasher for FlowIdHasher {
     }
 }
 
-/// How one flow id resolves to its dense index.
+// analyze: allow(hash-iter): lookup-only — `IdIndex::get` resolves keyed
+// ids and nothing ever iterates the map; every ordered walk goes through
+// the dense arenas the values point into, so hash order cannot reach a
+// report.
+type IdMap<V> = HashMap<FlowId, V, BuildHasherDefault<FlowIdHasher>>;
+
+/// Resolves a flow id to its value: a [`FlowIdx`] in a [`FlowTable`], the
+/// owning piconet of a global id in the scatternet's routing.
 #[derive(Clone, Debug)]
-enum IdIndex {
-    /// Direct map for the common case of small ids: `dense[id] == idx`.
+pub(crate) enum IdIndex<V> {
+    /// Direct map for the common case of small ids: `dense[id] == value`.
     /// A single masked array read — faster than any scan or hash.
-    Dense(Vec<Option<FlowIdx>>),
+    Dense(Vec<Option<V>>),
     /// Fast-hash map for sparse id spaces.
-    // analyze: allow(hash-iter): lookup-only — `get` resolves keyed ids and
-    // nothing ever iterates the map; every ordered walk of the table goes
-    // through the dense `specs` vec, so hash order cannot reach a report.
-    Spread(HashMap<FlowId, FlowIdx, BuildHasherDefault<FlowIdHasher>>),
+    Spread(IdMap<V>),
 }
 
-impl Default for IdIndex {
+impl<V> Default for IdIndex<V> {
     fn default() -> Self {
         IdIndex::Dense(Vec::new())
     }
 }
 
-/// Largest id a direct map will spend memory on, relative to flow count.
-/// Shared with the scatternet's global route index.
-pub(crate) const DENSE_ID_HEADROOM: usize = 64;
+/// Largest id a direct map will spend memory on, relative to the entry
+/// count.
+const DENSE_ID_HEADROOM: usize = 64;
 
-impl IdIndex {
-    fn build(specs: &[FlowSpec]) -> IdIndex {
-        let max_id = specs.iter().map(|f| f.id.0 as usize).max().unwrap_or(0);
-        if max_id <= specs.len() * 8 + DENSE_ID_HEADROOM {
-            let mut dense = vec![None; max_id + 1];
-            for (i, f) in specs.iter().enumerate() {
-                dense[f.id.0 as usize] = Some(FlowIdx(i as u32));
-            }
-            IdIndex::Dense(dense)
+impl<V: Copy> IdIndex<V> {
+    /// Indexes the `(id, value)` pairs `entries` yields; it is called
+    /// twice, to size the index and to fill it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first id yielded twice.
+    pub(crate) fn build<I>(entries: impl Fn() -> I) -> Result<IdIndex<V>, FlowId>
+    where
+        I: Iterator<Item = (FlowId, V)>,
+    {
+        let (len, max_id) = entries().fold((0, 0), |(len, max), (id, _)| {
+            (len + 1, max.max(id.0 as usize))
+        });
+        let mut index = if max_id <= len * 8 + DENSE_ID_HEADROOM {
+            IdIndex::Dense(vec![None; max_id + 1])
         } else {
-            IdIndex::Spread(
-                specs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| (f.id, FlowIdx(i as u32)))
-                    .collect(),
-            )
+            IdIndex::Spread(IdMap::with_capacity_and_hasher(
+                len,
+                BuildHasherDefault::default(),
+            ))
+        };
+        for (id, value) in entries() {
+            let previous = match &mut index {
+                IdIndex::Dense(dense) => dense[id.0 as usize].replace(value),
+                IdIndex::Spread(map) => map.insert(id, value),
+            };
+            if previous.is_some() {
+                return Err(id);
+            }
         }
+        Ok(index)
     }
 
+    /// The value of `id`, O(1).
     #[inline]
-    fn get(&self, id: FlowId) -> Option<FlowIdx> {
+    pub(crate) fn get(&self, id: FlowId) -> Option<V> {
         match self {
             IdIndex::Dense(dense) => *dense.get(id.0 as usize)?,
             IdIndex::Spread(map) => map.get(&id).copied(),
@@ -164,7 +183,7 @@ impl IdIndex {
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
     specs: Vec<FlowSpec>,
-    by_id: IdIndex,
+    by_id: IdIndex<FlowIdx>,
     /// Flattened `(slave, direction, channel) -> FlowIdx` map; see
     /// [`key_of`].
     by_key: [Option<FlowIdx>; KEY_SLOTS],
@@ -197,7 +216,13 @@ impl FlowTable {
     pub(crate) fn from_validated(flows: Vec<FlowSpec>) -> FlowTable {
         debug_assert!(validate_flows(&flows).is_ok());
         let mut table = FlowTable {
-            by_id: IdIndex::build(&flows),
+            by_id: IdIndex::build(|| {
+                flows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, f)| (f.id, FlowIdx(i as u32)))
+            })
+            .expect("validated flow ids are unique"),
             specs: flows,
             ..FlowTable::default()
         };

@@ -205,6 +205,8 @@ impl EngineMutation {
 }
 
 /// Event kinds as they appear in traces (mirrors the island event enum).
+/// The discriminant is the kind's tag byte, and
+/// [`EVENT_KIND_NAMES`](crate::EVENT_KIND_NAMES) names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKind {
     /// A source packet arrival.
@@ -221,13 +223,7 @@ pub enum TraceKind {
 
 impl fmt::Display for TraceKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TraceKind::Arrival => "arrival",
-            TraceKind::Wake => "wake",
-            TraceKind::ExchangeDone => "exchange",
-            TraceKind::ScoDone => "sco",
-            TraceKind::Relay => "relay",
-        })
+        f.write_str(crate::EVENT_KIND_NAMES[*self as usize])
     }
 }
 

@@ -6,7 +6,7 @@
 //! semantics:
 //!
 //! * every global [`FlowId`] (ACL or SCO voice) is unique across the
-//!   scatternet, and a private route index resolves it in O(1) to the
+//!   scatternet, and the flow tables' id index resolves it in O(1) to the
 //!   island that owns it, against the islands' own dense flow tables;
 //! * [`BridgeSpec`]s describe slaves that time-share between two piconets
 //!   on a periodic rendezvous cycle; their [`PresenceWindow`]s are injected
@@ -67,7 +67,7 @@
 //! machinery at all.
 
 use crate::config::{PiconetConfig, PiconetError};
-use crate::flow_table::{FlowIdHasher, FlowIdx, DENSE_ID_HEADROOM};
+use crate::flow_table::{FlowIdx, IdIndex};
 use crate::hooks::{EngineHooks, IslandHooks};
 use crate::poller::Poller;
 use crate::report::RunReport;
@@ -84,8 +84,7 @@ use btgs_des::{
 };
 use btgs_metrics::DelayStats;
 use btgs_traffic::{AppPacket, FlowId, Source};
-use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -96,79 +95,6 @@ enum Owner {
     Acl(PiconetId, FlowIdx),
     /// The voice flow of the piconet's SCO binding with this index.
     Voice(PiconetId, u32),
-}
-
-/// Resolves global flow ids against the islands' own flow tables and SCO
-/// bindings. Mirrors the dense/spread split of the per-piconet id index.
-enum RouteIndex {
-    /// Direct map for small id spaces: one array read.
-    Dense(Vec<Option<Owner>>),
-    /// Fast-hash map for sparse id spaces.
-    // analyze: allow(hash-iter): lookup-only — `route` does keyed `get`s and
-    // nothing ever iterates the map, so hash order cannot reach a report.
-    Spread(HashMap<FlowId, Owner, BuildHasherDefault<FlowIdHasher>>),
-}
-
-impl RouteIndex {
-    /// Indexes every ACL and voice flow id of `islands`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if an id appears in more than one piconet (each
-    /// piconet's own validation already rejects an id used twice within
-    /// it).
-    fn build(islands: &[IslandState]) -> Result<RouteIndex, PiconetError> {
-        let entries = || {
-            islands.iter().flat_map(|st| {
-                let pic = PiconetId(st.pic);
-                let acl = st
-                    .world
-                    .table
-                    .iter()
-                    .map(move |(idx, f)| (f.id, Owner::Acl(pic, idx)));
-                acl.chain(
-                    st.world
-                        .voice_flows()
-                        .map(move |(sco, id)| (id, Owner::Voice(pic, sco as u32))),
-                )
-            })
-        };
-        let (len, max_id) = entries().fold((0, 0), |(len, max), (id, _)| {
-            (len + 1, max.max(id.0 as usize))
-        });
-        let taken =
-            |id: FlowId| PiconetError(format!("flow id {id} appears in more than one piconet"));
-        if max_id <= len * 8 + DENSE_ID_HEADROOM {
-            let mut dense = vec![None; max_id + 1];
-            for (id, owner) in entries() {
-                if dense[id.0 as usize].replace(owner).is_some() {
-                    return Err(taken(id));
-                }
-            }
-            Ok(RouteIndex::Dense(dense))
-        } else {
-            // analyze: allow(hash-iter): construction of the lookup-only
-            // route index; filled by keyed inserts in piconet order, never
-            // iterated itself.
-            let mut map: HashMap<_, _, BuildHasherDefault<FlowIdHasher>> =
-                // analyze: allow(hash-iter): see above — same site.
-                HashMap::with_capacity_and_hasher(len, BuildHasherDefault::default());
-            for (id, owner) in entries() {
-                if map.insert(id, owner).is_some() {
-                    return Err(taken(id));
-                }
-            }
-            Ok(RouteIndex::Spread(map))
-        }
-    }
-
-    /// The owner of `id`, O(1).
-    fn route(&self, id: FlowId) -> Option<Owner> {
-        match self {
-            RouteIndex::Dense(dense) => *dense.get(id.0 as usize)?,
-            RouteIndex::Spread(map) => map.get(&id).copied(),
-        }
-    }
 }
 
 /// A bridge slave: one radio that is `upstream.slave` in piconet
@@ -1125,7 +1051,7 @@ pub struct ScatternetSim {
     /// start.
     islands: Vec<IslandState>,
     /// Global flow id routing across the islands.
-    index: RouteIndex,
+    index: IdIndex<Owner>,
     /// The chains' hop lists, for report assembly.
     chain_hops: Vec<Vec<FlowId>>,
     /// The boundary calendar: every presence window that is the target of
@@ -1219,7 +1145,24 @@ impl ScatternetSim {
             let world = World::build(cfg, poller, channel)?;
             islands.push(IslandState::new(world, pic as u16, warmup));
         }
-        let index = RouteIndex::build(&islands)?;
+        let index = IdIndex::build(|| {
+            islands.iter().flat_map(|st| {
+                let pic = PiconetId(st.pic);
+                let acl = st
+                    .world
+                    .table
+                    .iter()
+                    .map(move |(idx, f)| (f.id, Owner::Acl(pic, idx)));
+                acl.chain(
+                    st.world
+                        .voice_flows()
+                        .map(move |(sco, id)| (id, Owner::Voice(pic, sco as u32))),
+                )
+            })
+        })
+        // Each piconet's own validation already rejects an id used twice
+        // within it.
+        .map_err(|id| PiconetError(format!("flow id {id} appears in more than one piconet")))?;
 
         // Resolve the chains into relay routes, and record every
         // route-target presence window as a sync point.
@@ -1240,7 +1183,7 @@ impl ScatternetSim {
             let resolved: Vec<(PiconetId, FlowIdx)> = chain
                 .hops
                 .iter()
-                .map(|id| match index.route(*id) {
+                .map(|id| match index.get(*id) {
                     Some(Owner::Acl(pic, idx)) => Ok((pic, idx)),
                     _ => Err(PiconetError(format!("chain {ci}: unknown hop flow {id}"))),
                 })
@@ -1368,7 +1311,7 @@ impl ScatternetSim {
     /// names a relay-fed hop (those are fed by the previous hop).
     pub fn add_source(&mut self, source: Box<dyn Source>) -> Result<(), PiconetError> {
         let id = source.flow();
-        let (pic, target) = match self.index.route(id) {
+        let (pic, target) = match self.index.get(id) {
             Some(Owner::Acl(pic, idx)) => {
                 if self.islands[pic.index()].relay_fed.get(idx.get()) == Some(&true) {
                     return Err(PiconetError(format!(

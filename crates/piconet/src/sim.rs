@@ -92,21 +92,6 @@ pub(crate) enum Ev {
     Relay { flow_idx: usize, pkt: AppPacket },
 }
 
-impl btgs_des::Tagged for Ev {
-    const TAG_NAMES: &'static [&'static str] =
-        &["arrival", "wake", "exchange_done", "sco_done", "relay"];
-
-    fn tag(&self) -> u8 {
-        match self {
-            Ev::Arrival { .. } => 0,
-            Ev::Wake => 1,
-            Ev::ExchangeDone => 2,
-            Ev::ScoDone { .. } => 3,
-            Ev::Relay { .. } => 4,
-        }
-    }
-}
-
 struct SourceSlot {
     source: Box<dyn Source>,
     target: Target,
