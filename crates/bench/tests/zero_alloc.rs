@@ -9,7 +9,8 @@
 //!    via [`PiconetSim::run_probed`] after warm-up growth has settled.
 //!
 //! It also holds the one-island build of the Fig. 4 piconet to a fixed
-//! allocation budget, in set-up and at run start.
+//! allocation budget, in set-up and at run start, and the `mesh256` build
+//! to a byte budget.
 //!
 //! The binary runs **without the libtest harness** (`harness = false`):
 //! the allocation counter is process-global, and even an otherwise idle
@@ -183,10 +184,15 @@ fn sim_steady_state_is_allocation_free() {
 /// first simulated millisecond) are counted separately. Allocation counts
 /// are deterministic, so this pins the set-up cost where wall-clock
 /// timings on a drifting host cannot.
+///
+/// Measured: set-up 76 allocations; run start 13 allocations of 3,432
+/// bytes. The island's event queue sizes its slot arena when it is
+/// created, so seeding grows nothing; a queue whose arena doubles while
+/// seeding makes 17 run-start allocations and fails the budget.
 fn one_island_build_stays_within_budget() {
     const BUILD_ALLOCS: u64 = 80;
-    const START_ALLOCS: u64 = 24;
-    const START_BYTES: u64 = 16 * 1024;
+    const START_ALLOCS: u64 = 16;
+    const START_BYTES: u64 = 4 * 1024;
     let scenario = PaperScenario::build(PaperScenarioParams {
         delay_requirement: SimDuration::from_millis(40),
         seed: 1,
@@ -225,6 +231,45 @@ fn one_island_build_stays_within_budget() {
     );
     assert!(report.events_processed > 0);
     println!("  build: {build} allocations; run start: {allocs} allocations, {bytes} bytes");
+}
+
+/// Byte budget of the `mesh256` build: perfbench's mesh cell (256
+/// piconets, degree-3 mesh, topology seed 11, GS only) assembled through
+/// `ScatternetScenario::simulator`, sources included. The islands keep
+/// statistics only for the chains routed through them, stage at most one
+/// phase's relays and size their relay queues and origin FIFOs to a
+/// sustainable chain: the build asks for 18,938,694 bytes, and the
+/// budget leaves 5 % head-room. A build that sizes every chain's
+/// statistics on every island, 128 staging slots per bridged island, 64
+/// queue slots per routed hop and 1,024-entry origin FIFOs asks for
+/// 28,275,782 bytes and fails it.
+fn mesh256_build_stays_within_budget() {
+    const BUILD_BYTES: u64 = 19_900_000;
+    let scenario = ScatternetScenario::build(ScatternetScenarioParams {
+        piconets: 256,
+        delay_requirement: SimDuration::from_millis(40),
+        seed: 1,
+        warmup: SimDuration::from_millis(500),
+        include_be: false,
+        bridge_cycle: SimDuration::from_millis(20),
+        chain_deadline: None,
+        bidirectional: false,
+        be_load_scale: 1.0,
+        be_source_mix: BeSourceMix::Cbr,
+        topology: Topology::Mesh {
+            degree: 3,
+            seed: 11,
+        },
+    });
+    let bytes0 = allocated_bytes();
+    let sim = scenario.simulator(PollerKind::PfpGs).unwrap();
+    let bytes = allocated_bytes() - bytes0;
+    black_box(sim);
+    assert!(
+        bytes <= BUILD_BYTES,
+        "the mesh256 build asked for {bytes} bytes (budget {BUILD_BYTES})"
+    );
+    println!("  mesh256 build: {bytes} bytes");
 }
 
 fn scatternet_steady_state_is_allocation_free() {
@@ -586,6 +631,8 @@ fn main() {
     println!("ok - ACL+SCO steady state is allocation-free");
     one_island_build_stays_within_budget();
     println!("ok - one-island build stays within its allocation budget");
+    mesh256_build_stays_within_budget();
+    println!("ok - mesh256 build stays within its byte budget");
     scatternet_steady_state_is_allocation_free();
     println!("ok - scatternet steady state is allocation-free");
     observed_scatternet_steady_state_is_allocation_free();

@@ -128,7 +128,10 @@ struct Slot<E> {
 /// entries still sitting in the heap or the sorted buffer are recognised as
 /// dead and skipped lazily. Freed slots are recycled through a free list, so
 /// the arena stops allocating once it reaches the high-water mark of
-/// concurrently pending events.
+/// concurrently pending events. A queue sizes its arena when it is created
+/// ([`SlotArena::with_capacity`]), so a high-water mark within that
+/// capacity costs two allocations instead of a doubling series while the
+/// first events are seeded.
 pub(crate) struct SlotArena<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
@@ -139,10 +142,12 @@ pub(crate) struct SlotArena<E> {
 }
 
 impl<E> SlotArena<E> {
-    pub(crate) fn new() -> Self {
+    /// An arena with room for `capacity` concurrently pending events (the
+    /// free list is sized to match).
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         SlotArena {
-            slots: Vec::new(),
-            free: Vec::new(),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
             last_free: None,
         }
     }
@@ -242,7 +247,7 @@ impl<E> HeapEventQueue<E> {
     pub fn new() -> Self {
         HeapEventQueue {
             heap: BinaryHeap::new(),
-            arena: SlotArena::new(),
+            arena: SlotArena::with_capacity(0),
             next_seq: 0,
             live: 0,
         }

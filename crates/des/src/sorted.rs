@@ -40,6 +40,10 @@ use crate::time::SimTime;
 /// 768 bytes, so none of those workloads ever grows the buffer.
 const PREALLOC: usize = 32;
 
+/// Initial slot-arena capacity: the largest live count above, rounded up,
+/// so seeding a simulator's first events never grows the arena.
+const ARENA_PREALLOC: usize = 16;
+
 /// A pending-event set ordered by `(time, insertion order)`: same-time
 /// events pop in push order, exactly as from the
 /// [`HeapEventQueue`](crate::HeapEventQueue) reference model.
@@ -80,7 +84,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             entries: Vec::with_capacity(PREALLOC),
-            arena: SlotArena::new(),
+            arena: SlotArena::with_capacity(ARENA_PREALLOC),
             next_seq: 0,
             live: 0,
         }

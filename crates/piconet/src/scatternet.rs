@@ -63,8 +63,12 @@
 //!
 //! The steady state is allocation-free: relay outboxes, staging buffers,
 //! origin FIFOs and report buffers are pre-reserved at build time, and
-//! only on islands a chain touches, so a lone piconet builds no relay
-//! machinery at all.
+//! the relay machinery only on islands a chain touches, so a lone
+//! piconet builds none at all. The build reserves hot state first: every
+//! island's world, relay tables and relay buffers, and only then, in one
+//! pass over all islands, the delay-sample buffers and origin FIFOs, so
+//! the 8–32 KiB sample reserves never sit between two islands' small hot
+//! vectors (see `IslandState`).
 
 use crate::config::{PiconetConfig, PiconetError};
 use crate::flow_table::{FlowIdx, IdIndex};
@@ -78,7 +82,7 @@ use crate::sanitizer::{
 use crate::sim::{handle, seed_world, Ev, Target, World};
 use crate::sync_protocol::{barrier_wait, block_bounds, BarrierOrderings, SyncEnv};
 use crate::telemetry::{EventMeter, ObsConfig, ObservedRun, Observer};
-use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave};
+use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave, SLOT_PAIR};
 use btgs_des::{
     DetRng, EventQueue, HeapEventQueue, PendingEvents, Scheduler, SimDuration, SimTime, Simulator,
 };
@@ -191,16 +195,18 @@ pub struct ScatternetConfig {
 }
 
 /// What happens to a packet that completes delivery on a captured hop.
+/// `stats` is the chain's slot in the island's own
+/// [`IslandState::chain_stats`], not its global chain index.
 #[derive(Clone, Copy, Debug)]
 enum HopNext {
     /// Last hop of its chain: record end-to-end delay.
-    Terminal { chain: u32 },
+    Terminal { stats: u32 },
     /// Relay onto the next hop.
     Forward {
-        chain: u32,
-        /// Position of the completed hop within the chain (0 = first hop,
-        /// whose packet arrival is the chain's origin timestamp).
-        hop: u16,
+        stats: u32,
+        /// The completed hop is its chain's first, whose packet arrival
+        /// is the chain's origin timestamp.
+        first: bool,
         /// Target piconet.
         pic: u16,
         /// Dense index of the target hop flow in its piconet.
@@ -242,6 +248,8 @@ pub(crate) struct StagedRelay {
 /// `origin >= warmup` comparison at every hop.
 #[derive(Default)]
 struct ChainLocal {
+    /// The chain's global index, for report assembly.
+    chain: u32,
     relayed: u64,
     delivered: u64,
     e2e: DelayStats,
@@ -251,6 +259,19 @@ struct ChainLocal {
 /// One piconet's island: its [`World`] plus the relay fabric it can see
 /// without touching any other island. The per-flow relay tables stay empty
 /// on an island no chain touches.
+///
+/// Every round visits every island, so at mesh scale the islands' hot
+/// state together outgrows a core's caches, and an event costs more the
+/// more memory that state spans. The build therefore lays it out
+/// hot-first and small:
+/// * every island's world, relay tables and relay buffers come first
+///   ([`ScatternetSim::new`] up to the relay arming);
+/// * the delay-sample buffers and origin FIFOs of every island follow in
+///   one pass ([`IslandState::reserve_samples`]), so no 8–32 KiB reserve
+///   sits between two islands' small hot vectors;
+/// * an island keeps statistics only for the chains routed through it,
+///   and its relay buffers are sized to a sustainable chain's steady
+///   state, not to worst-case head-room.
 struct IslandState {
     world: World,
     /// This island's piconet id.
@@ -262,11 +283,13 @@ struct IslandState {
     relay_fed: Vec<bool>,
     /// `origins[flow_idx]`: origin timestamps of in-flight packets on a
     /// relay-fed flow, FIFO — per-flow order is preserved across hops, so
-    /// the consuming hop pops its packet's own origin.
+    /// the consuming hop pops its packet's own origin. The buffers are
+    /// reserved in the sample pass, after every island's hot state.
     origins: Vec<VecDeque<SimTime>>,
     /// Cross-island relays captured this phase, each already keyed for
     /// the pool; the island's owner drains them into its outbox after
-    /// every run. Sized only on islands with a bridge route.
+    /// every run. Sized only on islands with a bridge route, to the most
+    /// exchanges one phase can complete ([`staging_capacity`]).
     staged: Vec<PooledRelay>,
     /// Monotone count of relays ever staged by this island — the staging
     /// sequence assigned at capture time, the last key of the
@@ -276,7 +299,10 @@ struct IslandState {
     /// Chain statistics are recorded for packets originating at or after
     /// this instant (the maximum piconet warm-up).
     warmup: SimTime,
-    /// This island's share of each chain's statistics.
+    /// This island's share of the statistics of each chain routed
+    /// through it, one entry per distinct chain in chain order; routes
+    /// address it by slot ([`HopNext`]'s `stats`). An island on a few of
+    /// a mesh's chains holds a few entries, not one per chain.
     chain_stats: Vec<ChainLocal>,
 }
 
@@ -307,41 +333,76 @@ impl IslandState {
         }
     }
 
-    /// Arms capture on every routed flow and pre-sizes the relay buffers
-    /// of a chain-touched island, so its steady state stays
-    /// allocation-free.
-    fn arm_relays(&mut self, num_chains: usize) {
-        self.chain_stats
-            .resize_with(num_chains, ChainLocal::default);
+    /// The slot of chain `chain` in this island's statistics, added on
+    /// the chain's first route through the island.
+    fn chain_slot(&mut self, chain: u32) -> u32 {
+        let slot = match self.chain_stats.iter().position(|c| c.chain == chain) {
+            Some(slot) => slot,
+            None => {
+                self.chain_stats.push(ChainLocal {
+                    chain,
+                    ..ChainLocal::default()
+                });
+                self.chain_stats.len() - 1
+            }
+        };
+        u32::try_from(slot).expect("slots are bounded by the u32 chain ids")
+    }
+
+    /// Arms capture on every routed flow and pre-sizes the hot relay
+    /// buffers of a chain-touched island (flow queues, outbox, staging),
+    /// so its steady state stays allocation-free. A routed hop of a
+    /// sustainable chain queues a few packets per bridge absence, so 16
+    /// queue slots leave head-room; an over-committed fabric grows the
+    /// queue instead. `staging` is the calendar's staging bound
+    /// ([`staging_capacity`]).
+    fn arm_relays(&mut self, staging: usize) {
         let mut bridged = false;
         for (idx, r) in self.routes.iter().enumerate() {
             let Some(r) = r else { continue };
             self.world.capture[idx] = true;
-            self.world.reserve_relay(idx, 64);
+            self.world.reserve_relay(idx, 16);
+            bridged |= matches!(
+                r,
+                HopNext::Forward {
+                    window: Some(_),
+                    ..
+                }
+            );
+        }
+        self.origins = self.relay_fed.iter().map(|_| VecDeque::new()).collect();
+        if bridged {
+            self.staged.reserve(staging);
+        }
+    }
+
+    /// Reserves the sample buffers (the world's delay samples, the
+    /// chains' end-to-end and residence samples) and the origin FIFOs of
+    /// the relay-fed flows. Run once per island after every island's hot
+    /// state exists (see [`IslandState`]).
+    fn reserve_samples(&mut self) {
+        self.world.reserve_samples();
+        for r in self.routes.iter().flatten() {
             match *r {
-                HopNext::Terminal { chain } => {
-                    self.chain_stats[chain as usize].e2e.reserve(4096);
+                HopNext::Terminal { stats } => {
+                    self.chain_stats[stats as usize].e2e.reserve(4096);
                 }
                 HopNext::Forward {
-                    chain,
+                    stats,
                     window: Some(_),
                     ..
                 } => {
-                    self.chain_stats[chain as usize].residence.reserve(4096);
-                    bridged = true;
+                    self.chain_stats[stats as usize].residence.reserve(4096);
                 }
                 HopNext::Forward { .. } => {}
             }
         }
-        // Every relay-fed flow is a later hop of its chain, so it has a
-        // route and its queue was reserved above.
-        self.origins = self
-            .relay_fed
-            .iter()
-            .map(|&fed| VecDeque::with_capacity(if fed { 1024 } else { 0 }))
-            .collect();
-        if bridged {
-            self.staged.reserve(128);
+        // A FIFO holds one origin per packet queued on its flow or in
+        // transit to it, so 64 leave head-room over the queue's 16.
+        for (fifo, &fed) in self.origins.iter_mut().zip(&self.relay_fed) {
+            if fed {
+                fifo.reserve(64);
+            }
         }
     }
 
@@ -406,27 +467,27 @@ fn route_captures<Q: PendingEvents<Ev>, H: IslandHooks>(
             continue;
         };
         match next {
-            HopNext::Terminal { chain } => {
+            HopNext::Terminal { stats } => {
                 // The terminal hop is always relay-fed, so its origin FIFO
                 // holds this packet's origin at the front.
                 let origin = st.origins[cap.flow_idx].pop_front().expect(
                     "per-flow FIFO holds across hops: every terminal delivery has an origin",
                 );
                 if origin >= st.warmup {
-                    let c = &mut st.chain_stats[chain as usize];
+                    let c = &mut st.chain_stats[stats as usize];
                     c.delivered += 1;
                     c.e2e.record(cap.at - origin);
                 }
             }
             HopNext::Forward {
-                chain,
-                hop,
+                stats,
+                first,
                 pic,
                 flow_idx,
                 flow,
                 window,
             } => {
-                let origin = if hop == 0 {
+                let origin = if first {
                     // First hop: the packet's own arrival starts the clock.
                     cap.pkt.arrival
                 } else {
@@ -446,7 +507,7 @@ fn route_captures<Q: PendingEvents<Ev>, H: IslandHooks>(
                     None => now,
                 };
                 if origin >= st.warmup {
-                    let c = &mut st.chain_stats[chain as usize];
+                    let c = &mut st.chain_stats[stats as usize];
                     c.relayed += 1;
                     if window.is_some() {
                         c.residence.record(handoff - cap.at);
@@ -515,6 +576,22 @@ fn push_sync_point(points: &mut Vec<SyncPoint>, phase: SimDuration, cycle: SimDu
     if !points.contains(&point) {
         points.push(point);
     }
+}
+
+/// Staging head-room of a bridged island: the most relays it can stage in
+/// one phase. Only a downlink delivery crosses a bridge, one exchange
+/// delivers at most one downlink packet and lasts at least a slot pair,
+/// and no phase outlasts the shortest calendar cycle (each group starts a
+/// window once per cycle), so a phase completes at most that cycle's
+/// slot pairs of exchanges. Capped at 128 entries, so a long cycle does
+/// not reserve a buffer it rarely fills; a phase that stages more grows
+/// it.
+fn staging_capacity(groups: &[SyncPoint]) -> usize {
+    groups
+        .iter()
+        .map(|g| g.cycle.div_ceil_duration(SLOT_PAIR))
+        .min()
+        .map_or(0, |pairs| pairs.min(128) as usize)
 }
 
 /// The next phase boundary after `t`: the earliest calendar window start
@@ -1243,27 +1320,35 @@ impl ScatternetSim {
                     push_sync_point(&mut sync_points, phase, cycle);
                     Some(window)
                 };
+                let flow = b.id;
                 let next = HopNext::Forward {
-                    chain: ci as u32,
-                    hop: k as u16,
+                    stats: islands[apic.index()].chain_slot(ci as u32),
+                    first: k == 0,
                     pic: bpic.0,
                     flow_idx: bidx.0,
-                    flow: b.id,
+                    flow,
                     window: bridge_window,
                 };
                 islands[apic.index()].set_route(aidx, next)?;
                 islands[bpic.index()].relay_fed[bidx.get()] = true;
             }
             let (lpic, lidx) = *resolved.last().expect("at least two hops");
-            islands[lpic.index()].set_route(lidx, HopNext::Terminal { chain: ci as u32 })?;
+            let stats = islands[lpic.index()].chain_slot(ci as u32);
+            islands[lpic.index()].set_route(lidx, HopNext::Terminal { stats })?;
         }
 
-        // Arm the capture flags and pre-size the relay machinery of every
-        // island a chain touches.
+        // Arm the capture flags and pre-size the hot relay machinery of
+        // every island a chain touches; then, with every island's hot
+        // state in place, reserve the append-only sample buffers in one
+        // pass (see `IslandState`).
+        let staging = staging_capacity(&sync_points);
         for st in &mut islands {
             if !st.routes.is_empty() {
-                st.arm_relays(chains.len());
+                st.arm_relays(staging);
             }
+        }
+        for st in &mut islands {
+            st.reserve_samples();
         }
 
         Ok(ScatternetSim {
@@ -1619,8 +1704,8 @@ impl ScatternetSim {
             let events = island.events_processed();
             events_processed += events;
             let st = island.into_state();
-            for (ci, local) in st.chain_stats.into_iter().enumerate() {
-                let report = &mut chains[ci];
+            for local in st.chain_stats {
+                let report = &mut chains[local.chain as usize];
                 report.relayed_packets += local.relayed;
                 report.delivered_packets += local.delivered;
                 report.e2e.merge(&local.e2e);
@@ -1765,6 +1850,141 @@ mod tests {
                 );
                 assert!(got > t || got == horizon);
             }
+        }
+    }
+
+    /// Round-robin over the present slaves' best-effort flows; idles until
+    /// the first absent slave returns when none is present.
+    #[derive(Default)]
+    struct PresentRoundRobin {
+        cursor: usize,
+    }
+
+    impl Poller for PresentRoundRobin {
+        fn decide(&mut self, _now: SimTime, view: &crate::MasterView<'_>) -> crate::PollDecision {
+            let slaves = view.slaves();
+            for _ in 0..slaves.len() {
+                let slave = slaves[self.cursor % slaves.len()];
+                self.cursor += 1;
+                if view.is_present(slave) {
+                    return crate::PollDecision::Poll {
+                        slave,
+                        channel: btgs_baseband::LogicalChannel::BestEffort,
+                    };
+                }
+            }
+            match slaves.iter().map(|&s| view.next_present(s)).min() {
+                Some(until) => crate::PollDecision::Idle { until },
+                None => crate::PollDecision::Sleep,
+            }
+        }
+
+        fn on_exchange(&mut self, _report: &crate::ExchangeReport) {}
+
+        fn name(&self) -> &'static str {
+            "present-round-robin"
+        }
+    }
+
+    #[test]
+    fn islands_keep_one_stats_entry_per_routed_chain() {
+        use btgs_baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType};
+        use btgs_traffic::TraceSource;
+
+        let s = |n| AmAddr::new(n).expect("valid slave address");
+        let flow = |id, slave, dir| {
+            crate::FlowSpec::new(FlowId(id), s(slave), dir, LogicalChannel::BestEffort)
+        };
+        let (up, down) = (Direction::SlaveToMaster, Direction::MasterToSlave);
+        let piconet = |flows: Vec<crate::FlowSpec>| {
+            flows.into_iter().fold(
+                PiconetConfig::new(vec![PacketType::Dh1, PacketType::Dh3]),
+                PiconetConfig::with_flow,
+            )
+        };
+        let bridge = |from: (u16, u8), into: (u16, u8)| BridgeSpec {
+            upstream: ScopedSlave::new(PiconetId(from.0), s(from.1)),
+            downstream: ScopedSlave::new(PiconetId(into.0), s(into.1)),
+            cycle: ms(20),
+            dwell_upstream: ms(10),
+        };
+        // Chain 0 stays in index order: P0 (master relay) -> P1. Chain 1
+        // runs P2 -> P0 (master relay) -> P1, so island 2 carries chain 1
+        // alone and islands 0 and 1 carry both, each over two routes on
+        // island 0.
+        let chains = [vec![11, 12, 13], vec![21, 22, 23, 24]];
+        let config = ScatternetConfig {
+            piconets: vec![
+                piconet(vec![
+                    flow(11, 1, up),
+                    flow(12, 5, down),
+                    flow(22, 7, up),
+                    flow(23, 6, down),
+                ]),
+                piconet(vec![flow(13, 5, up), flow(24, 6, up)]),
+                piconet(vec![flow(21, 7, down)]),
+            ],
+            bridges: vec![
+                bridge((0, 5), (1, 5)),
+                bridge((0, 6), (1, 6)),
+                bridge((2, 7), (0, 7)),
+            ],
+            chains: chains
+                .iter()
+                .map(|hops| ChainSpec::new(hops.iter().map(|&id| FlowId(id)).collect()))
+                .collect(),
+        };
+        let mut sim = ScatternetSim::new(
+            config,
+            (0..3)
+                .map(|_| Box::new(PresentRoundRobin::default()) as Box<dyn Poller>)
+                .collect(),
+            (0..3)
+                .map(|_| Box::new(IdealChannel) as Box<dyn ChannelModel>)
+                .collect(),
+        )
+        .expect("valid scatternet");
+
+        let routed: Vec<Vec<u32>> = sim
+            .islands
+            .iter()
+            .map(|st| st.chain_stats.iter().map(|c| c.chain).collect())
+            .collect();
+        assert_eq!(routed, vec![vec![0, 1], vec![0, 1], vec![1]]);
+
+        // Zero warm-up and traces that drain long before the horizon, so
+        // every sample set covers the same packets.
+        let mut rng = DetRng::seed_from_u64(19);
+        for entry in [11, 21] {
+            let mut t = SimTime::ZERO;
+            let items = (0..30)
+                .map(|_| {
+                    t += SimDuration::from_micros(10_000 + rng.below(30_000));
+                    (t, 100 + rng.below(250) as u32)
+                })
+                .collect();
+            sim.add_source(Box::new(TraceSource::new(FlowId(entry), items)))
+                .expect("entry hops take a source");
+        }
+        let owner = [[0, 0, 1].as_slice(), &[2, 0, 0, 1]];
+        let report = sim.run(SimTime::from_secs(4)).expect("runs");
+        for (ci, hops) in chains.iter().enumerate() {
+            let chain = &report.chains[ci];
+            assert_eq!(chain.delivered_packets, 30, "chain {ci}: all delivered");
+            let hop_sum: u128 = hops
+                .iter()
+                .zip(owner[ci])
+                .map(|(&id, &pic)| {
+                    let hop = &report.piconets[pic].flow(FlowId(id)).delay;
+                    assert_eq!(hop.count(), 30, "chain {ci}: hop {id} saw every packet");
+                    hop.sum_nanos()
+                })
+                .sum();
+            assert_eq!(
+                chain.e2e.sum_nanos(),
+                hop_sum + chain.residence.sum_nanos(),
+                "chain {ci}: end-to-end must equal hop delays plus residence"
+            );
         }
     }
 

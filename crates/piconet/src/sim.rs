@@ -199,13 +199,7 @@ impl World {
         let reports = table
             .specs()
             .iter()
-            .map(|_| {
-                let mut r = FlowReport::default();
-                // Head-room so early in-window samples never grow the
-                // buffer mid-run (it doubles amortized beyond this).
-                r.delay.reserve(1024);
-                r
-            })
+            .map(|_| FlowReport::default())
             .collect();
         let sco = config
             .sco
@@ -213,13 +207,7 @@ impl World {
             .map(|binding| ScoRt {
                 binding,
                 queue: FlowQueue::new(),
-                report: {
-                    let mut r = FlowReport::default();
-                    // Voice samples arrive every T_sco; same head-room as
-                    // the ACL reports so recording stays allocation-free.
-                    r.delay.reserve(4096);
-                    r
-                },
+                report: FlowReport::default(),
             })
             .collect();
         let capture = vec![false; table.len()];
@@ -358,6 +346,21 @@ impl World {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| Some((i, s.binding.voice_flow?)))
+    }
+
+    /// Reserves the delay-sample buffers. The build leaves them empty so
+    /// the scatternet can reserve every island's samples after all
+    /// islands' hot state exists; the head-room keeps early in-window
+    /// samples from growing a buffer mid-run (it doubles amortized
+    /// beyond this).
+    pub(crate) fn reserve_samples(&mut self) {
+        for r in &mut self.reports {
+            r.delay.reserve(1024);
+        }
+        // Voice samples arrive every T_sco, hence the larger head-room.
+        for s in &mut self.sco {
+            s.report.delay.reserve(4096);
+        }
     }
 
     /// Pre-sizes the relay machinery of a scatternet piconet: `capture`
