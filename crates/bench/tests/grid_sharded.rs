@@ -423,6 +423,71 @@ fn corrupt_checkpoint_frames_are_resimulated() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A checkpoint frame written by an older build (frame version 1, with
+/// decimal sample arrays) is rejected on replay like any unusable frame:
+/// the file is cut at that frame, the cells from it on are re-simulated,
+/// and the merged report matches the in-process one.
+#[test]
+fn old_version_checkpoint_frames_are_resimulated() {
+    let _env = env_guard();
+    let grid = grid_scatternet();
+    let cells = grid.cells().len();
+    let reference = ExperimentRunner::new().run_grid(&grid).digest();
+    let dir = scratch("v1");
+    // One shard: its checkpoint holds every cell's frame, in run order.
+    let runner = ShardedGridRunner::new(worker_bin(), &dir, 2)
+        .with_partitioner(GridPartitioner::with_target_cells_per_shard(cells));
+    runner
+        .run_streaming(&grid, &mut CollectSink::new())
+        .expect("clean run completes");
+
+    let paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("checkpoint dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    let [path] = &paths[..] else {
+        panic!("one shard, one checkpoint: {paths:?}");
+    };
+    let bytes = std::fs::read_to_string(path).expect("checkpoint reads");
+    let mut reader = FrameReader::new(BufReader::new(bytes.as_bytes()));
+    for _ in 0..2 {
+        assert!(matches!(reader.next_frame(), Ok(FrameRead::Frame(_))));
+    }
+    let (kept, rest) = bytes.split_at(reader.consumed() as usize);
+    // The third frame becomes version 1; the length prefix stays valid.
+    let old = format!("{kept}{}", rest.replacen("{\"v\":2,", "{\"v\":1,", 1));
+    assert_ne!(old, bytes, "the third frame carries a version");
+    std::fs::write(path, old).expect("checkpoint rewrites");
+
+    let mut again = CollectSink::new();
+    let stats = runner
+        .run_streaming(&grid, &mut again)
+        .expect("replay over an old frame completes");
+    assert_eq!(stats.replayed_cells, 2, "the frames before it replay");
+    assert_eq!(
+        stats.executed_cells,
+        cells - 2,
+        "its cells are re-simulated"
+    );
+    assert_eq!(
+        again.into_report().digest(),
+        reference,
+        "merged report moved"
+    );
+
+    // Cut exactly at the old frame, then the re-simulated cells appended.
+    let after = std::fs::read_to_string(path).expect("checkpoint reads");
+    assert!(after.starts_with(kept), "the frames before it are kept");
+    let mut reader = FrameReader::new(BufReader::new(after.as_bytes()));
+    let mut frames = 0;
+    while let FrameRead::Frame(payload) = reader.next_frame().expect("checkpoint reads") {
+        frame_from_json(&payload).expect("only current frames remain");
+        frames += 1;
+    }
+    assert_eq!(frames, cells);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A rejected checkpoint frame behind a non-canonical length prefix
 /// (`"{len} \n"`, which the frame reader accepts) is cut off exactly at
 /// its first byte: the next run re-simulates the cell once and appends a

@@ -2,8 +2,8 @@
 //! and linear-time decoding.
 //!
 //! * The FNV-1a digests of three fixed frames pin the encoder byte for
-//!   byte, so checkpoints and spill archives written by earlier builds
-//!   keep replaying.
+//!   byte, so a format change is always deliberate, and a ceiling on one
+//!   frame's length keeps delay samples in sample blocks.
 //! * Truncated and byte-flipped real frames must decode to `Ok` or `Err`,
 //!   never panic.
 //! * Multi-MiB inputs must parse within a budget that any quadratic
@@ -54,26 +54,31 @@ fn frame(grid: &ScenarioGrid) -> String {
 /// The digests cover the simulated reports too: a deliberate change to
 /// simulated behaviour or to the frame format must refresh them, and
 /// then old checkpoints no longer replay.
+///
+/// All three digests moved with frame version 2, which writes each
+/// delay-sample set as one sorted, delta-coded sample block instead of a
+/// decimal array; every report inside the frames stayed identical.
 #[test]
 fn encoder_bytes_are_pinned() {
     let mut changed = Vec::new();
     for (what, grid, expected) in [
-        ("1-piconet", grid(1, false), 0xb6a5_6141_e6b4_a528_u64),
-        // The two 2-piconet digests moved when adaptive phase widening
-        // was deleted: this cell's one widened phase became two, so the
-        // engine counters read `phases` 50 → 51, `islands_claimed`
+        ("1-piconet", grid(1, false), 0xb9f7_016e_0f4e_10ca_u64),
+        // The two 2-piconet digests also moved when adaptive phase
+        // widening was deleted: this cell's one widened phase became two,
+        // so the engine counters read `phases` 50 → 51, `islands_claimed`
         // 100 → 102 and `widening_stretches` 1 → 0, and the telemetry's
         // per-phase and per-claim histograms gained the extra samples.
         // Every simulated report inside the frame stayed identical.
-        ("2-piconet", grid(2, false), 0xecf5_840d_4aca_1cbf),
+        ("2-piconet", grid(2, false), 0xb2b9_ae4f_4cd2_4b36),
         // Its telemetry's `wheel_near` histogram counts every entry the
-        // island's event queue stores. This digest moved when the sorted
-        // buffer replaced the timing wheel, whose count covered only its
-        // first level; the reports inside the frame stayed identical.
+        // island's event queue stores. This digest also moved when the
+        // sorted buffer replaced the timing wheel, whose count covered
+        // only its first level; the reports inside the frame stayed
+        // identical.
         (
             "2-piconet + telemetry",
             grid(2, true),
-            0x9a91_b750_41a1_28d2,
+            0x0bc1_0f9d_f95f_045f,
         ),
     ] {
         let json = frame(&grid);
@@ -83,6 +88,21 @@ fn encoder_bytes_are_pinned() {
         }
     }
     assert!(changed.is_empty(), "frame bytes changed: {changed:#?}");
+}
+
+/// The 1-piconet frame took 4,881 B with decimal sample arrays (frame
+/// v1) and takes 3,156 B with sample blocks.
+const ONE_PICONET_FRAME_CEILING: usize = 4_000;
+
+#[test]
+fn delay_samples_travel_as_sample_blocks() {
+    let len = frame(&grid(1, false)).len();
+    assert!(
+        len <= ONE_PICONET_FRAME_CEILING,
+        "the 1-piconet frame is {len} B, over its {ONE_PICONET_FRAME_CEILING} B ceiling: \
+         delay samples must travel as sorted delta-varint sample blocks (3,156 B), \
+         not as decimal arrays (4,881 B)"
+    );
 }
 
 #[test]
@@ -147,8 +167,10 @@ fn truncated_and_flipped_frames_never_panic() {
             Err(_) => err += 1,
         }
     }
-    // Flips inside delay samples still decode; flips in keys, labels and
-    // structure do not. Both kinds occur.
+    // Flips in counters and in sample-block symbols that keep every
+    // varint's length still decode (to other values); flips in keys,
+    // labels and structure, or ones that break a block's varints or its
+    // base64, do not. Both kinds occur.
     assert!(ok > 0 && err > 0, "ok {ok}, err {err}");
 }
 

@@ -165,16 +165,30 @@ impl DelayStats {
     /// Calls `f` with every recorded sample (in nanoseconds) in storage
     /// order, without cloning the buffer or allocating — the streaming
     /// aggregators bin samples into fixed histograms through this.
+    ///
+    /// Storage order is recording order until an order-statistic query
+    /// sorts the buffer; a collector decoded from a grid wire frame holds
+    /// its samples in ascending order.
     pub fn for_each_nanos(&self, mut f: impl FnMut(u64)) {
         for &ns in self.samples_ns.borrow().iter() {
             f(ns);
         }
     }
 
+    /// Calls `f` with every recorded sample (in nanoseconds) in ascending
+    /// order. The buffer is sorted in place by the lazy sort the
+    /// order-statistic queries share, so nothing is cloned or allocated —
+    /// the grid wire format delta-codes samples through this.
+    pub fn for_each_nanos_ascending(&self, f: impl FnMut(u64)) {
+        self.ensure_sorted();
+        self.for_each_nanos(f);
+    }
+
     /// A copy of the raw sample buffer in nanoseconds, in storage order.
     ///
     /// Storage order is an implementation detail (order-statistic queries
-    /// may have sorted the buffer in place); no public query depends on it,
+    /// may have sorted the buffer in place, and samples decoded from a
+    /// grid wire frame arrive ascending); no public query depends on it,
     /// so serializing and re-loading samples through this accessor
     /// preserves every observable statistic exactly.
     pub fn samples_nanos(&self) -> Vec<u64> {
@@ -477,6 +491,26 @@ mod tests {
         let mut sum = 0u128;
         rebuilt.for_each_nanos(|ns| sum += ns as u128);
         assert_eq!(sum, rebuilt.sum_nanos());
+    }
+
+    #[test]
+    fn ascending_visit_sorts_and_keeps_statistics() {
+        let mut s = DelayStats::new();
+        for v in [40, 10, 30, 10, 20] {
+            s.record(ms(v));
+        }
+        let (p50, sum) = (s.quantile(0.5), s.sum_nanos());
+        s.record(ms(5));
+        let mut seen = Vec::new();
+        s.for_each_nanos_ascending(|ns| seen.push(ns));
+        let want: Vec<u64> = [5, 10, 10, 20, 30, 40]
+            .iter()
+            .map(|&v| ms(v).as_nanos())
+            .collect();
+        assert_eq!(seen, want);
+        assert_eq!(s.sum_nanos(), sum + ms(5).as_nanos() as u128);
+        assert_eq!(p50, Some(ms(20)));
+        assert_eq!(s.quantile(0.5), Some(ms(10)));
     }
 
     #[test]
