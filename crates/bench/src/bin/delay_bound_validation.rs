@@ -3,10 +3,10 @@
 //! delay bound is not exceeded."
 //!
 //! For a grid of delay requirements and several seeds, runs the paper
-//! scenario under PFP-GS and compares every GS flow's *measured maximum*
-//! delay with its *achievable bound* (and the requested bound where the
-//! flow is strictly guaranteed). Run with `--seconds 530` for the paper's
-//! full length.
+//! scenario under PFP-GS (one `ScenarioGrid` of the Fig. 4 piconet) and
+//! compares every GS flow's *measured maximum* delay with its *achievable
+//! bound* (and the requested bound where the flow is strictly
+//! guaranteed). Run with `--seconds 530` for the paper's full length.
 //!
 //! **Scatternet mode** (`--scatternet`) — the multi-hop extension of the
 //! same claim: across a pollers × seeds × piconet-count grid (including a
@@ -17,7 +17,7 @@
 //! admission ledger rolled back byte-identically.
 
 use btgs_bench::{banner, BenchArgs};
-use btgs_core::{run_point, BeSourceMix, ExperimentRunner, PollerKind, ScenarioGrid, Topology};
+use btgs_core::{BeSourceMix, ExperimentRunner, PollerKind, ScenarioGrid, Topology};
 use btgs_des::SimDuration;
 use btgs_metrics::Table;
 
@@ -40,32 +40,35 @@ fn main() {
         "samples",
         "violations",
     ]);
+    // One grid of the Fig. 4 piconet, requirement-major and seed-minor.
+    let grid = ScenarioGrid {
+        delay_requirements: [28, 32, 36, 38, 40, 44, 46]
+            .map(SimDuration::from_millis)
+            .to_vec(),
+        ..ScenarioGrid::paper(
+            vec![PollerKind::PfpGs],
+            vec![args.seed, args.seed + 1, args.seed + 2],
+            args.horizon(),
+        )
+    };
     let mut total_violations = 0usize;
-    for &ms in &[28u64, 32, 36, 38, 40, 44, 46] {
-        for seed in [args.seed, args.seed + 1, args.seed + 2] {
-            let point = run_point(
-                SimDuration::from_millis(ms),
-                seed,
-                args.horizon(),
-                PollerKind::PfpGs,
-            );
-            for plan in &point.scenario.gs_plans {
-                let delay = &point.report.flow(plan.request.id).delay;
-                let max = delay.max().expect("GS flows see traffic");
-                let violations = delay.violations_of(plan.achievable_bound);
-                total_violations += violations;
-                t.row(vec![
-                    format!("{ms} ms"),
-                    seed.to_string(),
-                    plan.request.id.to_string(),
-                    format!("{:.0}", plan.request.rate),
-                    plan.achievable_bound.to_string(),
-                    max.to_string(),
-                    delay.quantile(0.99).expect("non-empty").to_string(),
-                    delay.count().to_string(),
-                    violations.to_string(),
-                ]);
-            }
+    for cell in &ExperimentRunner::new().run_grid(&grid).cells {
+        for plan in &cell.scenario.gs_plans {
+            let delay = &cell.report.flow(plan.request.id).delay;
+            let max = delay.max().expect("GS flows see traffic");
+            let violations = delay.violations_of(plan.achievable_bound);
+            total_violations += violations;
+            t.row(vec![
+                format!("{} ms", cell.cell.delay_requirement.as_millis()),
+                cell.cell.seed.to_string(),
+                plan.request.id.to_string(),
+                format!("{:.0}", plan.request.rate),
+                plan.achievable_bound.to_string(),
+                max.to_string(),
+                delay.quantile(0.99).expect("non-empty").to_string(),
+                delay.count().to_string(),
+                violations.to_string(),
+            ]);
         }
     }
     println!("{}", t.render());

@@ -5,7 +5,7 @@
 //! poller × seed × delay requirement, each cell an independent,
 //! deterministic simulation. [`ExperimentRunner`] executes such grids on a
 //! pool of `std::thread` workers. Because every cell derives all of its
-//! randomness from its own seed (see [`PaperScenario::sources`]), the
+//! randomness from its own seed (see [`ScatternetScenario::sources`]), the
 //! result of a grid is **bit-identical** whatever the thread count — the
 //! runner only changes wall-clock time, never output.
 //!
@@ -95,33 +95,37 @@ impl PollerKind {
 pub struct ScenarioGrid {
     /// The pollers to compare.
     pub pollers: Vec<PollerKind>,
-    /// The piconet counts to sweep: `1` runs the single-piconet Fig. 4
-    /// scenario (bit-identical to the pre-scatternet runner), `≥ 2` runs
-    /// the chained [`ScatternetScenario`] with one bridged GS flow.
+    /// The piconet counts to sweep. Every cell runs a
+    /// [`ScatternetScenario`] of that many piconets: `1` is the Fig. 4
+    /// piconet (bit-identical to the pre-scatternet runner), `≥ 2` chains
+    /// them with bridged GS flows.
     pub piconets: Vec<u16>,
     /// Seeds for the per-cell deterministic RNG streams.
     pub seeds: Vec<u64>,
-    /// The scatternet wirings to sweep for cells with `piconets ≥ 2`
-    /// (single-piconet cells ignore it). Ring and tree topologies are
-    /// measurement-only: [`ScenarioGrid::validate`] rejects them combined
-    /// with `chain_deadlines` other than `None`; `bidirectional` requires
-    /// the chain topology; trees and meshes reject `include_be`; mesh
-    /// degrees must lie in 2..=4.
+    /// The scatternet wirings to sweep. One piconet has no bridges, so
+    /// single-piconet cells admit only [`Topology::Chain`]. Ring and tree
+    /// topologies are measurement-only: [`ScenarioGrid::validate`] rejects
+    /// them combined with `chain_deadlines` other than `None`;
+    /// `bidirectional` requires the chain topology; trees and meshes
+    /// reject `include_be`; mesh degrees must lie in 2..=4.
     pub topologies: Vec<Topology>,
     /// The delay requirements to sweep.
     pub delay_requirements: Vec<SimDuration>,
     /// End-to-end chain deadlines to sweep in scatternet cells: `None`
     /// runs the measured-only chain, `Some` runs multi-hop admission and
-    /// records the composed bound. Only applicable with `piconets ≥ 2`
-    /// ([`ScenarioGrid::validate`] rejects the combination otherwise).
+    /// records the composed bound. `Some` needs `piconets ≥ 2`
+    /// ([`ScenarioGrid::validate`] rejects it with one piconet).
     pub chain_deadlines: Vec<Option<SimDuration>>,
     /// Run a reverse chain over the same bridges in scatternet cells
-    /// (shared-bridge contention). Only applicable with `piconets ≥ 2`.
+    /// (shared-bridge contention). Needs `piconets ≥ 2`
+    /// ([`ScenarioGrid::validate`] rejects it with one piconet).
     pub bidirectional: bool,
     /// Bridge rendezvous cycle of scatternet cells (each bridge spends
-    /// half in each piconet). Admission-controlled cells need a cycle
-    /// short enough that `cycle/2 + U` leaves an admissible
-    /// presence-compensated interval — 10 ms with the paper's packet set.
+    /// half in each piconet, and both halves must be valid presence
+    /// windows). Admission-controlled cells need a cycle short enough
+    /// that `cycle/2 + U` leaves an admissible presence-compensated
+    /// interval — 10 ms with the paper's packet set. Unused with one
+    /// piconet, which has no bridges.
     pub bridge_cycle: SimDuration,
     /// Simulated horizon of every cell.
     pub horizon: SimTime,
@@ -137,12 +141,12 @@ pub struct ScenarioGrid {
     /// How the BE flows generate traffic (a grid-wide variant, not an
     /// axis).
     pub be_source_mix: BeSourceMix,
-    /// Run scatternet cells (`piconets ≥ 2`) through the observed engine
-    /// and attach each cell's engine [`TelemetryReport`] to its outcome
-    /// (merged by the grid aggregator, carried as an optional wire
-    /// frame field, and **excluded** from every byte-identity digest).
-    /// Single-piconet cells ignore it; the simulated reports are
-    /// byte-identical either way.
+    /// Run cells through the observed engine and attach each scatternet
+    /// cell's engine [`TelemetryReport`] to its outcome (merged by the
+    /// grid aggregator, carried as an optional wire frame field, and
+    /// **excluded** from every byte-identity digest). A single-piconet
+    /// outcome has no telemetry slot and drops it; the simulated reports
+    /// are byte-identical either way.
     pub telemetry: bool,
 }
 
@@ -169,14 +173,13 @@ impl ScenarioGrid {
     }
 
     /// Checks that the grid is well-formed **before** any cell runs: every
-    /// axis non-empty, the warm-up inside the horizon, piconet counts the
-    /// scenarios support, scatternet-only axes (`chain_deadlines` other
-    /// than `None`, `bidirectional`) not combined with single-piconet
-    /// cells, every scatternet cell's parameters accepted by the
-    /// scenario's own rules, and every admission-controlled scatternet
-    /// cell's chain actually admissible — so an unsupported topology or an
-    /// infeasible deadline is a grid-construction error, not a panic
-    /// mid-run inside [`ExperimentRunner`].
+    /// axis non-empty, the BE load scales in range, the warm-up inside
+    /// the horizon, every cell shape accepted by the scenario's own shape
+    /// rules (piconet count, scatternet-only axes, bridge cycle, topology
+    /// combinations; see [`ScatternetScenario::try_build`]), and every
+    /// admission-controlled cell's chain actually admissible — so an
+    /// unsupported shape or an infeasible deadline is a grid-construction
+    /// error, not a panic mid-run inside [`ExperimentRunner`].
     ///
     /// # Errors
     ///
@@ -216,55 +219,26 @@ impl ScenarioGrid {
                 self.warmup, self.horizon
             ));
         }
-        let scatternet_axes = self.bidirectional
-            || self.chain_deadlines.iter().any(Option::is_some)
-            || self.topologies.iter().any(|&t| t != Topology::Chain);
-        for &p in &self.piconets {
-            if p == 0 {
-                return Err("piconet count 0 names no scenario (use 1 for Fig. 4)".into());
-            }
-            if p == 1 && scatternet_axes {
-                return Err(
-                    "chain_deadlines/bidirectional/non-chain topologies are scatternet \
-                     axes; they are undefined for single-piconet cells (piconets = 1)"
-                        .into(),
-                );
-            }
-        }
-        // Scatternet cells split the rendezvous cycle evenly, and both
-        // halves must be valid presence windows (positive, slot-pair
-        // aligned) — otherwise BridgeSpec::windows fails inside a worker
-        // thread mid-run.
-        if self.piconets.iter().any(|&p| p >= 2) {
-            let dwell = self.bridge_cycle / 2;
-            btgs_baseband::PresenceWindow::new(self.bridge_cycle, SimDuration::ZERO, dwell)
-                .and_then(|_| {
-                    btgs_baseband::PresenceWindow::new(
-                        self.bridge_cycle,
-                        dwell,
-                        self.bridge_cycle - dwell,
-                    )
-                })
-                .map_err(|e| format!("bridge_cycle {}: {e}", self.bridge_cycle))?;
-        }
-        // Every scatternet cell shape passes the scenario's own parameter
-        // rules. Admission feasibility is deterministic per (piconets,
-        // topology, deadline, requirement) — seeds only affect traffic —
-        // so inadmissible cells are rejected here, where the caller can
+        // Every cell shape passes the scenario's own shape rules.
+        // Admission feasibility is deterministic per (piconets, topology,
+        // deadline, requirement) — seeds only affect traffic — so
+        // inadmissible cells are rejected here, where the caller can
         // still react; deadline-free cells build no scenario.
-        for &p in self.piconets.iter().filter(|&&p| p >= 2) {
+        for &piconets in &self.piconets {
             for &topology in &self.topologies {
                 for &chain_deadline in &self.chain_deadlines {
-                    let mut params = ScatternetScenarioParams::chained(p);
-                    params.topology = topology;
-                    params.warmup = self.warmup;
-                    params.include_be = self.include_be;
-                    params.chain_deadline = chain_deadline;
-                    params.bidirectional = self.bidirectional;
-                    params.bridge_cycle = self.bridge_cycle;
+                    let mut params = ScatternetScenarioParams {
+                        topology,
+                        warmup: self.warmup,
+                        include_be: self.include_be,
+                        chain_deadline,
+                        bidirectional: self.bidirectional,
+                        bridge_cycle: self.bridge_cycle,
+                        ..ScatternetScenarioParams::chained(piconets)
+                    };
                     params.check().map_err(|e| {
                         format!(
-                            "cell (piconets = {p}, topology = {}): {e}",
+                            "cell (piconets = {piconets}, topology = {}): {e}",
                             topology.label()
                         )
                     })?;
@@ -275,8 +249,8 @@ impl ScenarioGrid {
                         params.delay_requirement = dreq;
                         ScatternetScenario::try_build(params).map_err(|e| {
                             format!(
-                                "cell (piconets = {p}, topology = {}, Dreq = {dreq}, chain \
-                                 deadline = {deadline}) is not admissible: {e}",
+                                "cell (piconets = {piconets}, topology = {}, Dreq = {dreq}, \
+                                 chain deadline = {deadline}) is not admissible: {e}",
                                 topology.label()
                             )
                         })?;
@@ -343,16 +317,17 @@ pub struct GridCell {
     pub piconets: u16,
     /// The root seed of the cell's RNG streams.
     pub seed: u64,
-    /// Scatternet wiring (scatternet cells only; ignored at piconets = 1).
+    /// Scatternet wiring; [`Topology::Chain`] at piconets = 1.
     pub topology: Topology,
     /// The delay requirement of the cell's GS flows.
     pub delay_requirement: SimDuration,
     /// End-to-end deadline of the bridged chain(s); `Some` runs multi-hop
-    /// admission (scatternet cells only).
+    /// admission (scatternet cells only; `None` at piconets = 1).
     pub chain_deadline: Option<SimDuration>,
-    /// Run the reverse chain too (scatternet cells only).
+    /// Run the reverse chain too (scatternet cells only; `false` at
+    /// piconets = 1).
     pub bidirectional: bool,
-    /// Bridge rendezvous cycle (scatternet cells only).
+    /// Bridge rendezvous cycle (unused at piconets = 1).
     pub bridge_cycle: SimDuration,
     /// Simulated horizon.
     pub horizon: SimTime,
@@ -364,8 +339,8 @@ pub struct GridCell {
     pub be_load_scale: f64,
     /// How the BE flows generate traffic.
     pub be_source_mix: BeSourceMix,
-    /// Attach engine telemetry to the outcome (scatternet cells only;
-    /// see [`ScenarioGrid::telemetry`]).
+    /// Run observed and attach engine telemetry to a scatternet outcome
+    /// (see [`ScenarioGrid::telemetry`]).
     pub telemetry: bool,
 }
 
@@ -384,7 +359,8 @@ impl GridCell {
         }
     }
 
-    /// The scatternet scenario parameters of this cell (piconets ≥ 2).
+    /// The scenario parameters this cell simulates (one piconet is the
+    /// Fig. 4 piconet).
     pub fn scatternet_params(&self) -> ScatternetScenarioParams {
         ScatternetScenarioParams {
             piconets: self.piconets,
@@ -408,39 +384,35 @@ impl GridCell {
     /// sharded worker ships back over the wire — the parent process
     /// re-derives the (deterministic, cheap) scenario via
     /// [`CellResult::reassemble`], so both paths construct the result
-    /// through identical code.
+    /// through identical code. Every cell runs a [`ScatternetScenario`];
+    /// only the outcome's shape depends on the piconet count.
     ///
     /// # Panics
     ///
-    /// Panics if the scenario fails to simulate — a bug, not an input
-    /// condition, for the paper's parameter ranges.
+    /// Panics on a cell [`ScenarioGrid::validate`] would reject, or if
+    /// the scenario fails to simulate — a bug, not an input condition,
+    /// for the paper's parameter ranges.
     pub fn simulate(&self) -> CellOutcome {
-        if self.piconets <= 1 {
-            let scenario = PaperScenario::build(self.params());
-            CellOutcome::Piconet(
-                scenario
-                    .run(self.poller, self.horizon)
-                    .expect("paper scenario must simulate"),
-            )
+        let sim = ScatternetScenario::build(self.scatternet_params())
+            .simulator(self.poller)
+            .expect("a derived scenario assembles its simulator");
+        let (mut report, telemetry) = if self.telemetry {
+            // The observed engine returns a report byte-identical to the
+            // plain run (the parallel-equivalence suite proves it), plus
+            // the engine telemetry riding alongside.
+            let run = sim
+                .run_observed(self.horizon, ObsConfig::default())
+                .expect("scenario must simulate");
+            (run.report, Some(Box::new(run.telemetry)))
         } else {
-            let scenario = ScatternetScenario::build(self.scatternet_params());
-            if self.telemetry {
-                // The observed engine returns a report byte-identical to
-                // the plain run (the parallel-equivalence suite proves
-                // it), plus the engine telemetry riding alongside.
-                let run = scenario
-                    .simulator(self.poller)
-                    .and_then(|sim| sim.run_observed(self.horizon, ObsConfig::default()))
-                    .expect("scatternet scenario must simulate");
-                CellOutcome::Scatternet(run.report, Some(Box::new(run.telemetry)))
-            } else {
-                CellOutcome::Scatternet(
-                    scenario
-                        .run(self.poller, self.horizon)
-                        .expect("scatternet scenario must simulate"),
-                    None,
-                )
-            }
+            (sim.run(self.horizon).expect("scenario must simulate"), None)
+        };
+        if self.piconets == 1 {
+            // The Fig. 4 outcome is the lone piconet's report; it has no
+            // telemetry slot.
+            CellOutcome::Piconet(report.piconets.pop().expect("one piconet, one report"))
+        } else {
+            CellOutcome::Scatternet(report, telemetry)
         }
     }
 

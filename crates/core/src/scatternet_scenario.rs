@@ -1,11 +1,21 @@
-//! The scatternet evaluation scenario: chained Fig. 4 piconets with one
-//! bridged Guaranteed Service flow — the paper's future-work workload.
+//! The evaluation scenario for one piconet or many: chained Fig. 4
+//! piconets with one bridged Guaranteed Service flow — the paper's
+//! future-work workload — and, at one piconet, the paper's own Fig. 4
+//! piconet.
 //!
-//! `N` piconets each carry the paper's GS population (flows 1–4 on S1–S3,
-//! ids offset by `100·p`) plus an optional reduced best-effort load (S4 and
-//! S5; S6/S7 are reserved for bridge roles). A single cross-piconet GS
-//! chain enters at the master of piconet 0 and is relayed bridge by bridge
-//! to the master of piconet `N−1`:
+//! One piconet derives exactly the Fig. 4 piconet of
+//! [`PaperScenario`](crate::PaperScenario), which is its one-piconet view:
+//! flows 1–12 on S1–S7 (all four best-effort pairs), no bridges, no
+//! chains. Scatternet-only parameters (a non-chain topology, a chain
+//! deadline, bidirectional chains) are errors there, and
+//! [`ScatternetScenarioParams`] checks every such shape rule before
+//! anything is derived.
+//!
+//! `N ≥ 2` piconets each carry the paper's GS population (flows 1–4 on
+//! S1–S3, ids offset by `100·p`) plus an optional reduced best-effort load
+//! (S4 and S5; S6/S7 are reserved for bridge roles). A single
+//! cross-piconet GS chain enters at the master of piconet 0 and is relayed
+//! bridge by bridge to the master of piconet `N−1`:
 //!
 //! ```text
 //! M0 ─▸ B0 (P0/S6 ⇄ P1/S7) ─▸ M1 ─▸ B1 (P1/S6 ⇄ P2/S7) ─▸ M2 ─ …
@@ -21,23 +31,21 @@ use crate::admission::{AdmissionConfig, AdmissionOutcome, GsRequest};
 use crate::chain_admission::{
     ChainGrant, ChainHopSpec, ChainRequest, ScatternetAdmissionController,
 };
-use crate::gs_poller::GsPoller;
 use crate::scenario::{
-    derive_gs_schedule, paper_tspec, BeSourceMix, GsFlowPlan, PollerKind, GS_INTERVAL,
-    GS_PACKET_RANGE,
+    derive_gs_schedule, gs_poller, paper_tspec, scenario_sources, BeSourceMix, GsFlowPlan,
+    PollerKind, BE_RATES_KBPS,
 };
 use btgs_baseband::{
     AmAddr, ChannelModel, Direction, IdealChannel, LogicalChannel, PacketType, PiconetId,
-    ScopedSlave,
+    PresenceWindow, ScopedSlave,
 };
 use btgs_des::{DetRng, SimDuration, SimTime};
 use btgs_gs::worst_case_residence;
 use btgs_piconet::{
-    BridgeSpec, ChainSpec, FlowSpec, PiconetConfig, PiconetError, Poller, SarPolicy,
-    ScatternetConfig, ScatternetReport, ScatternetSim,
+    BridgeSpec, ChainSpec, FlowSpec, PiconetConfig, PiconetError, Poller, ScatternetConfig,
+    ScatternetReport, ScatternetSim,
 };
-use btgs_pollers::PfpBePoller;
-use btgs_traffic::{CbrSource, FlowId, Source};
+use btgs_traffic::{FlowId, Source};
 
 /// Gap between consecutive piconets' flow id blocks.
 pub const PICONET_ID_STRIDE: u32 = 100;
@@ -148,7 +156,7 @@ impl Topology {
 /// Parameters of the scatternet scenario.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScatternetScenarioParams {
-    /// Number of piconets (≥ 2).
+    /// Number of piconets (≥ 1; one piconet is Fig. 4).
     pub piconets: u16,
     /// The delay bound every per-piconet GS flow requests.
     pub delay_requirement: SimDuration,
@@ -156,27 +164,31 @@ pub struct ScatternetScenarioParams {
     pub seed: u64,
     /// Warm-up excluded from measurements (per piconet and chain).
     pub warmup: SimDuration,
-    /// Include the reduced best-effort load (S4/S5 pairs per piconet).
+    /// Include the best-effort load: all four Fig. 4 pairs (S4–S7) on
+    /// one piconet, the reduced S4/S5 pairs per piconet in a scatternet.
     pub include_be: bool,
     /// Bridge rendezvous cycle; each bridge spends half in each piconet.
+    /// Unused at one piconet.
     pub bridge_cycle: SimDuration,
     /// End-to-end deadline for the bridged chain(s). `None` reproduces the
     /// measured-only PR 3 scenario (bridge hops polled at derived rates
     /// with no composed guarantee); `Some` runs the multi-hop admission
     /// test — every traversed piconet admits its hop atomically and the
-    /// scenario records the provable composed bound per chain.
+    /// scenario records the provable composed bound per chain. Needs at
+    /// least two piconets.
     pub chain_deadline: Option<SimDuration>,
     /// Add a second chain crossing every bridge in the *reverse* direction
     /// (M(N−1) → … → M0), so both rendezvous windows of each bridge carry
     /// guaranteed traffic and the residence term is stressed under
-    /// contention.
+    /// contention. Needs at least two piconets.
     pub bidirectional: bool,
     /// Multiplier on every BE flow's Fig. 4 rate (1.0 = the paper's
     /// load).
     pub be_load_scale: f64,
     /// How the BE flows generate traffic.
     pub be_source_mix: BeSourceMix,
-    /// How the piconets are wired together. Ring and tree topologies
+    /// How the piconets are wired together; [`Topology::Chain`] at one
+    /// piconet, which has nothing to wire. Ring and tree topologies
     /// support neither `chain_deadline` (multi-hop admission is derived
     /// for the line and the mesh) nor `bidirectional`; trees and meshes
     /// additionally require `include_be == false` (their extra bridge
@@ -186,7 +198,8 @@ pub struct ScatternetScenarioParams {
 
 impl ScatternetScenarioParams {
     /// Defaults matching [`PaperScenarioParams`](crate::PaperScenarioParams)
-    /// with `n` piconets and a 20 ms rendezvous cycle.
+    /// with `n` piconets and a 20 ms rendezvous cycle; `chained(1)` is the
+    /// Fig. 4 piconet.
     pub fn chained(n: u16) -> ScatternetScenarioParams {
         ScatternetScenarioParams {
             piconets: n,
@@ -231,13 +244,41 @@ impl ScatternetScenarioParams {
         }
     }
 
-    /// The parameter-only rules of [`ScatternetScenario::try_build`]: the
-    /// combinations the topology supports (see
+    /// Every shape rule of [`ScatternetScenario::try_build`]: a piconet
+    /// count of at least one, no scatternet-only axis (non-chain
+    /// topology, `chain_deadline`, `bidirectional`) on the lone Fig. 4
+    /// piconet, valid presence windows for both halves of the bridge
+    /// cycle, the combinations the topology supports (see
     /// [`ScatternetScenarioParams::topology`]) and the mesh degree. Cheap
     /// and allocation-free unless it fails, so
     /// [`ScenarioGrid::validate`](crate::ScenarioGrid::validate) runs it
-    /// for every scatternet cell shape without building a scenario.
+    /// for every cell shape without building a scenario.
     pub(crate) fn check(&self) -> Result<(), String> {
+        if self.piconets == 0 {
+            return Err("piconet count 0 names no scenario (use 1 for Fig. 4)".into());
+        }
+        if self.piconets == 1 {
+            // The lone piconet is Fig. 4: no bridge to wire, admit a
+            // chain over or cross in reverse.
+            if self.topology != Topology::Chain
+                || self.chain_deadline.is_some()
+                || self.bidirectional
+            {
+                return Err(
+                    "chain_deadline/bidirectional/non-chain topologies are scatternet \
+                     axes; they are undefined for one piconet (Fig. 4)"
+                        .into(),
+                );
+            }
+            return Ok(());
+        }
+        // Every bridge spends half its cycle in each piconet, and both
+        // halves must be valid presence windows (positive, slot-pair
+        // aligned), or the simulator rejects the bridge.
+        let dwell = self.bridge_cycle / 2;
+        PresenceWindow::new(self.bridge_cycle, SimDuration::ZERO, dwell)
+            .and_then(|_| PresenceWindow::new(self.bridge_cycle, dwell, self.bridge_cycle - dwell))
+            .map_err(|e| format!("bridge_cycle {}: {e}", self.bridge_cycle))?;
         let is_mesh = matches!(self.topology, Topology::Mesh { .. });
         if self.topology != Topology::Chain {
             let label = self.topology.label();
@@ -297,7 +338,8 @@ pub fn sanitizer_corpus() -> Vec<(&'static str, ScatternetScenarioParams)> {
     ]
 }
 
-/// A fully derived instance of the chained-piconets scenario.
+/// A fully derived instance of the scenario: the Fig. 4 piconet, or
+/// chained piconets.
 #[derive(Clone, Debug)]
 pub struct ScatternetScenario {
     /// The parameters it was built from.
@@ -525,37 +567,34 @@ impl ScatternetScenario {
     ///
     /// # Panics
     ///
-    /// Panics if `params.piconets < 2` (a one-piconet "scatternet" is the
-    /// plain [`PaperScenario`](crate::PaperScenario)), on an unsupported
-    /// parameter combination (see [`ScatternetScenarioParams::topology`]),
-    /// or — with a `chain_deadline` — if the multi-hop admission rejects
-    /// a chain; use [`ScatternetScenario::try_build`] to handle
-    /// rejection.
+    /// Panics wherever [`ScatternetScenario::try_build`] returns an
+    /// error: an unsupported shape (see its Errors section) or, with a
+    /// `chain_deadline`, a chain the multi-hop admission rejects. Use
+    /// `try_build` to handle rejection.
     pub fn build(params: ScatternetScenarioParams) -> ScatternetScenario {
         ScatternetScenario::try_build(params)
             .unwrap_or_else(|e| panic!("scatternet scenario rejected: {e}"))
     }
 
-    /// Derives the scenario, surfacing chain-admission rejections and
-    /// unsupported parameter combinations as errors instead of
-    /// panicking.
+    /// Derives the scenario, surfacing unsupported shapes and
+    /// chain-admission rejections as errors instead of panicking. One
+    /// piconet derives exactly the Fig. 4 piconet of
+    /// [`PaperScenario`](crate::PaperScenario).
     ///
     /// # Errors
     ///
-    /// Returns the [`ChainAdmissionError`](crate::ChainAdmissionError)
-    /// rendering when `params.chain_deadline` is set and a chain cannot
-    /// be admitted, and a description of the conflict for unsupported
-    /// combinations (non-chain topology with `chain_deadline` or
-    /// `bidirectional`; tree or mesh with `include_be`; a mesh degree
-    /// outside 2..=4).
-    ///
-    /// # Panics
-    ///
-    /// Panics on `params.piconets < 2` — a caller bug, not a verdict.
+    /// Returns a description of the violated shape rule: zero piconets; a
+    /// non-chain topology, `chain_deadline` or `bidirectional` at one
+    /// piconet; at two or more, a `bridge_cycle` whose halves are not
+    /// valid presence windows (zero, or off the 1.25 ms slot-pair grid),
+    /// a non-chain topology with `chain_deadline` (the mesh excepted) or
+    /// `bidirectional`, a tree or mesh with `include_be`, or a mesh
+    /// degree outside 2..=4. With `params.chain_deadline` set, returns
+    /// the [`ChainAdmissionError`](crate::ChainAdmissionError) rendering
+    /// when a chain cannot be admitted.
     pub fn try_build(params: ScatternetScenarioParams) -> Result<ScatternetScenario, String> {
-        let n = params.piconets;
-        assert!(n >= 2, "a scatternet scenario needs at least two piconets");
         params.check()?;
+        let n = params.piconets;
         let is_mesh = matches!(params.topology, Topology::Mesh { .. });
         let allowed = vec![PacketType::Dh1, PacketType::Dh3];
         let edges = topology_edges(&params);
@@ -638,10 +677,8 @@ impl ScatternetScenario {
                 let mut outcomes = Vec::with_capacity(n as usize);
                 let mut gs_plans = Vec::with_capacity(n as usize);
                 for defs in &all_defs {
-                    let borrowed: Vec<(AmAddr, &[(u32, Direction)])> =
-                        defs.iter().map(|(s, f)| (*s, f.as_slice())).collect();
                     let (outcome, plans) =
-                        derive_gs_schedule(&borrowed, params.delay_requirement, &allowed);
+                        derive_gs_schedule(defs, params.delay_requirement, &allowed);
                     outcomes.push(outcome);
                     gs_plans.push(plans);
                 }
@@ -663,9 +700,15 @@ impl ScatternetScenario {
                 ));
             }
             if params.include_be {
-                // S6/S7 carry bridge roles, so only the two lightest Fig. 4
-                // best-effort pairs ride along (S4 and S5).
-                for k in 0..2u32 {
+                // A lone piconet carries all four Fig. 4 best-effort
+                // pairs. In a scatternet S6/S7 carry bridge roles, so only
+                // the two lightest ride along (S4 and S5).
+                let pairs = if edges.is_empty() {
+                    BE_RATES_KBPS.len()
+                } else {
+                    2
+                };
+                for k in 0..pairs as u32 {
                     let sl = slave(4 + k as u8);
                     config = config
                         .with_flow(FlowSpec::new(
@@ -720,12 +763,6 @@ impl ScatternetScenario {
         })
     }
 
-    /// The id of the forward chain's first hop (the flow a source must
-    /// feed).
-    pub fn chain_entry(&self) -> FlowId {
-        self.config.chains[0].hops[0]
-    }
-
     /// The entry hops of every chain (each needs a registered source;
     /// every other chain hop is relay-fed).
     pub fn chain_entries(&self) -> Vec<FlowId> {
@@ -733,71 +770,27 @@ impl ScatternetScenario {
     }
 
     /// The traffic sources of every source-fed flow, seeded from
-    /// `params.seed`.
-    ///
-    /// Like the single-piconet scenario, CBR phases are staggered
-    /// pseudo-randomly within one interval; additionally each piconet's
-    /// sources are staggered by a per-piconet offset (via
-    /// [`CbrSource::starting_at`]) so the piconets do not run in lockstep.
+    /// `params.seed`. CBR phases are staggered pseudo-randomly within one
+    /// interval, and each piconet's sources by a per-piconet offset, so
+    /// neither flows nor piconets run in lockstep.
     pub fn sources(&self) -> Vec<Box<dyn Source>> {
-        let root = DetRng::seed_from_u64(self.params.seed);
+        let p = &self.params;
+        let base = chain_id_base(p.piconets);
         let entries = self.chain_entries();
-        let mut out: Vec<Box<dyn Source>> = Vec::new();
-        for (p, cfg) in self.config.piconets.iter().enumerate() {
-            // Spread piconet starts across one GS interval.
-            let pic_offset = GS_INTERVAL * p as u64 / self.config.piconets.len() as u64;
-            for f in &cfg.flows {
-                if f.id.0 >= chain_id_base(self.params.piconets) && !entries.contains(&f.id) {
-                    continue; // relay-fed hop
-                }
-                let mut stream = root.stream(u64::from(f.id.0));
-                if f.channel.is_gs() {
-                    let offset = SimTime::ZERO
-                        + pic_offset
-                        + SimDuration::from_nanos(stream.below(GS_INTERVAL.as_nanos()));
-                    out.push(Box::new(
-                        CbrSource::new(
-                            f.id,
-                            GS_INTERVAL,
-                            GS_PACKET_RANGE.0,
-                            GS_PACKET_RANGE.1,
-                            stream,
-                        )
-                        .starting_at(offset),
-                    ));
-                } else {
-                    out.push(crate::scenario::be_source(
-                        f.id,
-                        f.slave,
-                        self.params.be_load_scale,
-                        self.params.be_source_mix,
-                        SimTime::ZERO + pic_offset,
-                        stream,
-                    ));
-                }
-            }
-        }
-        out
+        scenario_sources(
+            p.seed,
+            p.be_load_scale,
+            p.be_source_mix,
+            &self.config.piconets,
+            |id| id.0 >= base && !entries.contains(&id),
+        )
     }
 
     /// Builds the per-piconet pollers of the given kind.
     pub fn pollers(&self, kind: PollerKind) -> Vec<Box<dyn Poller>> {
         self.outcomes
             .iter()
-            .map(|outcome| {
-                let be: Box<dyn Poller> = Box::new(PfpBePoller::new(SimDuration::from_millis(25)));
-                let poller: Box<dyn Poller> = match kind {
-                    PollerKind::PfpGs => Box::new(GsPoller::pfp(outcome, SimTime::ZERO, be)),
-                    PollerKind::FixedGs => {
-                        Box::new(GsPoller::fixed(outcome, SimTime::ZERO).with_best_effort(be))
-                    }
-                    PollerKind::Custom(improvements) => Box::new(
-                        GsPoller::with_improvements(outcome, SimTime::ZERO, improvements)
-                            .with_best_effort(be),
-                    ),
-                };
-                poller
-            })
+            .map(|outcome| Box::new(gs_poller(outcome, kind)) as Box<dyn Poller>)
             .collect()
     }
 
@@ -834,11 +827,6 @@ impl ScatternetScenario {
     ) -> Result<ScatternetReport, PiconetError> {
         self.simulator(kind)?.run(horizon)
     }
-
-    /// The segmentation policy of every piconet (the paper's max-first).
-    pub fn sar(&self) -> SarPolicy {
-        SarPolicy::MaxFirst
-    }
 }
 
 /// The ordered hop paths of the scenario's chain(s) — forward, plus the
@@ -849,6 +837,9 @@ fn derive_chain_paths(
     edges: &[EdgeDef],
     allowed: &[PacketType],
 ) -> Vec<Vec<ChainHopSpec>> {
+    if edges.is_empty() {
+        return Vec::new(); // a lone piconet has no bridge to chain over
+    }
     let n = params.piconets;
     let cycle = params.bridge_cycle;
     // Every bridge spends the first half of its cycle upstream (its S6
@@ -976,15 +967,15 @@ fn admit_chains(
     let mut ctl = ScatternetAdmissionController::new(AdmissionConfig::paper(), n);
     let mut gs_plans: Vec<Vec<GsFlowPlan>> = Vec::with_capacity(n);
     for (p, defs) in all_defs.iter().enumerate() {
-        // Paper entities only (ids below the chain block): their rates
-        // derive exactly as in the single-piconet scenario; the bridge
-        // hops are granted by chain admission below instead.
-        let borrowed: Vec<(AmAddr, &[(u32, Direction)])> = defs
+        // Paper entities only (the prefix with ids below the chain
+        // block): their rates derive exactly as in the single-piconet
+        // scenario; the bridge hops are granted by chain admission below
+        // instead.
+        let paper = defs
             .iter()
-            .filter(|(_, flows)| flows.iter().all(|(id, _)| *id < base))
-            .map(|(s, f)| (*s, f.as_slice()))
-            .collect();
-        let (_, plans) = derive_gs_schedule(&borrowed, params.delay_requirement, allowed);
+            .take_while(|(_, flows)| flows.iter().all(|(id, _)| *id < base))
+            .count();
+        let (_, plans) = derive_gs_schedule(&defs[..paper], params.delay_requirement, allowed);
         for plan in &plans {
             ctl.try_admit_local(PiconetId(p as u16), plan.request.clone())
                 .map_err(|e| format!("seeding piconet {p}: {e}"))?;
@@ -1070,16 +1061,7 @@ mod tests {
             .max()
             .unwrap();
         assert!(max_id < CHAIN_ID_BASE);
-        assert!(ScatternetSim::new(
-            sc.config.clone(),
-            sc.pollers(PollerKind::PfpGs),
-            sc.config
-                .piconets
-                .iter()
-                .map(|_| Box::new(IdealChannel) as Box<dyn ChannelModel>)
-                .collect(),
-        )
-        .is_ok());
+        assert!(sc.simulator(PollerKind::PfpGs).is_ok());
     }
 
     #[test]
@@ -1102,16 +1084,7 @@ mod tests {
             .max()
             .unwrap();
         assert!(max_paper < base);
-        assert!(ScatternetSim::new(
-            sc.config.clone(),
-            sc.pollers(PollerKind::PfpGs),
-            sc.config
-                .piconets
-                .iter()
-                .map(|_| Box::new(IdealChannel) as Box<dyn ChannelModel>)
-                .collect(),
-        )
-        .is_ok());
+        assert!(sc.simulator(PollerKind::PfpGs).is_ok());
     }
 
     #[test]
@@ -1209,6 +1182,38 @@ mod tests {
         assert!(ScatternetScenario::try_build(p)
             .unwrap_err()
             .contains("include_be"));
+    }
+
+    #[test]
+    fn unsupported_shapes_are_errors_not_panics() {
+        // Each used to panic in `try_build` or build a scenario whose
+        // simulator then failed.
+        type Edit = fn(&mut ScatternetScenarioParams);
+        let shapes: [(u16, Edit, &str); 6] = [
+            (0, |_| {}, "piconet count 0"),
+            (1, |p| p.topology = Topology::Ring, "scatternet axes"),
+            (
+                1,
+                |p| p.chain_deadline = Some(SimDuration::from_millis(150)),
+                "scatternet axes",
+            ),
+            (1, |p| p.bidirectional = true, "scatternet axes"),
+            (2, |p| p.bridge_cycle = SimDuration::ZERO, "bridge_cycle"),
+            (
+                2,
+                |p| p.bridge_cycle = SimDuration::from_millis(3),
+                "bridge_cycle",
+            ),
+        ];
+        for (piconets, edit, reason) in shapes {
+            let mut params = ScatternetScenarioParams::chained(piconets);
+            edit(&mut params);
+            match ScatternetScenario::try_build(params) {
+                Ok(_) => panic!("{params:?} built, but must be rejected"),
+                Err(e) => assert!(e.contains(reason), "{params:?}: {e}"),
+            }
+        }
+        assert!(ScatternetScenario::try_build(ScatternetScenarioParams::chained(1)).is_ok());
     }
 
     #[test]

@@ -19,18 +19,22 @@
 //! entities saturate — their achievable bound exceeds the request, exactly
 //! why the paper's Fig. 5 x-axis extends below the strictly-guaranteed
 //! region.
+//!
+//! [`PaperScenario`] is the one-piconet view of
+//! [`ScatternetScenario`]: the Fig. 4 piconet is a scatternet scenario of
+//! one piconet, so both share one derivation, one source model and one
+//! poller construction.
 
 use crate::admission::{AdmissionOutcome, EntityPlan, FlowGrant, GsRequest};
 use crate::efficiency::min_poll_efficiency;
 use crate::gs_poller::GsPoller;
+use crate::scatternet_scenario::{ScatternetScenario, ScatternetScenarioParams};
 use crate::timing::{piconet_u, poll_interval};
 use crate::ymax::{y_fixpoint, HigherEntity};
-use btgs_baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType};
+use btgs_baseband::{AmAddr, Direction, IdealChannel, PacketType};
 use btgs_des::{DetRng, SimDuration, SimTime};
 use btgs_gs::{delay_bound, required_rate, ErrorTerms, TokenBucketSpec};
-use btgs_piconet::{
-    FlowSpec, PiconetConfig, PiconetError, PiconetSim, Poller, RunReport, SarPolicy,
-};
+use btgs_piconet::{PiconetConfig, PiconetError, PiconetSim, Poller, RunReport, SarPolicy};
 use btgs_pollers::PfpBePoller;
 use btgs_traffic::{CbrSource, FlowId, OnOffSource, PoissonSource, Source};
 
@@ -153,7 +157,10 @@ pub const GS_INTERVAL: SimDuration = SimDuration::from_millis(20);
 /// Fixed BE packet size.
 pub const BE_PACKET_SIZE: u32 = 176;
 
-/// A fully derived instance of the paper's Fig. 4 scenario.
+/// A fully derived instance of the paper's Fig. 4 scenario: the
+/// one-piconet view of [`ScatternetScenario`], which derives it (one
+/// piconet is the Fig. 4 piconet). It stays as the paper's own surface,
+/// and because the benchmark builds it.
 #[derive(Clone, Debug)]
 pub struct PaperScenario {
     /// The parameters it was built from.
@@ -166,22 +173,19 @@ pub struct PaperScenario {
     pub gs_plans: Vec<GsFlowPlan>,
 }
 
-fn slave(n: u8) -> AmAddr {
-    AmAddr::new(n).expect("scenario slave addresses are 1..=7")
-}
-
 /// Derives the Guaranteed Service schedule of one piconet the way a GS
 /// receiver would (see the module docs): entities take the given priority
 /// order; each entity's `y` follows from the entities above it (Fig. 2);
 /// each flow requests `R = (M + C) / (Dreq - D)` (Eq. 1 inverted), clamped
 /// to `[r, eta_min / y]` (Eq. 9).
 ///
-/// Shared by the single-piconet Fig. 4 scenario and the scatternet
-/// scenario, whose piconets append bridge-hop entities after the paper's
-/// three — higher-priority plans are unaffected by the extra entities, so
-/// the paper flows keep their exact single-piconet schedule.
+/// Every piconet of a [`ScatternetScenario`] derives its schedule here.
+/// The lone Fig. 4 piconet has the paper's three entities; scatternet
+/// piconets append bridge-hop entities after them, and higher-priority
+/// plans are unaffected by the extra entities, so the paper flows keep
+/// their exact single-piconet schedule.
 pub(crate) fn derive_gs_schedule(
-    entity_defs: &[(AmAddr, &[(u32, Direction)])],
+    entity_defs: &[(AmAddr, Vec<(u32, Direction)>)],
     delay_requirement: SimDuration,
     allowed: &[PacketType],
 ) -> (AdmissionOutcome, Vec<GsFlowPlan>) {
@@ -257,12 +261,11 @@ pub(crate) fn derive_gs_schedule(
     (outcome, gs_plans)
 }
 
-/// Builds one best-effort traffic source, shared by the single-piconet
-/// and scatternet scenarios.
+/// Builds one best-effort traffic source for [`scenario_sources`].
 ///
 /// `stream` is the flow's dedicated RNG stream; `start` is the earliest
-/// process start (zero for the paper scenario, the piconet stagger offset
-/// in scatternets). With `scale == 1.0` and [`BeSourceMix::Cbr`] the draw
+/// process start (its piconet's stagger offset, zero for the lone Fig. 4
+/// piconet). With `scale == 1.0` and [`BeSourceMix::Cbr`] the draw
 /// sequence and arrivals are bit-identical to the pre-axis scenarios.
 ///
 /// # Panics
@@ -331,75 +334,29 @@ pub fn paper_tspec() -> TokenBucketSpec {
     .expect("the paper's TSpec is valid")
 }
 
-impl PaperScenario {
-    /// Derives the scenario for the given parameters.
-    pub fn build(params: PaperScenarioParams) -> PaperScenario {
-        let allowed = vec![PacketType::Dh1, PacketType::Dh3];
-
-        // Entities in the paper's priority order. Each entry: (slave,
-        // flows: [(id, direction)]).
-        let entity_defs: [(AmAddr, &[(u32, Direction)]); 3] = [
-            (slave(1), &[(1, Direction::SlaveToMaster)]),
-            (
-                slave(2),
-                &[(2, Direction::MasterToSlave), (3, Direction::SlaveToMaster)],
-            ),
-            (slave(3), &[(4, Direction::SlaveToMaster)]),
-        ];
-        let (outcome, gs_plans) =
-            derive_gs_schedule(&entity_defs, params.delay_requirement, &allowed);
-
-        // Piconet configuration.
-        let mut config = PiconetConfig::new(allowed)
-            .with_warmup(params.warmup)
-            .with_arrival_batch(params.arrival_batch);
-        for plan in &gs_plans {
-            config = config.with_flow(FlowSpec::new(
-                plan.request.id,
-                plan.request.slave,
-                plan.request.direction,
-                LogicalChannel::GuaranteedService,
-            ));
-        }
-        if params.include_be {
-            for (k, _) in BE_RATES_KBPS.iter().enumerate() {
-                let sl = slave(4 + k as u8);
-                let down_id = FlowId(5 + 2 * k as u32);
-                let up_id = FlowId(6 + 2 * k as u32);
-                config = config
-                    .with_flow(FlowSpec::new(
-                        down_id,
-                        sl,
-                        Direction::MasterToSlave,
-                        LogicalChannel::BestEffort,
-                    ))
-                    .with_flow(FlowSpec::new(
-                        up_id,
-                        sl,
-                        Direction::SlaveToMaster,
-                        LogicalChannel::BestEffort,
-                    ));
-            }
-        }
-
-        PaperScenario {
-            params,
-            config,
-            outcome,
-            gs_plans,
-        }
-    }
-
-    /// The traffic sources of every configured flow, seeded from
-    /// `params.seed`. CBR phases are staggered pseudo-randomly within one
-    /// interval so flows do not arrive in lockstep.
-    pub fn sources(&self) -> Vec<Box<dyn Source>> {
-        let root = DetRng::seed_from_u64(self.params.seed);
-        let mut out: Vec<Box<dyn Source>> = Vec::new();
-        for f in &self.config.flows {
+/// The traffic sources of every source-fed flow of `piconets`, seeded
+/// from `seed` and shared by both scenarios; `relay_fed` names the chain
+/// hops a previous hop feeds instead.
+///
+/// Every flow draws from its own RNG stream. CBR phases are staggered
+/// pseudo-randomly within one interval so flows do not arrive in
+/// lockstep, and piconet `p` of `n` starts `p/n` of a GS interval late
+/// (via [`CbrSource::starting_at`]) so the piconets do not either.
+pub(crate) fn scenario_sources(
+    seed: u64,
+    be_load_scale: f64,
+    be_source_mix: BeSourceMix,
+    piconets: &[PiconetConfig],
+    relay_fed: impl Fn(FlowId) -> bool,
+) -> Vec<Box<dyn Source>> {
+    let root = DetRng::seed_from_u64(seed);
+    let mut out: Vec<Box<dyn Source>> = Vec::new();
+    for (p, cfg) in piconets.iter().enumerate() {
+        let start = SimTime::ZERO + GS_INTERVAL * p as u64 / piconets.len() as u64;
+        for f in cfg.flows.iter().filter(|f| !relay_fed(f.id)) {
             let mut stream = root.stream(u64::from(f.id.0));
             if f.channel.is_gs() {
-                let offset = SimTime::from_nanos(stream.below(GS_INTERVAL.as_nanos()));
+                let offset = start + SimDuration::from_nanos(stream.below(GS_INTERVAL.as_nanos()));
                 out.push(Box::new(
                     CbrSource::new(
                         f.id,
@@ -414,29 +371,73 @@ impl PaperScenario {
                 out.push(be_source(
                     f.id,
                     f.slave,
-                    self.params.be_load_scale,
-                    self.params.be_source_mix,
-                    SimTime::ZERO,
+                    be_load_scale,
+                    be_source_mix,
+                    start,
                     stream,
                 ));
             }
         }
-        out
+    }
+    out
+}
+
+/// The poller of the given kind over one piconet's GS schedule, with
+/// PFP-BE serving the leftover slots; shared by both scenarios.
+pub(crate) fn gs_poller(outcome: &AdmissionOutcome, kind: PollerKind) -> GsPoller {
+    let be: Box<dyn Poller> = Box::new(PfpBePoller::new(SimDuration::from_millis(25)));
+    match kind {
+        PollerKind::PfpGs => GsPoller::pfp(outcome, SimTime::ZERO, be),
+        PollerKind::FixedGs => GsPoller::fixed(outcome, SimTime::ZERO).with_best_effort(be),
+        PollerKind::Custom(improvements) => {
+            GsPoller::with_improvements(outcome, SimTime::ZERO, improvements).with_best_effort(be)
+        }
+    }
+}
+
+impl PaperScenario {
+    /// Derives the scenario for the given parameters: the lone piconet of
+    /// a one-piconet [`ScatternetScenario`], with the engine's arrival
+    /// batching set from `params.arrival_batch`.
+    pub fn build(params: PaperScenarioParams) -> PaperScenario {
+        let mut one = ScatternetScenario::build(ScatternetScenarioParams {
+            delay_requirement: params.delay_requirement,
+            seed: params.seed,
+            warmup: params.warmup,
+            include_be: params.include_be,
+            be_load_scale: params.be_load_scale,
+            be_source_mix: params.be_source_mix,
+            ..ScatternetScenarioParams::chained(1)
+        });
+        PaperScenario {
+            params,
+            config: one
+                .config
+                .piconets
+                .remove(0)
+                .with_arrival_batch(params.arrival_batch),
+            outcome: one.outcomes.remove(0),
+            gs_plans: one.gs_plans.remove(0),
+        }
+    }
+
+    /// The traffic sources of every configured flow, seeded from
+    /// `params.seed`. CBR phases are staggered pseudo-randomly within one
+    /// interval so flows do not arrive in lockstep.
+    pub fn sources(&self) -> Vec<Box<dyn Source>> {
+        let p = &self.params;
+        scenario_sources(
+            p.seed,
+            p.be_load_scale,
+            p.be_source_mix,
+            std::slice::from_ref(&self.config),
+            |_| false,
+        )
     }
 
     /// Builds the poller of the given kind for this scenario's schedule.
     pub fn poller(&self, kind: PollerKind) -> GsPoller {
-        let be: Box<dyn Poller> = Box::new(PfpBePoller::new(SimDuration::from_millis(25)));
-        match kind {
-            PollerKind::PfpGs => GsPoller::pfp(&self.outcome, SimTime::ZERO, be),
-            PollerKind::FixedGs => {
-                GsPoller::fixed(&self.outcome, SimTime::ZERO).with_best_effort(be)
-            }
-            PollerKind::Custom(improvements) => {
-                GsPoller::with_improvements(&self.outcome, SimTime::ZERO, improvements)
-                    .with_best_effort(be)
-            }
-        }
+        gs_poller(&self.outcome, kind)
     }
 
     /// Runs the scenario to `horizon` with the given poller kind over an
@@ -600,7 +601,8 @@ mod tests {
 
     #[test]
     fn legend_matches_fig4() {
-        assert_eq!(PaperScenario::slave_legend(slave(2)), "S2 (GS) flow 2+3");
-        assert_eq!(PaperScenario::slave_legend(slave(7)), "S7 (BE) flow 11+12");
+        let legend = |n| PaperScenario::slave_legend(AmAddr::new(n).unwrap());
+        assert_eq!(legend(2), "S2 (GS) flow 2+3");
+        assert_eq!(legend(7), "S7 (BE) flow 11+12");
     }
 }

@@ -1,7 +1,10 @@
 //! End-to-end reproduction checks of the paper's evaluation (§4).
 
-use btgs::baseband::AmAddr;
-use btgs::core::{run_point, PaperScenario, PaperScenarioParams, PollerKind};
+use btgs::baseband::{AmAddr, Direction};
+use btgs::core::{
+    run_point, BeSourceMix, Improvements, PaperScenario, PaperScenarioParams, PollerKind,
+    ScatternetScenario, ScatternetScenarioParams,
+};
 use btgs::des::{SimDuration, SimTime};
 
 fn s(n: u8) -> AmAddr {
@@ -156,4 +159,100 @@ fn determinism_same_seed_same_report() {
         "different seeds should differ somewhere"
     );
     let _ = s(1);
+}
+
+#[test]
+fn one_piconet_scatternet_is_the_fig4_piconet() {
+    // The lone piconet of the scatternet scenario is the paper's Fig. 4
+    // piconet: flows 1-4 on S1-S3, the four BE pairs on S4-S7, no bridge,
+    // no chain. Its schedule, plans and report (every counter and sample,
+    // compared through `Debug`) equal the Fig. 4 scenario's.
+    use Direction::{MasterToSlave as Down, SlaveToMaster as Up};
+    let fig4 = [
+        (1, 1, Up, true),
+        (2, 2, Down, true),
+        (3, 2, Up, true),
+        (4, 3, Up, true),
+        (5, 4, Down, false),
+        (6, 4, Up, false),
+        (7, 5, Down, false),
+        (8, 5, Up, false),
+        (9, 6, Down, false),
+        (10, 6, Up, false),
+        (11, 7, Down, false),
+        (12, 7, Up, false),
+    ];
+    let pollers = [
+        PollerKind::PfpGs,
+        PollerKind::FixedGs,
+        PollerKind::Custom(Improvements::ALL),
+    ];
+    let mixes = [
+        None,
+        Some(BeSourceMix::Cbr),
+        Some(BeSourceMix::Poisson),
+        Some(BeSourceMix::OnOff),
+    ];
+    let horizon = SimTime::from_secs(5);
+    for seed in [1u64, 7, 11] {
+        for mix in mixes {
+            let paper = PaperScenario::build(PaperScenarioParams {
+                seed,
+                include_be: mix.is_some(),
+                be_source_mix: mix.unwrap_or_default(),
+                ..Default::default()
+            });
+            let one = ScatternetScenario::try_build(ScatternetScenarioParams {
+                seed,
+                include_be: mix.is_some(),
+                be_source_mix: mix.unwrap_or_default(),
+                ..ScatternetScenarioParams::chained(1)
+            })
+            .expect("one piconet is the Fig. 4 piconet");
+            let label = format!("seed {seed}, BE {mix:?}");
+
+            assert!(one.config.bridges.is_empty(), "{label}");
+            assert!(one.config.chains.is_empty(), "{label}");
+            assert!(one.chain_grants.is_empty(), "{label}");
+            let [config] = one.config.piconets.as_slice() else {
+                panic!("{label}: one piconet, one config");
+            };
+            let flows: Vec<_> = config
+                .flows
+                .iter()
+                .map(|f| (f.id.0, f.slave.get(), f.direction, f.channel.is_gs()))
+                .collect();
+            let expected = if mix.is_some() { &fig4[..] } else { &fig4[..4] };
+            assert_eq!(flows, expected, "{label}");
+            assert_eq!(
+                format!("{config:?}"),
+                format!("{:?}", paper.config),
+                "{label}"
+            );
+            assert_eq!(
+                one.outcomes,
+                std::slice::from_ref(&paper.outcome),
+                "{label}"
+            );
+            assert_eq!(
+                format!("{:?}", one.gs_plans),
+                format!("{:?}", [&paper.gs_plans]),
+                "{label}"
+            );
+
+            for kind in pollers {
+                let fig4_report = paper.run(kind, horizon).unwrap();
+                let report = one.run(kind, horizon).unwrap();
+                let [piconet] = report.piconets.as_slice() else {
+                    panic!("{label}: one piconet, one report");
+                };
+                assert_eq!(
+                    format!("{piconet:?}"),
+                    format!("{fig4_report:?}"),
+                    "{label}, {}",
+                    kind.label()
+                );
+            }
+        }
+    }
 }
