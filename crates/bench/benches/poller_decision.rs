@@ -11,7 +11,7 @@ use btgs_bench::microbench::Criterion;
 use btgs_bench::{criterion_group, criterion_main};
 use btgs_core::{admit, paper_tspec, AdmissionConfig, GsPoller, GsRequest};
 use btgs_des::{SimDuration, SimTime};
-use btgs_piconet::{FlowQueue, FlowSpec, FlowTable, MasterView, Poller};
+use btgs_piconet::{FlowSpec, FlowState, FlowTable, MasterView, Poller};
 use btgs_pollers::{FepPoller, PfpBePoller, RoundRobinPoller};
 use btgs_traffic::FlowId;
 use std::hint::black_box;
@@ -66,11 +66,7 @@ fn fig4_flows() -> Vec<FlowSpec> {
 
 fn bench_poller(c: &mut Criterion, name: &str, poller: &mut dyn Poller) {
     let table = FlowTable::new(fig4_flows()).unwrap();
-    let queues: Vec<Option<FlowQueue>> = table
-        .specs()
-        .iter()
-        .map(|f| f.direction.is_downlink().then(FlowQueue::new))
-        .collect();
+    let queues = FlowState::for_table(&table);
     c.bench_function(&format!("poller_decide/{name}"), |b| {
         let mut t = 0u64;
         b.iter(|| {

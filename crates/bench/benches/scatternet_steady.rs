@@ -1,8 +1,8 @@
 //! Macro-benchmark: simulated seconds per wall second for the chained
 //! scatternet scenario (2, 3, 8 and 16 Fig. 4 piconets plus an 8-piconet
-//! ring, one bridged GS flow per chain) and random-geometric meshes of 64
-//! and 256 piconets (degree-3, every spanning edge covered by a relay
-//! chain).
+//! ring, one bridged GS flow per chain) and random-geometric meshes of 16,
+//! 64 and 256 piconets (degree-3, topology seed 11, every spanning edge
+//! covered by a relay chain).
 //!
 //! Throughput is declared in engine events (measured from a probe run),
 //! so the JSON output records events/sec alongside ns/op — the same
@@ -23,6 +23,12 @@
 //! and annotates them into the JSON record, so the round structure (one
 //! round per calendar window start, every island run every round) shows
 //! alongside the wall clock.
+//!
+//! After the runs it prints the same-session one-thread ns/event ratios
+//! `mesh256/mesh64` and `mesh64/mesh16`. The meshes run the same
+//! per-piconet workload, so a ratio above 1 is the cost of spreading the
+//! islands' state over more memory than a core's caches hold, the
+//! measure of how cache-compact island state is.
 //!
 //! The `sanitized` twin runs one small scenario through
 //! [`ScatternetSim::run_sanitized`] — the engine monomorphised with the
@@ -85,9 +91,11 @@ fn scatternet_throughput(c: &mut Criterion) {
         ("chained8", 8, Topology::Chain),
         ("chained16", 16, Topology::Chain),
         ("ring8", 8, Topology::Ring),
+        ("mesh16", 16, mesh),
         ("mesh64", 64, mesh),
         ("mesh256", 256, mesh),
     ];
+    let mut events_of = Vec::with_capacity(cases.len());
     let mut group = c.benchmark_group("scatternet_steady");
     group.sample_size(10);
     for &(name, n, topology) in cases {
@@ -96,6 +104,7 @@ fn scatternet_throughput(c: &mut Criterion) {
         // the engine counters for the JSON record.
         let probe = run(sim(n, topology, 1));
         let events = probe.events_processed;
+        events_of.push((name, events));
         println!(
             "{name:<44} {} phases, {} islands claimed, {} relays staged",
             probe.phases_run, probe.islands_claimed, probe.relays_staged,
@@ -157,6 +166,26 @@ fn scatternet_throughput(c: &mut Criterion) {
         )
     });
     group.finish();
+
+    // Same-session one-thread ns/event of the meshes, and their ratios.
+    let ns_per_event = |name: &str| {
+        let (_, events) = events_of
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("a benchmarked case");
+        let ns = c
+            .median_ns(&format!("scatternet_steady/{name}_5s_simulated"))
+            .expect("the case ran");
+        ns / *events as f64
+    };
+    let (m16, m64, m256) = (
+        ns_per_event("mesh16"),
+        ns_per_event("mesh64"),
+        ns_per_event("mesh256"),
+    );
+    println!("mesh ns/event (one thread): mesh16 {m16:.1}, mesh64 {m64:.1}, mesh256 {m256:.1}");
+    println!("mesh ns/event ratio mesh256/mesh64: {:.3}", m256 / m64);
+    println!("mesh ns/event ratio mesh64/mesh16: {:.3}", m64 / m16);
 }
 
 criterion_group!(benches, scatternet_throughput);

@@ -48,6 +48,17 @@ pub struct GsPollerStats {
     executed: Arc<AtomicU64>,
 }
 
+/// Adds one to a [`GsPollerStats`] counter. The poller that owns the
+/// counter is its only writer, so a load and a store lose no increment,
+/// and the poll path pays no locked read-modify-write.
+fn bump(counter: &AtomicU64) {
+    // ord: Relaxed — single writer: this load reads the poller's own last
+    // store, and readers run after the join that ends the simulation.
+    let n = counter.load(Ordering::Relaxed);
+    // ord: Relaxed — same single-writer tally as the load above.
+    counter.store(n + 1, Ordering::Relaxed);
+}
+
 impl GsPollerStats {
     /// GS polls skipped by improvement (c).
     pub fn skipped_polls(&self) -> u64 {
@@ -214,16 +225,20 @@ impl GsPoller {
     /// The earliest instant a planned GS poll can actually execute: a
     /// bridge entity's plan is clamped to the next instant its slave is
     /// present *with room for the entity's full segment exchange* (a
-    /// no-op for always-present slaves).
+    /// no-op for always-present slaves). The clamp only moves a plan
+    /// later, so an entity planned at or after the running minimum cannot
+    /// lower it and skips the presence query.
     fn next_gs_plan(&self, view: &MasterView<'_>) -> Option<SimTime> {
-        self.entities
-            .iter()
-            .map(|e| {
-                e.plan
-                    .next_poll()
-                    .max(view.next_present_fitting(e.slave, e.s))
-            })
-            .min()
+        let mut earliest: Option<SimTime> = None;
+        for e in &self.entities {
+            let planned = e.plan.next_poll();
+            if earliest.is_some_and(|t| planned >= t) {
+                continue;
+            }
+            let at = planned.max(view.next_present_fitting(e.slave, e.s));
+            earliest = Some(earliest.map_or(at, |t| t.min(at)));
+        }
+        earliest
     }
 }
 
@@ -241,9 +256,7 @@ impl Poller for GsPoller {
                 while e.plan.is_due(now) && !idx.is_some_and(|i| view.downlink_has_data_at(i, now))
                 {
                     e.plan.skip();
-                    // ord: Relaxed — monotonic diagnostic counter; no
-                    // other memory rides on it.
-                    self.stats.skipped.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.stats.skipped);
                 }
             }
         }
@@ -261,8 +274,7 @@ impl Poller for GsPoller {
             .find(|e| e.plan.is_due(now) && view.fits_exchange(e.slave, e.s))
         {
             e.pending_planned = Some(e.plan.next_poll());
-            // ord: Relaxed — monotonic diagnostic counter, as above.
-            self.stats.executed.fetch_add(1, Ordering::Relaxed);
+            bump(&self.stats.executed);
             return PollDecision::Poll {
                 slave: e.slave,
                 channel: LogicalChannel::GuaranteedService,
@@ -346,7 +358,7 @@ mod tests {
     use super::*;
     use crate::admission::{admit, AdmissionConfig, GsRequest};
     use btgs_gs::TokenBucketSpec;
-    use btgs_piconet::{FlowQueue, FlowSpec, FlowTable, SegmentPlan};
+    use btgs_piconet::{FlowSpec, FlowState, FlowTable, SegmentPlan};
     use btgs_traffic::AppPacket;
 
     fn s(n: u8) -> AmAddr {
@@ -434,8 +446,8 @@ mod tests {
                 LogicalChannel::GuaranteedService,
             ),
         ];
-        let queues = vec![None, None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         // Both due at t = 0; S1 has priority 1.
         match poller.decide(SimTime::ZERO, &view) {
@@ -451,6 +463,59 @@ mod tests {
             PollDecision::Poll { slave, .. } => assert_eq!(slave, s(2)),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn earliest_plan_of_a_bridge_entity_is_clamped_to_its_presence() {
+        use btgs_baseband::PresenceWindow;
+        use btgs_piconet::PresenceMask;
+
+        let flows = [
+            FlowSpec::new(
+                FlowId(1),
+                s(1),
+                Direction::SlaveToMaster,
+                LogicalChannel::GuaranteedService,
+            ),
+            FlowSpec::new(
+                FlowId(2),
+                s(2),
+                Direction::SlaveToMaster,
+                LogicalChannel::GuaranteedService,
+            ),
+        ];
+        let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
+        let quarter_ms = |v: u64| SimDuration::from_micros(v * 250);
+        // S1 (priority 1) next plans 16.36 ms, S2 17.61 ms; S1 is a
+        // bridge slave present for `len` of every `cycle` from `offset`
+        // (all in quarter milliseconds), absent at the 2.5 ms decision,
+        // and a GS exchange needs 3.75 ms.
+        let next_idle = |offset: u64, len: u64, cycle: u64| {
+            let out = outcome_two_uplinks();
+            let mut poller = GsPoller::variable(&out, SimTime::ZERO);
+            poller.on_exchange(&gs_empty_report(s(1), SimTime::ZERO));
+            poller.on_exchange(&gs_empty_report(s(2), SimTime::from_micros(1250)));
+            let mut mask = PresenceMask::new();
+            mask.set(
+                s(1),
+                PresenceWindow::new(quarter_ms(cycle), quarter_ms(offset), quarter_ms(len))
+                    .unwrap(),
+            )
+            .unwrap();
+            let t = SimTime::from_micros(2500);
+            let view = MasterView::with_presence(t, &table, &queues, &mask);
+            match poller.decide(t, &view) {
+                PollDecision::Idle { until } => until.as_nanos(),
+                other => panic!("{other:?}"),
+            }
+        };
+        // Back before its plan: S1's plan.
+        assert_eq!(next_idle(60, 40, 160), 16_363_636);
+        // Back after its plan but before S2's: S1's window start.
+        assert_eq!(next_idle(70, 40, 160), 17_500_000);
+        // Back after S2's plan: S2's plan.
+        assert_eq!(next_idle(80, 40, 160), 17_613_636);
     }
 
     #[test]
@@ -471,12 +536,12 @@ mod tests {
                 LogicalChannel::GuaranteedService,
             ),
         ];
-        let queues = vec![None, None];
         // Execute both due polls.
         poller.on_exchange(&gs_empty_report(s(1), SimTime::ZERO));
         poller.on_exchange(&gs_empty_report(s(2), SimTime::from_micros(1250)));
         let t = SimTime::from_micros(2500);
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(t, &table, &queues);
         match poller.decide(t, &view) {
             PollDecision::Idle { until } => {
@@ -493,8 +558,8 @@ mod tests {
         let mut poller = GsPoller::variable(&out, SimTime::ZERO);
         // S1's poll at plan 0 returns a 176-byte last segment.
         let flows: [FlowSpec; 0] = [];
-        let queues: Vec<Option<FlowQueue>> = vec![];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let _ = poller.decide(SimTime::ZERO, &view); // capture planned = 0
         poller.on_exchange(&gs_data_report(
@@ -517,8 +582,8 @@ mod tests {
         let out = outcome_two_uplinks();
         let mut poller = GsPoller::fixed(&out, SimTime::ZERO);
         let flows: [FlowSpec; 0] = [];
-        let queues: Vec<Option<FlowQueue>> = vec![];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let _ = poller.decide(SimTime::ZERO, &view);
         poller.on_exchange(&gs_data_report(
@@ -558,8 +623,8 @@ mod tests {
             LogicalChannel::GuaranteedService,
         )];
         // Empty downlink queue: the due poll is skipped, the poller idles.
-        let queues = vec![Some(FlowQueue::new())];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let mut queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         match poller.decide(SimTime::ZERO, &view) {
             PollDecision::Idle { until } => assert_eq!(until.as_nanos(), 16_363_636),
@@ -568,11 +633,10 @@ mod tests {
         assert_eq!(stats.skipped_polls(), 1);
         assert_eq!(stats.executed_polls(), 0);
         // With data present, the poll happens.
-        let mut q = FlowQueue::new();
-        q.push(AppPacket::new(0, FlowId(1), 160, SimTime::from_millis(17)));
-        let queues = vec![Some(q)];
+        queues[0]
+            .queue_mut()
+            .push(AppPacket::new(0, FlowId(1), 160, SimTime::from_millis(17)));
         let t = SimTime::from_millis(17);
-        let table = FlowTable::new(flows.to_vec()).unwrap();
         let view = MasterView::new(t, &table, &queues);
         match poller.decide(t, &view) {
             PollDecision::Poll { slave, .. } => assert_eq!(slave, s(1)),
@@ -601,8 +665,8 @@ mod tests {
             Direction::MasterToSlave,
             LogicalChannel::GuaranteedService,
         )];
-        let queues = vec![Some(FlowQueue::new())];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         // Fixed poller polls even with a known-empty queue.
         match poller.decide(SimTime::ZERO, &view) {
@@ -635,9 +699,9 @@ mod tests {
                 LogicalChannel::BestEffort,
             ),
         ];
-        let queues = vec![None, None];
         let t = SimTime::from_micros(2500);
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(t, &table, &queues);
         match poller.decide(t, &view) {
             PollDecision::Poll { slave, channel } => {

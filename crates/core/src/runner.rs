@@ -34,7 +34,9 @@
 //! ```
 
 use crate::plan::Improvements;
-use crate::scatternet_scenario::{ScatternetScenario, ScatternetScenarioParams, Topology};
+use crate::scatternet_scenario::{
+    check_be_load_scale, ScatternetScenario, ScatternetScenarioParams, Topology,
+};
 use crate::scenario::{BeSourceMix, PaperScenario, PaperScenarioParams, PollerKind};
 use crate::sink::{CellSink, CollectSink};
 use btgs_des::{SimDuration, SimTime};
@@ -199,14 +201,7 @@ impl ScenarioGrid {
             }
         }
         for &scale in &self.be_load_scale {
-            // The cap keeps the shortest scaled CBR interval far above the
-            // slot grid — beyond it a cell's event count explodes and the
-            // load is unschedulable anyway.
-            if !(scale.is_finite() && scale > 0.0 && scale <= 100.0) {
-                return Err(format!(
-                    "be_load_scale {scale} is outside the supported (0, 100] range"
-                ));
-            }
+            check_be_load_scale(scale)?;
             if scale != 1.0 && !self.include_be {
                 return Err(format!(
                     "be_load_scale {scale} sweeps best-effort load, but include_be is false"

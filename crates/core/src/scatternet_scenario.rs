@@ -183,7 +183,8 @@ pub struct ScatternetScenarioParams {
     /// contention. Needs at least two piconets.
     pub bidirectional: bool,
     /// Multiplier on every BE flow's Fig. 4 rate (1.0 = the paper's
-    /// load).
+    /// load): finite, positive and at most 100, or `try_build` returns
+    /// an error.
     pub be_load_scale: f64,
     /// How the BE flows generate traffic.
     pub be_source_mix: BeSourceMix,
@@ -245,7 +246,8 @@ impl ScatternetScenarioParams {
     }
 
     /// Every shape rule of [`ScatternetScenario::try_build`]: a piconet
-    /// count of at least one, no scatternet-only axis (non-chain
+    /// count of at least one, a best-effort load scale in range
+    /// ([`check_be_load_scale`]), no scatternet-only axis (non-chain
     /// topology, `chain_deadline`, `bidirectional`) on the lone Fig. 4
     /// piconet, valid presence windows for both halves of the bridge
     /// cycle, the combinations the topology supports (see
@@ -254,6 +256,7 @@ impl ScatternetScenarioParams {
     /// [`ScenarioGrid::validate`](crate::ScenarioGrid::validate) runs it
     /// for every cell shape without building a scenario.
     pub(crate) fn check(&self) -> Result<(), String> {
+        check_be_load_scale(self.be_load_scale)?;
         if self.piconets == 0 {
             return Err("piconet count 0 names no scenario (use 1 for Fig. 4)".into());
         }
@@ -316,6 +319,21 @@ impl ScatternetScenarioParams {
             }
         }
         Ok(())
+    }
+}
+
+/// The supported range of `be_load_scale`: finite, positive and at most
+/// 100. The cap keeps the shortest scaled CBR interval far above the slot
+/// grid — beyond it a cell's event count explodes and the load is
+/// unschedulable anyway — and a value outside the range would build
+/// best-effort sources with an invalid rate.
+pub(crate) fn check_be_load_scale(scale: f64) -> Result<(), String> {
+    if scale.is_finite() && scale > 0.0 && scale <= 100.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "be_load_scale {scale} is outside the supported (0, 100] range"
+        ))
     }
 }
 
@@ -1189,7 +1207,7 @@ mod tests {
         // Each used to panic in `try_build` or build a scenario whose
         // simulator then failed.
         type Edit = fn(&mut ScatternetScenarioParams);
-        let shapes: [(u16, Edit, &str); 6] = [
+        let shapes: [(u16, Edit, &str); 11] = [
             (0, |_| {}, "piconet count 0"),
             (1, |p| p.topology = Topology::Ring, "scatternet axes"),
             (
@@ -1204,6 +1222,12 @@ mod tests {
                 |p| p.bridge_cycle = SimDuration::from_millis(3),
                 "bridge_cycle",
             ),
+            // These built, and the run panicked in `be_source`.
+            (1, |p| p.be_load_scale = f64::NAN, "be_load_scale"),
+            (1, |p| p.be_load_scale = 0.0, "be_load_scale"),
+            (2, |p| p.be_load_scale = -1.0, "be_load_scale"),
+            (2, |p| p.be_load_scale = f64::INFINITY, "be_load_scale"),
+            (1, |p| p.be_load_scale = 101.0, "be_load_scale"),
         ];
         for (piconets, edit, reason) in shapes {
             let mut params = ScatternetScenarioParams::chained(piconets);

@@ -21,7 +21,7 @@ use btgs_core::{admit, AdmissionConfig, GsPoller, GsRequest};
 use btgs_des::{SimDuration, SimTime};
 use btgs_gs::TokenBucketSpec;
 use btgs_piconet::{
-    FlowQueue, FlowSpec, FlowTable, MasterView, PollDecision, Poller, PresenceMask,
+    FlowQueue, FlowSpec, FlowState, FlowTable, MasterView, PollDecision, Poller, PresenceMask,
 };
 use btgs_pollers::PfpBePoller;
 use btgs_traffic::{AppPacket, FlowId};
@@ -90,7 +90,7 @@ fn gs_poller_for_bridge() -> (GsPoller, FlowTable) {
 #[test]
 fn gs_poll_requires_the_full_exchange_to_fit_before_departure() {
     let (mut poller, table) = gs_poller_for_bridge();
-    let queues = vec![None];
+    let queues = FlowState::for_table(&table);
     let mask = bridge_mask(s(1));
 
     // 3.75 ms before departure: a full DH3+DH3 exchange still fits (it
@@ -148,7 +148,8 @@ fn be_poll_uses_any_remainder_but_not_the_boundary_instant() {
     .unwrap();
     let mut q = FlowQueue::new();
     q.push(AppPacket::new(0, FlowId(1), 100, SimTime::ZERO));
-    let queues = vec![Some(q)];
+    let mut queues = FlowState::for_table(&table);
+    *queues[0].queue_mut() = q;
     let mask = bridge_mask(s(1));
 
     // 2.5 ms before departure — where a GS poll already defers — the BE
@@ -235,7 +236,7 @@ fn exchange_ending_exactly_on_the_boundary_delivers() {
 #[test]
 fn window_shorter_than_the_exchange_degrades_to_truncated_polls() {
     let (mut poller, table) = gs_poller_for_bridge();
-    let queues = vec![None];
+    let queues = FlowState::for_table(&table);
     // Dwell 2.5 ms < s = 3.75 ms.
     let mut mask = PresenceMask::new();
     mask.set(

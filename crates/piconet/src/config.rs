@@ -55,6 +55,12 @@ impl SegmentationPolicy for SarPolicy {
 /// per-exchange filter-into-a-fresh-`Vec` that used to run twice per poll
 /// in the simulator's hot loop.
 ///
+/// The sets are stored inline, one fixed array per class, so the table
+/// lives inside the simulator's per-flow record with no heap allocation
+/// of its own. Each set lists the distinct allowed types in the order of
+/// their first occurrence (a type named twice is stored once; both
+/// segmentation policies pick the same packet either way).
+///
 /// # Examples
 ///
 /// ```
@@ -72,31 +78,39 @@ impl SegmentationPolicy for SarPolicy {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowedByCap {
-    /// Filtered sets for caps of 1–2, 3–4 and ≥ 5 slots, in the original
-    /// allowed-set order (control types included, exactly like the unfiltered
-    /// set handed to the segmentation policy).
-    sets: [Vec<PacketType>; 3],
+    /// Filtered sets for caps of 1–2, 3–4 and ≥ 5 slots: the first
+    /// `len[class]` entries of `sets[class]`, in the allowed set's order
+    /// (control types included, exactly like the unfiltered set handed to
+    /// the segmentation policy). Unused entries hold `Poll`.
+    sets: [[PacketType; PACKET_TYPES]; 3],
+    len: [u8; 3],
     /// Whether the matching set contains a data-bearing type.
     has_data: [bool; 3],
 }
 
+/// The number of [`PacketType`] variants: the most distinct types an
+/// allowed set can name.
+const PACKET_TYPES: usize = 11;
+
 impl AllowedByCap {
     /// Precomputes the per-cap filtered sets of `allowed`.
     pub fn new(allowed: &[PacketType]) -> AllowedByCap {
-        let filter = |cap: u64| -> Vec<PacketType> {
-            allowed
-                .iter()
-                .copied()
-                .filter(|t| t.slots() <= cap)
-                .collect()
+        let mut table = AllowedByCap {
+            sets: [[PacketType::Poll; PACKET_TYPES]; 3],
+            len: [0; 3],
+            has_data: [false; 3],
         };
-        let sets = [filter(1), filter(3), filter(5)];
-        let has_data = [
-            sets[0].iter().any(|t| t.is_acl_data()),
-            sets[1].iter().any(|t| t.is_acl_data()),
-            sets[2].iter().any(|t| t.is_acl_data()),
-        ];
-        AllowedByCap { sets, has_data }
+        for (class, cap) in [1, 3, 5].into_iter().enumerate() {
+            for &t in allowed.iter().filter(|t| t.slots() <= cap) {
+                let n = usize::from(table.len[class]);
+                if !table.sets[class][..n].contains(&t) {
+                    table.sets[class][n] = t;
+                    table.len[class] += 1;
+                    table.has_data[class] |= t.is_acl_data();
+                }
+            }
+        }
+        table
     }
 
     #[inline]
@@ -119,7 +133,7 @@ impl AllowedByCap {
             return None;
         }
         let class = Self::class(cap);
-        self.has_data[class].then_some(self.sets[class].as_slice())
+        self.has_data[class].then(|| &self.sets[class][..usize::from(self.len[class])])
     }
 }
 
@@ -381,12 +395,6 @@ impl PiconetConfig {
         flow.allowed_types.as_deref().unwrap_or(&self.allowed_types)
     }
 
-    /// The precomputed per-slot-cap allowed-type table of a flow (see
-    /// [`AllowedByCap`]).
-    pub fn allowed_by_cap_for(&self, flow: &FlowSpec) -> AllowedByCap {
-        AllowedByCap::new(self.allowed_for(flow))
-    }
-
     /// Checks the whole configuration.
     ///
     /// # Errors
@@ -493,6 +501,39 @@ mod tests {
         let cfg = base().with_flow(f1.clone()).with_flow(f2.clone());
         assert_eq!(cfg.allowed_for(&f1), &[PacketType::Dh1, PacketType::Dh3]);
         assert_eq!(cfg.allowed_for(&f2), &[PacketType::Dh1]);
+    }
+
+    #[test]
+    fn allowed_sets_hold_every_packet_type_inline() {
+        use PacketType::*;
+        // Every variant, in a scrambled order and named twice: each cap
+        // class keeps the distinct types that fit, in first-occurrence
+        // order.
+        let every = [
+            Dh5, Null, Dm3, Hv1, Dh1, Poll, Dm5, Hv2, Dh3, Dm1, Hv3, Dh5, Dm1, Poll,
+        ];
+        let table = AllowedByCap::new(&every);
+        let fitting = |cap: u64| {
+            let mut out: Vec<PacketType> = Vec::new();
+            for &t in &every {
+                if t.slots() <= cap && !out.contains(&t) {
+                    out.push(t);
+                }
+            }
+            out
+        };
+        assert_eq!(fitting(5).len(), PACKET_TYPES, "every variant is listed");
+        for cap in 1..=6 {
+            let class_cap = match cap {
+                1 | 2 => 1,
+                3 | 4 => 3,
+                _ => 5,
+            };
+            assert_eq!(table.data_types(cap), Some(&fitting(class_cap)[..]));
+        }
+        assert_eq!(table.data_types(0), None);
+        // Control and voice types alone carry no data at any cap.
+        assert_eq!(AllowedByCap::new(&[Poll, Null, Hv3]).data_types(5), None);
     }
 
     #[test]

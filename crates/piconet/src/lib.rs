@@ -68,7 +68,7 @@ pub use sar::{
 pub use scatternet::{
     BridgeSpec, ChainReport, ChainSpec, ScatternetConfig, ScatternetReport, ScatternetSim,
 };
-pub use sim::{PiconetSim, RoundRobinForTest};
+pub use sim::{FlowState, PiconetSim, RoundRobinForTest};
 pub use telemetry::{
     EngineTrace, EventMeter, Histo32, ObsConfig, ObservedRun, TelemetryReport, TraceRecord,
     TraceRecordKind, EVENT_KIND_NAMES,

@@ -10,7 +10,8 @@
 use crate::config::PresenceMask;
 use crate::flow::FlowSpec;
 use crate::flow_table::{FlowIdx, FlowTable};
-use crate::queue::{FlowQueue, SegmentPlan};
+use crate::queue::SegmentPlan;
+use crate::sim::FlowState;
 use btgs_baseband::{AmAddr, Direction, LogicalChannel, PacketType};
 use btgs_des::{SimDuration, SimTime};
 use btgs_traffic::FlowId;
@@ -48,7 +49,7 @@ pub enum PollDecision {
 pub struct MasterView<'a> {
     now: SimTime,
     table: &'a FlowTable,
-    downlink_queues: &'a [Option<FlowQueue>],
+    flows: &'a [FlowState],
     presence: &'a PresenceMask,
 }
 
@@ -68,14 +69,11 @@ impl<'a> MasterView<'a> {
     ///
     /// Normally the simulator constructs views; the constructor is public so
     /// poller implementations can unit-test their `decide` logic directly.
-    /// `downlink_queues[i]` must be `Some` exactly for the downlink flows at
-    /// index `i` of `table`.
-    pub fn new(
-        now: SimTime,
-        table: &'a FlowTable,
-        downlink_queues: &'a [Option<FlowQueue>],
-    ) -> MasterView<'a> {
-        MasterView::with_presence(now, table, downlink_queues, &PresenceMask::ALWAYS)
+    /// `flows[i]` is the state of the flow at index `i` of `table` (see
+    /// [`FlowState::for_table`]); only the downlink flows' queues are
+    /// visible through the view.
+    pub fn new(now: SimTime, table: &'a FlowTable, flows: &'a [FlowState]) -> MasterView<'a> {
+        MasterView::with_presence(now, table, flows, &PresenceMask::ALWAYS)
     }
 
     /// Creates a view with an explicit per-slave presence mask (scatternet
@@ -84,14 +82,14 @@ impl<'a> MasterView<'a> {
     pub fn with_presence(
         now: SimTime,
         table: &'a FlowTable,
-        downlink_queues: &'a [Option<FlowQueue>],
+        flows: &'a [FlowState],
         presence: &'a PresenceMask,
     ) -> MasterView<'a> {
-        debug_assert_eq!(table.len(), downlink_queues.len());
+        debug_assert_eq!(table.len(), flows.len());
         MasterView {
             now,
             table,
-            downlink_queues,
+            flows,
             presence,
         }
     }
@@ -196,7 +194,11 @@ impl<'a> MasterView<'a> {
     /// Snapshot of a downlink flow's queue by dense index. Returns `None`
     /// for uplink flows.
     pub fn downlink_at(&self, idx: FlowIdx) -> Option<DownlinkView> {
-        let q = self.downlink_queues[idx.get()].as_ref()?;
+        let f = &self.flows[idx.get()];
+        if !f.downlink {
+            return None;
+        }
+        let q = &f.queue;
         Some(DownlinkView {
             packets: q.len(),
             head_arrival: q.head_arrival(),
@@ -214,9 +216,8 @@ impl<'a> MasterView<'a> {
     pub fn downlink_has_data_at(&self, idx: FlowIdx, t: SimTime) -> bool {
         // Checked on every PFP availability probe: go straight to the
         // queue's head-arrival test instead of snapshotting a full view.
-        self.downlink_queues[idx.get()]
-            .as_ref()
-            .is_some_and(|q| q.has_data_at(t))
+        let f = &self.flows[idx.get()];
+        f.downlink && f.queue.has_data_at(t)
     }
 
     /// The distinct slaves that have at least one flow, in address order.
@@ -364,15 +365,12 @@ mod tests {
     #[test]
     fn view_exposes_downlink_only() {
         let table = FlowTable::new(flows()).unwrap();
-        let mut q = FlowQueue::new();
-        q.push(btgs_traffic::AppPacket::new(
-            0,
-            FlowId(2),
-            100,
-            SimTime::ZERO,
-        ));
-        let queues = vec![None, Some(q)];
-        let view = MasterView::new(SimTime::from_millis(1), &table, &queues);
+        let mut state = FlowState::for_table(&table);
+        let pkt = |id| btgs_traffic::AppPacket::new(0, FlowId(id), 100, SimTime::ZERO);
+        state[1].queue_mut().push(pkt(2));
+        // The master cannot see an uplink queue, even a non-empty one.
+        state[0].queue_mut().push(pkt(1));
+        let view = MasterView::new(SimTime::from_millis(1), &table, &state);
 
         assert_eq!(view.now(), SimTime::from_millis(1));
         assert_eq!(view.flows().len(), 2);
@@ -391,8 +389,8 @@ mod tests {
     #[test]
     fn view_lookups() {
         let table = FlowTable::new(flows()).unwrap();
-        let queues = vec![None, None];
-        let view = MasterView::new(SimTime::ZERO, &table, &queues);
+        let state = FlowState::for_table(&table);
+        let view = MasterView::new(SimTime::ZERO, &table, &state);
         assert_eq!(view.flow(FlowId(1)).unwrap().slave, s(1));
         assert!(view.flow(FlowId(3)).is_none());
         assert!(view

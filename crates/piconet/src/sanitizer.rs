@@ -18,9 +18,9 @@
 //!     `>= b`);
 //!   - *injection order*: the staged-relay `(handoff, source, sequence)`
 //!     keys are strictly increasing across the whole run;
-//!   - *wheel FIFO*: relays scheduled into an island's wheel fire in
-//!     scheduling order within each timestamp, and the island's event
-//!     times are monotone;
+//!   - *queue FIFO* (reported as `wheel-fifo`): relays scheduled into an
+//!     island's event queue fire in scheduling order within each
+//!     timestamp, and the island's event times are monotone;
 //!   - *conservation*: every relay staged is injected exactly once (per
 //!     target flow: staged = injected + still-pooled at the horizon).
 //!
@@ -321,7 +321,7 @@ pub(crate) fn event_hash(h: u64, t_nanos: u64, kind: TraceKind, a: u64, b: u64) 
 }
 
 /// Per-island sanitizer state: the checks an island's owner can make
-/// alone (event-time monotonicity, wheel FIFO, lookahead safety at
+/// alone (event-time monotonicity, queue FIFO, lookahead safety at
 /// injection) and its staging counts for the end-of-run conservation
 /// reconciliation.
 pub(crate) struct SanitizerIsland {
@@ -330,7 +330,7 @@ pub(crate) struct SanitizerIsland {
     findings: Vec<SanitizerFinding>,
     /// Monotone-clock watermark: the last handled event's instant.
     last_event: Option<SimTime>,
-    /// Wheel-FIFO expectations: event-time nanos → FIFO of
+    /// Queue-FIFO expectations: event-time nanos → FIFO of
     /// `(flow_idx, packet seq)` in scheduling order.
     expect: BTreeMap<u64, VecDeque<(u32, u64)>>,
     /// Cross-island relays this island staged, per target flow

@@ -61,14 +61,20 @@
 //! compiled into the production engine. A test-only builder swaps in the
 //! binary-heap reference queue for differential tests.
 //!
+//! Each island's per-flow state is one dense record per flow (see
+//! [`FlowState`](crate::FlowState)): the flow's queue, allowed-type table,
+//! window counters and delay-sample header, id, and on a chain's hop
+//! flows the route and origin FIFO, so relaying a completed packet reads
+//! the record its exchange already touched.
+//!
 //! The steady state is allocation-free: relay outboxes, staging buffers,
 //! origin FIFOs and report buffers are pre-reserved at build time, and
 //! the relay machinery only on islands a chain touches, so a lone
 //! piconet builds none at all. The build reserves hot state first: every
-//! island's world, relay tables and relay buffers, and only then, in one
-//! pass over all islands, the delay-sample buffers and origin FIFOs, so
-//! the 8–32 KiB sample reserves never sit between two islands' small hot
-//! vectors (see `IslandState`).
+//! island's world (its flow records included) and relay buffers, and only
+//! then, in one pass over all islands, the delay-sample buffers and
+//! origin FIFOs, so the 8–32 KiB sample reserves never sit between two
+//! islands' hot state (see `IslandState`).
 
 use crate::config::{PiconetConfig, PiconetError};
 use crate::flow_table::{FlowIdx, IdIndex};
@@ -88,7 +94,6 @@ use btgs_des::{
 };
 use btgs_metrics::DelayStats;
 use btgs_traffic::{AppPacket, FlowId, Source};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -194,11 +199,12 @@ pub struct ScatternetConfig {
     pub chains: Vec<ChainSpec>,
 }
 
-/// What happens to a packet that completes delivery on a captured hop.
-/// `stats` is the chain's slot in the island's own
-/// [`IslandState::chain_stats`], not its global chain index.
+/// What happens to a packet that completes delivery on a routed hop (the
+/// route of its [`FlowState`](crate::FlowState)). `stats` is the chain's
+/// slot in the island's own [`IslandState::chain_stats`], not its global
+/// chain index.
 #[derive(Clone, Copy, Debug)]
-enum HopNext {
+pub(crate) enum HopNext {
     /// Last hop of its chain: record end-to-end delay.
     Terminal { stats: u32 },
     /// Relay onto the next hop.
@@ -243,8 +249,8 @@ pub(crate) struct StagedRelay {
 ///
 /// Every counter and statistic covers the same packet population: packets
 /// whose *origin* (first-hop arrival) falls inside the measurement window.
-/// The origin rides along with the packet (in the per-flow origin FIFOs
-/// and in [`StagedRelay::origin`]), so the counted check is a direct
+/// The origin rides along with the packet (in the relay-fed flows' origin
+/// FIFOs and in [`StagedRelay::origin`]), so the counted check is a direct
 /// `origin >= warmup` comparison at every hop.
 #[derive(Default)]
 struct ChainLocal {
@@ -257,18 +263,19 @@ struct ChainLocal {
 }
 
 /// One piconet's island: its [`World`] plus the relay fabric it can see
-/// without touching any other island. The per-flow relay tables stay empty
-/// on an island no chain touches.
+/// without touching any other island. A flow's route and origin FIFO live
+/// in its [`FlowState`](crate::FlowState) record, next to its queue and
+/// counters, and stay empty on an island no chain touches.
 ///
 /// Every round visits every island, so at mesh scale the islands' hot
 /// state together outgrows a core's caches, and an event costs more the
 /// more memory that state spans. The build therefore lays it out
 /// hot-first and small:
-/// * every island's world, relay tables and relay buffers come first
-///   ([`ScatternetSim::new`] up to the relay arming);
+/// * every island's world (one record per flow) and relay buffers come
+///   first ([`ScatternetSim::new`] up to the relay arming);
 /// * the delay-sample buffers and origin FIFOs of every island follow in
 ///   one pass ([`IslandState::reserve_samples`]), so no 8–32 KiB reserve
-///   sits between two islands' small hot vectors;
+///   sits between two islands' hot state;
 /// * an island keeps statistics only for the chains routed through it,
 ///   and its relay buffers are sized to a sustainable chain's steady
 ///   state, not to worst-case head-room.
@@ -276,16 +283,6 @@ struct IslandState {
     world: World,
     /// This island's piconet id.
     pic: u16,
-    /// `routes[flow_idx]`: relay action for captured flows of this island.
-    routes: Vec<Option<HopNext>>,
-    /// `relay_fed[flow_idx]`: fed by relaying, exempt from the
-    /// one-source-per-flow rule.
-    relay_fed: Vec<bool>,
-    /// `origins[flow_idx]`: origin timestamps of in-flight packets on a
-    /// relay-fed flow, FIFO — per-flow order is preserved across hops, so
-    /// the consuming hop pops its packet's own origin. The buffers are
-    /// reserved in the sample pass, after every island's hot state.
-    origins: Vec<VecDeque<SimTime>>,
     /// Cross-island relays captured this phase, each already keyed for
     /// the pool; the island's owner drains them into its outbox after
     /// every run. Sized only on islands with a bridge route, to the most
@@ -307,29 +304,16 @@ struct IslandState {
 }
 
 impl IslandState {
-    /// An island with no relay machinery; [`IslandState::join_chain`] and
-    /// [`IslandState::arm_relays`] size it once a chain touches it.
+    /// An island with no relay machinery; [`IslandState::arm_relays`]
+    /// sizes it once a chain routes through it.
     fn new(world: World, pic: u16, warmup: SimTime) -> IslandState {
         IslandState {
             world,
             pic,
-            routes: Vec::new(),
-            relay_fed: Vec::new(),
-            origins: Vec::new(),
             staged: Vec::new(),
             staged_seq: 0,
             warmup,
             chain_stats: Vec::new(),
-        }
-    }
-
-    /// Sizes the route and relay-fed tables on the first chain through
-    /// this island.
-    fn join_chain(&mut self) {
-        if self.routes.is_empty() {
-            let flows = self.world.table.len();
-            self.routes = vec![None; flows];
-            self.relay_fed = vec![false; flows];
         }
     }
 
@@ -349,18 +333,19 @@ impl IslandState {
         u32::try_from(slot).expect("slots are bounded by the u32 chain ids")
     }
 
-    /// Arms capture on every routed flow and pre-sizes the hot relay
-    /// buffers of a chain-touched island (flow queues, outbox, staging),
-    /// so its steady state stays allocation-free. A routed hop of a
-    /// sustainable chain queues a few packets per bridge absence, so 16
-    /// queue slots leave head-room; an over-committed fabric grows the
-    /// queue instead. `staging` is the calendar's staging bound
-    /// ([`staging_capacity`]).
+    /// Pre-sizes the hot relay buffers of the routed flows (flow queues,
+    /// outbox, staging), so a chain-touched island's steady state stays
+    /// allocation-free; an island with no route reserves nothing. A
+    /// routed hop of a sustainable chain queues a few packets per bridge
+    /// absence, so 16 queue slots leave head-room; an over-committed
+    /// fabric grows the queue instead. `staging` is the calendar's
+    /// staging bound ([`staging_capacity`]).
     fn arm_relays(&mut self, staging: usize) {
         let mut bridged = false;
-        for (idx, r) in self.routes.iter().enumerate() {
-            let Some(r) = r else { continue };
-            self.world.capture[idx] = true;
+        for idx in 0..self.world.flows.len() {
+            let Some(r) = self.world.flows[idx].route else {
+                continue;
+            };
             self.world.reserve_relay(idx, 16);
             bridged |= matches!(
                 r,
@@ -370,7 +355,6 @@ impl IslandState {
                 }
             );
         }
-        self.origins = self.relay_fed.iter().map(|_| VecDeque::new()).collect();
         if bridged {
             self.staged.reserve(staging);
         }
@@ -382,8 +366,8 @@ impl IslandState {
     /// state exists (see [`IslandState`]).
     fn reserve_samples(&mut self) {
         self.world.reserve_samples();
-        for r in self.routes.iter().flatten() {
-            match *r {
+        for route in self.world.flows.iter().filter_map(|f| f.route) {
+            match route {
                 HopNext::Terminal { stats } => {
                     self.chain_stats[stats as usize].e2e.reserve(4096);
                 }
@@ -399,9 +383,9 @@ impl IslandState {
         }
         // A FIFO holds one origin per packet queued on its flow or in
         // transit to it, so 64 leave head-room over the queue's 16.
-        for (fifo, &fed) in self.origins.iter_mut().zip(&self.relay_fed) {
-            if fed {
-                fifo.reserve(64);
+        for f in &mut self.world.flows {
+            if f.relay_fed {
+                f.origins.reserve(64);
             }
         }
     }
@@ -412,7 +396,7 @@ impl IslandState {
     ///
     /// Returns an error if the flow already serves a chain position.
     fn set_route(&mut self, idx: FlowIdx, next: HopNext) -> Result<(), PiconetError> {
-        let slot = &mut self.routes[idx.get()];
+        let slot = &mut self.world.flows[idx.get()].route;
         if slot.is_some() {
             return Err(PiconetError(format!(
                 "hop flow {} is shared by two chain positions",
@@ -462,7 +446,8 @@ fn route_captures<Q: PendingEvents<Ev>, H: IslandHooks>(
     let captured = st.world.outbox.len();
     for i in 0..captured {
         let cap = st.world.outbox[i];
-        let Some(next) = st.routes[cap.flow_idx] else {
+        let from = &mut st.world.flows[cap.flow_idx];
+        let Some(next) = from.route else {
             debug_assert!(false, "captured flow without a route");
             continue;
         };
@@ -470,7 +455,7 @@ fn route_captures<Q: PendingEvents<Ev>, H: IslandHooks>(
             HopNext::Terminal { stats } => {
                 // The terminal hop is always relay-fed, so its origin FIFO
                 // holds this packet's origin at the front.
-                let origin = st.origins[cap.flow_idx].pop_front().expect(
+                let origin = from.origins.pop_front().expect(
                     "per-flow FIFO holds across hops: every terminal delivery has an origin",
                 );
                 if origin >= st.warmup {
@@ -491,7 +476,7 @@ fn route_captures<Q: PendingEvents<Ev>, H: IslandHooks>(
                     // First hop: the packet's own arrival starts the clock.
                     cap.pkt.arrival
                 } else {
-                    st.origins[cap.flow_idx].pop_front().expect(
+                    from.origins.pop_front().expect(
                         "per-flow FIFO holds across hops: every relayed packet has an origin",
                     )
                 };
@@ -516,7 +501,7 @@ fn route_captures<Q: PendingEvents<Ev>, H: IslandHooks>(
                 let pkt = AppPacket::new(cap.pkt.seq, flow, cap.pkt.size, handoff);
                 if pic == st.pic {
                     // Master relay: same island, immediate re-enqueue.
-                    st.origins[flow_idx as usize].push_back(origin);
+                    st.world.flows[flow_idx as usize].origins.push_back(origin);
                     sched.schedule_at(
                         handoff,
                         Ev::Relay {
@@ -791,7 +776,9 @@ fn inject_relay<Q: PendingEvents<Ev>, H: IslandHooks>(
     relay: &StagedRelay,
 ) {
     let (sched, st) = island.split_mut();
-    st.origins[relay.flow_idx as usize].push_back(relay.origin);
+    st.world.flows[relay.flow_idx as usize]
+        .origins
+        .push_back(relay.origin);
     let now = sched.now();
     hooks.on_inject(relay.at, now);
     // In the clean engine the clamp is the identity: the round clock only
@@ -1265,9 +1252,6 @@ impl ScatternetSim {
                     _ => Err(PiconetError(format!("chain {ci}: unknown hop flow {id}"))),
                 })
                 .collect::<Result<_, _>>()?;
-            for &(pic, _) in &resolved {
-                islands[pic.index()].join_chain();
-            }
             for (k, window) in resolved.windows(2).enumerate() {
                 let (apic, aidx) = window[0];
                 let (bpic, bidx) = window[1];
@@ -1330,22 +1314,19 @@ impl ScatternetSim {
                     window: bridge_window,
                 };
                 islands[apic.index()].set_route(aidx, next)?;
-                islands[bpic.index()].relay_fed[bidx.get()] = true;
+                islands[bpic.index()].world.flows[bidx.get()].relay_fed = true;
             }
             let (lpic, lidx) = *resolved.last().expect("at least two hops");
             let stats = islands[lpic.index()].chain_slot(ci as u32);
             islands[lpic.index()].set_route(lidx, HopNext::Terminal { stats })?;
         }
 
-        // Arm the capture flags and pre-size the hot relay machinery of
-        // every island a chain touches; then, with every island's hot
-        // state in place, reserve the append-only sample buffers in one
-        // pass (see `IslandState`).
+        // Pre-size the hot relay machinery of every island a chain
+        // touches; then, with every island's hot state in place, reserve
+        // the append-only sample buffers in one pass (see `IslandState`).
         let staging = staging_capacity(&sync_points);
         for st in &mut islands {
-            if !st.routes.is_empty() {
-                st.arm_relays(staging);
-            }
+            st.arm_relays(staging);
         }
         for st in &mut islands {
             st.reserve_samples();
@@ -1398,7 +1379,7 @@ impl ScatternetSim {
         let id = source.flow();
         let (pic, target) = match self.index.get(id) {
             Some(Owner::Acl(pic, idx)) => {
-                if self.islands[pic.index()].relay_fed.get(idx.get()) == Some(&true) {
+                if self.islands[pic.index()].world.flows[idx.get()].relay_fed {
                     return Err(PiconetError(format!(
                         "flow {id} is relay-fed; it cannot also have a source"
                     )));
@@ -1516,7 +1497,7 @@ impl ScatternetSim {
 
     /// Runs to `horizon` with the causality sanitizer enabled: per-phase
     /// checks of lookahead safety, phase boundaries, staged-relay total
-    /// order, wheel FIFO and cross-island packet conservation (see the
+    /// order, queue FIFO and cross-island packet conservation (see the
     /// [`sanitizer`](crate::SanitizerCheck) docs). The engine halts at the
     /// end of the round that records the first finding, and the report of
     /// a run with any finding is withheld; a clean sanitized run returns a
@@ -1611,7 +1592,7 @@ impl ScatternetSim {
     ) -> Result<(ScatternetReport, EngineCounters, H, Vec<H::Island>), PiconetError> {
         // `self` is consumed, so a sim cannot run twice by construction.
         for st in &self.islands {
-            st.world.check_sources(&st.relay_fed)?;
+            st.world.check_sources()?;
             st.world.check_horizon(horizon)?;
         }
         let mut islands: Vec<IslandSim<Q>> = self

@@ -13,65 +13,126 @@
 //! scatternet engine, and [`PiconetSim`] is a one-island [`ScatternetSim`]
 //! with no bridges and no chains, so the paper's own scenario and every
 //! scatternet share one engine.
+//!
+//! A world keeps one dense [`FlowState`] record per flow, in flow-index
+//! order: the flow's queue, its allowed-type table (inline), its
+//! measurement counters and delay-sample header, its id and, on an island
+//! a relay chain touches, its route and origin FIFO. An exchange touches
+//! the records of the one or two flows it serves and the world's single
+//! in-flight exchange record, which already holds the poller's
+//! [`ExchangeReport`]: nothing is looked up in the flow table and nothing
+//! is re-packed when the exchange completes.
 
 use crate::config::{
     AllowedByCap, PiconetConfig, PiconetError, PresenceMask, SarPolicy, ScoBinding,
 };
+use crate::flow::FlowSpec;
 use crate::flow_table::FlowTable;
 use crate::ledger::{PollCounters, SlotLedger};
 use crate::poller::{ExchangeReport, MasterView, PollDecision, Poller, SegmentOutcome};
 use crate::queue::{FlowQueue, SegmentPlan};
 use crate::report::{FlowReport, RunReport};
-use crate::scatternet::{ScatternetConfig, ScatternetSim};
+use crate::scatternet::{HopNext, ScatternetConfig, ScatternetSim};
 use btgs_baseband::{
     next_master_tx_start, AmAddr, ChannelModel, Direction, LogicalChannel, PacketType, SLOT,
     SLOT_PAIR,
 };
 use btgs_des::{EventKey, PendingEvents, Scheduler, SimDuration, SimTime};
-use btgs_traffic::{AppPacket, Source};
+use btgs_traffic::{AppPacket, FlowId, Source};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Destination of a source's packets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Target {
-    /// Index into the ACL flow tables.
+    /// Dense index of an ACL flow (its record in `World::flows`).
     Flow(usize),
     /// Index into the SCO bindings.
     Sco(usize),
 }
 
-/// One planned transmission direction of an exchange.
-#[derive(Clone, Copy, Debug)]
-enum PlannedTx {
-    Data {
-        flow_idx: usize,
-        seg: SegmentPlan,
-        delivered: bool,
-        retransmission: bool,
-    },
-    Control {
-        ty: PacketType,
-    },
-    Silent,
+/// One flow's simulation state: the dense per-flow record a world keeps
+/// in flow-index order (the [`FlowTable`]'s [`FlowIdx`] addresses both).
+///
+/// A [`MasterView`] reads the downlink records' queues; the simulator
+/// builds the records, so outside it they only serve to drive a poller's
+/// `decide` directly ([`FlowState::for_table`]).
+///
+/// [`FlowIdx`]: crate::FlowIdx
+#[derive(Debug)]
+pub struct FlowState {
+    /// The flow's id, so the per-packet and per-exchange paths never read
+    /// the flow table.
+    pub(crate) id: FlowId,
+    /// The flow's direction (from its spec): whose queue `queue` is.
+    /// Only downlink queues are visible to the master.
+    pub(crate) downlink: bool,
+    /// The flow's one queue: at the master for a downlink flow, at the
+    /// slave for an uplink one.
+    pub(crate) queue: FlowQueue,
+    /// The flow's allowed packet types, pre-filtered by slot cap, so the
+    /// hot path never builds a fresh `Vec` per exchange.
+    pub(crate) allowed: AllowedByCap,
+    /// Window counters and delay samples. The sample buffer is reserved
+    /// after every island's hot state exists (see `World::reserve_samples`).
+    pub(crate) report: FlowReport,
+    /// Relay action for completed packets: `Some` exactly on the hop flows
+    /// of a relay chain, whose completed deliveries are captured into the
+    /// [`World::outbox`] for the scatternet to route.
+    pub(crate) route: Option<HopNext>,
+    /// Fed by relaying, so exempt from the one-source-per-flow rule.
+    pub(crate) relay_fed: bool,
+    /// Origin timestamps of the packets in flight on a relay-fed flow,
+    /// FIFO: per-flow order is preserved across hops, so the consuming
+    /// hop pops its packet's own origin. Empty, and unallocated, on every
+    /// other flow.
+    pub(crate) origins: VecDeque<SimTime>,
 }
 
-impl PlannedTx {
-    fn slots(&self) -> u64 {
-        match self {
-            PlannedTx::Data { seg, .. } => seg.ty.slots(),
-            PlannedTx::Control { ty } => ty.slots(),
-            PlannedTx::Silent => 1,
+impl FlowState {
+    /// The state of `spec` at the start of a run: an empty queue, no
+    /// measurements, no relay route.
+    fn new(spec: &FlowSpec, allowed: &[PacketType]) -> FlowState {
+        FlowState {
+            id: spec.id,
+            downlink: spec.direction.is_downlink(),
+            queue: FlowQueue::new(),
+            allowed: AllowedByCap::new(allowed),
+            report: FlowReport::default(),
+            route: None,
+            relay_fed: false,
+            origins: VecDeque::new(),
         }
+    }
+
+    /// One fresh record per flow of `table`, in flow-index order, with
+    /// every queue empty: the flow state a [`MasterView`] needs to drive a
+    /// poller's `decide` outside a simulation (unit tests, benches). Fill
+    /// downlink queues through [`FlowState::queue_mut`].
+    pub fn for_table(table: &FlowTable) -> Vec<FlowState> {
+        table
+            .specs()
+            .iter()
+            .map(|f| FlowState::new(f, f.allowed_types.as_deref().unwrap_or(&[])))
+            .collect()
+    }
+
+    /// The flow's queue (at the master for a downlink flow).
+    pub fn queue_mut(&mut self) -> &mut FlowQueue {
+        &mut self.queue
     }
 }
 
+/// The single in-flight ACL exchange, complete from the moment it is
+/// planned: the [`ExchangeReport`] the poller receives on completion (its
+/// end is known when the exchange starts), plus the dense indices of the
+/// flows whose data segments it carries.
 #[derive(Clone, Copy, Debug)]
 struct PendingExchange {
-    start: SimTime,
-    slave: AmAddr,
-    channel: LogicalChannel,
-    down: PlannedTx,
-    up: PlannedTx,
+    report: ExchangeReport,
+    /// Flow index of `report.down`'s data segment; unused without one.
+    down_idx: usize,
+    /// Flow index of `report.up`'s data segment; unused without one.
+    up_idx: usize,
 }
 
 #[derive(Debug)]
@@ -117,13 +178,9 @@ pub(crate) struct Captured {
 
 pub(crate) struct World {
     pub(crate) table: FlowTable,
-    /// Per-flow allowed packet types, pre-filtered by slot cap so the hot
-    /// path never builds a fresh `Vec` per exchange.
-    allowed: Vec<AllowedByCap>,
+    /// One record per flow, in flow-index order (see [`FlowState`]).
+    pub(crate) flows: Vec<FlowState>,
     sar: SarPolicy,
-    down_queues: Vec<Option<FlowQueue>>,
-    up_queues: Vec<Option<FlowQueue>>,
-    reports: Vec<FlowReport>,
     sources: Vec<SourceSlot>,
     poller: Option<Box<dyn Poller>>,
     channel: Box<dyn ChannelModel>,
@@ -144,12 +201,9 @@ pub(crate) struct World {
     /// Latest admissible arrival instant: arrivals past the run horizon are
     /// never scheduled, so infinite sources cannot outrun the run loop.
     pub(crate) horizon: SimTime,
-    /// `capture[idx]`: completed deliveries of flow `idx` are pushed to the
-    /// [`World::outbox`] for scatternet routing. All-false outside a
-    /// scatternet.
-    pub(crate) capture: Vec<bool>,
-    /// Packets captured by the current event, drained by the scatternet
-    /// loop after each handler returns. Pre-reserved; empty in steady state.
+    /// Packets completed on a routed flow by the current event, drained by
+    /// the scatternet loop after each handler returns. Pre-reserved on
+    /// chain-touched islands; empty in steady state.
     pub(crate) outbox: Vec<Captured>,
     ledger: SlotLedger,
     gs_polls: PollCounters,
@@ -179,28 +233,13 @@ impl World {
         channel: Box<dyn ChannelModel>,
     ) -> Result<World, PiconetError> {
         config.validate()?;
-        let allowed: Vec<AllowedByCap> = config
+        let flows = config
             .flows
             .iter()
-            .map(|f| config.allowed_by_cap_for(f))
+            .map(|f| FlowState::new(f, config.allowed_for(f)))
             .collect();
         // `config.validate()` above already ran `validate_flows`.
         let table = FlowTable::from_validated(config.flows);
-        let down_queues = table
-            .specs()
-            .iter()
-            .map(|f| f.direction.is_downlink().then(FlowQueue::new))
-            .collect();
-        let up_queues = table
-            .specs()
-            .iter()
-            .map(|f| f.direction.is_uplink().then(FlowQueue::new))
-            .collect();
-        let reports = table
-            .specs()
-            .iter()
-            .map(|_| FlowReport::default())
-            .collect();
         let sco = config
             .sco
             .into_iter()
@@ -210,14 +249,10 @@ impl World {
                 report: FlowReport::default(),
             })
             .collect();
-        let capture = vec![false; table.len()];
         Ok(World {
             table,
-            allowed,
+            flows,
             sar: config.sar,
-            down_queues,
-            up_queues,
-            reports,
             sources: Vec::new(),
             poller: Some(poller),
             channel,
@@ -229,7 +264,6 @@ impl World {
             warmup: SimTime::ZERO + config.warmup,
             presence: config.presence,
             horizon: SimTime::MAX,
-            capture,
             outbox: Vec::new(),
             ledger: SlotLedger::default(),
             gs_polls: PollCounters::default(),
@@ -264,16 +298,15 @@ impl World {
         Ok(())
     }
 
-    /// Checks that every flow has a source. `relay_fed[idx]` exempts flows
-    /// the scatternet feeds by relaying (they have no source of their own);
-    /// flows past its end are not relay-fed.
+    /// Checks that every flow has a source, except the flows the
+    /// scatternet feeds by relaying (they have no source of their own).
     ///
     /// # Errors
     ///
     /// Returns an error naming the first flow without a source.
-    pub(crate) fn check_sources(&self, relay_fed: &[bool]) -> Result<(), PiconetError> {
-        for (idx, f) in self.table.specs().iter().enumerate() {
-            if relay_fed.get(idx) == Some(&true) {
+    pub(crate) fn check_sources(&self) -> Result<(), PiconetError> {
+        for (idx, f) in self.flows.iter().enumerate() {
+            if f.relay_fed {
                 continue;
             }
             if !self.sources.iter().any(|s| s.target == Target::Flow(idx)) {
@@ -314,9 +347,8 @@ impl World {
         let mut per_flow = BTreeMap::new();
         // `self` is consumed: move the reports out instead of cloning their
         // (potentially large) delay-sample buffers.
-        let reports = std::mem::take(&mut self.reports);
-        for (f, report) in self.table.specs().iter().zip(reports) {
-            per_flow.insert(f.id, report);
+        for f in std::mem::take(&mut self.flows) {
+            per_flow.insert(f.id, f.report);
         }
         let mut sco_flows = Vec::new();
         for s in &mut self.sco {
@@ -354,8 +386,8 @@ impl World {
     /// samples from growing a buffer mid-run (it doubles amortized
     /// beyond this).
     pub(crate) fn reserve_samples(&mut self) {
-        for r in &mut self.reports {
-            r.delay.reserve(1024);
+        for f in &mut self.flows {
+            f.report.delay.reserve(1024);
         }
         // Voice samples arrive every T_sco, hence the larger head-room.
         for s in &mut self.sco {
@@ -363,17 +395,12 @@ impl World {
         }
     }
 
-    /// Pre-sizes the relay machinery of a scatternet piconet: `capture`
-    /// flags are set by the scatternet, the outbox and the relay-fed
-    /// queues must absorb their steady-state depth without allocating.
+    /// Pre-sizes the relay machinery of a routed flow: the outbox and the
+    /// flow's queue must absorb their steady-state depth without
+    /// allocating.
     pub(crate) fn reserve_relay(&mut self, flow_idx: usize, queue_depth: usize) {
         self.outbox.reserve(32);
-        if let Some(q) = self.down_queues[flow_idx].as_mut() {
-            q.reserve(queue_depth);
-        }
-        if let Some(q) = self.up_queues[flow_idx].as_mut() {
-            q.reserve(queue_depth);
-        }
+        self.flows[flow_idx].queue.reserve(queue_depth);
     }
 
     /// Dense index of the unique flow at `(slave, dir, channel)`, O(1) via
@@ -433,7 +460,7 @@ impl World {
     fn batchable(&self, target: Target) -> bool {
         self.arrival_batch > 1
             && match target {
-                Target::Flow(idx) => self.up_queues[idx].is_some(),
+                Target::Flow(idx) => !self.flows[idx].downlink,
                 Target::Sco(_) => true,
             }
     }
@@ -506,7 +533,7 @@ pub(crate) fn handle<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut
         Ev::Wake => on_wake(sched, w),
         Ev::ExchangeDone => {
             let ex = w.pending_exchange.take().expect("an exchange is in flight");
-            on_exchange_done(sched, w, ex);
+            on_exchange_done(sched, w, &ex);
         }
         Ev::ScoDone { sco_idx, start } => on_sco_done(sched, w, sco_idx, start),
         Ev::Relay { flow_idx, pkt } => on_relay(sched, w, flow_idx, pkt),
@@ -518,24 +545,19 @@ pub(crate) fn handle<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut
 /// shared verbatim by the arrival and relay paths so both stay bit-for-bit
 /// identical in accounting order.
 fn accept_flow_packet(w: &mut World, idx: usize, pkt: AppPacket, now: SimTime) {
-    if w.in_window(now) {
-        w.reports[idx].offered_packets += 1;
-        w.reports[idx].offered_bytes += pkt.size as u64;
+    let in_window = w.in_window(now);
+    let f = &mut w.flows[idx];
+    if in_window {
+        f.report.offered_packets += 1;
+        f.report.offered_bytes += pkt.size as u64;
     }
-    // A populated downlink queue slot *is* the direction marker —
-    // no need to consult the flow spec on this per-packet path.
-    if let Some(q) = w.down_queues[idx].as_mut() {
-        q.push(pkt);
-        let flow_id = w.table.specs()[idx].id;
+    f.queue.push(pkt);
+    if f.downlink {
+        let flow_id = f.id;
         w.poller
             .as_mut()
             .expect("poller present")
             .on_downlink_arrival(flow_id, now);
-    } else {
-        w.up_queues[idx]
-            .as_mut()
-            .expect("uplink queue exists")
-            .push(pkt);
     }
 }
 
@@ -675,7 +697,7 @@ fn on_wake<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World) {
         }
     }
 
-    let view = MasterView::with_presence(now, &w.table, &w.down_queues, &w.presence);
+    let view = MasterView::with_presence(now, &w.table, &w.flows, &w.presence);
     let decision = w
         .poller
         .as_mut()
@@ -713,15 +735,23 @@ fn on_wake<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World) {
 /// The next segment a flow would transmit through a `cap`-slot budget, using
 /// its precomputed [`AllowedByCap`] table — no per-exchange filtering or
 /// allocation.
-fn plan_direction(
-    queue: Option<&FlowQueue>,
-    allowed: &AllowedByCap,
-    now: SimTime,
-    sar: SarPolicy,
-    cap: u64,
-) -> Option<SegmentPlan> {
-    let usable = allowed.data_types(cap)?;
-    queue?.peek_segment(now, &sar, usable)
+fn plan_direction(f: &FlowState, now: SimTime, sar: SarPolicy, cap: u64) -> Option<SegmentPlan> {
+    let usable = f.allowed.data_types(cap)?;
+    f.queue.peek_segment(now, &sar, usable)
+}
+
+/// Marks the planned segment of flow `idx` as attempted and draws its
+/// radio outcome: what the direction carries, as the poller will see it.
+fn transmit(w: &mut World, idx: usize, seg: SegmentPlan) -> SegmentOutcome {
+    let f = &mut w.flows[idx];
+    let retransmission = f.queue.head_attempted();
+    f.queue.note_attempt();
+    SegmentOutcome::Data {
+        flow: f.id,
+        segment: seg,
+        delivered: w.channel.deliver(seg.ty, seg.bytes as usize),
+        retransmission,
+    }
 }
 
 fn start_exchange<Q: PendingEvents<Ev>>(
@@ -759,70 +789,44 @@ fn start_exchange<Q: PendingEvents<Ev>>(
     }
     let cap = window / 2;
 
-    let down_idx = w.flow_index(slave, Direction::MasterToSlave, channel);
-    let up_idx = w.flow_index(slave, Direction::SlaveToMaster, channel);
+    let down_flow = w.flow_index(slave, Direction::MasterToSlave, channel);
+    let up_flow = w.flow_index(slave, Direction::SlaveToMaster, channel);
 
-    let down_plan = down_idx.and_then(|i| {
-        plan_direction(w.down_queues[i].as_ref(), &w.allowed[i], now, w.sar, cap)
-            .map(|seg| (i, seg))
-    });
+    let down_plan =
+        down_flow.and_then(|i| plan_direction(&w.flows[i], now, w.sar, cap).map(|seg| (i, seg)));
     // The slave transmits only data that was available when the master
     // started transmitting (the paper's strict availability rule).
-    let up_plan = up_idx.and_then(|i| {
-        plan_direction(w.up_queues[i].as_ref(), &w.allowed[i], now, w.sar, cap).map(|seg| (i, seg))
-    });
+    let up_plan =
+        up_flow.and_then(|i| plan_direction(&w.flows[i], now, w.sar, cap).map(|seg| (i, seg)));
 
     // Radio outcomes are drawn now, in a fixed order, for determinism. If
     // the downlink packet is lost, the slave never hears its address and
     // stays silent for one slot.
-    let (down, down_ok) = match down_plan {
-        Some((flow_idx, seg)) => {
-            let q = w.down_queues[flow_idx].as_mut().expect("downlink queue");
-            let retransmission = q.head_attempted();
-            q.note_attempt();
-            let delivered = w.channel.deliver(seg.ty, seg.bytes as usize);
-            (
-                PlannedTx::Data {
-                    flow_idx,
-                    seg,
-                    delivered,
-                    retransmission,
-                },
-                delivered,
-            )
+    let (down, down_idx, down_ok) = match down_plan {
+        Some((i, seg)) => {
+            let down = transmit(w, i, seg);
+            (down, i, down.is_delivered_data())
         }
         None => {
             let delivered = w.channel.deliver(PacketType::Poll, 0);
-            (
-                PlannedTx::Control {
-                    ty: PacketType::Poll,
-                },
-                delivered,
-            )
+            let ty = PacketType::Poll;
+            (SegmentOutcome::Control { ty }, 0, delivered)
         }
     };
 
-    let up = if !down_ok {
-        PlannedTx::Silent
+    let (up, up_idx) = if !down_ok {
+        (SegmentOutcome::Silent, 0)
     } else {
         match up_plan {
-            Some((flow_idx, seg)) => {
-                let q = w.up_queues[flow_idx].as_mut().expect("uplink queue");
-                let retransmission = q.head_attempted();
-                q.note_attempt();
-                let delivered = w.channel.deliver(seg.ty, seg.bytes as usize);
-                PlannedTx::Data {
-                    flow_idx,
-                    seg,
-                    delivered,
-                    retransmission,
-                }
-            }
+            Some((i, seg)) => (transmit(w, i, seg), i),
             None => {
                 let _ = w.channel.deliver(PacketType::Null, 0);
-                PlannedTx::Control {
-                    ty: PacketType::Null,
-                }
+                (
+                    SegmentOutcome::Control {
+                        ty: PacketType::Null,
+                    },
+                    0,
+                )
             }
         }
     };
@@ -832,11 +836,16 @@ fn start_exchange<Q: PendingEvents<Ev>>(
     w.busy_until = now + duration;
     debug_assert!(w.pending_exchange.is_none(), "one exchange at a time");
     w.pending_exchange = Some(PendingExchange {
-        start: now,
-        slave,
-        channel,
-        down,
-        up,
+        report: ExchangeReport {
+            start: now,
+            end: w.busy_until,
+            slave,
+            channel,
+            down,
+            up,
+        },
+        down_idx,
+        up_idx,
     });
     sched.schedule_at(w.busy_until, Ev::ExchangeDone);
 }
@@ -844,109 +853,79 @@ fn start_exchange<Q: PendingEvents<Ev>>(
 fn on_exchange_done<Q: PendingEvents<Ev>>(
     sched: &mut Scheduler<Ev, Q>,
     w: &mut World,
-    ex: PendingExchange,
+    ex: &PendingExchange,
 ) {
     let now = sched.now();
-    let in_window = w.in_window(ex.start);
+    let report = &ex.report;
+    debug_assert_eq!(report.end, now, "the exchange ends when planned");
+    let in_window = w.in_window(report.start);
 
     // Downlink delivery lands when the downlink packet ends.
-    let down_end = ex.start + ex.down.slots() * SLOT;
-    apply_delivery(w, ex.down, down_end, in_window, Direction::MasterToSlave);
-    apply_delivery(w, ex.up, now, in_window, Direction::SlaveToMaster);
+    let down_end = report.start + report.down.slots() * SLOT;
+    apply_delivery(w, &report.down, ex.down_idx, down_end, in_window);
+    apply_delivery(w, &report.up, ex.up_idx, now, in_window);
 
     if in_window {
-        for (tx, _dir) in [
-            (ex.down, Direction::MasterToSlave),
-            (ex.up, Direction::SlaveToMaster),
-        ] {
-            match tx {
-                PlannedTx::Data {
-                    seg,
+        for tx in [&report.down, &report.up] {
+            match *tx {
+                SegmentOutcome::Data {
+                    segment,
                     retransmission,
                     ..
                 } => w
                     .ledger
-                    .add_data(ex.channel, seg.ty.slots(), retransmission),
-                PlannedTx::Control { ty } => w.ledger.add_overhead(ex.channel, ty.slots()),
-                PlannedTx::Silent => w.ledger.add_overhead(ex.channel, 1),
+                    .add_data(report.channel, segment.ty.slots(), retransmission),
+                SegmentOutcome::Control { ty } => w.ledger.add_overhead(report.channel, ty.slots()),
+                SegmentOutcome::Silent => w.ledger.add_overhead(report.channel, 1),
             }
         }
-        let successful =
-            matches!(ex.down, PlannedTx::Data { .. }) || matches!(ex.up, PlannedTx::Data { .. });
-        match ex.channel {
-            LogicalChannel::GuaranteedService => w.gs_polls.record(successful),
-            LogicalChannel::BestEffort => w.be_polls.record(successful),
+        match report.channel {
+            LogicalChannel::GuaranteedService => w.gs_polls.record(report.successful()),
+            LogicalChannel::BestEffort => w.be_polls.record(report.successful()),
         }
     }
 
-    let report = ExchangeReport {
-        start: ex.start,
-        end: now,
-        slave: ex.slave,
-        channel: ex.channel,
-        down: to_outcome(w, ex.down),
-        up: to_outcome(w, ex.up),
-    };
     w.poller
         .as_mut()
         .expect("poller present")
-        .on_exchange(&report);
+        .on_exchange(report);
 
     wake_now(sched, w);
 }
 
-fn to_outcome(w: &World, tx: PlannedTx) -> SegmentOutcome {
-    match tx {
-        PlannedTx::Data {
-            flow_idx,
-            seg,
-            delivered,
-            retransmission,
-        } => SegmentOutcome::Data {
-            flow: w.table.specs()[flow_idx].id,
-            segment: seg,
-            delivered,
-            retransmission,
-        },
-        PlannedTx::Control { ty } => SegmentOutcome::Control { ty },
-        PlannedTx::Silent => SegmentOutcome::Silent,
-    }
-}
-
-fn apply_delivery(w: &mut World, tx: PlannedTx, at: SimTime, in_window: bool, dir: Direction) {
-    let PlannedTx::Data {
-        flow_idx,
-        seg,
-        delivered,
+/// Books one direction's delivered data segment on flow `idx`: the queue
+/// advances past it, the window counters and delay samples record it, and
+/// a packet it completes on a routed flow is captured for relaying.
+fn apply_delivery(w: &mut World, tx: &SegmentOutcome, idx: usize, at: SimTime, in_window: bool) {
+    let SegmentOutcome::Data {
+        segment,
+        delivered: true,
         ..
-    } = tx
+    } = *tx
     else {
-        return;
+        return; // nothing sent, or ARQ: the segment stays at the head
     };
-    if !delivered {
-        return; // ARQ: the segment stays at the head of its queue.
-    }
-    let queue = match dir {
-        Direction::MasterToSlave => w.down_queues[flow_idx].as_mut(),
-        Direction::SlaveToMaster => w.up_queues[flow_idx].as_mut(),
-    }
-    .expect("queue exists for delivering flow");
-    let completed = queue.advance(seg.bytes);
+    let warmup = w.warmup;
+    let f = &mut w.flows[idx];
+    let completed = f.queue.advance(segment.bytes);
     if in_window {
-        let report = &mut w.reports[flow_idx];
-        report.delivered_bytes += seg.bytes as u64;
+        f.report.delivered_bytes += segment.bytes as u64;
         if let Some(pkt) = completed {
-            report.delivered_packets += 1;
-            if pkt.arrival >= w.warmup {
-                report.delay.record(at - pkt.arrival);
+            f.report.delivered_packets += 1;
+            if pkt.arrival >= warmup {
+                f.report.delay.record(at - pkt.arrival);
             }
         }
     }
     // Relay capture runs regardless of the measurement window: a scatternet
     // must forward warm-up packets too, it just does not record them.
     if let Some(pkt) = completed {
-        if w.capture[flow_idx] {
-            w.outbox.push(Captured { flow_idx, pkt, at });
+        if f.route.is_some() {
+            w.outbox.push(Captured {
+                flow_idx: idx,
+                pkt,
+                at,
+            });
         }
     }
 }

@@ -70,7 +70,7 @@ impl Poller for ExhaustiveRoundRobinPoller {
 mod tests {
     use super::*;
     use btgs_baseband::{AmAddr, Direction, PacketType};
-    use btgs_piconet::{FlowSpec, FlowTable, SegmentOutcome};
+    use btgs_piconet::{FlowSpec, FlowState, FlowTable, SegmentOutcome};
     use btgs_traffic::FlowId;
 
     fn s(n: u8) -> AmAddr {
@@ -108,8 +108,8 @@ mod tests {
     #[test]
     fn stays_until_dry_then_moves() {
         let flows = flows2();
-        let queues = vec![None, None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut err_poller = ExhaustiveRoundRobinPoller::new();
         // First decision picks a slave; repeat decisions stay on it.
@@ -134,8 +134,8 @@ mod tests {
     #[test]
     fn gs_exchanges_do_not_release() {
         let flows = flows2();
-        let queues = vec![None, None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut p = ExhaustiveRoundRobinPoller::new();
         let first = match p.decide(SimTime::ZERO, &view) {
@@ -154,8 +154,8 @@ mod tests {
     #[test]
     fn sleeps_without_flows() {
         let flows: Vec<FlowSpec> = Vec::new();
-        let queues: Vec<Option<btgs_piconet::FlowQueue>> = Vec::new();
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut p = ExhaustiveRoundRobinPoller::new();
         assert_eq!(p.decide(SimTime::ZERO, &view), PollDecision::Sleep);

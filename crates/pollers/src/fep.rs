@@ -173,7 +173,7 @@ impl Poller for FepPoller {
 mod tests {
     use super::*;
     use btgs_baseband::{Direction, PacketType};
-    use btgs_piconet::{FlowSpec, FlowTable, SegmentOutcome};
+    use btgs_piconet::{FlowSpec, FlowState, FlowTable, SegmentOutcome};
     use btgs_traffic::FlowId;
 
     fn s(n: u8) -> AmAddr {
@@ -228,8 +228,8 @@ mod tests {
     #[test]
     fn unsuccessful_poll_demotes() {
         let flows = flows();
-        let queues = vec![None, None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut fep = FepPoller::new(SimDuration::from_millis(50));
         let _ = fep.decide(SimTime::ZERO, &view);
@@ -242,8 +242,8 @@ mod tests {
     #[test]
     fn successful_poll_keeps_active() {
         let flows = flows();
-        let queues = vec![None, None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut fep = FepPoller::new(SimDuration::from_millis(50));
         let _ = fep.decide(SimTime::ZERO, &view);
@@ -254,9 +254,9 @@ mod tests {
     #[test]
     fn all_inactive_idles_until_probe() {
         let flows = flows();
-        let queues = vec![None, None];
         let mut fep = FepPoller::new(SimDuration::from_millis(50));
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let _ = fep.decide(SimTime::ZERO, &view);
         fep.on_exchange(&report(s(1), false, SimTime::from_millis(2)));
@@ -292,11 +292,12 @@ mod tests {
             50,
             SimTime::ZERO,
         ));
-        let queues = vec![Some(q)];
         let mut fep = FepPoller::new(SimDuration::from_millis(50));
         // Demote the slave first.
-        let empty_queues = vec![None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let mut queues = FlowState::for_table(&table);
+        *queues[0].queue_mut() = q;
+        let empty_queues = FlowState::for_table(&table);
         let view0 = MasterView::new(SimTime::ZERO, &table, &empty_queues);
         let _ = fep.decide(SimTime::ZERO, &view0);
         fep.on_exchange(&report(s(1), false, SimTime::from_millis(2)));

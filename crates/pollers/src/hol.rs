@@ -84,7 +84,7 @@ impl Poller for HolPriorityPoller {
 mod tests {
     use super::*;
     use btgs_baseband::Direction;
-    use btgs_piconet::{FlowQueue, FlowSpec, FlowTable};
+    use btgs_piconet::{FlowQueue, FlowSpec, FlowState, FlowTable};
     use btgs_traffic::{AppPacket, FlowId};
 
     fn s(n: u8) -> AmAddr {
@@ -111,8 +111,10 @@ mod tests {
         q1.push(AppPacket::new(0, FlowId(1), 50, SimTime::from_millis(5)));
         let mut q2 = FlowQueue::new();
         q2.push(AppPacket::new(0, FlowId(2), 50, SimTime::from_millis(2)));
-        let queues = vec![Some(q1), Some(q2)];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let mut queues = FlowState::for_table(&table);
+        *queues[0].queue_mut() = q1;
+        *queues[1].queue_mut() = q2;
         let view = MasterView::new(SimTime::from_millis(10), &table, &queues);
         let mut hol = HolPriorityPoller::new();
         match hol.decide(SimTime::from_millis(10), &view) {
@@ -131,8 +133,9 @@ mod tests {
         )];
         let mut q = FlowQueue::new();
         q.push(AppPacket::new(0, FlowId(1), 50, SimTime::from_millis(100)));
-        let queues = vec![Some(q)];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let mut queues = FlowState::for_table(&table);
+        *queues[0].queue_mut() = q;
         let view = MasterView::new(SimTime::from_millis(10), &table, &queues);
         let mut hol = HolPriorityPoller::new();
         // Not yet arrived -> falls back to cycling, which still polls S1,
@@ -159,8 +162,8 @@ mod tests {
                 LogicalChannel::BestEffort,
             ),
         ];
-        let queues = vec![None, None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut hol = HolPriorityPoller::new();
         let mut seen = Vec::new();
@@ -175,8 +178,8 @@ mod tests {
     #[test]
     fn sleeps_with_no_flows() {
         let flows: Vec<FlowSpec> = vec![];
-        let queues: Vec<Option<FlowQueue>> = vec![];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         assert_eq!(
             HolPriorityPoller::new().decide(SimTime::ZERO, &view),

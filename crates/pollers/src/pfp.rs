@@ -175,11 +175,16 @@ impl Poller for PfpBePoller {
             if !view.is_present(slave) {
                 continue;
             }
+            let deficit = self.fairness.deficit(slave);
+            // A deficit below the best candidate's cannot win whatever its
+            // availability, so its prediction (an `exp`) is not computed.
+            if best.is_some_and(|(d, _, _)| deficit < d) {
+                continue;
+            }
             let p = self.availability(slave, now, view);
             if p < self.threshold {
                 continue;
             }
-            let deficit = self.fairness.deficit(slave);
             let key = (deficit, p);
             if best.is_none_or(|(d, pp, _)| key > (d, pp)) {
                 best = Some((deficit, p, slave));
@@ -276,7 +281,7 @@ impl Poller for PfpBePoller {
 mod tests {
     use super::*;
     use btgs_baseband::{Direction, PacketType};
-    use btgs_piconet::{FlowQueue, FlowSpec, FlowTable, SegmentPlan};
+    use btgs_piconet::{FlowQueue, FlowSpec, FlowState, FlowTable, SegmentPlan};
     use btgs_traffic::{AppPacket, FlowId};
 
     fn s(n: u8) -> AmAddr {
@@ -341,8 +346,9 @@ mod tests {
         )];
         let mut q = FlowQueue::new();
         q.push(AppPacket::new(0, FlowId(1), 100, SimTime::ZERO));
-        let queues = vec![Some(q)];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let mut queues = FlowState::for_table(&table);
+        *queues[0].queue_mut() = q;
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut pfp = PfpBePoller::new(SimDuration::from_millis(20));
         match pfp.decide(SimTime::ZERO, &view) {
@@ -357,11 +363,11 @@ mod tests {
     #[test]
     fn idles_when_all_unlikely() {
         let flows = uplink_flows(2);
-        let queues = vec![None, None];
         let mut pfp = PfpBePoller::new(SimDuration::from_millis(20));
         // Teach the predictors that both slaves were just emptied.
         let t0 = SimTime::from_millis(100);
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(t0, &table, &queues);
         let _ = pfp.decide(t0, &view);
         pfp.on_exchange(&empty_report(s(1), t0));
@@ -380,10 +386,10 @@ mod tests {
     #[test]
     fn prefers_underserved_slave() {
         let flows = uplink_flows(2);
-        let queues = vec![None, None];
         let mut pfp = PfpBePoller::new(SimDuration::from_millis(20));
         let t0 = SimTime::from_millis(50);
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(t0, &table, &queues);
         let _ = pfp.decide(t0, &view);
         // Serve slave 1 a lot; slave 2 nothing.
@@ -403,6 +409,55 @@ mod tests {
     }
 
     #[test]
+    fn deficit_ties_go_to_the_more_available_slave() {
+        // S1 has a predicted uplink, S2 a downlink packet the master can
+        // see: availability about 0.63 against exactly 1.
+        let flows = [
+            FlowSpec::new(
+                FlowId(1),
+                s(1),
+                Direction::SlaveToMaster,
+                LogicalChannel::BestEffort,
+            ),
+            FlowSpec::new(
+                FlowId(2),
+                s(2),
+                Direction::MasterToSlave,
+                LogicalChannel::BestEffort,
+            ),
+        ];
+        let table = FlowTable::new(flows.to_vec()).unwrap();
+        let mut state = FlowState::for_table(&table);
+        state[1]
+            .queue_mut()
+            .push(AppPacket::new(0, FlowId(2), 100, SimTime::ZERO));
+        let mut pfp = PfpBePoller::new(SimDuration::from_millis(20));
+        let t0 = SimTime::from_millis(20);
+        let view = MasterView::new(t0, &table, &state);
+        // Nobody served yet, so the deficits tie and availability decides,
+        // although S1 comes first.
+        match pfp.decide(t0, &view) {
+            PollDecision::Poll { slave, .. } => assert_eq!(slave, s(2)),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(pfp.deficit(s(1)), pfp.deficit(s(2)));
+        // Once S2 is served, its deficit is lower and its certain data
+        // cannot outweigh S1's larger claim.
+        pfp.on_exchange(&data_report(
+            s(2),
+            t0 + SimDuration::from_micros(2500),
+            true,
+        ));
+        assert!(pfp.deficit(s(2)) < pfp.deficit(s(1)));
+        let t1 = t0 + SimDuration::from_micros(2500);
+        let view = MasterView::new(t1, &table, &state);
+        match pfp.decide(t1, &view) {
+            PollDecision::Poll { slave, .. } => assert_eq!(slave, s(1)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn sleeps_with_no_be_flows() {
         let flows = [FlowSpec::new(
             FlowId(1),
@@ -410,8 +465,8 @@ mod tests {
             Direction::SlaveToMaster,
             LogicalChannel::GuaranteedService,
         )];
-        let queues = vec![None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut pfp = PfpBePoller::new(SimDuration::from_millis(20));
         assert_eq!(pfp.decide(SimTime::ZERO, &view), PollDecision::Sleep);
@@ -427,8 +482,8 @@ mod tests {
             Direction::MasterToSlave,
             LogicalChannel::BestEffort,
         )];
-        let queues = vec![Some(FlowQueue::new())];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut pfp = PfpBePoller::new(SimDuration::from_millis(20));
         assert_eq!(pfp.decide(SimTime::ZERO, &view), PollDecision::Sleep);

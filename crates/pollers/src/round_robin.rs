@@ -16,7 +16,7 @@ use btgs_piconet::{ExchangeReport, MasterView, PollDecision, Poller};
 ///
 /// ```
 /// use btgs_pollers::RoundRobinPoller;
-/// use btgs_piconet::{FlowSpec, FlowTable, MasterView, PollDecision, Poller};
+/// use btgs_piconet::{FlowSpec, FlowState, FlowTable, MasterView, PollDecision, Poller};
 /// use btgs_baseband::{AmAddr, Direction, LogicalChannel};
 /// use btgs_traffic::FlowId;
 /// use btgs_des::SimTime;
@@ -25,8 +25,8 @@ use btgs_piconet::{ExchangeReport, MasterView, PollDecision, Poller};
 ///     FlowSpec::new(FlowId(1), AmAddr::new(1).unwrap(), Direction::SlaveToMaster, LogicalChannel::BestEffort),
 ///     FlowSpec::new(FlowId(2), AmAddr::new(2).unwrap(), Direction::SlaveToMaster, LogicalChannel::BestEffort),
 /// ]).unwrap();
-/// let queues = vec![None, None];
-/// let view = MasterView::new(SimTime::ZERO, &table, &queues);
+/// let flows = FlowState::for_table(&table);
+/// let view = MasterView::new(SimTime::ZERO, &table, &flows);
 /// let mut rr = RoundRobinPoller::new();
 /// let first = rr.decide(SimTime::ZERO, &view);
 /// let second = rr.decide(SimTime::ZERO, &view);
@@ -82,7 +82,7 @@ impl Poller for RoundRobinPoller {
 mod tests {
     use super::*;
     use btgs_baseband::{AmAddr, Direction};
-    use btgs_piconet::{FlowSpec, FlowTable};
+    use btgs_piconet::{FlowSpec, FlowState, FlowTable};
     use btgs_traffic::FlowId;
 
     fn s(n: u8) -> AmAddr {
@@ -105,8 +105,8 @@ mod tests {
     #[test]
     fn cycles_through_all_slaves() {
         let flows = flows3();
-        let queues = vec![None, None, None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut rr = RoundRobinPoller::new();
         let mut seen = Vec::new();
@@ -130,8 +130,8 @@ mod tests {
             Direction::SlaveToMaster,
             LogicalChannel::GuaranteedService,
         )];
-        let queues = vec![None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut rr = RoundRobinPoller::new();
         assert_eq!(rr.decide(SimTime::ZERO, &view), PollDecision::Sleep);
@@ -146,8 +146,8 @@ mod tests {
             Direction::SlaveToMaster,
             LogicalChannel::GuaranteedService,
         ));
-        let queues = vec![None, None, None, None];
         let table = FlowTable::new(flows.to_vec()).unwrap();
+        let queues = FlowState::for_table(&table);
         let view = MasterView::new(SimTime::ZERO, &table, &queues);
         let mut rr = RoundRobinPoller::new();
         for _ in 0..9 {
