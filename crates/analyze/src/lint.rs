@@ -2,7 +2,7 @@
 //!
 //! A token-level scanner over every `.rs` file in the workspace, enforcing
 //! the repo's determinism law (see the crate docs for the rule list). It
-//! works on the [`lexer`](crate::lexer)'s per-line code/comment split, so
+//! works on the [`lexer`]'s per-line code/comment split, so
 //! tokens inside strings never fire and waivers inside strings never
 //! waive.
 //!

@@ -5,11 +5,15 @@
 //! backend, measured in the same process — the in-run ratio is immune to
 //! machine noise between sessions.
 //!
-//! `queue_push_pop_10k` and `queue_cancel_heavy` hold 10 000 events
-//! pending at once, hundreds of times more than any simulator does. The
-//! sorted buffer's push is linear in the pending set, so these two are
-//! quadratic on it and far slower than on the heap; they chart that
-//! known price, not the simulator's workload.
+//! `queue_push_pop_10k` holds 10 000 events pending at once, hundreds of
+//! times more than any simulator does. The sorted buffer's push is linear
+//! in the pending set, so it is quadratic on it and far slower than on the
+//! heap; it charts that known price, not the simulator's workload.
+//!
+//! `timer_rearm` charts the piconet master's wake-up pattern instead: a
+//! small pending set whose timer is re-armed on almost every event. The
+//! sorted buffer overwrites its inline timer; the heap cancels the old
+//! event and pushes a new one.
 
 use btgs_bench::microbench::{Criterion, Throughput};
 use btgs_bench::{criterion_group, criterion_main};
@@ -41,18 +45,33 @@ fn push_pop_10k<Q: PendingEvents<u64>>(mut q: Q) -> u64 {
     sum
 }
 
-fn cancel_heavy<Q: PendingEvents<u64>>(mut q: Q) -> u64 {
-    let keys: Vec<_> = (0..10_000u64)
-        .map(|i| q.push(SimTime::from_nanos(i), i))
-        .collect();
-    for k in keys.iter().step_by(2) {
-        q.cancel(*k);
-    }
-    let mut n = 0;
-    while q.pop().is_some() {
-        n += 1;
-    }
-    n
+/// Events fired by the timer workload: 100 001 ticks (t = 0..=100_000
+/// ms) and a timer pop 500 µs after each tick but the last.
+const TIMER_EVENTS: u64 = 200_001;
+
+enum Ev {
+    Tick,
+    Wake,
+}
+
+/// One self-rescheduling tick per millisecond. Each tick parks the timer
+/// 1.5 ms out, the way an idle decision does, then pulls it in to
+/// 500 µs, the way `ensure_wake` does for an arrival that needs an earlier
+/// wake-up: two arms per tick, one of them replacing an armed timer, and
+/// one timer pop.
+fn timer_rearm<Q: PendingEvents<Ev>>(queue: Q) -> u64 {
+    let mut sim = Simulator::with_queue(0u64, queue);
+    sim.scheduler_mut().schedule_at(SimTime::ZERO, Ev::Tick);
+    sim.run_until(SimTime::from_millis(100_000), |sched, wakes, ev| match ev {
+        Ev::Tick => {
+            let now = sched.now();
+            sched.schedule_in(SimDuration::from_millis(1), Ev::Tick);
+            sched.arm_timer(now + SimDuration::from_micros(1_500), Ev::Wake);
+            sched.arm_timer(now + SimDuration::from_micros(500), Ev::Wake);
+        }
+        Ev::Wake => *wakes += 1,
+    });
+    *sim.state()
 }
 
 fn engine_event_throughput(c: &mut Criterion) {
@@ -71,11 +90,12 @@ fn engine_event_throughput(c: &mut Criterion) {
     group.bench_function("queue_push_pop_10k_heap", |b| {
         b.iter(|| black_box(push_pop_10k(HeapEventQueue::new())))
     });
-    group.bench_function("queue_cancel_heavy", |b| {
-        b.iter(|| black_box(cancel_heavy(EventQueue::new())))
+    group.throughput(Throughput::Elements(TIMER_EVENTS));
+    group.bench_function("timer_rearm", |b| {
+        b.iter(|| black_box(timer_rearm(EventQueue::new())))
     });
-    group.bench_function("queue_cancel_heavy_heap", |b| {
-        b.iter(|| black_box(cancel_heavy(HeapEventQueue::new())))
+    group.bench_function("timer_rearm_heap", |b| {
+        b.iter(|| black_box(timer_rearm(HeapEventQueue::new())))
     });
     group.finish();
 }

@@ -6,7 +6,8 @@
 //! surface the bench files use — [`Criterion::bench_function`],
 //! [`Criterion::benchmark_group`], [`Bencher::iter`],
 //! [`Bencher::iter_batched`], and the
-//! [`criterion_group!`]/[`criterion_main!`] macros — backed by a plain
+//! [`criterion_group!`](crate::criterion_group) and
+//! [`criterion_main!`](crate::criterion_main) macros — backed by a plain
 //! `std::time::Instant` loop: a warm-up phase to calibrate the iteration
 //! count, then a fixed number of timed samples, reporting the best and
 //! median ns/iteration. Results print to stdout; run with
@@ -43,7 +44,7 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times `f`, choosing an iteration count so one sample batch lasts
-    /// about [`SAMPLE_BUDGET`].
+    /// about `SAMPLE_BUDGET` (40 ms).
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
         self.sample(|iters| {
             let start = Instant::now();
@@ -193,7 +194,8 @@ impl Criterion {
         }
     }
 
-    /// Prints the closing summary. Called by [`criterion_main!`].
+    /// Prints the closing summary. Called by
+    /// [`criterion_main!`](crate::criterion_main).
     pub fn final_summary(&self) {
         println!("\n{} benchmarks completed", self.results.len());
     }
@@ -236,7 +238,8 @@ impl Criterion {
 
     /// Writes `BENCH_<bench>.json` into the directory named by the
     /// `BTGS_BENCH_JSON` environment variable, if set. Called by
-    /// [`criterion_main!`] with the bench binary's name. The payload
+    /// [`criterion_main!`](crate::criterion_main) with the bench binary's
+    /// name. The payload
     /// carries the host fingerprint, so the records are self-describing
     /// (cross-host wall clock is not comparable).
     pub fn write_json_from_env(&self, bench: &str) {

@@ -114,7 +114,7 @@ fn poller_decisions_are_allocation_free() {
 fn des_event_loop_is_allocation_free() {
     let mut sim = Simulator::new(0u64);
     sim.scheduler_mut().schedule_at(SimTime::ZERO, ());
-    // Warm-up: grow the slot arena to its working capacity.
+    // Warm-up: grow the event buffer to its working capacity.
     sim.run_until(SimTime::from_millis(300), |sched, count, ()| {
         *count += 1;
         sched.schedule_in(SimDuration::from_millis(1), ());
@@ -181,16 +181,15 @@ fn sim_steady_state_is_allocation_free() {
 /// are deterministic, so this pins the set-up cost where wall-clock
 /// timings on a drifting host cannot.
 ///
-/// Measured: set-up 36 allocations; run start 13 allocations of 3,272
+/// Measured: set-up 36 allocations; run start 11 allocations of 3,448
 /// bytes. Each flow's state is one record in one vector per world, its
 /// allowed-type sets stored inline; a world that keeps parallel per-flow
 /// vectors and three heap sets per flow makes 76 set-up allocations and
-/// fails the budget. The island's event queue sizes its slot arena when
-/// it is created, so seeding grows nothing; a queue whose arena doubles
-/// while seeding makes 17 run-start allocations and fails the budget.
+/// fails the budget. The island's event queue holds its events inline in
+/// one buffer sized when it is created, so seeding grows nothing.
 fn one_island_build_stays_within_budget() {
     const BUILD_ALLOCS: u64 = 38;
-    const START_ALLOCS: u64 = 16;
+    const START_ALLOCS: u64 = 14;
     const START_BYTES: u64 = 4 * 1024;
     let scenario = PaperScenario::build(PaperScenarioParams {
         delay_requirement: SimDuration::from_millis(40),

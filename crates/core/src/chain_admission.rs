@@ -111,8 +111,9 @@ pub struct HopGrant {
     /// The piconet that granted it.
     pub piconet: PiconetId,
     /// The granted *physical* rate (bytes/s) — presence-compensated, so
-    /// it can exceed the chain's fluid rate on part-time slaves (see the
-    /// [module docs](self)).
+    /// it can exceed the chain's fluid rate on part-time slaves: polling at
+    /// `x_phys = η/R_fluid − absence` keeps the worst-case effective rate
+    /// `η/(x_phys + absence)` at the fluid rate the bound assumes.
     pub rate: f64,
     /// The granted poll interval `x = eta_min / rate` — recorded so the
     /// chain's polling schedule is auditable hop by hop.
@@ -256,8 +257,10 @@ fn effective_fluid_rate(eta: f64, physical_rate: f64, absence: SimDuration) -> f
     eta / (eta / physical_rate + absence.as_secs_f64())
 }
 
-/// Multi-hop admission over one [`AdmissionController`] per piconet; see
-/// the [module docs](self) for the algorithm.
+/// Multi-hop admission over one [`AdmissionController`] per piconet: a
+/// chain is admitted only if every traversed piconet passes the paper's
+/// single-piconet test, atomically, and its composed end-to-end bound
+/// meets its deadline (see [`admit_chain`](Self::admit_chain)).
 ///
 /// # Examples
 ///
@@ -380,7 +383,12 @@ impl ScatternetAdmissionController {
     }
 
     /// Admits a chain end to end, or rejects it leaving every ledger
-    /// byte-identical; see the [module docs](self) for the three phases.
+    /// byte-identical. Three phases: a trial pass on cloned controllers
+    /// budgets the deadline into per-hop rate requests; every hop is
+    /// admitted in path order, rolling earlier hops back on a rejection;
+    /// the granted schedule is recomposed into the end-to-end bound, and
+    /// the chain is rolled back if it or any admitted chain now misses its
+    /// deadline.
     ///
     /// # Errors
     ///

@@ -99,10 +99,6 @@ pub struct PollPlan {
     packet_first_plan: Option<SimTime>,
     skipped: u64,
     executed: u64,
-    /// Memoized `(packet_size, L/R)` of the Eq. 10 fluid allowance. GS
-    /// packets of a flow repeat a handful of sizes, so this caches the
-    /// float division and seconds→nanos conversion of the common case.
-    fluid_memo: Option<(u32, SimDuration)>,
 }
 
 impl PollPlan {
@@ -125,21 +121,13 @@ impl PollPlan {
             packet_first_plan: None,
             skipped: 0,
             executed: 0,
-            fluid_memo: None,
         }
     }
 
     /// The Eq. 10 fluid service allowance `L/R` for a packet of
-    /// `packet_size` bytes, memoized per size.
-    fn fluid_allowance(&mut self, packet_size: u32) -> SimDuration {
-        match self.fluid_memo {
-            Some((size, d)) if size == packet_size => d,
-            _ => {
-                let d = SimDuration::from_secs_f64(packet_size as f64 / self.rate);
-                self.fluid_memo = Some((packet_size, d));
-                d
-            }
-        }
+    /// `packet_size` bytes.
+    fn fluid_allowance(&self, packet_size: u32) -> SimDuration {
+        SimDuration::from_secs_f64(packet_size as f64 / self.rate)
     }
 
     /// The poll interval `x`.

@@ -103,7 +103,7 @@ pub enum Topology {
     Ring,
     /// A fanout-2 tree (children of piconet `p` are `2p+1` and `2p+2`),
     /// one independent two-hop chain per edge. A parent's second
-    /// out-bridge rides on [`TREE_SECOND_OUT_SLAVE`], so trees require
+    /// out-bridge rides on slave S5, so trees require
     /// `include_be == false`.
     Tree,
     /// A deterministic random-geometric mesh: piconets get pseudo-random

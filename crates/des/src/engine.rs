@@ -1,6 +1,6 @@
 //! The discrete-event simulation driver.
 
-use crate::queue::{EventKey, PendingEvents, QueueOccupancy};
+use crate::queue::{PendingEvents, QueueOccupancy};
 use crate::sorted::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use core::marker::PhantomData;
@@ -8,7 +8,8 @@ use core::marker::PhantomData;
 /// Scheduling facade handed to event handlers.
 ///
 /// A handler receives `&mut Scheduler<E, Q>` and may plant new events or
-/// cancel pending ones; it cannot rewind the clock. The queue backend `Q`
+/// re-arm, disarm or release the scheduler's one timer (see
+/// [`PendingEvents`]); it cannot rewind the clock. The queue backend `Q`
 /// defaults to the sorted-buffer [`EventQueue`]; differential tests swap in
 /// the [`HeapEventQueue`](crate::HeapEventQueue) reference.
 #[derive(Debug)]
@@ -41,24 +42,49 @@ impl<E, Q: PendingEvents<E>> Scheduler<E, Q> {
     ///
     /// Panics if `at` lies in the past (`at < now`); scheduling events behind
     /// the clock is always a logic error.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventKey {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        self.assert_not_past(at);
+        self.queue.push(at, event);
+    }
+
+    /// Schedules `event` after the relative delay `delay`.
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
+        let at = self.now + delay;
+        self.queue.push(at, event);
+    }
+
+    /// Arms the timer: `event` fires at the absolute instant `at`, behind
+    /// every event already pending at `at`, and the event the timer held
+    /// before, if any, is dropped. Re-arming is therefore exactly
+    /// cancelling the old event and scheduling the new one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` lies in the past (`at < now`).
+    pub fn arm_timer(&mut self, at: SimTime, event: E) {
+        self.assert_not_past(at);
+        self.queue.arm_timer(at, event);
+    }
+
+    /// Disarms the timer, returning its event if it was armed and had not
+    /// fired.
+    pub fn disarm_timer(&mut self) -> Option<E> {
+        self.queue.disarm_timer()
+    }
+
+    /// Hands the armed timer's event over to the queue as a plain event
+    /// that keeps its place; the timer is free to arm again. A no-op when
+    /// the timer is not armed (for instance because it just fired).
+    pub fn release_timer(&mut self) {
+        self.queue.release_timer();
+    }
+
+    fn assert_not_past(&self, at: SimTime) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} < now={}",
             self.now
         );
-        self.queue.push(at, event)
-    }
-
-    /// Schedules `event` after the relative delay `delay`.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventKey {
-        let at = self.now + delay;
-        self.queue.push(at, event)
-    }
-
-    /// Cancels a pending event, returning its payload if it had not fired.
-    pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        self.queue.cancel(key)
     }
 
     /// The firing time of the next pending event, if any.
@@ -311,19 +337,57 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_from_handler() {
+    fn timer_disarmed_from_handler() {
         let mut sim = Simulator::new(Vec::<&str>::new());
         let sched = sim.scheduler_mut();
         sched.schedule_at(SimTime::from_millis(1), "first");
-        let doomed = sched.schedule_at(SimTime::from_millis(2), "doomed");
+        sched.arm_timer(SimTime::from_millis(2), "doomed");
         sched.schedule_at(SimTime::from_millis(3), "last");
         sim.run(move |sched, log, ev| {
             log.push(ev);
             if ev == "first" {
-                assert_eq!(sched.cancel(doomed), Some("doomed"));
+                assert_eq!(sched.disarm_timer(), Some("doomed"));
             }
         });
         assert_eq!(*sim.state(), vec!["first", "last"]);
+    }
+
+    #[test]
+    fn timer_rearmed_from_handler_fires_once() {
+        // A watchdog re-armed by every tick fires only after the ticks
+        // stop, on either backend.
+        fn run<Q: PendingEvents<&'static str>>(queue: Q) -> Vec<(SimTime, &'static str)> {
+            let mut sim = Simulator::with_queue(Vec::new(), queue);
+            sim.scheduler_mut().schedule_at(SimTime::ZERO, "tick");
+            sim.run(|sched, log, ev| {
+                log.push((sched.now(), ev));
+                if ev == "tick" && sched.now() < SimTime::from_millis(3) {
+                    sched.schedule_in(SimDuration::from_millis(1), "tick");
+                    sched.arm_timer(sched.now() + SimDuration::from_millis(2), "watchdog");
+                }
+            });
+            sim.into_state()
+        }
+        let ms = SimTime::from_millis;
+        let expected = vec![
+            (ms(0), "tick"),
+            (ms(1), "tick"),
+            (ms(2), "tick"),
+            (ms(3), "tick"),
+            (ms(4), "watchdog"),
+        ];
+        assert_eq!(run(EventQueue::new()), expected);
+        assert_eq!(run(HeapEventQueue::new()), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn arming_into_the_past_panics() {
+        let mut sim = Simulator::new(());
+        sim.scheduler_mut().schedule_at(SimTime::from_millis(5), ());
+        sim.run(|sched, _, ()| {
+            sched.arm_timer(SimTime::from_millis(1), ());
+        });
     }
 
     #[test]

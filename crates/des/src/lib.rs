@@ -7,14 +7,15 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time, so
 //!   slot arithmetic (1 Bluetooth slot = 625 µs) is exact.
-//! * [`EventQueue`] — the pending-event set: one sorted buffer with stable
-//!   FIFO ordering for same-time events, lazy cancellation, `O(1)` pop and
-//!   a push that scans only the few entries due before it.
+//! * [`EventQueue`] — the pending-event set: one sorted buffer holding its
+//!   events inline, with stable FIFO ordering for same-time events, `O(1)`
+//!   pop and a push that scans only the few entries due before it, plus one
+//!   re-armable timer beside it for the event a model keeps re-planning.
 //! * [`HeapEventQueue`] — the binary-heap reference implementation of the
 //!   same [`PendingEvents`] contract, kept for differential testing.
 //! * [`Simulator`] / [`Scheduler`] — the run loop: handlers mutate domain
-//!   state and plant or cancel future events; generic over the queue
-//!   backend (defaults to the sorted buffer).
+//!   state, plant future events and re-arm or disarm the timer; generic
+//!   over the queue backend (defaults to the sorted buffer).
 //! * [`DetRng`] — self-contained xoshiro256++ PRNG with independent
 //!   sub-streams, so experiments replay bit-for-bit on any platform.
 //!
@@ -52,7 +53,7 @@ mod sorted;
 mod time;
 
 pub use engine::{Scheduler, Simulator};
-pub use queue::{EventKey, HeapEventQueue, PendingEvents, QueueOccupancy, Scheduled};
+pub use queue::{HeapEventQueue, PendingEvents, QueueOccupancy, Scheduled};
 pub use rng::DetRng;
 pub use sorted::EventQueue;
 pub use time::{SimDuration, SimTime};

@@ -1,5 +1,5 @@
-//! The pending-event set: keys, payload storage, the queue interface, and
-//! the binary-heap reference implementation.
+//! The pending-event set: the queue interface, and the binary-heap
+//! reference implementation.
 //!
 //! The production queue is the sorted buffer in [`crate::sorted`]
 //! (re-exported as [`EventQueue`](crate::EventQueue)); the
@@ -13,18 +13,6 @@ use crate::time::SimTime;
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Handle to a scheduled event, usable to [cancel](HeapEventQueue::cancel)
-/// it.
-///
-/// Keys are unique for the lifetime of the queue: a key is never reused for a
-/// different event, so a stale key is safely rejected rather than cancelling
-/// an unrelated event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventKey {
-    pub(crate) slot: u32,
-    pub(crate) generation: u32,
-}
-
 /// An event popped from the queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scheduled<E> {
@@ -37,10 +25,13 @@ pub struct Scheduled<E> {
 /// A structural snapshot of a pending-event queue, for observability.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueOccupancy {
-    /// Total live (not yet popped or cancelled) events.
+    /// Total live (not yet popped or disarmed) events, the armed timer
+    /// included.
     pub live: usize,
-    /// Index entries the backend stores, cancelled ones not yet dropped
-    /// included: `live` plus the lazily cancelled backlog.
+    /// Entries the backend stores. The sorted buffer stores exactly its
+    /// live events (buffered ones plus the armed timer), so this equals
+    /// `live` there; the heap reference also counts the entries of
+    /// disarmed or replaced timers it has not yet dropped.
     pub near: usize,
 }
 
@@ -49,15 +40,29 @@ pub struct QueueOccupancy {
 ///
 /// Both implementations — the sorted-buffer [`EventQueue`](crate::EventQueue)
 /// and the [`HeapEventQueue`] reference — honour the same contract: events
-/// pop in `(time, insertion order)` order, same-time events are FIFO, and a
-/// cancelled or popped key is stale forever.
+/// pop in `(time, insertion order)` order, so same-time events are FIFO.
+///
+/// Beside its plain events a queue holds one re-armable *timer*: a single
+/// event slot that [`arm_timer`](PendingEvents::arm_timer) sets afresh.
+/// Arming takes the next insertion number, exactly like a push, so a
+/// re-armed timer fires where cancelling the old event and pushing a new
+/// one would put it.
 pub trait PendingEvents<E> {
-    /// Schedules `event` at `time` and returns a key that can cancel it.
-    fn push(&mut self, time: SimTime, event: E) -> EventKey;
+    /// Schedules `event` at `time`, behind every event already pending at
+    /// `time`.
+    fn push(&mut self, time: SimTime, event: E);
 
-    /// Cancels a scheduled event, returning its payload if it was still
-    /// pending. Stale keys (already fired or cancelled) return `None`.
-    fn cancel(&mut self, key: EventKey) -> Option<E>;
+    /// Arms the timer: `event` fires at `time`, behind every event already
+    /// pending at `time`. An event the timer already held is dropped.
+    fn arm_timer(&mut self, time: SimTime, event: E);
+
+    /// Disarms the timer, returning its event if it was armed.
+    fn disarm_timer(&mut self) -> Option<E>;
+
+    /// Hands the armed timer's event over to the queue as a plain event
+    /// that keeps its place in `(time, insertion order)`; the timer is
+    /// free to arm again. A no-op when the timer is not armed.
+    fn release_timer(&mut self);
 
     /// The firing time of the earliest pending event.
     fn peek_time(&mut self) -> Option<SimTime>;
@@ -74,7 +79,7 @@ pub trait PendingEvents<E> {
         }
     }
 
-    /// Number of live (not yet popped or cancelled) events.
+    /// Number of live (not yet popped or disarmed) events.
     fn len(&self) -> usize;
 
     /// `true` if no live events remain.
@@ -87,15 +92,24 @@ pub trait PendingEvents<E> {
     fn occupancy(&self) -> QueueOccupancy;
 }
 
+/// Handle to an event in the reference heap's slot arena. Keys are unique
+/// for the lifetime of the queue: a key is never reused for a different
+/// event, so a stale key is safely rejected rather than cancelling an
+/// unrelated event.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct EventKey {
+    slot: u32,
+    generation: u32,
+}
+
 /// An index entry for one scheduled event; the payload lives in the
 /// [`SlotArena`]. Ordered so the *earliest* `(time, seq)` is the maximum
 /// (`BinaryHeap` is a max-heap).
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Entry {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) slot: u32,
-    pub(crate) generation: u32,
+struct Entry {
+    time: SimTime,
+    seq: u64,
+    key: EventKey,
 }
 
 impl Ord for Entry {
@@ -121,42 +135,28 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
-/// Generation-checked payload storage shared by both queue backends.
+/// Generation-checked payload storage of the reference heap.
 ///
 /// Every scheduled event's payload lives in a slot; the `(slot, generation)`
-/// pair is the [`EventKey`]. Cancellation bumps the generation, so index
-/// entries still sitting in the heap or the sorted buffer are recognised as
-/// dead and skipped lazily. Freed slots are recycled through a free list, so
-/// the arena stops allocating once it reaches the high-water mark of
-/// concurrently pending events. A queue sizes its arena when it is created
-/// ([`SlotArena::with_capacity`]), so a high-water mark within that
-/// capacity costs two allocations instead of a doubling series while the
-/// first events are seeded.
-pub(crate) struct SlotArena<E> {
+/// pair is its [`EventKey`]. Cancellation bumps the generation, so index
+/// entries still sitting in the heap are recognised as dead and skipped
+/// lazily. Freed slots are recycled through a free list.
+struct SlotArena<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// Most recently retired slot: the single-event churn pattern (pop then
-    /// re-push, the dominant cycle of a self-rescheduling model) recycles
-    /// it through this register without touching the free vector.
-    last_free: Option<u32>,
 }
 
 impl<E> SlotArena<E> {
-    /// An arena with room for `capacity` concurrently pending events (the
-    /// free list is sized to match).
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    fn new() -> Self {
         SlotArena {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            last_free: None,
+            slots: Vec::new(),
+            free: Vec::new(),
         }
     }
 
-    /// Stores `payload`, returning its `(slot, generation)` key.
-    #[inline]
-    pub(crate) fn alloc(&mut self, payload: E) -> (u32, u32) {
-        let recycled = self.last_free.take().or_else(|| self.free.pop());
-        let slot = match recycled {
+    /// Stores `payload`, returning its key.
+    fn alloc(&mut self, payload: E) -> EventKey {
+        let slot = match self.free.pop() {
             Some(idx) => {
                 let s = &mut self.slots[idx as usize];
                 debug_assert!(s.payload.is_none());
@@ -169,49 +169,47 @@ impl<E> SlotArena<E> {
                     generation: 0,
                     payload: Some(payload),
                 });
-                // Keep the free list able to hold every slot: growing it
-                // here (the path that is allowed to allocate) means `take`
-                // never has to, so cancellations stay allocation-free even
-                // when more slots are simultaneously free late in a run
-                // than at any point during warm-up.
-                self.free.reserve(self.slots.len() - self.free.len());
                 idx
             }
         };
-        (slot, self.slots[slot as usize].generation)
+        EventKey {
+            slot,
+            generation: self.slots[slot as usize].generation,
+        }
     }
 
     /// Removes the payload a key refers to, if the key is still current.
-    #[inline]
-    pub(crate) fn take(&mut self, key: EventKey) -> Option<E> {
+    fn take(&mut self, key: EventKey) -> Option<E> {
         let slot = self.slots.get_mut(key.slot as usize)?;
         if slot.generation != key.generation {
             return None;
         }
         let payload = slot.payload.take()?;
         slot.generation = slot.generation.wrapping_add(1);
-        if let Some(prev) = self.last_free.replace(key.slot) {
-            self.free.push(prev);
-        }
+        self.free.push(key.slot);
         Some(payload)
     }
 
-    /// `true` if the entry still refers to a pending payload.
-    #[inline]
-    pub(crate) fn is_live(&self, entry: &Entry) -> bool {
-        let slot = &self.slots[entry.slot as usize];
-        slot.generation == entry.generation && slot.payload.is_some()
+    /// `true` if the key still refers to a pending payload.
+    fn is_live(&self, key: EventKey) -> bool {
+        let slot = &self.slots[key.slot as usize];
+        slot.generation == key.generation && slot.payload.is_some()
     }
 }
 
 /// The reference pending-event set: a `BinaryHeap` ordered by
-/// `(time, insertion order)`.
+/// `(time, insertion order)`, with payloads in a generation-checked slot
+/// arena.
 ///
 /// Same-time events pop in the order they were pushed, which makes runs
-/// reproducible without relying on heap internals. The production
-/// [`EventQueue`](crate::EventQueue) (a sorted buffer) must be
-/// operationally indistinguishable from this structure; it exists so
-/// differential tests have an obviously-correct model to compare against.
+/// reproducible without relying on heap internals. The timer is modelled
+/// literally: arming cancels the previous timer event (its heap entry dies
+/// lazily) and pushes a new one, and releasing the timer just forgets the
+/// key, leaving the event queued where it was. The production
+/// [`EventQueue`](crate::EventQueue) (a sorted buffer with an inline
+/// timer) must be operationally indistinguishable from this structure; it
+/// exists so differential tests have an obviously-correct model to compare
+/// against.
 ///
 /// # Examples
 ///
@@ -220,10 +218,10 @@ impl<E> SlotArena<E> {
 ///
 /// let mut q = HeapEventQueue::new();
 /// q.push(SimTime::from_millis(2), "late");
-/// let key = q.push(SimTime::from_millis(1), "early");
+/// q.arm_timer(SimTime::from_millis(1), "early");
 /// q.push(SimTime::from_millis(1), "early2");
 ///
-/// assert!(q.cancel(key).is_some());
+/// assert_eq!(q.disarm_timer(), Some("early"));
 /// let first = q.pop().unwrap();
 /// assert_eq!(first.event, "early2");
 /// assert_eq!(q.pop().unwrap().event, "late");
@@ -232,6 +230,9 @@ impl<E> SlotArena<E> {
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Entry>,
     arena: SlotArena<E>,
+    /// Key of the timer's event while the timer is armed (it may have
+    /// popped since: the key is then stale).
+    timer: Option<EventKey>,
     next_seq: u64,
     live: usize,
 }
@@ -247,13 +248,14 @@ impl<E> HeapEventQueue<E> {
     pub fn new() -> Self {
         HeapEventQueue {
             heap: BinaryHeap::new(),
-            arena: SlotArena::with_capacity(0),
+            arena: SlotArena::new(),
+            timer: None,
             next_seq: 0,
             live: 0,
         }
     }
 
-    /// Number of live (not yet popped or cancelled) events.
+    /// Number of live (not yet popped or disarmed) events.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -263,27 +265,44 @@ impl<E> HeapEventQueue<E> {
         self.live == 0
     }
 
-    /// Schedules `event` at `time` and returns a key that can cancel it.
-    pub fn push(&mut self, time: SimTime, event: E) -> EventKey {
-        let (slot, generation) = self.arena.alloc(event);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot,
-            generation,
-        });
-        self.live += 1;
-        EventKey { slot, generation }
+    /// Schedules `event` at `time`, behind every event already pending at
+    /// `time`.
+    pub fn push(&mut self, time: SimTime, event: E) {
+        self.push_keyed(time, event);
     }
 
-    /// Cancels a scheduled event, returning its payload if it was still
-    /// pending. Stale keys (already fired or cancelled) return `None`.
-    pub fn cancel(&mut self, key: EventKey) -> Option<E> {
+    fn push_keyed(&mut self, time: SimTime, event: E) -> EventKey {
+        let key = self.arena.alloc(event);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, key });
+        self.live += 1;
+        key
+    }
+
+    fn cancel(&mut self, key: EventKey) -> Option<E> {
         let payload = self.arena.take(key)?;
         self.live -= 1;
         Some(payload)
+    }
+
+    /// Arms the timer: cancels its previous event, if still pending, and
+    /// pushes `event` at `time`.
+    pub fn arm_timer(&mut self, time: SimTime, event: E) {
+        self.disarm_timer();
+        self.timer = Some(self.push_keyed(time, event));
+    }
+
+    /// Disarms the timer by cancelling its event, returned if it was still
+    /// pending.
+    pub fn disarm_timer(&mut self) -> Option<E> {
+        let key = self.timer.take()?;
+        self.cancel(key)
+    }
+
+    /// Forgets the timer's key: its event stays queued as a plain event.
+    pub fn release_timer(&mut self) {
+        self.timer = None;
     }
 
     /// The firing time of the earliest pending event.
@@ -296,10 +315,7 @@ impl<E> HeapEventQueue<E> {
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         loop {
             let entry = self.heap.pop()?;
-            let Some(event) = self.arena.take(EventKey {
-                slot: entry.slot,
-                generation: entry.generation,
-            }) else {
+            let Some(event) = self.arena.take(entry.key) else {
                 continue; // cancelled
             };
             self.live -= 1;
@@ -314,7 +330,7 @@ impl<E> HeapEventQueue<E> {
     /// reports a live event.
     fn skim_dead(&mut self) {
         while let Some(entry) = self.heap.peek() {
-            if self.arena.is_live(entry) {
+            if self.arena.is_live(entry.key) {
                 return;
             }
             self.heap.pop();
@@ -323,12 +339,20 @@ impl<E> HeapEventQueue<E> {
 }
 
 impl<E> PendingEvents<E> for HeapEventQueue<E> {
-    fn push(&mut self, time: SimTime, event: E) -> EventKey {
-        HeapEventQueue::push(self, time, event)
+    fn push(&mut self, time: SimTime, event: E) {
+        HeapEventQueue::push(self, time, event);
     }
 
-    fn cancel(&mut self, key: EventKey) -> Option<E> {
-        HeapEventQueue::cancel(self, key)
+    fn arm_timer(&mut self, time: SimTime, event: E) {
+        HeapEventQueue::arm_timer(self, time, event);
+    }
+
+    fn disarm_timer(&mut self) -> Option<E> {
+        HeapEventQueue::disarm_timer(self)
+    }
+
+    fn release_timer(&mut self) {
+        HeapEventQueue::release_timer(self);
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
@@ -376,6 +400,10 @@ mod tests {
         check(&mut heap);
     }
 
+    fn drain(q: &mut dyn PendingEvents<i32>) -> Vec<i32> {
+        std::iter::from_fn(|| q.pop().map(|s| s.event)).collect()
+    }
+
     #[test]
     fn far_future_times_pop_last() {
         both(|q| {
@@ -388,19 +416,18 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_entries_are_skipped_at_every_distance() {
+    fn replaced_timer_events_are_dropped_at_every_distance() {
         both(|q| {
-            let a = q.push(t(1), 1);
-            let b = q.push(SimTime::from_secs(1), 2);
-            let c = q.push(SimTime::from_secs(100), 3);
-            let keep = q.push(SimTime::from_secs(200), 4);
-            assert_eq!(q.cancel(a), Some(1));
-            assert_eq!(q.cancel(b), Some(2));
-            assert_eq!(q.cancel(c), Some(3));
+            q.arm_timer(t(1), 1);
+            q.arm_timer(SimTime::from_secs(1), 2);
+            q.arm_timer(SimTime::from_secs(100), 3);
+            q.push(SimTime::from_secs(200), 4);
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.disarm_timer(), Some(3));
             assert_eq!(q.len(), 1);
             assert_eq!(q.peek_time(), Some(SimTime::from_secs(200)));
             assert_eq!(q.pop().unwrap().event, 4);
-            assert_eq!(q.cancel(keep), None, "popped key is stale");
+            assert_eq!(q.disarm_timer(), None, "a disarmed timer stays empty");
         });
     }
 
@@ -415,29 +442,86 @@ mod tests {
             q.push(t(1), 3);
             // Earlier than everything left: pops first.
             q.push(SimTime::from_micros(50), 0);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-            assert_eq!(order, vec![0, 2, 3, 9]);
+            assert_eq!(drain(q), vec![0, 2, 3, 9]);
         });
     }
 
     #[test]
-    fn occupancy_counts_stored_entries() {
+    fn rearming_is_cancel_then_push() {
         both(|q| {
-            let a = q.push(t(1), 1);
+            q.push(t(1), 1);
+            q.arm_timer(t(1), 10);
+            q.push(t(1), 2);
+            // Re-armed at the same instant: behind every event pushed so
+            // far, where a cancelled-and-pushed event would land.
+            q.arm_timer(t(1), 11);
+            q.push(t(1), 3);
+            assert_eq!(q.len(), 4);
+            assert_eq!(drain(q), vec![1, 2, 11, 3]);
+        });
+    }
+
+    #[test]
+    fn a_released_timer_event_keeps_its_place() {
+        both(|q| {
+            q.arm_timer(t(1), 10);
+            q.push(t(1), 1);
             q.push(t(2), 2);
-            q.cancel(a);
+            q.release_timer();
+            assert_eq!(q.disarm_timer(), None, "released: nothing armed");
+            q.arm_timer(t(1), 11);
+            assert_eq!(q.len(), 4);
+            assert_eq!(drain(q), vec![10, 1, 11, 2]);
+        });
+    }
+
+    #[test]
+    fn the_timer_pops_in_time_order_with_the_buffer() {
+        both(|q| {
+            q.push(t(2), 2);
+            q.arm_timer(t(3), 3);
+            q.push(t(4), 4);
+            assert_eq!(q.pop().unwrap().event, 2);
+            assert_eq!(q.peek_time(), Some(t(3)));
+            assert_eq!(q.pop().unwrap().event, 3);
+            assert_eq!(q.disarm_timer(), None, "the timer fired");
+            q.arm_timer(t(5), 5);
+            assert_eq!(drain(q), vec![4, 5]);
+        });
+    }
+
+    #[test]
+    fn occupancy_counts_live_events_and_the_timer() {
+        both(|q| {
+            q.arm_timer(t(1), 1);
+            q.push(t(2), 2);
+            q.arm_timer(t(3), 3);
             let occ = q.occupancy();
-            assert_eq!((occ.live, occ.near), (1, 2), "cancelled entry still stored");
+            assert_eq!(occ.live, 2, "the replaced timer event is gone");
+            assert!(occ.near >= occ.live);
             assert_eq!(q.peek_time(), Some(t(2)));
             let occ = q.occupancy();
-            assert_eq!((occ.live, occ.near), (1, 1), "peek dropped it");
+            assert_eq!((occ.live, occ.near), (2, 2), "peek dropped any dead entry");
         });
+    }
+
+    #[test]
+    fn the_sorted_buffer_stores_only_live_events() {
+        let mut q = EventQueue::new();
+        q.arm_timer(t(1), 1);
+        q.push(t(2), 2);
+        q.arm_timer(t(3), 3);
+        assert_eq!(q.occupancy(), QueueOccupancy { live: 2, near: 2 });
+        q.release_timer();
+        q.arm_timer(t(4), 4);
+        assert_eq!(q.occupancy(), QueueOccupancy { live: 3, near: 3 });
     }
 
     #[test]
     fn slot_grid_workload_round_trips() {
         // The simulator's actual pattern: wake/done events marching down
-        // the 625 µs slot grid, plus periodic arrivals ~20 ms out.
+        // the 625 µs slot grid, plus a timer re-armed tens of
+        // milliseconds out that sometimes fires and sometimes is replaced.
         both(|q| {
             let slot = 625_000u64;
             let mut popped = 0;
@@ -448,12 +532,14 @@ mod tests {
                 assert!(s.time.as_nanos() >= t);
                 t = s.time.as_nanos();
                 popped += 1;
-                // Re-arm two slots ahead, and every 32nd event plant an
-                // arrival 20 ms out, then cancel it.
+                // Re-arm two slots ahead. Every 32nd event arms the timer
+                // 20 ms out, where it fires; eight events later another
+                // re-arm replaces it first half the time.
                 q.push(SimTime::from_nanos(t + 2 * slot), i);
                 if i % 32 == 0 {
-                    let k = q.push(SimTime::from_nanos(t + 20_000_000), 1_000_000 + i);
-                    q.cancel(k);
+                    q.arm_timer(SimTime::from_nanos(t + 20_000_000), 1_000_000 + i);
+                } else if i % 64 == 8 {
+                    q.arm_timer(SimTime::from_nanos(t + 30_000_000), 2_000_000 + i);
                 }
                 if q.len() > 1 {
                     q.pop(); // keep the population small and marching
@@ -469,8 +555,7 @@ mod tests {
             q.push(t(5), 5);
             q.push(t(1), 1);
             q.push(t(3), 3);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-            assert_eq!(order, vec![1, 3, 5]);
+            assert_eq!(drain(q), vec![1, 3, 5]);
         });
     }
 
@@ -480,18 +565,17 @@ mod tests {
             for i in 0..10 {
                 q.push(t(7), i);
             }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
+            assert_eq!(drain(q), (0..10).collect::<Vec<_>>());
         });
     }
 
     #[test]
-    fn cancel_removes_event() {
+    fn disarm_removes_the_timer_event() {
         both(|q| {
-            let a = q.push(t(1), 10);
+            q.arm_timer(t(1), 10);
             q.push(t(2), 20);
             assert_eq!(q.len(), 2);
-            assert_eq!(q.cancel(a), Some(10));
+            assert_eq!(q.disarm_timer(), Some(10));
             assert_eq!(q.len(), 1);
             assert_eq!(q.pop().unwrap().event, 20);
             assert!(q.is_empty());
@@ -499,33 +583,24 @@ mod tests {
     }
 
     #[test]
-    fn stale_keys_are_rejected() {
+    fn a_timer_that_fired_or_was_disarmed_is_empty() {
         both(|q| {
-            let a = q.push(t(1), 1);
-            assert!(q.cancel(a).is_some());
-            assert!(q.cancel(a).is_none(), "double cancel");
-            // Slot gets reused by a fresh event; old key must not touch it.
-            let _b = q.push(t(2), 2);
-            assert!(q.cancel(a).is_none(), "stale key after reuse");
+            q.arm_timer(t(1), 1);
+            assert_eq!(q.disarm_timer(), Some(1));
+            assert_eq!(q.disarm_timer(), None, "double disarm");
+            q.arm_timer(t(2), 2);
             assert_eq!(q.pop().unwrap().event, 2);
+            assert_eq!(q.disarm_timer(), None, "the timer fired");
+            assert!(q.is_empty());
         });
     }
 
     #[test]
-    fn key_of_popped_event_is_stale() {
+    fn peek_time_skips_a_replaced_timer_event() {
         both(|q| {
-            let a = q.push(t(1), 1);
-            assert_eq!(q.pop().unwrap().event, 1);
-            assert!(q.cancel(a).is_none());
-        });
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        both(|q| {
-            let a = q.push(t(1), 1);
+            q.arm_timer(t(1), 1);
             q.push(t(4), 4);
-            q.cancel(a);
+            q.arm_timer(t(5), 5);
             assert_eq!(q.peek_time(), Some(t(4)));
         });
     }
@@ -534,9 +609,12 @@ mod tests {
     fn pop_if_due_respects_horizon() {
         both(|q| {
             q.push(t(1), 1);
+            q.arm_timer(t(3), 3);
             q.push(t(5), 5);
             assert_eq!(q.pop_if_due(t(0)), None);
             assert_eq!(q.pop_if_due(t(1)).unwrap().event, 1);
+            assert_eq!(q.pop_if_due(t(2)), None);
+            assert_eq!(q.pop_if_due(t(3)).unwrap().event, 3);
             assert_eq!(q.pop_if_due(t(4)), None);
             assert_eq!(q.pop_if_due(t(5)).unwrap().event, 5);
             assert_eq!(q.pop_if_due(SimTime::MAX), None);
@@ -550,21 +628,25 @@ mod tests {
             assert_eq!(q.len(), 0);
             assert_eq!(q.peek_time(), None);
             assert!(q.pop().is_none());
+            assert_eq!(q.disarm_timer(), None);
+            q.release_timer();
+            assert!(q.is_empty());
         });
     }
 
     #[test]
     fn heavy_mixed_usage_stays_consistent() {
         both(|q| {
-            let mut keys = Vec::new();
             for round in 0u64..50 {
                 for i in 0u64..20 {
-                    keys.push(q.push(t(round * 10 + i % 7), (round * 100 + i) as i32));
-                }
-                // Cancel every third key from this round.
-                let start = keys.len() - 20;
-                for k in keys[start..].iter().step_by(3) {
-                    q.cancel(*k);
+                    let (at, ev) = (t(round * 10 + i % 7), (round * 100 + i) as i32);
+                    // Every third event re-arms the timer, replacing the
+                    // one armed before it.
+                    if i % 3 == 0 {
+                        q.arm_timer(at, ev);
+                    } else {
+                        q.push(at, ev);
+                    }
                 }
             }
             let mut last = SimTime::ZERO;
@@ -574,8 +656,8 @@ mod tests {
                 last = s.time;
                 popped += 1;
             }
-            // 20 per round, 7 cancelled per round (indices 0,3,6,...,18).
-            assert_eq!(popped, 50 * (20 - 7));
+            // 13 pushes per round, plus the one timer event never replaced.
+            assert_eq!(popped, 50 * 13 + 1);
         });
     }
 }
@@ -588,22 +670,33 @@ mod proptests {
 
     /// Popping must always yield a non-decreasing time sequence and
     /// same-time events in FIFO order, under any interleaving of pushes
-    /// and cancels — for both backends.
+    /// and timer arms, disarms and releases — for both backends.
     #[test]
     fn ordering_invariant() {
         fn run(q: &mut dyn PendingEvents<usize>, rng: &mut DetRng) {
             let n_ops = rng.range_inclusive(1, 199) as usize;
-            let mut keys = Vec::new();
             let mut expect_live = 0usize;
+            let mut armed = false;
             for i in 0..n_ops {
-                let time_ms = rng.below(100);
-                let cancel_one = rng.chance(0.5);
-                keys.push(q.push(SimTime::from_millis(time_ms), i));
-                expect_live += 1;
-                if cancel_one && !keys.is_empty() {
-                    let k = keys.remove(keys.len() / 2);
-                    if q.cancel(k).is_some() {
-                        expect_live -= 1;
+                let time = SimTime::from_millis(rng.below(100));
+                match rng.below(8) {
+                    0 | 1 => {
+                        q.arm_timer(time, i);
+                        expect_live += usize::from(!armed);
+                        armed = true;
+                    }
+                    2 => {
+                        assert_eq!(q.disarm_timer().is_some(), armed);
+                        expect_live -= usize::from(armed);
+                        armed = false;
+                    }
+                    3 => {
+                        q.release_timer();
+                        armed = false;
+                    }
+                    _ => {
+                        q.push(time, i);
+                        expect_live += 1;
                     }
                 }
             }

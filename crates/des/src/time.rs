@@ -271,12 +271,30 @@ impl SimDuration {
 fn secs_f64_to_nanos(s: f64) -> u64 {
     assert!(s.is_finite(), "seconds value must be finite, got {s}");
     assert!(s >= 0.0, "seconds value must be non-negative, got {s}");
-    let ns = (s * 1e9).round();
+    let ns = s * 1e9;
+    // Every value up to 2^64 rounds to at most 2^64 (past 2^53 all of
+    // them are integers already), which saturates to `u64::MAX`.
     assert!(
         ns <= u64::MAX as f64,
         "seconds value {s} overflows the nanosecond representation"
     );
-    ns as u64
+    round_half_away(ns)
+}
+
+/// `x.round() as u64` for `0 <= x <= 2^64`, without a libm call: the cast
+/// truncates, and `x - whole` is the exact fractional part (it needs no
+/// more mantissa bits than `x` has), so comparing it with one half rounds
+/// half away from zero exactly. From 2^53 on `x` is an integer and the
+/// fraction is zero; at 2^64 the cast saturates to `u64::MAX`, as the cast
+/// of `2^64.round()` does.
+#[inline]
+fn round_half_away(x: f64) -> u64 {
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole + 1
+    } else {
+        whole
+    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -459,6 +477,65 @@ mod tests {
         // 144 bytes at 8800 B/s = 16.363636... ms
         let d = SimDuration::from_secs_f64(144.0 / 8800.0);
         assert_eq!(d.as_nanos(), 16_363_636);
+    }
+
+    /// The libm-free rounding must agree with `f64::round` on every value
+    /// the conversion accepts: half-way points and their neighbours, the
+    /// largest double below one half, the thresholds where doubles become
+    /// integers, the saturating top of the range, and random bit patterns.
+    #[test]
+    fn round_half_away_matches_f64_round() {
+        fn check(x: f64) {
+            assert_eq!(round_half_away(x), x.round() as u64, "x = {x:e}");
+        }
+        for k in 0..1_000_000u64 {
+            let half = k as f64 + 0.5;
+            check(half);
+            check(half.next_up());
+            check(half.next_down());
+            check(k as f64);
+        }
+        check(0.0);
+        check(0.499_999_999_999_999_94);
+        for e in [52, 53, 63] {
+            let p = 2f64.powi(e);
+            check(p);
+            check(p.next_down());
+            check(p.next_up());
+        }
+        let top = 2f64.powi(64);
+        check(top.next_down());
+        check(top);
+        assert_eq!(round_half_away(top), u64::MAX);
+        assert_eq!(
+            secs_f64_to_nanos(top / 1e9),
+            u64::MAX,
+            "2^64 ns is accepted"
+        );
+
+        let mut rng = crate::rng::DetRng::seed_from_u64(0x2A11D);
+        let (mut raw, mut ranged) = (0, 0);
+        for _ in 0..1_000_000 {
+            // Any non-negative bit pattern, kept if the conversion would
+            // accept it.
+            let x = f64::from_bits(rng.next_u64() >> 1);
+            if x <= top {
+                check(x);
+                raw += 1;
+            }
+            // A random mantissa under a biased exponent of at most
+            // 1023 + 63: every value below 2^64, subnormals included.
+            let exp = rng.below(1023 + 64);
+            check(f64::from_bits(exp << 52 | rng.next_u64() >> 12));
+            ranged += 1;
+        }
+        assert!(raw > 400_000 && ranged == 1_000_000, "{raw} raw patterns");
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the nanosecond representation")]
+    fn just_above_2_pow_64_nanoseconds_panics() {
+        let _ = SimDuration::from_secs_f64(2f64.powi(64).next_up() / 1e9);
     }
 
     #[test]

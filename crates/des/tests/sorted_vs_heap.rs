@@ -1,23 +1,27 @@
 //! Differential property test: the sorted-buffer [`EventQueue`] against the
 //! [`HeapEventQueue`] reference model under DetRng-driven random
-//! push/cancel/pop interleavings.
+//! push/timer/pop interleavings.
 //!
 //! Both structures receive the identical operation sequence; after every
 //! operation their observable behaviour (lengths, peeked times, popped
-//! `(time, payload)` pairs, cancel results) must match exactly. Time
+//! `(time, payload)` pairs, disarmed timer events) must match exactly. The
+//! heap models the timer literally, as cancel plus push, so the sorted
+//! buffer's inline timer is checked against that model. Time
 //! offsets range from the same instant to minutes ahead — the slot-grid
 //! neighbourhood, tens of milliseconds, tens of seconds, and pushes more
 //! than 34 s out — and pops interleave with pushes, so entries land at the
 //! back, in the middle and at the front of the buffer, and same-time ties
 //! arrive both before and after pops.
 
-use btgs_des::{DetRng, EventKey, EventQueue, HeapEventQueue, PendingEvents, SimTime};
+use btgs_des::{DetRng, EventQueue, HeapEventQueue, PendingEvents, SimTime};
 
 /// One randomly generated operation.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Push(SimTime),
-    CancelRecent(usize),
+    ArmTimer(SimTime),
+    DisarmTimer,
+    ReleaseTimer,
     Pop,
     PopIfDue(SimTime),
     Peek,
@@ -40,10 +44,6 @@ fn arb_offset(rng: &mut DetRng) -> u64 {
 fn run_sequence(rng: &mut DetRng, n_ops: usize) {
     let mut sorted: EventQueue<u64> = EventQueue::new();
     let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-    // Keys come back in identical order from both, so parallel vectors of
-    // live keys stay aligned.
-    let mut sorted_keys: Vec<EventKey> = Vec::new();
-    let mut heap_keys: Vec<EventKey> = Vec::new();
     let mut last_popped = SimTime::ZERO;
     let mut payload = 0u64;
 
@@ -53,7 +53,13 @@ fn run_sequence(rng: &mut DetRng, n_ops: usize) {
                 // Mirror engine usage: never schedule behind the clock.
                 Op::Push(last_popped + btgs_des::SimDuration::from_nanos(arb_offset(rng)))
             }
-            5 => Op::CancelRecent(rng.below(8) as usize),
+            5 => match rng.below(4) {
+                0 | 1 => {
+                    Op::ArmTimer(last_popped + btgs_des::SimDuration::from_nanos(arb_offset(rng)))
+                }
+                2 => Op::DisarmTimer,
+                _ => Op::ReleaseTimer,
+            },
             6..=7 => Op::Pop,
             8 => Op::PopIfDue(
                 last_popped + btgs_des::SimDuration::from_nanos(rng.below(200_000_000)),
@@ -63,20 +69,27 @@ fn run_sequence(rng: &mut DetRng, n_ops: usize) {
         match op {
             Op::Push(t) => {
                 payload += 1;
-                sorted_keys.push(sorted.push(t, payload));
-                heap_keys.push(heap.push(t, payload));
+                sorted.push(t, payload);
+                heap.push(t, payload);
             }
-            Op::CancelRecent(back) => {
-                if sorted_keys.is_empty() {
-                    continue;
-                }
-                let idx = sorted_keys.len().saturating_sub(1 + back);
-                let sk = sorted_keys.remove(idx);
-                let hk = heap_keys.remove(idx);
-                assert_eq!(sorted.cancel(sk), heap.cancel(hk), "cancel at step {step}");
-                // A second cancel of the same key must be stale in both.
-                assert_eq!(sorted.cancel(sk), None);
-                assert_eq!(heap.cancel(hk), None);
+            Op::ArmTimer(t) => {
+                payload += 1;
+                sorted.arm_timer(t, payload);
+                heap.arm_timer(t, payload);
+            }
+            Op::DisarmTimer => {
+                assert_eq!(
+                    sorted.disarm_timer(),
+                    heap.disarm_timer(),
+                    "disarm at step {step}"
+                );
+                // A second disarm finds the timer empty in both.
+                assert_eq!(sorted.disarm_timer(), None);
+                assert_eq!(heap.disarm_timer(), None);
+            }
+            Op::ReleaseTimer => {
+                sorted.release_timer();
+                heap.release_timer();
             }
             Op::Pop => {
                 let s = sorted.pop();
@@ -149,26 +162,31 @@ fn sorted_matches_heap_reference_under_random_interleavings() {
 #[test]
 fn sorted_matches_heap_on_dense_slot_grid() {
     // A focused sequence shaped like the simulator: slot-grid times with
-    // many exact collisions, frequent cancel/re-arm of the same logical
-    // timer (the master wake-up), and interleaved pops.
+    // many exact collisions, frequent re-arms of the timer (the master
+    // wake-up), the occasional hand-back of an armed timer to the queue,
+    // and interleaved pops.
     let mut rng = DetRng::seed_from_u64(0x5107);
     for _ in 0..32 {
         let mut sorted: EventQueue<u32> = EventQueue::new();
         let mut heap: HeapEventQueue<u32> = HeapEventQueue::new();
-        let mut wake: Option<(EventKey, EventKey, u32)> = None;
         let mut now = SimTime::ZERO;
         for i in 0..600u32 {
             let pairs_ahead = rng.range_inclusive(0, 40);
             let t = now + btgs_des::SimDuration::from_micros(1250 * pairs_ahead);
-            if rng.chance(0.3) {
-                // Re-arm the wake timer: cancel then push, like ensure_wake.
-                if let Some((sk, hk, _)) = wake.take() {
-                    assert_eq!(sorted.cancel(sk), heap.cancel(hk));
+            match rng.below(20) {
+                // Re-arm the wake timer, like ensure_wake.
+                0..=5 => {
+                    sorted.arm_timer(t, i);
+                    heap.arm_timer(t, i);
                 }
-                wake = Some((sorted.push(t, i), heap.push(t, i), i));
-            } else {
-                sorted.push(t, i);
-                heap.push(t, i);
+                6 => {
+                    sorted.release_timer();
+                    heap.release_timer();
+                }
+                _ => {
+                    sorted.push(t, i);
+                    heap.push(t, i);
+                }
             }
             if rng.chance(0.6) {
                 let a = sorted.pop();
@@ -178,10 +196,6 @@ fn sorted_matches_heap_on_dense_slot_grid() {
                     b.as_ref().map(|s| (s.time, s.event))
                 );
                 if let Some(s) = a {
-                    if wake.is_some_and(|(_, _, p)| p == s.event) {
-                        // The tracked wake just fired; its keys are stale.
-                        wake = None;
-                    }
                     now = s.time;
                 }
             }

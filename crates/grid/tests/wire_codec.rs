@@ -73,12 +73,14 @@ fn encoder_bytes_are_pinned() {
         // Its telemetry's `wheel_near` histogram counts every entry the
         // island's event queue stores. This digest also moved when the
         // sorted buffer replaced the timing wheel, whose count covered
-        // only its first level; the reports inside the frame stayed
-        // identical.
+        // only its first level, and again when the wake-up became the
+        // queue's timer: the buffer no longer keeps cancelled wake-ups,
+        // so `wheel_near` equals `wheel_pending` and its sum read 947 →
+        // 945. Both times the reports inside the frame stayed identical.
         (
             "2-piconet + telemetry",
             grid(2, true),
-            0x0bc1_0f9d_f95f_045f,
+            0x0a00_c46d_f693_53c1,
         ),
     ] {
         let json = frame(&grid);

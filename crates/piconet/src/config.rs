@@ -22,8 +22,8 @@ impl std::error::Error for PiconetError {}
 /// The segmentation policy used by every queue in the piconet.
 ///
 /// An enum (rather than a boxed trait) keeps configurations `Clone` for
-/// parameter sweeps; both variants delegate to the policies in
-/// [`crate::sar`].
+/// parameter sweeps; both variants delegate to the crate's segmentation
+/// policies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SarPolicy {
     /// The paper's policy: largest packet unless the remainder fits a

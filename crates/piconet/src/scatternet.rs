@@ -1108,8 +1108,10 @@ impl ScatternetReport {
 
 /// A configured scatternet simulation, ready to run.
 ///
-/// Owns one island per piconet; see the [module docs](self) for the
-/// phased conservative execution and the relay semantics.
+/// Owns one island per piconet. Each island is a full single-piconet
+/// simulator with its own event queue and clock; the islands advance in
+/// conservative phases bounded by the bridge windows, and packets cross
+/// bridges as relays injected at the phase boundaries.
 pub struct ScatternetSim {
     /// The islands in piconet order. Each gets its event queue at run
     /// start.

@@ -37,7 +37,7 @@ use btgs_baseband::{
     next_master_tx_start, AmAddr, ChannelModel, Direction, LogicalChannel, PacketType, SLOT,
     SLOT_PAIR,
 };
-use btgs_des::{EventKey, PendingEvents, Scheduler, SimDuration, SimTime};
+use btgs_des::{PendingEvents, Scheduler, SimDuration, SimTime};
 use btgs_traffic::{AppPacket, FlowId, Source};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -193,7 +193,9 @@ pub(crate) struct World {
     /// allows no more), resolved by [`Ev::ExchangeDone`].
     pending_exchange: Option<PendingExchange>,
     busy_until: SimTime,
-    wake: Option<(SimTime, EventKey)>,
+    /// The instant the scheduler's timer is armed for: the master's one
+    /// planned [`Ev::Wake`]. `None` while the timer is free.
+    wake: Option<SimTime>,
     warmup: SimTime,
     /// Per-slave presence windows (bridge slaves in a scatternet); the
     /// default mask reports every slave always present and costs nothing.
@@ -487,16 +489,16 @@ impl World {
     }
 }
 
+/// Makes sure the master wakes no later than the first slot-pair boundary
+/// at or after `t`: re-arms the timer unless it is already armed at or
+/// before that boundary.
 fn ensure_wake<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World, t: SimTime) {
     let target = next_master_tx_start(t.max(sched.now()));
-    if let Some((existing, key)) = w.wake {
-        if existing <= target {
-            return;
-        }
-        sched.cancel(key);
+    if w.wake.is_some_and(|existing| existing <= target) {
+        return;
     }
-    let key = sched.schedule_at(target, Ev::Wake);
-    w.wake = Some((target, key));
+    sched.arm_timer(target, Ev::Wake);
+    w.wake = Some(target);
 }
 
 /// Re-evaluates the master *now* — the instant an exchange or SCO
@@ -511,17 +513,17 @@ fn ensure_wake<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World
 fn wake_now<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World) {
     let now = sched.now();
     debug_assert_eq!(now, next_master_tx_start(now), "wake_now off the slot grid");
-    if let Some((t, key)) = w.wake {
+    if let Some(t) = w.wake {
         if t == now {
             return; // a Wake for this instant is already queued; FIFO runs it
         }
-        sched.cancel(key);
+        sched.disarm_timer();
         w.wake = None;
     }
     match sched.next_event_time() {
         Some(t) if t <= now => {
-            let key = sched.schedule_at(now, Ev::Wake);
-            w.wake = Some((now, key));
+            sched.arm_timer(now, Ev::Wake);
+            w.wake = Some(now);
         }
         _ => on_wake(sched, w),
     }
@@ -678,10 +680,14 @@ fn on_relay<Q: PendingEvents<Ev>>(
 
 fn on_wake<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World) {
     let now = sched.now();
-    if let Some((t, _)) = w.wake {
-        if t == now {
-            w.wake = None;
-        }
+    if w.wake == Some(now) {
+        // Either the timer fired (releasing it then is a no-op), or the
+        // seed's untracked t = 0 Wake fired ahead of a timer armed for the
+        // same instant by a t = 0 arrival. That timer's Wake must still
+        // fire: it stays queued in its place as a plain event, and only
+        // the timer is freed.
+        sched.release_timer();
+        w.wake = None;
     }
     if now < w.busy_until {
         ensure_wake(sched, w, w.busy_until);
@@ -1043,8 +1049,9 @@ pub(crate) fn seed_world<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: 
             }
         }
     }
+    // The initial Wake is a plain event, not the timer: an arrival at
+    // t = 0 arms the timer for t = 0 behind it (see `on_wake`).
     sched.schedule_at(SimTime::ZERO, Ev::Wake);
-    // The initial Wake is tracked manually (ensure_wake was not used).
     w.wake = None;
 }
 

@@ -284,8 +284,11 @@ pub struct TelemetryReport {
     /// `wheel_` names predate the sorted buffer; the grid wire format and
     /// benchmark metrics carry them.)
     pub wheel_pending: Histo32,
-    /// Island event-queue stored entries after each claim: the live ones
-    /// plus cancelled ones not yet dropped.
+    /// Island event-queue stored entries after each claim. The production
+    /// queue stores exactly its live events, so this equals
+    /// `wheel_pending` there; only the heap reference also stores
+    /// replaced timer events not yet dropped. It stays because the grid
+    /// wire format and the benchmark metrics carry it.
     pub wheel_near: Histo32,
     /// Events processed per island claim.
     pub events_per_claim: Histo32,

@@ -7,11 +7,11 @@
 //! * [`RoundRobinPoller`] — classic limited-service round robin.
 //! * [`ExhaustiveRoundRobinPoller`] — stays on a slave until it runs dry.
 //! * [`FepPoller`] — the Fair Exhaustive Poller of Johansson et al. (the
-//!   paper's reference [7]): active/inactive lists with periodic probing.
+//!   paper's reference \[7\]): active/inactive lists with periodic probing.
 //! * [`HolPriorityPoller`] — head-of-line priority in the spirit of Kalia
-//!   et al. (reference [8]).
+//!   et al. (reference \[8\]).
 //! * [`PfpBePoller`] — the Predictive Fair Poller of the paper's reference
-//!   [1]: per-slave availability prediction plus fair-share tracking. This
+//!   \[1\]: per-slave availability prediction plus fair-share tracking. This
 //!   is the best-effort engine the paper's Guaranteed Service poller
 //!   (in `btgs-core`) delegates its spare slots to.
 //!
