@@ -96,8 +96,12 @@ fn main() {
             format!("{:.0}", cell.report.ledger.gs_total() as f64 / window_s),
             format!("{:.1}", cell.report.gs_polls.unsuccessful as f64 / window_s),
             format!("{:.1}", be_total_kbps(&cell.report)),
-            cell.gs_max_delay().to_string(),
-            cell.gs_violations().to_string(),
+            cell.checks()
+                .filter_map(|c| c.max)
+                .max()
+                .expect("GS flows see traffic")
+                .to_string(),
+            cell.checks().map(|c| c.over).sum::<usize>().to_string(),
         ]);
     }
     println!("{}", t.render());

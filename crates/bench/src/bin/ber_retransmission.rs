@@ -9,7 +9,7 @@
 
 use btgs_baseband::{AmAddr, BerChannel};
 use btgs_bench::{banner, BenchArgs};
-use btgs_core::{PaperScenario, PaperScenarioParams, PollerKind};
+use btgs_core::{Guarantees, PaperScenario, PaperScenarioParams, PollerKind};
 use btgs_des::{DetRng, SimDuration};
 use btgs_metrics::Table;
 use btgs_piconet::PiconetSim;
@@ -43,22 +43,13 @@ fn main() {
         }
         let report = sim.run(args.horizon()).expect("scenario runs");
         let window_s = report.window().as_secs_f64();
-        let max_delay = scenario
-            .gs_plans
-            .iter()
-            .filter_map(|p| report.flow(p.request.id).delay.max())
+        let guarantees = Guarantees::from(&scenario);
+        let max_delay = guarantees
+            .check(&report)
+            .filter_map(|c| c.max)
             .max()
             .expect("GS flows see traffic");
-        let violations: usize = scenario
-            .gs_plans
-            .iter()
-            .map(|p| {
-                report
-                    .flow(p.request.id)
-                    .delay
-                    .violations_of(p.achievable_bound)
-            })
-            .sum();
+        let violations: usize = guarantees.check(&report).map(|c| c.over).sum();
         let gs_kbps: f64 = scenario
             .gs_plans
             .iter()

@@ -4,20 +4,22 @@
 //!
 //! For a grid of delay requirements and several seeds, runs the paper
 //! scenario under PFP-GS (one `ScenarioGrid` of the Fig. 4 piconet) and
-//! compares every GS flow's *measured maximum* delay with its *achievable
-//! bound* (and the requested bound where the flow is strictly
-//! guaranteed). Run with `--seconds 530` for the paper's full length.
+//! checks every cell against its `Guarantees`: each GS flow's *measured
+//! maximum* delay against its *achievable bound* (the requested bound
+//! where the flow is strictly guaranteed). Run with `--seconds 530` for
+//! the paper's full length.
 //!
 //! **Scatternet mode** (`--scatternet`) — the multi-hop extension of the
 //! same claim: across a pollers × seeds × piconet-count grid (including a
 //! bidirectional shared-bridge configuration), every *admitted* chain's
 //! measured end-to-end maximum delay must stay at or below the composed
-//! analytic bound `Σ hop bounds + Σ worst-case residences`, and an
-//! over-tight deadline must be provably rejected with every piconet's
-//! admission ledger rolled back byte-identically.
+//! analytic bound `Σ hop bounds + Σ worst-case residences` (and every
+//! non-hop GS flow within its own bound), and an over-tight deadline must
+//! be provably rejected with every piconet's admission ledger rolled back
+//! byte-identically.
 
 use btgs_bench::{banner, BenchArgs};
-use btgs_core::{BeSourceMix, ExperimentRunner, PollerKind, ScenarioGrid, Topology};
+use btgs_core::{BeSourceMix, ExperimentRunner, PollerKind, ScenarioGrid, Subject, Topology};
 use btgs_des::SimDuration;
 use btgs_metrics::Table;
 
@@ -53,21 +55,20 @@ fn main() {
     };
     let mut total_violations = 0usize;
     for cell in &ExperimentRunner::new().run_grid(&grid).cells {
-        for plan in &cell.scenario.gs_plans {
+        // A Fig. 4 cell guarantees its GS plans' flows, in plan order.
+        for (plan, check) in cell.scenario.gs_plans.iter().zip(cell.checks()) {
             let delay = &cell.report.flow(plan.request.id).delay;
-            let max = delay.max().expect("GS flows see traffic");
-            let violations = delay.violations_of(plan.achievable_bound);
-            total_violations += violations;
+            total_violations += check.over;
             t.row(vec![
                 format!("{} ms", cell.cell.delay_requirement.as_millis()),
                 cell.cell.seed.to_string(),
                 plan.request.id.to_string(),
                 format!("{:.0}", plan.request.rate),
-                plan.achievable_bound.to_string(),
-                max.to_string(),
+                check.bound.to_string(),
+                check.max.expect("GS flows see traffic").to_string(),
                 delay.quantile(0.99).expect("non-empty").to_string(),
-                delay.count().to_string(),
-                violations.to_string(),
+                check.samples.to_string(),
+                check.over.to_string(),
             ]);
         }
     }
@@ -97,6 +98,7 @@ fn scatternet_mode(args: &BenchArgs) {
         "violations",
     ]);
     let mut total_violations = 0usize;
+    let mut flow_violations = 0usize;
     let mut chains_checked = 0usize;
     // Per piconet count, the tightest deadline the smoke grid admits with
     // margin (see `ScatternetScenario`'s admission-path tests for the
@@ -122,20 +124,22 @@ fn scatternet_mode(args: &BenchArgs) {
         let report = ExperimentRunner::new().run_grid(&grid);
         for cell in &report.cells {
             let scatter = cell.scatternet.as_ref().expect("scatternet cells");
-            for (ci, chain) in scatter.report.chains.iter().enumerate() {
-                let grant = &scatter.scenario.chain_grants[ci];
-                let max = chain.e2e.max().expect("admitted chains deliver");
-                let violations = chain.e2e.violations_of(grant.composed_bound);
-                total_violations += violations;
+            for check in cell.checks() {
+                let Subject::Chain(ci) = check.subject else {
+                    flow_violations += check.over;
+                    continue;
+                };
+                let chain = &scatter.report.chains[ci];
+                total_violations += check.over;
                 chains_checked += 1;
                 t.row(vec![
                     piconets.to_string(),
                     cell.cell.poller.label(),
                     cell.cell.seed.to_string(),
                     ci.to_string(),
-                    grant.deadline.to_string(),
-                    grant.composed_bound.to_string(),
-                    max.to_string(),
+                    scatter.scenario.chain_grants[ci].deadline.to_string(),
+                    check.bound.to_string(),
+                    check.max.expect("admitted chains deliver").to_string(),
                     chain.e2e.quantile(0.99).expect("non-empty").to_string(),
                     chain
                         .residence
@@ -143,7 +147,7 @@ fn scatternet_mode(args: &BenchArgs) {
                         .expect("bridged chains cross")
                         .to_string(),
                     chain.delivered_packets.to_string(),
-                    violations.to_string(),
+                    check.over.to_string(),
                 ]);
                 assert!(
                     chain.delivered_packets > 0,
@@ -249,4 +253,5 @@ fn scatternet_mode(args: &BenchArgs) {
     );
     assert!(chains_checked >= 16, "smoke grid shrank unexpectedly");
     assert_eq!(total_violations, 0, "multi-hop delay guarantee broken!");
+    assert_eq!(flow_violations, 0, "a GS flow's delay guarantee broken!");
 }

@@ -7,20 +7,37 @@
 //! maxima at loose bounds and are squeezed to a max-min-fair equal share as
 //! the bound tightens, the lowest-demand slave (S4) saturating first.
 
+use btgs_baseband::AmAddr;
 use btgs_bench::{banner, BenchArgs};
-use btgs_core::{predicted_be_throughput_kbps, sweep_fig5, PollerKind};
+use btgs_core::{
+    predicted_be_throughput_kbps, ExperimentRunner, PaperScenario, PollerKind, ScenarioGrid,
+};
 use btgs_des::SimDuration;
+use btgs_metrics::Table;
 
 fn main() {
     let args = BenchArgs::parse(60);
     banner("Fig. 5: throughput vs. delay requirement (PFP-GS)", &args);
 
-    let requirements: Vec<SimDuration> = (28..=46)
-        .step_by(args.step_ms as usize)
-        .map(SimDuration::from_millis)
-        .collect();
-    let series = sweep_fig5(&requirements, args.seed, args.horizon(), PollerKind::PfpGs);
-    println!("{}", series.to_table().render());
+    // One Fig. 4 cell per requirement, returned in requirement order.
+    let grid = ScenarioGrid {
+        delay_requirements: (28..=46)
+            .step_by(args.step_ms as usize)
+            .map(SimDuration::from_millis)
+            .collect(),
+        ..ScenarioGrid::paper(vec![PollerKind::PfpGs], vec![args.seed], args.horizon())
+    };
+    let slaves = (1..=7u8).map(|n| AmAddr::new(n).expect("S1..S7"));
+    let mut headers = vec!["Delay requirement [s]"];
+    headers.extend(slaves.clone().map(PaperScenario::slave_legend));
+    let mut t = Table::new(headers);
+    for cell in ExperimentRunner::new().run_grid(&grid).cells {
+        let mut row = vec![format!("{:.3}", cell.cell.delay_requirement.as_secs_f64())];
+        let kbps = |s| format!("{:.2}", cell.report.slave_throughput_kbps(s));
+        row.extend(slaves.clone().map(kbps));
+        t.row(row);
+    }
+    println!("{}", t.render());
 
     println!("Reference points:");
     println!("  paper: GS flat at 64 kbps; BE maxima 83.2 / 94.4 / 105.6 / 116.8 kbps;");

@@ -20,8 +20,12 @@
 //! * **The pollers** ([`GsPoller`]) — fixed interval (§3.1), variable
 //!   interval with improvements (a)–(c) (§3.2), and the PFP configuration
 //!   evaluated in §4.
-//! * **The evaluation** ([`PaperScenario`], [`sweep_fig5`]) — the Fig. 4
-//!   piconet and the Fig. 5 throughput-vs-delay-requirement sweep.
+//! * **The evaluation** ([`PaperScenario`]) — the Fig. 4 piconet; the
+//!   Fig. 5 throughput-vs-delay-requirement sweep is a [`ScenarioGrid`]
+//!   over its delay requirement.
+//! * **The guarantee oracle** ([`Guarantees`]) — the one rule for which
+//!   flows and chains a scenario guarantees against which bound, and the
+//!   check of a run's reports against it (§4.2).
 //! * **The scatternet scenario** ([`ScatternetScenario`]) — the paper's
 //!   future-work workload: 2–3 chained Fig. 4 piconets with one bridged
 //!   GS flow, reporting per-hop, end-to-end and bridge-residence delays.
@@ -61,8 +65,8 @@ mod admission;
 mod analysis;
 mod chain_admission;
 mod efficiency;
-mod experiment;
 mod gs_poller;
+mod guarantees;
 mod plan;
 mod runner;
 mod scatternet_scenario;
@@ -81,8 +85,8 @@ pub use chain_admission::{
     ScatternetAdmissionController,
 };
 pub use efficiency::{min_poll_efficiency, poll_efficiency};
-pub use experiment::{fig5_requirements, run_point, sweep_fig5, SweepPoint};
 pub use gs_poller::{GsPoller, GsPollerStats};
+pub use guarantees::{Check, Guarantees, Measured, Subject};
 pub use plan::{Improvements, PollOutcome, PollPlan};
 pub use runner::{
     comparison_pollers, CellOutcome, CellResult, ExperimentRunner, GridCell, GridReport,

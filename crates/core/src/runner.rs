@@ -33,6 +33,7 @@
 //! assert_eq!(report.cells.len(), 4);
 //! ```
 
+use crate::guarantees::{Check, Guarantees, Measured};
 use crate::plan::Improvements;
 use crate::scatternet_scenario::{
     check_be_load_scale, ScatternetScenario, ScatternetScenarioParams, Topology,
@@ -464,6 +465,9 @@ pub struct CellResult {
     pub report: RunReport,
     /// Present for cells with `piconets ≥ 2`: the full scatternet outcome.
     pub scatternet: Option<ScatternetCellResult>,
+    /// The guarantees of the simulated scenario — every piconet's and
+    /// chain's, not the reference schedule's (see [`CellResult::checks`]).
+    pub guarantees: Guarantees,
 }
 
 impl CellResult {
@@ -481,10 +485,6 @@ impl CellResult {
     /// Panics if the outcome variant does not match the cell's piconet
     /// count.
     pub fn reassemble(cell: GridCell, outcome: CellOutcome) -> CellResult {
-        // The single-piconet reference schedule: for scatternet cells its
-        // bounds are what piconet 0's paper flows would be guaranteed
-        // without the bridge load, so `gs_violations` measures the
-        // scatternet's interference.
         let scenario = PaperScenario::build(cell.params());
         match outcome {
             CellOutcome::Piconet(report) => {
@@ -494,6 +494,7 @@ impl CellResult {
                 );
                 CellResult {
                     cell,
+                    guarantees: Guarantees::from(&scenario),
                     scenario,
                     report,
                     scatternet: None,
@@ -504,12 +505,14 @@ impl CellResult {
                     cell.piconets >= 2,
                     "single-piconet cell carries a scatternet outcome"
                 );
+                let scatternet = ScatternetScenario::build(cell.scatternet_params());
                 CellResult {
                     cell,
                     scenario,
                     report: report.piconets[0].clone(),
+                    guarantees: Guarantees::from(&scatternet),
                     scatternet: Some(ScatternetCellResult {
-                        scenario: ScatternetScenario::build(cell.scatternet_params()),
+                        scenario: scatternet,
                         report,
                         telemetry,
                     }),
@@ -527,40 +530,14 @@ impl CellResult {
         }
     }
 
-    /// The worst packet delay over all of this cell's GS flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a GS flow saw no traffic (a broken run, not an input
-    /// condition).
-    pub fn gs_max_delay(&self) -> SimDuration {
-        self.scenario
-            .gs_plans
-            .iter()
-            .map(|p| {
-                self.report
-                    .flow(p.request.id)
-                    .delay
-                    .max()
-                    .expect("GS flows see traffic")
-            })
-            .max()
-            .expect("at least one GS flow")
-    }
-
-    /// Packets of this cell's GS flows that exceeded their achievable
-    /// bound.
-    pub fn gs_violations(&self) -> usize {
-        self.scenario
-            .gs_plans
-            .iter()
-            .map(|p| {
-                self.report
-                    .flow(p.request.id)
-                    .delay
-                    .violations_of(p.achievable_bound)
-            })
-            .sum()
+    /// This cell's reports checked against its [`guarantees`](Self::guarantees),
+    /// one [`Check`] per guarantee, allocation-free.
+    pub fn checks(&self) -> impl Iterator<Item = Check> + '_ {
+        let reports: Measured = match &self.scatternet {
+            None => (&self.report).into(),
+            Some(s) => (&s.report).into(),
+        };
+        self.guarantees.check(reports)
     }
 }
 
@@ -578,7 +555,10 @@ impl GridReport {
     }
 
     /// Merged per-poller summary: throughput and delay statistics pooled
-    /// over every seed and requirement of that poller.
+    /// over every seed and requirement of that poller (of piconet 0 in
+    /// scatternet cells). "bound violations" counts delay samples over
+    /// their bound, summed over every guarantee of every cell — all
+    /// piconets' flows and all admitted chains ([`CellResult::checks`]).
     pub fn summary_table(&self) -> Table {
         let mut t = Table::new(vec![
             "poller",
@@ -612,7 +592,7 @@ impl GridReport {
                         be_kbps += kbps;
                     }
                 }
-                violations += c.gs_violations();
+                violations += c.checks().map(|k| k.over).sum::<usize>();
             }
             let cells = n.max(1) as f64;
             t.row(vec![

@@ -1301,6 +1301,7 @@ mod tests {
 #[cfg(test)]
 mod admission_path_tests {
     use super::*;
+    use crate::guarantees::Guarantees;
     use btgs_piconet::ScatternetReport;
 
     fn deadline_params(n: u16, deadline_ms: u64, bidirectional: bool) -> ScatternetScenarioParams {
@@ -1417,18 +1418,14 @@ mod admission_path_tests {
 
     fn assert_chains_within_bounds(sc: &ScatternetScenario, report: &ScatternetReport) {
         for (ci, chain) in report.chains.iter().enumerate() {
-            let grant = &sc.chain_grants[ci];
             assert!(
                 chain.delivered_packets > 50,
                 "chain {ci} delivered only {}",
                 chain.delivered_packets
             );
-            let measured = chain.e2e.max().expect("chain delivered");
-            assert!(
-                measured <= grant.composed_bound,
-                "chain {ci}: measured e2e max {measured} exceeds the composed bound {}",
-                grant.composed_bound
-            );
+        }
+        for check in Guarantees::from(sc).check(report) {
+            assert_eq!(check.over, 0, "{check:?}");
         }
     }
 

@@ -122,7 +122,9 @@ impl OnlineAggregator {
     }
 
     /// A per-poller summary table (rows sorted by poller label, so the
-    /// rendering is independent of first-sighting order).
+    /// rendering is independent of first-sighting order). Its "bound
+    /// violations" column is the [digest](OnlineAggregator::digest)'s
+    /// `viol=`.
     pub fn summary_table(&self) -> Table {
         let mut t = Table::new(vec![
             "poller",
@@ -174,7 +176,9 @@ impl OnlineAggregator {
     /// A stable, completion-order-invariant digest of the aggregate
     /// state: integers only, series sorted by label. Two aggregations of
     /// the same cells — whatever the delivery order or merge tree — must
-    /// render identically.
+    /// render identically. `viol=` counts delay samples over their bound,
+    /// summed over every guarantee of every cell — all piconets' flows
+    /// and all admitted chains ([`CellResult::checks`]).
     pub fn digest(&self) -> String {
         let mut out = String::new();
         for (kind, a) in self.sorted_series() {
@@ -210,9 +214,9 @@ impl OnlineAggregator {
 
 impl CellSink for OnlineAggregator {
     fn accept(&mut self, _index: usize, result: &CellResult) {
-        // `gs_violations` runs before borrowing the series so its lazy
+        // The checks run before borrowing the series so their lazy
         // sample sort (in place, allocation-free) cannot alias.
-        let violations = result.gs_violations() as u64;
+        let violations = result.checks().map(|c| c.over as u64).sum::<u64>();
         let window_ns = u128::from(result.report.window().as_nanos());
         let accum = self.series_mut(result.cell.poller);
         accum.cells += 1;

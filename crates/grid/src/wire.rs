@@ -1302,7 +1302,7 @@ mod tests {
         };
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.summary_table().render(), b.summary_table().render());
-        assert_eq!(a.cells[0].gs_violations(), b.cells[0].gs_violations());
+        assert!(a.cells[0].checks().eq(b.cells[0].checks()));
         assert_eq!(
             a.cells[0].report.flow(FlowId(1)).delay.quantile(0.5),
             b.cells[0].report.flow(FlowId(1)).delay.quantile(0.5),

@@ -10,8 +10,8 @@
 //! * [`jain_index`] / [`max_min_fair`] — fairness measures for the
 //!   best-effort bandwidth division performed by PFP.
 //! * [`Histogram`] — delay distributions for the extension benches.
-//! * [`Table`] / [`SweepSeries`] — plain-text rendering of every table and
-//!   figure the bench harness regenerates.
+//! * [`Table`] — plain-text rendering of every table and figure the bench
+//!   harness regenerates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,11 +19,9 @@
 mod delay;
 mod fairness;
 mod histogram;
-mod series;
 mod table;
 
 pub use delay::{DelayStats, DelaySummary};
 pub use fairness::{jain_index, max_min_fair};
 pub use histogram::{Histogram, HistogramShapeMismatch, InvalidHistogram};
-pub use series::SweepSeries;
 pub use table::{fmt_f64, Table};

@@ -10,7 +10,7 @@
 //! ```
 
 use btgs::baseband::{AmAddr, BerChannel, Direction, LogicalChannel, PacketType};
-use btgs::core::{admit, AdmissionConfig, GsPoller, GsRequest};
+use btgs::core::{admit, AdmissionConfig, GsPoller, GsRequest, Guarantees};
 use btgs::des::{DetRng, SimDuration, SimTime};
 use btgs::gs::TokenBucketSpec;
 use btgs::piconet::{FlowSpec, PiconetConfig, PiconetSim};
@@ -24,6 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schedule = admit(&[request], &AdmissionConfig::paper())?;
     let bound = schedule.grant(flow).expect("admitted").bound;
     println!("ideal-radio delay bound: {bound}\n");
+    let guarantees = Guarantees::from(&schedule);
     println!(
         "{:>10} {:>12} {:>12} {:>12} {:>12}",
         "BER", "delivered", "max delay", "violations", "retx slots"
@@ -49,15 +50,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             DetRng::seed_from_u64(99).stream(1),
         )))?;
         let report = sim.run(SimTime::from_secs(30))?;
-        let stats = report.flow(flow);
-        println!(
-            "{:>10.0e} {:>10.1} kbps {:>12} {:>12} {:>12}",
-            ber,
-            report.throughput_kbps(flow),
-            stats.delay.max().map(|d| d.to_string()).unwrap_or_default(),
-            stats.delay.violations_of(bound),
-            report.ledger.gs_retx,
-        );
+        for check in guarantees.check(&report) {
+            println!(
+                "{:>10.0e} {:>10.1} kbps {:>12} {:>12} {:>12}",
+                ber,
+                report.throughput_kbps(flow),
+                check.max.map(|d| d.to_string()).unwrap_or_default(),
+                check.over,
+                report.ledger.gs_retx,
+            );
+        }
     }
     println!("\nARQ keeps the bytes flowing; the *bound*, computed for an ideal radio,");
     println!("erodes with loss — extending admission to budget retransmissions is the");

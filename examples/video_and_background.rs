@@ -11,7 +11,7 @@
 //! ```
 
 use btgs::baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType};
-use btgs::core::{admit, min_poll_efficiency, AdmissionConfig, GsPoller, GsRequest};
+use btgs::core::{admit, min_poll_efficiency, AdmissionConfig, GsPoller, GsRequest, Guarantees};
 use btgs::des::{DetRng, SimDuration, SimTime};
 use btgs::gs::TokenBucketSpec;
 use btgs::piconet::{FlowSpec, PiconetConfig, PiconetSim, SarPolicy};
@@ -82,15 +82,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report = sim.run(SimTime::from_secs(30))?;
     println!("\n{}", report.to_table().render());
-    let video_stats = report.flow(video);
-    let max = video_stats.delay.max().expect("video flowed");
-    println!(
-        "video: {:.1} kbps delivered, max frame delay {} (bound {})",
-        report.throughput_kbps(video),
-        max,
-        grant.bound
-    );
-    assert!(max <= grant.bound, "video delay guarantee must hold");
+    for check in Guarantees::from(&schedule).check(&report) {
+        println!(
+            "video: {:.1} kbps delivered, max frame delay {} (bound {})",
+            report.throughput_kbps(video),
+            check.max.expect("video flowed"),
+            check.bound
+        );
+        assert_eq!(check.over, 0, "video delay guarantee must hold");
+    }
     println!(
         "GS polls: {} successful, {} unsuccessful — improvement (a) keeps the waste low",
         report.gs_polls.successful, report.gs_polls.unsuccessful

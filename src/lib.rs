@@ -20,7 +20,8 @@
 //! * [`pollers`] — baseline schedulers (round robin, FEP, PFP-BE, …);
 //! * [`core`] — the paper's contribution: poll efficiency, `x`/`y`
 //!   computations, C/D export, admission control, the GS pollers, the
-//!   Fig. 4/Fig. 5 evaluation scenario, and the parallel
+//!   Fig. 4/Fig. 5 evaluation scenario, the [`core::Guarantees`] oracle
+//!   that checks a run against every guarantee, and the parallel
 //!   [`core::ExperimentRunner`] that sweeps scenario grids across
 //!   threads deterministically;
 //! * [`grid`] — sharded, streaming, resumable grid execution: the
@@ -35,7 +36,7 @@
 //! the delay bound held:
 //!
 //! ```
-//! use btgs::core::{PaperScenario, PaperScenarioParams, PollerKind};
+//! use btgs::core::{Guarantees, PaperScenario, PaperScenarioParams, PollerKind};
 //! use btgs::des::{SimDuration, SimTime};
 //!
 //! let scenario = PaperScenario::build(PaperScenarioParams {
@@ -46,9 +47,8 @@
 //!     ..Default::default()
 //! });
 //! let report = scenario.run(PollerKind::PfpGs, SimTime::from_secs(5)).unwrap();
-//! for plan in &scenario.gs_plans {
-//!     let measured = report.flow(plan.request.id).delay.max().unwrap();
-//!     assert!(measured <= plan.achievable_bound);
+//! for check in Guarantees::from(&scenario).check(&report) {
+//!     assert_eq!(check.over, 0, "{check:?}");
 //! }
 //! ```
 

@@ -2,18 +2,22 @@
 //! and packets must all add up.
 
 use btgs::baseband::SLOT;
-use btgs::core::{run_point, PollerKind};
+use btgs::core::{CellResult, PollerKind, ScenarioGrid};
 use btgs::des::{SimDuration, SimTime};
+
+/// The Fig. 4 cell at `dreq_ms` (best effort on, 2 s warm-up) under
+/// PFP-GS.
+fn fig4(dreq_ms: u64, seed: u64, secs: u64) -> CellResult {
+    let horizon = SimTime::from_secs(secs);
+    let mut cell = ScenarioGrid::paper(vec![PollerKind::PfpGs], vec![seed], horizon).cells()[0];
+    cell.delay_requirement = SimDuration::from_millis(dreq_ms);
+    cell.run()
+}
 
 #[test]
 fn slot_ledger_never_exceeds_the_window() {
     for ms in [30u64, 40] {
-        let point = run_point(
-            SimDuration::from_millis(ms),
-            13,
-            SimTime::from_secs(15),
-            PollerKind::PfpGs,
-        );
+        let point = fig4(ms, 13, 15);
         let window_slots = point.report.window().as_nanos() / SLOT.as_nanos();
         let used = point.report.ledger.used();
         assert!(
@@ -29,12 +33,7 @@ fn slot_ledger_never_exceeds_the_window() {
 
 #[test]
 fn delivered_never_exceeds_offered() {
-    let point = run_point(
-        SimDuration::from_millis(40),
-        29,
-        SimTime::from_secs(15),
-        PollerKind::PfpGs,
-    );
+    let point = fig4(40, 29, 15);
     for f in &point.report.flows {
         let r = point.report.flow(f.id);
         // Packets arriving in the last instants of warm-up may be delivered
@@ -55,12 +54,7 @@ fn delivered_never_exceeds_offered() {
 
 #[test]
 fn poll_counters_are_consistent_with_the_ledger() {
-    let point = run_point(
-        SimDuration::from_millis(40),
-        31,
-        SimTime::from_secs(15),
-        PollerKind::PfpGs,
-    );
+    let point = fig4(40, 31, 15);
     let report = &point.report;
     // Every GS poll occupies at least 2 slots (POLL+NULL) and at most 6
     // (DH3+DH3), so the ledger's GS total must bracket the poll count.
@@ -78,12 +72,7 @@ fn poll_counters_are_consistent_with_the_ledger() {
 fn gs_and_be_data_slots_match_delivered_bytes() {
     // Every delivered GS byte rode a DH3 (3 slots / <=183 B) or DH1
     // (1 slot / <=27 B); slot counts must be plausible against byte counts.
-    let point = run_point(
-        SimDuration::from_millis(40),
-        37,
-        SimTime::from_secs(15),
-        PollerKind::PfpGs,
-    );
+    let point = fig4(40, 37, 15);
     let report = &point.report;
     let gs_bytes: u64 = point
         .scenario

@@ -1,11 +1,16 @@
 //! The central invariant of the paper, exercised across many admitted
 //! configurations: **every flow admitted by the Fig. 3 routine observes
 //! packet delays within its Eq. 1 bound** when polled by the fixed or
-//! variable interval poller.
+//! variable interval poller — and grid summaries count every sample over
+//! any guarantee of a cell, admitted chains included.
 
 use btgs::baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType};
-use btgs::core::{admit, AdmissionConfig, AdmissionOutcome, GsPoller, GsRequest, PollerKind};
+use btgs::core::{
+    admit, AdmissionConfig, AdmissionOutcome, CellSink, ExperimentRunner, GridReport, GsPoller,
+    GsRequest, Guarantees, PollerKind, ScenarioGrid,
+};
 use btgs::des::{DetRng, SimDuration, SimTime};
+use btgs::grid::OnlineAggregator;
 use btgs::gs::TokenBucketSpec;
 use btgs::piconet::{FlowSpec, PiconetConfig, PiconetSim, RunReport};
 use btgs::traffic::{CbrSource, FlowId};
@@ -55,19 +60,13 @@ fn simulate(
 }
 
 fn assert_bounds_hold(requests: &[GsRequest], outcome: &AdmissionOutcome, report: &RunReport) {
-    for r in requests {
-        let grant = outcome.grant(r.id).expect("admitted");
-        let stats = &report.flow(r.id).delay;
-        assert!(stats.count() > 100, "{}: too few samples", r.id);
-        assert_eq!(
-            stats.violations_of(grant.bound),
-            0,
-            "{}: max {} exceeds bound {}",
-            r.id,
-            stats.max().unwrap(),
-            grant.bound
-        );
+    let mut checked = 0;
+    for check in Guarantees::from(outcome).check(report) {
+        assert!(check.samples > 100, "too few samples: {check:?}");
+        assert_eq!(check.over, 0, "bound exceeded: {check:?}");
+        checked += 1;
     }
+    assert_eq!(checked, requests.len(), "every request is admitted");
 }
 
 fn tspec(interval_ms: f64, m: u32, big_m: u32) -> TokenBucketSpec {
@@ -231,7 +230,6 @@ fn bursty_conforming_traffic_stays_within_bounds() {
     let spec = tspec(20.0, 144, 176);
     let request = GsRequest::new(FlowId(1), s1, Direction::SlaveToMaster, spec, 12_800.0);
     let outcome = admit(std::slice::from_ref(&request), &AdmissionConfig::paper()).unwrap();
-    let grant = outcome.grant(FlowId(1)).unwrap();
 
     let mut config = PiconetConfig::new(vec![PacketType::Dh1, PacketType::Dh3])
         .with_warmup(SimDuration::from_secs(1));
@@ -257,12 +255,52 @@ fn bursty_conforming_traffic_stays_within_bounds() {
     sim.add_source(Box::new(btgs::traffic::TraceSource::new(FlowId(1), items)))
         .unwrap();
     let report = sim.run(SimTime::from_secs(16)).unwrap();
-    let stats = &report.flow(FlowId(1)).delay;
-    assert!(stats.count() > 400);
-    assert_eq!(
-        stats.violations_of(grant.bound),
-        0,
-        "jittered conforming traffic must stay within the bound (max {})",
-        stats.max().unwrap()
-    );
+    let guarantees = Guarantees::from(&outcome);
+    assert_eq!(guarantees.check(&report).count(), 1);
+    for check in guarantees.check(&report) {
+        assert!(check.samples > 400);
+        assert_eq!(
+            check.over, 0,
+            "jittered conforming traffic must stay within the bound ({check:?})"
+        );
+    }
+}
+
+/// The "bound violations" column (the last) of a one-poller summary.
+fn violations_column(rendered: String) -> String {
+    let row = rendered.lines().nth(2).expect("one poller row");
+    row.split_whitespace().last().expect("row cells").to_owned()
+}
+
+#[test]
+fn grid_summaries_count_samples_over_admitted_chain_bounds() {
+    // The chain is admitted against a deadline, so both end piconets
+    // trade S3's flow 4 for the guaranteed hop: the summaries must check
+    // the scatternet's own guarantees, not the Fig. 4 reference plans.
+    let grid = ScenarioGrid {
+        piconets: vec![2],
+        delay_requirements: vec![SimDuration::from_millis(46)],
+        chain_deadlines: vec![Some(SimDuration::from_millis(150))],
+        bridge_cycle: SimDuration::from_millis(10),
+        warmup: SimDuration::from_secs(1),
+        ..ScenarioGrid::paper(vec![PollerKind::PfpGs], vec![1], SimTime::from_secs(3))
+    };
+    let report = ExperimentRunner::new().run_grid(&grid);
+    let tables = |report: &GridReport| {
+        let mut aggregate = OnlineAggregator::for_grid(&grid);
+        for (i, cell) in report.cells.iter().enumerate() {
+            aggregate.accept(i, cell);
+        }
+        [report.summary_table(), aggregate.summary_table()].map(|t| violations_column(t.render()))
+    };
+    assert_eq!(tables(&report), ["0", "0"]);
+
+    // One end-to-end sample 1 ns over the composed bound.
+    let mut tampered = report.clone();
+    let cell = tampered.cells[0].scatternet.as_mut().expect("a scatternet");
+    let bound = cell.scenario.chain_grants[0].composed_bound;
+    cell.report.chains[0]
+        .e2e
+        .record(bound + SimDuration::from_nanos(1));
+    assert_eq!(tables(&tampered), ["1", "1"]);
 }

@@ -1,9 +1,9 @@
 //! End-to-end reproduction checks of the paper's evaluation (§4).
 
-use btgs::baseband::{AmAddr, Direction};
+use btgs::baseband::{AmAddr, Direction, LogicalChannel};
 use btgs::core::{
-    run_point, BeSourceMix, Improvements, PaperScenario, PaperScenarioParams, PollerKind,
-    ScatternetScenario, ScatternetScenarioParams,
+    BeSourceMix, CellResult, Improvements, PaperScenario, PaperScenarioParams, PollerKind,
+    ScatternetScenario, ScatternetScenarioParams, ScenarioGrid,
 };
 use btgs::des::{SimDuration, SimTime};
 
@@ -11,30 +11,37 @@ fn s(n: u8) -> AmAddr {
     AmAddr::new(n).unwrap()
 }
 
+/// The Fig. 4 cell at `dreq_ms` (best effort on, 2 s warm-up) under
+/// PFP-GS.
+fn fig4(dreq_ms: u64, seed: u64, secs: u64) -> CellResult {
+    let horizon = SimTime::from_secs(secs);
+    let mut cell = ScenarioGrid::paper(vec![PollerKind::PfpGs], vec![seed], horizon).cells()[0];
+    cell.delay_requirement = SimDuration::from_millis(dreq_ms);
+    cell.run()
+}
+
+/// Delivered throughput of slave `n`, in kbit/s.
+fn slave_kbps(cell: &CellResult, n: u8) -> f64 {
+    cell.report.slave_throughput_kbps(s(n))
+}
+
 #[test]
 fn gs_flows_deliver_64_kbps_regardless_of_requirement() {
-    for ms in [30u64, 38, 46] {
-        let point = run_point(
-            SimDuration::from_millis(ms),
-            11,
-            SimTime::from_secs(20),
-            PollerKind::PfpGs,
-        );
-        assert!(
-            (point.slave_kbps(1) - 64.0).abs() < 2.0,
-            "S1 at {ms} ms: {}",
-            point.slave_kbps(1)
-        );
-        assert!(
-            (point.slave_kbps(2) - 128.0).abs() < 4.0,
-            "S2 at {ms} ms: {}",
-            point.slave_kbps(2)
-        );
-        assert!(
-            (point.slave_kbps(3) - 64.0).abs() < 2.0,
-            "S3 at {ms} ms: {}",
-            point.slave_kbps(3)
-        );
+    for ms in [30u64, 38, 40, 46] {
+        let point = fig4(ms, 11, 20);
+        // Every GS flow delivers its full 64 kbps…
+        for id in point.report.flows_on(LogicalChannel::GuaranteedService) {
+            let kbps = point.report.throughput_kbps(id);
+            assert!((kbps - 64.0).abs() < 2.0, "{id} at {ms} ms: {kbps}");
+        }
+        // …so per slave S2, which carries two of them, delivers 128.
+        for (n, kbps) in [(1, 64.0), (2, 128.0), (3, 64.0)] {
+            let measured = slave_kbps(&point, n);
+            assert!(
+                (measured - kbps).abs() < kbps / 32.0,
+                "S{n} at {ms} ms: {measured}"
+            );
+        }
     }
 }
 
@@ -43,23 +50,11 @@ fn requested_delay_bounds_are_never_exceeded() {
     // The paper's §4.2 claim, at three requirement levels and two seeds.
     for ms in [36u64, 40, 46] {
         for seed in [1u64, 2] {
-            let point = run_point(
-                SimDuration::from_millis(ms),
-                seed,
-                SimTime::from_secs(20),
-                PollerKind::PfpGs,
-            );
-            for plan in &point.scenario.gs_plans {
-                let stats = &point.report.flow(plan.request.id).delay;
-                assert!(stats.count() > 500, "enough samples");
-                assert_eq!(
-                    stats.violations_of(plan.achievable_bound),
-                    0,
-                    "{} at {ms} ms seed {seed}: max {} > bound {}",
-                    plan.request.id,
-                    stats.max().unwrap(),
-                    plan.achievable_bound
-                );
+            let point = fig4(ms, seed, 20);
+            assert_eq!(point.checks().count(), 4, "flows 1-4 are guaranteed");
+            for check in point.checks() {
+                assert!(check.samples > 500, "enough samples: {check:?}");
+                assert_eq!(check.over, 0, "at {ms} ms seed {seed}: {check:?}");
             }
         }
     }
@@ -67,39 +62,33 @@ fn requested_delay_bounds_are_never_exceeded() {
 
 #[test]
 fn be_throughput_shrinks_with_tighter_requirements() {
-    let loose = run_point(
-        SimDuration::from_millis(46),
-        5,
-        SimTime::from_secs(20),
-        PollerKind::PfpGs,
-    );
-    let tight = run_point(
-        SimDuration::from_millis(28),
-        5,
-        SimTime::from_secs(20),
-        PollerKind::PfpGs,
-    );
-    let be_loose: f64 = (4..=7u8).map(|n| loose.slave_kbps(n)).sum();
-    let be_tight: f64 = (4..=7u8).map(|n| tight.slave_kbps(n)).sum();
+    let loose = fig4(46, 5, 20);
+    let tight = fig4(28, 5, 20);
+    let be_loose: f64 = (4..=7u8).map(|n| slave_kbps(&loose, n)).sum();
+    let be_tight: f64 = (4..=7u8).map(|n| slave_kbps(&tight, n)).sum();
     assert!(
         be_tight + 5.0 < be_loose,
         "BE must lose bandwidth: {be_tight} vs {be_loose}"
     );
+    // GS throughput stays flat, and the highest-demand BE slave (S7)
+    // gains nothing from the tighter requirement.
+    let (s1_loose, s1_tight) = (slave_kbps(&loose, 1), slave_kbps(&tight, 1));
+    assert!(
+        (s1_loose - s1_tight).abs() < 3.0,
+        "S1: {s1_tight} vs {s1_loose}"
+    );
+    let (s7_loose, s7_tight) = (slave_kbps(&loose, 7), slave_kbps(&tight, 7));
+    assert!(s7_tight <= s7_loose + 2.0, "S7: {s7_tight} vs {s7_loose}");
 }
 
 #[test]
 fn remaining_bandwidth_is_divided_max_min_fairly() {
     // Under pressure the unsaturated BE slaves converge to an equal share
     // while the smallest-demand slave keeps its maximum (the Fig. 5 shape).
-    let point = run_point(
-        SimDuration::from_millis(28),
-        9,
-        SimTime::from_secs(20),
-        PollerKind::PfpGs,
-    );
-    let s4 = point.slave_kbps(4);
+    let point = fig4(28, 9, 20);
+    let s4 = slave_kbps(&point, 4);
     assert!((s4 - 83.2).abs() < 2.0, "S4 saturated at its demand: {s4}");
-    let shares: Vec<f64> = (5..=7u8).map(|n| point.slave_kbps(n)).collect();
+    let shares: Vec<f64> = (5..=7u8).map(|n| slave_kbps(&point, n)).collect();
     let max = shares.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     let min = shares.iter().fold(f64::INFINITY, |a, &b| a.min(b));
     assert!(
@@ -134,21 +123,14 @@ fn warmup_and_windows_are_respected() {
 
 #[test]
 fn determinism_same_seed_same_report() {
-    let run = |seed| {
-        run_point(
-            SimDuration::from_millis(40),
-            seed,
-            SimTime::from_secs(10),
-            PollerKind::PfpGs,
-        )
-    };
+    let run = |seed| fig4(40, seed, 10);
     let a = run(21);
     let b = run(21);
     let c = run(22);
     for n in 1..=7u8 {
         assert_eq!(
-            a.slave_kbps(n),
-            b.slave_kbps(n),
+            slave_kbps(&a, n),
+            slave_kbps(&b, n),
             "S{n} differs across replays"
         );
     }
@@ -158,7 +140,6 @@ fn determinism_same_seed_same_report() {
         a.report.ledger, c.report.ledger,
         "different seeds should differ somewhere"
     );
-    let _ = s(1);
 }
 
 #[test]
