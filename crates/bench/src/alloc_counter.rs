@@ -8,9 +8,13 @@
 //! [`allocation_count`] around the code under test, and assert the delta
 //! is zero. [`allocated_bytes`] sums the sizes those allocations asked
 //! for, for budgets on code that must allocate, such as set-up.
+//! [`live_bytes`] is what is allocated and not yet freed, and
+//! [`peak_live_bytes`] its high-water mark since the last
+//! [`reset_peak_live_bytes`], for budgets on a footprint: what a build
+//! and its run hold at once, however the allocator places it.
 //!
-//! Counting uses a relaxed atomic — the counter is a diagnostic, not a
-//! synchronisation point — and adds a handful of nanoseconds per
+//! Counting uses relaxed atomics — the counters are diagnostics, not
+//! synchronisation points — and adds a handful of nanoseconds per
 //! allocation, which is irrelevant for the zero-allocation windows it
 //! exists to certify.
 //!
@@ -25,8 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Tallies one allocation event of `bytes` bytes.
+/// Tallies one allocation event of `bytes` bytes, now live.
 #[inline]
 fn count(bytes: usize) {
     // ord: Relaxed — statistical tallies; the assertions read them from
@@ -34,6 +40,19 @@ fn count(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     // ord: Relaxed — same tally as above.
     ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    // ord: Relaxed — same tally as above; the high-water mark below needs
+    // no order with it, since the footprint gates read both on the
+    // thread that allocated, after the measured code.
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    // ord: Relaxed — a monotone maximum of the tally above.
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+/// Tallies `bytes` bytes freed.
+#[inline]
+fn free(bytes: usize) {
+    // ord: Relaxed — same tally as in `count`.
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
 }
 
 /// A [`System`]-delegating allocator that counts every allocation.
@@ -69,13 +88,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // ord: Relaxed — same tally as above.
         DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        free(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc may move the block: count it as an allocation event of
-        // its new size — the steady state must not grow *any* buffer.
+        // its new size — the steady state must not grow *any* buffer —
+        // live alongside the old block until that is freed.
         count(new_size);
+        free(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -105,4 +127,27 @@ pub fn allocated_bytes() -> u64 {
 pub fn deallocation_count() -> u64 {
     // ord: Relaxed — same single-thread bracket read as above.
     DEALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes allocated and not yet freed. Only meaningful when
+/// [`CountingAllocator`] is installed as the global allocator.
+pub fn live_bytes() -> u64 {
+    // ord: Relaxed — same single-thread bracket read as above.
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// The most bytes live at once since the last
+/// [`reset_peak_live_bytes`] (or process start). A realloc counts its
+/// old and new blocks as live together for that instant.
+pub fn peak_live_bytes() -> u64 {
+    // ord: Relaxed — same single-thread bracket read as above.
+    PEAK_LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restarts the high-water mark at the bytes live now, so
+/// [`peak_live_bytes`] minus [`live_bytes`] read here is the most a
+/// measured stretch of code holds at once.
+pub fn reset_peak_live_bytes() {
+    // ord: Relaxed — a single-thread bracket, as above.
+    PEAK_LIVE_BYTES.store(live_bytes(), Ordering::Relaxed);
 }

@@ -9,8 +9,9 @@
 //!    via [`PiconetSim::run_probed`] after warm-up growth has settled.
 //!
 //! It also holds the one-island build of the Fig. 4 piconet to a fixed
-//! allocation budget, in set-up and at run start, and the `mesh256` build
-//! to a byte budget.
+//! allocation budget, in set-up and at run start, the `mesh256` build to
+//! a byte budget, and two runs to a peak-live-heap budget: the `mesh256`
+//! build plus 2 simulated seconds, and a 120 s Fig. 4 run.
 //!
 //! The binary runs **without the libtest harness** (`harness = false`):
 //! the allocation counter is process-global, and even an otherwise idle
@@ -18,7 +19,10 @@
 //! make a zero-delta assertion flaky. Here `main` is the only thread.
 
 use btgs_baseband::{AmAddr, ChannelModel, Direction, IdealChannel, LogicalChannel, PacketType};
-use btgs_bench::alloc_counter::{allocated_bytes, allocation_count, CountingAllocator};
+use btgs_bench::alloc_counter::{
+    allocated_bytes, allocation_count, live_bytes, peak_live_bytes, reset_peak_live_bytes,
+    CountingAllocator,
+};
 use btgs_core::{
     BeSourceMix, PaperScenario, PaperScenarioParams, PollerKind, ScatternetScenario,
     ScatternetScenarioParams, Topology,
@@ -231,21 +235,33 @@ fn one_island_build_stays_within_budget() {
     println!("  build: {build} allocations; run start: {allocs} allocations, {bytes} bytes");
 }
 
-/// Byte budget of the `mesh256` build: perfbench's mesh cell (256
+/// Byte budgets of the `mesh256` build: perfbench's mesh cell (256
 /// piconets, degree-3 mesh, topology seed 11, GS only) assembled through
-/// `ScatternetScenario::simulator`, sources included. The islands keep
+/// `ScatternetScenario::simulator`, sources included, then run for 2
+/// simulated seconds.
+///
+/// `BUILD_BYTES` bounds what the build asks for. The islands keep
 /// statistics only for the chains routed through them, stage at most one
 /// phase's relays and size their relay queues and origin FIFOs to a
-/// sustainable chain, and every flow's state is one record with its
-/// allowed-type sets inline: the build asks for 18,843,674 bytes, and
-/// the budget leaves 5 % head-room. Parallel per-flow vectors and heap
-/// allowed-type sets add under 0.1 MB (18,938,694 bytes), too little for
-/// this gate; the one-island allocation budget pins that layout. A build
-/// that also sizes every chain's statistics on every island, 128 staging
-/// slots per bridged island, 64 queue slots per routed hop and
-/// 1,024-entry origin FIFOs asks for 28,275,782 bytes and fails it.
+/// sustainable chain, every flow's state is one record with its
+/// allowed-type sets inline, and every packet series (a flow's delays, a
+/// chain's end-to-end delays and residences) reserves 1,024 samples of 4
+/// bytes: the build asks for 5,787,722 bytes, and the budget leaves
+/// 5 % head-room. With 8-byte samples and 4,096-sample chain reserves
+/// the build asked for 18,829,386 bytes; 8-byte samples alone ask for
+/// 9,441,354, and 4,096-sample chain reserves alone for 10,481,738.
+/// Parallel per-flow vectors and heap allowed-type sets add under
+/// 0.1 MB; the one-island allocation budget pins that layout.
+///
+/// `PEAK_BYTES` bounds the most heap the build and its run hold at once
+/// (the counting allocator's high-water mark, which does not depend on
+/// where the allocator places blocks): 6,571,664 bytes, and the budget
+/// leaves 5 % head-room. With 8-byte samples and 4,096-sample chain
+/// reserves it was 19,613,328 bytes; 8-byte samples alone hold
+/// 10,225,296, and 4,096-sample chain reserves alone 11,265,680.
 fn mesh256_build_stays_within_budget() {
-    const BUILD_BYTES: u64 = 19_800_000;
+    const BUILD_BYTES: u64 = 6_077_000;
+    const PEAK_BYTES: u64 = 6_900_000;
     let scenario = ScatternetScenario::build(ScatternetScenarioParams {
         piconets: 256,
         delay_requirement: SimDuration::from_millis(40),
@@ -262,15 +278,48 @@ fn mesh256_build_stays_within_budget() {
             seed: 11,
         },
     });
-    let bytes0 = allocated_bytes();
+    reset_peak_live_bytes();
+    let (live0, bytes0) = (live_bytes(), allocated_bytes());
     let sim = scenario.simulator(PollerKind::PfpGs).unwrap();
     let bytes = allocated_bytes() - bytes0;
-    black_box(sim);
+    let report = sim.run(SimTime::from_secs(2)).unwrap();
+    let peak = peak_live_bytes() - live0;
+    black_box(report);
     assert!(
         bytes <= BUILD_BYTES,
         "the mesh256 build asked for {bytes} bytes (budget {BUILD_BYTES})"
     );
-    println!("  mesh256 build: {bytes} bytes");
+    assert!(
+        peak <= PEAK_BYTES,
+        "the mesh256 build and a 2 s run held up to {peak} bytes at once \
+         (budget {PEAK_BYTES})"
+    );
+    println!("  mesh256 build: {bytes} bytes; with a 2 s run, peak live heap {peak} bytes");
+}
+
+/// Peak live heap of the Fig. 4 piconet (PFP-GS, the default
+/// parameters) built and run for 120 simulated seconds, the report
+/// included. Its four GS flows record 5,900 delay samples each and its
+/// saturated best-effort flows thousands more, some of them past
+/// `u32::MAX` ns, so their buffers widen to 8 bytes: the run holds up to
+/// 421,098 bytes at once, and the budget leaves 5 % head-room. With
+/// 8-byte samples throughout it held 632,042 bytes.
+fn fig4_run_peak_heap_stays_within_budget() {
+    const PEAK_BYTES: u64 = 442_000;
+    reset_peak_live_bytes();
+    let live0 = live_bytes();
+    let scenario = PaperScenario::build(PaperScenarioParams::default());
+    let report = scenario
+        .run(PollerKind::PfpGs, SimTime::from_secs(120))
+        .unwrap();
+    let peak = peak_live_bytes() - live0;
+    assert!(report.per_flow.values().all(|f| f.delay.count() > 0));
+    black_box(report);
+    assert!(
+        peak <= PEAK_BYTES,
+        "the 120 s Fig. 4 run held up to {peak} bytes at once (budget {PEAK_BYTES})"
+    );
+    println!("  120 s Fig. 4 run: peak live heap {peak} bytes");
 }
 
 fn scatternet_steady_state_is_allocation_free() {
@@ -633,7 +682,9 @@ fn main() {
     one_island_build_stays_within_budget();
     println!("ok - one-island build stays within its allocation budget");
     mesh256_build_stays_within_budget();
-    println!("ok - mesh256 build stays within its byte budget");
+    println!("ok - mesh256 build and run stay within their byte budgets");
+    fig4_run_peak_heap_stays_within_budget();
+    println!("ok - 120 s Fig. 4 run stays within its peak heap budget");
     scatternet_steady_state_is_allocation_free();
     println!("ok - scatternet steady state is allocation-free");
     observed_scatternet_steady_state_is_allocation_free();

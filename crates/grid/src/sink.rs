@@ -5,7 +5,7 @@
 //! [`ExperimentRunner`](btgs_core::ExperimentRunner) and the
 //! multi-process [`ShardedGridRunner`](crate::ShardedGridRunner).
 
-use crate::wire::{frame_to_json, grid_digest};
+use crate::wire::{grid_digest, result_frame_to_json};
 use btgs_core::{CellResult, CellSink, PollerKind, ScenarioGrid};
 use btgs_metrics::{fmt_f64, DelaySummary, Histogram, Table};
 use btgs_piconet::TelemetryReport;
@@ -301,7 +301,7 @@ impl CellSink for JsonlSpillSink {
         if self.deferred_error.is_some() {
             return;
         }
-        let line = frame_to_json(self.grid_digest, index, &result.cell, &result.outcome());
+        let line = result_frame_to_json(self.grid_digest, index, result);
         if let Err(e) = writeln!(self.out, "{line}") {
             self.deferred_error = Some(e);
         } else {
@@ -313,7 +313,7 @@ impl CellSink for JsonlSpillSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::frame_from_json;
+    use crate::wire::{frame_from_json, frame_to_json};
     use btgs_core::{BeSourceMix, GridCell, PollerKind, ScenarioGrid};
     use btgs_des::{DetRng, SimDuration, SimTime};
 
@@ -473,7 +473,13 @@ mod tests {
 
     #[test]
     fn spill_sink_writes_parseable_frames() {
-        let g = grid();
+        // One- and two-piconet cells, the latter observed: every outcome
+        // shape a frame carries.
+        let g = ScenarioGrid {
+            piconets: vec![1, 2],
+            telemetry: true,
+            ..grid()
+        };
         let dir = std::env::temp_dir().join(format!("btgs-spill-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cells.jsonl");
@@ -484,17 +490,27 @@ mod tests {
             spill.accept(i, r);
         }
         let (written, lines) = spill.finish().unwrap();
-        assert_eq!(lines, 4);
+        assert_eq!(lines, 8);
         let content = std::fs::read_to_string(&written).unwrap();
         let digest = grid_digest(&g);
-        let mut seen = [false; 4];
+        let mut seen = [false; 8];
         for line in content.lines() {
             let frame = frame_from_json(line).unwrap();
             assert_eq!(frame.grid_digest, digest);
             assert_eq!(frame.cell, cells[frame.index]);
+            // Written from the borrowed result, byte for byte the frame of
+            // its cloned outcome.
+            let result = &results[frame.index];
+            assert_eq!(
+                line,
+                frame_to_json(digest, frame.index, &result.cell, &result.outcome())
+            );
             seen[frame.index] = true;
         }
         assert!(seen.iter().all(|&s| s));
+        assert!(results
+            .iter()
+            .any(|r| r.scatternet.as_ref().is_some_and(|s| s.telemetry.is_some())));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -28,12 +28,13 @@
 //! difference from the previous one (the first from zero). Sorting is
 //! what makes blocks small: GS packets arrive on a 20 ms grid and
 //! complete on the 625 µs slot grid, so delays repeat and most deltas are
-//! zero, one byte each. Only the samples' storage order changes, which no
-//! public query observes ([`DelayStats::samples_nanos`]).
+//! zero, one byte each. Only the samples' storage order changes, and no
+//! statistic depends on it (see [`DelayStats::for_each_nanos`]).
 //!
-//! A block decodes straight into the sample vector, with no JSON node
-//! per sample. The declared count is bounded by the block's length
-//! before anything is allocated, and every malformed block is a
+//! A block decodes straight into a [`DelayStats`], one recorded sample
+//! at a time, with no JSON node per sample and no intermediate vector.
+//! The declared count is bounded by the block's length before anything
+//! is reserved, and every malformed block is a
 //! [`WireError`]: not a string, a byte outside the base64 alphabet, an
 //! impossible length, a truncated varint or one past 64 bits, a count
 //! the block cannot hold, a running sum past `u64::MAX`, trailing bytes.
@@ -60,7 +61,9 @@
 
 use crate::json::{escape, Json};
 use btgs_baseband::{AmAddr, Direction, LogicalChannel, PacketType};
-use btgs_core::{BeSourceMix, CellOutcome, GridCell, PollerKind, ScenarioGrid, Topology};
+use btgs_core::{
+    BeSourceMix, CellOutcome, CellResult, GridCell, PollerKind, ScenarioGrid, Topology,
+};
 use btgs_des::{SimDuration, SimTime};
 use btgs_metrics::DelayStats;
 use btgs_piconet::{
@@ -363,15 +366,43 @@ pub struct CellFrame {
 /// ([`DelayStats::for_each_nanos_ascending`]), which no public query
 /// observes.
 pub fn frame_to_json(digest: u64, index: usize, cell: &GridCell, outcome: &CellOutcome) -> String {
+    let outcome = match outcome {
+        CellOutcome::Piconet(report) => OutcomeRef::Piconet(report),
+        CellOutcome::Scatternet(report, telemetry) => {
+            OutcomeRef::Scatternet(report, telemetry.as_deref())
+        }
+    };
+    push_frame(digest, index, cell, outcome)
+}
+
+/// The frame [`frame_to_json`] writes for `result`'s
+/// [`outcome`](CellResult::outcome), read from the borrowed result: no
+/// report or sample buffer is cloned, and the result's own sample
+/// buffers are the ones sorted in place.
+pub(crate) fn result_frame_to_json(digest: u64, index: usize, result: &CellResult) -> String {
+    let outcome = match &result.scatternet {
+        None => OutcomeRef::Piconet(&result.report),
+        Some(s) => OutcomeRef::Scatternet(&s.report, s.telemetry.as_deref()),
+    };
+    push_frame(digest, index, &result.cell, outcome)
+}
+
+/// A borrowed [`CellOutcome`].
+enum OutcomeRef<'a> {
+    Piconet(&'a RunReport),
+    Scatternet(&'a ScatternetReport, Option<&'a TelemetryReport>),
+}
+
+fn push_frame(digest: u64, index: usize, cell: &GridCell, outcome: OutcomeRef<'_>) -> String {
     let mut s = String::with_capacity(4096);
     let _ = write!(s, "{{\"v\":2,\"grid\":{digest},\"index\":{index},\"cell\":");
     push_cell(&mut s, cell);
     match outcome {
-        CellOutcome::Piconet(report) => {
+        OutcomeRef::Piconet(report) => {
             s.push_str(",\"piconet\":");
             push_run_report(&mut s, report);
         }
-        CellOutcome::Scatternet(report, telemetry) => {
+        OutcomeRef::Scatternet(report, telemetry) => {
             s.push_str(",\"scatternet\":");
             push_scatternet_report(&mut s, report);
             if let Some(t) = telemetry {
@@ -625,9 +656,9 @@ fn push_delay(s: &mut String, d: &DelayStats) {
     s.push('"');
 }
 
-/// Decodes a sample block (see [`push_delay`]) straight into the sample
-/// vector. The declared count is bounded by the block's length before
-/// anything is allocated for it.
+/// Decodes a sample block (see [`push_delay`]), recording each sample
+/// straight into the collector. The declared count is bounded by the
+/// block's length before anything is reserved for it.
 fn delay_from_json(j: &Json) -> Result<DelayStats, WireError> {
     let text = j
         .as_str()
@@ -645,14 +676,15 @@ fn delay_from_json(j: &Json) -> Result<DelayStats, WireError> {
                 rest.len()
             ))
         })?;
-    let mut samples = Vec::with_capacity(count);
+    let mut stats = DelayStats::new();
+    stats.reserve(count);
     let mut ns = 0u64;
     for _ in 0..count {
         let delta = read_varint(&mut rest).map_err(wire_err)?;
         ns = ns
             .checked_add(delta)
             .ok_or_else(|| wire_err("a sample block sums past u64::MAX"))?;
-        samples.push(ns);
+        stats.record(SimDuration::from_nanos(ns));
     }
     if !rest.is_empty() {
         return Err(wire_err(format!(
@@ -660,7 +692,7 @@ fn delay_from_json(j: &Json) -> Result<DelayStats, WireError> {
             rest.len()
         )));
     }
-    Ok(DelayStats::from_nanos_samples(samples))
+    Ok(stats)
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -1480,7 +1512,10 @@ mod tests {
             &[u64::MAX, u64::MAX - 1, 1, u64::MAX],
         ];
         for samples in inputs {
-            let stats = DelayStats::from_nanos_samples(samples.to_vec());
+            let mut stats = DelayStats::new();
+            for &ns in samples {
+                stats.record(SimDuration::from_nanos(ns));
+            }
             let mut json = String::new();
             push_delay(&mut json, &stats);
             let Json::Str(text) = Json::parse(&json).unwrap() else {
@@ -1490,7 +1525,9 @@ mod tests {
             let decoded = delay_from_json(&Json::Str(text)).unwrap();
             let mut sorted = samples.to_vec();
             sorted.sort();
-            assert_eq!(decoded.samples_nanos(), sorted, "{samples:?}");
+            let mut seen = Vec::new();
+            decoded.for_each_nanos(|ns| seen.push(ns));
+            assert_eq!(seen, sorted, "{samples:?}");
             assert_eq!(decoded.sum_nanos(), stats.sum_nanos(), "{samples:?}");
         }
         // No samples: a one-byte block holding the count 0.

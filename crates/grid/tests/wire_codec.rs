@@ -13,6 +13,8 @@ use btgs_core::{BeSourceMix, CellOutcome, Improvements, PollerKind, ScenarioGrid
 use btgs_des::{DetRng, SimDuration, SimTime};
 use btgs_grid::json::Json;
 use btgs_grid::wire::{fnv1a64, frame_from_json, frame_to_json, grid_digest};
+use btgs_metrics::DelayStats;
+use btgs_piconet::ScatternetReport;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
@@ -105,6 +107,80 @@ fn delay_samples_travel_as_sample_blocks() {
          delay samples must travel as sorted delta-varint sample blocks (3,156 B), \
          not as decimal arrays (4,881 B)"
     );
+}
+
+/// The statistics every consumer reads from a sample set, and its
+/// samples ascending.
+fn statistics(d: &DelayStats) -> String {
+    let mut ascending = Vec::new();
+    d.for_each_nanos_ascending(|ns| ascending.push(ns));
+    let quantiles: Vec<_> = [0.0, 0.5, 0.95, 0.99, 1.0].map(|q| d.quantile(q)).to_vec();
+    format!(
+        "n={} sum={} min={:?} mean={:?} max={:?} q={quantiles:?} over={} {ascending:?}",
+        d.count(),
+        d.sum_nanos(),
+        d.min(),
+        d.mean(),
+        d.max(),
+        d.violations_of(SimDuration::from_nanos(u64::from(u32::MAX))),
+    )
+}
+
+/// Every sample set of a scatternet report, in a fixed order.
+fn sample_sets(r: &ScatternetReport) -> Vec<&DelayStats> {
+    let flows = r.piconets.iter().flat_map(|p| p.per_flow.values());
+    let chains = r.chains.iter().flat_map(|c| [&c.e2e, &c.residence]);
+    flows.map(|f| &f.delay).chain(chains).collect()
+}
+
+/// A sample above `u32::MAX` ns (≈4.29 s) widens its collector's buffer
+/// to 8-byte samples. A frame whose series mix samples below and above
+/// 2³² ns must still round-trip encode → decode → encode byte for byte,
+/// with the same statistics.
+#[test]
+fn samples_past_u32_max_round_trip_byte_for_byte() {
+    let grid = grid(2, false);
+    let cell = grid.cells()[0];
+    let CellOutcome::Scatternet(mut report, None) = cell.simulate() else {
+        unreachable!("an unobserved 2-piconet cell has a scatternet outcome");
+    };
+    let wide = [
+        u64::from(u32::MAX) + 1,
+        78_000_000_000,
+        166_000_000_000,
+        1 << 63,
+    ];
+    let chain = &mut report.chains[0];
+    let flow = report.piconets[0]
+        .per_flow
+        .values_mut()
+        .find(|f| f.delay.count() > 0)
+        .expect("a flow with samples");
+    for d in [&mut flow.delay, &mut chain.e2e, &mut chain.residence] {
+        assert!(d.count() > 0, "the narrow samples come first");
+        for ns in wide {
+            d.record(SimDuration::from_nanos(ns));
+        }
+        d.record(SimDuration::from_nanos(u64::from(u32::MAX)));
+    }
+    let digest = grid_digest(&grid);
+    let outcome = CellOutcome::Scatternet(report, None);
+    let json = frame_to_json(digest, 0, &cell, &outcome);
+    let decoded = frame_from_json(&json).unwrap().outcome;
+    assert_eq!(frame_to_json(digest, 0, &cell, &decoded), json);
+
+    let (CellOutcome::Scatternet(sent, _), CellOutcome::Scatternet(got, _)) = (&outcome, &decoded)
+    else {
+        unreachable!("both outcomes are scatternet outcomes");
+    };
+    let (sent, got) = (sample_sets(sent), sample_sets(got));
+    assert_eq!(sent.len(), got.len());
+    let mut widened = 0;
+    for (a, b) in sent.iter().zip(&got) {
+        assert_eq!(statistics(a), statistics(b));
+        widened += usize::from(b.violations_of(SimDuration::from_nanos(u64::from(u32::MAX))) > 0);
+    }
+    assert_eq!(widened, 3, "the flow, the e2e and the residence series");
 }
 
 #[test]

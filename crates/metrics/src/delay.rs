@@ -6,9 +6,18 @@ use std::cell::{Cell, RefCell};
 
 /// Collects per-packet delay samples and answers summary queries.
 ///
-/// Samples are kept in full (a 530 s paper run produces 25 000 samples per
-/// flow — trivially small), so percentiles are exact rather than
-/// approximated.
+/// Samples are kept in full, so percentiles and bound checks are exact
+/// rather than approximated: a 1000 s paper run records about 49,900
+/// samples per GS flow.
+///
+/// Each sample is stored in nanoseconds, in 4 bytes while every sample
+/// fits in a `u32` (delays up to ≈4.29 s, which covers every GS flow and
+/// chain). The first sample above `u32::MAX` ns widens the whole buffer
+/// to 8 bytes, once, keeping the samples' order and at least the
+/// buffer's capacity, so an earlier [`reserve`](DelayStats::reserve)
+/// still covers its samples; only saturated best-effort flows get that
+/// far. The width is not observable: every query answers, and `Debug`
+/// prints, as for one buffer of `u64` nanoseconds.
 ///
 /// Order-statistic queries ([`quantile`](DelayStats::quantile),
 /// [`violations_of`](DelayStats::violations_of), the `Display` p95) share a
@@ -35,9 +44,132 @@ use std::cell::{Cell, RefCell};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DelayStats {
-    samples_ns: RefCell<Vec<u64>>,
+    samples_ns: RefCell<Samples>,
     sorted: Cell<bool>,
     sum_ns: u128,
+}
+
+/// A sample buffer in nanoseconds: 4 bytes a sample until a sample above
+/// `u32::MAX` ns widens it to 8 (see [`DelayStats`]).
+#[derive(Clone)]
+enum Samples {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
+/// Evaluates `$body` with `$v` bound to the buffer of `$samples` at its
+/// width; [`nanos`] reads a sample at either width.
+macro_rules! at_width {
+    ($samples:expr, $v:ident => $body:expr) => {
+        match $samples {
+            Samples::Narrow($v) => $body,
+            Samples::Wide($v) => $body,
+        }
+    };
+}
+
+/// A stored sample in nanoseconds.
+fn nanos<T: Copy + Into<u64>>(ns: &T) -> u64 {
+    (*ns).into()
+}
+
+impl Default for Samples {
+    fn default() -> Samples {
+        Samples::Narrow(Vec::new())
+    }
+}
+
+/// Prints the samples as a list of nanoseconds, so a [`DelayStats`]'s
+/// derived `Debug` text is the same at either width.
+impl fmt::Debug for Samples {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        at_width!(self, v => fmt::Debug::fmt(v, f))
+    }
+}
+
+impl Samples {
+    fn len(&self) -> usize {
+        at_width!(self, v => v.len())
+    }
+
+    fn get(&self, i: usize) -> Option<u64> {
+        at_width!(self, v => v.get(i).map(nanos))
+    }
+
+    /// The smallest sample; a sorted buffer holds it first.
+    fn min(&self, sorted: bool) -> Option<u64> {
+        at_width!(self, v => if sorted { v.first() } else { v.iter().min() }.map(nanos))
+    }
+
+    /// The largest sample; a sorted buffer holds it last.
+    fn max(&self, sorted: bool) -> Option<u64> {
+        at_width!(self, v => if sorted { v.last() } else { v.iter().max() }.map(nanos))
+    }
+
+    /// Number of samples at or below `bound` ns, in a sorted buffer.
+    fn count_within(&self, bound: u64) -> usize {
+        at_width!(self, v => v.partition_point(|ns| nanos(ns) <= bound))
+    }
+
+    fn for_each(&self, mut f: impl FnMut(u64)) {
+        at_width!(self, v => v.iter().for_each(|ns| f(nanos(ns))))
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        at_width!(self, v => v.reserve(additional))
+    }
+
+    fn sort(&mut self) {
+        // analyze: allow(unstable-sort): samples sorted by value, at either
+        // width — equal keys are bit-identical, so their relative order
+        // cannot reach any percentile or report byte.
+        at_width!(self, v => v.sort_unstable())
+    }
+
+    /// Appends one sample: a sample that fits a narrow buffer inline, any
+    /// other out of line, so recording stays small where it is inlined.
+    #[inline]
+    fn push(&mut self, ns: u64) {
+        match (self, u32::try_from(ns)) {
+            (Samples::Narrow(v), Ok(narrow)) => v.push(narrow),
+            (samples, _) => samples.push_wide(ns),
+        }
+    }
+
+    /// Appends a sample to a wide buffer, widening a narrow one first.
+    #[inline(never)]
+    fn push_wide(&mut self, ns: u64) {
+        match self {
+            Samples::Wide(v) => v.push(ns),
+            samples => samples.widen().push(ns),
+        }
+    }
+
+    /// Appends every sample of `other`, widening first if `other` is wide.
+    fn extend(&mut self, other: &Samples) {
+        match (self, other) {
+            (Samples::Narrow(v), Samples::Narrow(o)) => v.extend_from_slice(o),
+            (Samples::Wide(v), Samples::Narrow(o)) => v.extend(o.iter().map(nanos)),
+            (samples, Samples::Wide(o)) => samples.widen().extend_from_slice(o),
+        }
+    }
+
+    /// The buffer as 8-byte samples, converting a narrow one in order and
+    /// keeping at least its capacity. Out of line, since a buffer widens
+    /// at most once and recording must stay cheap.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) -> &mut Vec<u64> {
+        if let Samples::Narrow(narrow) = self {
+            let mut wide = Vec::with_capacity(narrow.capacity());
+            wide.extend(narrow.iter().map(nanos));
+            *self = Samples::Wide(wide);
+        }
+        match self {
+            Samples::Wide(wide) => wide,
+            Samples::Narrow(_) => unreachable!("the buffer was just widened"),
+        }
+    }
 }
 
 impl DelayStats {
@@ -46,7 +178,10 @@ impl DelayStats {
         DelayStats::default()
     }
 
-    /// Records one delay sample.
+    /// Records one delay sample. Inline, so a loop that records many
+    /// samples (the grid wire decoder's) keeps the narrow push in the
+    /// loop.
+    #[inline]
     pub fn record(&mut self, delay: SimDuration) {
         self.samples_ns.get_mut().push(delay.as_nanos());
         self.sum_ns += delay.as_nanos() as u128;
@@ -63,10 +198,7 @@ impl DelayStats {
     /// Sorts the sample buffer in place unless it is already sorted.
     fn ensure_sorted(&self) {
         if !self.sorted.get() {
-            // analyze: allow(unstable-sort): u64 samples sorted by value —
-            // equal keys are bit-identical, so their relative order cannot
-            // reach any percentile or report byte.
-            self.samples_ns.borrow_mut().sort_unstable();
+            self.samples_ns.borrow_mut().sort();
             self.sorted.set(true);
         }
     }
@@ -78,27 +210,25 @@ impl DelayStats {
 
     /// `true` if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples_ns.borrow().is_empty()
+        self.count() == 0
     }
 
     /// Smallest sample.
     pub fn min(&self) -> Option<SimDuration> {
-        let samples = self.samples_ns.borrow();
-        if self.sorted.get() {
-            samples.first().map(|&ns| SimDuration::from_nanos(ns))
-        } else {
-            samples.iter().min().map(|&ns| SimDuration::from_nanos(ns))
-        }
+        let sorted = self.sorted.get();
+        self.samples_ns
+            .borrow()
+            .min(sorted)
+            .map(SimDuration::from_nanos)
     }
 
     /// Largest sample.
     pub fn max(&self) -> Option<SimDuration> {
-        let samples = self.samples_ns.borrow();
-        if self.sorted.get() {
-            samples.last().map(|&ns| SimDuration::from_nanos(ns))
-        } else {
-            samples.iter().max().map(|&ns| SimDuration::from_nanos(ns))
-        }
+        let sorted = self.sorted.get();
+        self.samples_ns
+            .borrow()
+            .max(sorted)
+            .map(SimDuration::from_nanos)
     }
 
     /// Exact sum of all samples, in nanoseconds. The scatternet tests use
@@ -138,7 +268,7 @@ impl DelayStats {
         let samples = self.samples_ns.borrow();
         let n = samples.len();
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        Some(SimDuration::from_nanos(samples[rank - 1]))
+        samples.get(rank - 1).map(SimDuration::from_nanos)
     }
 
     /// Number of samples strictly greater than `bound`.
@@ -149,15 +279,12 @@ impl DelayStats {
     pub fn violations_of(&self, bound: SimDuration) -> usize {
         self.ensure_sorted();
         let samples = self.samples_ns.borrow();
-        let b = bound.as_nanos();
-        samples.len() - samples.partition_point(|&ns| ns <= b)
+        samples.len() - samples.count_within(bound.as_nanos())
     }
 
     /// Merges another collector's samples into this one.
     pub fn merge(&mut self, other: &DelayStats) {
-        self.samples_ns
-            .get_mut()
-            .extend_from_slice(&other.samples_ns.borrow());
+        self.samples_ns.get_mut().extend(&other.samples_ns.borrow());
         self.sum_ns += other.sum_ns;
         self.sorted.set(false);
     }
@@ -169,10 +296,8 @@ impl DelayStats {
     /// Storage order is recording order until an order-statistic query
     /// sorts the buffer; a collector decoded from a grid wire frame holds
     /// its samples in ascending order.
-    pub fn for_each_nanos(&self, mut f: impl FnMut(u64)) {
-        for &ns in self.samples_ns.borrow().iter() {
-            f(ns);
-        }
+    pub fn for_each_nanos(&self, f: impl FnMut(u64)) {
+        self.samples_ns.borrow().for_each(f);
     }
 
     /// Calls `f` with every recorded sample (in nanoseconds) in ascending
@@ -182,28 +307,6 @@ impl DelayStats {
     pub fn for_each_nanos_ascending(&self, f: impl FnMut(u64)) {
         self.ensure_sorted();
         self.for_each_nanos(f);
-    }
-
-    /// A copy of the raw sample buffer in nanoseconds, in storage order.
-    ///
-    /// Storage order is an implementation detail (order-statistic queries
-    /// may have sorted the buffer in place, and samples decoded from a
-    /// grid wire frame arrive ascending); no public query depends on it,
-    /// so serializing and re-loading samples through this accessor
-    /// preserves every observable statistic exactly.
-    pub fn samples_nanos(&self) -> Vec<u64> {
-        self.samples_ns.borrow().clone()
-    }
-
-    /// Rebuilds a collector from raw nanosecond samples (the inverse of
-    /// [`DelayStats::samples_nanos`]); the exact sum is recomputed.
-    pub fn from_nanos_samples(samples: Vec<u64>) -> DelayStats {
-        let sum_ns = samples.iter().map(|&ns| ns as u128).sum();
-        DelayStats {
-            samples_ns: RefCell::new(samples),
-            sorted: Cell::new(false),
-            sum_ns,
-        }
     }
 }
 
@@ -246,7 +349,10 @@ impl DelaySummary {
         DelaySummary::default()
     }
 
-    /// Records one delay sample.
+    /// Records one delay sample. Inline, so a loop that records many
+    /// samples (the grid wire decoder's) keeps the narrow push in the
+    /// loop.
+    #[inline]
     pub fn record(&mut self, delay: SimDuration) {
         let ns = delay.as_nanos();
         if self.count == 0 {
@@ -480,7 +586,8 @@ mod tests {
         }
         // Force a sort so storage order differs from insertion order.
         assert_eq!(s.quantile(0.5), Some(ms(20)));
-        let rebuilt = DelayStats::from_nanos_samples(s.samples_nanos());
+        let mut rebuilt = DelayStats::new();
+        s.for_each_nanos(|ns| rebuilt.record(SimDuration::from_nanos(ns)));
         assert_eq!(rebuilt.count(), s.count());
         assert_eq!(rebuilt.sum_nanos(), s.sum_nanos());
         assert_eq!(rebuilt.min(), s.min());
@@ -491,6 +598,52 @@ mod tests {
         let mut sum = 0u128;
         rebuilt.for_each_nanos(|ns| sum += ns as u128);
         assert_eq!(sum, rebuilt.sum_nanos());
+    }
+
+    #[test]
+    fn widening_keeps_order_capacity_and_debug_text() {
+        let big = u64::from(u32::MAX) + 1;
+        let mut s = DelayStats::new();
+        s.reserve(8);
+        for ns in [7, u64::from(u32::MAX), 3] {
+            s.record(SimDuration::from_nanos(ns));
+        }
+        let narrow = format!("{s:?}");
+        assert!(matches!(*s.samples_ns.borrow(), Samples::Narrow(_)));
+        s.record(SimDuration::from_nanos(big));
+        s.record(SimDuration::from_nanos(1));
+        match &*s.samples_ns.borrow() {
+            Samples::Wide(v) => {
+                assert_eq!(*v, [7, u64::from(u32::MAX), 3, big, 1], "order kept");
+                assert!(v.capacity() >= 8, "the earlier reserve still holds");
+            }
+            Samples::Narrow(_) => panic!("a sample past u32::MAX must widen"),
+        }
+        assert_eq!(
+            narrow,
+            "DelayStats { samples_ns: RefCell { value: [7, 4294967295, 3] }, \
+             sorted: Cell { value: false }, sum_ns: 4294967305 }"
+        );
+        assert_eq!(s.max(), Some(SimDuration::from_nanos(big)));
+        assert_eq!(
+            s.violations_of(SimDuration::from_nanos(u64::from(u32::MAX))),
+            1
+        );
+        assert_eq!(s.quantile(0.0), Some(SimDuration::from_nanos(1)));
+
+        // A wide collector merged into a narrow one widens it; a narrow
+        // one merged into a wide one does not narrow it.
+        let mut narrow = DelayStats::new();
+        narrow.record(ms(2));
+        narrow.merge(&s);
+        assert!(matches!(*narrow.samples_ns.borrow(), Samples::Wide(_)));
+        assert_eq!(narrow.count(), 6);
+        let mut wide = s.clone();
+        let mut small = DelayStats::new();
+        small.record(ms(2));
+        wide.merge(&small);
+        assert!(matches!(*wide.samples_ns.borrow(), Samples::Wide(_)));
+        assert_eq!(wide.sum_nanos(), narrow.sum_nanos());
     }
 
     #[test]

@@ -73,8 +73,8 @@
 //! piconet builds none at all. The build reserves hot state first: every
 //! island's world (its flow records included) and relay buffers, and only
 //! then, in one pass over all islands, the delay-sample buffers and
-//! origin FIFOs, so the 8–32 KiB sample reserves never sit between two
-//! islands' hot state (see `IslandState`).
+//! origin FIFOs, so the 4 KiB sample reserves (16 KiB for SCO voice)
+//! never sit between two islands' hot state (see `IslandState`).
 
 use crate::config::{PiconetConfig, PiconetError};
 use crate::flow_table::{FlowIdx, IdIndex};
@@ -85,7 +85,7 @@ use crate::sanitizer::{
     EngineMutation, Mutator, Recorder, RecorderIsland, RunTrace, SanitizedRun, Sanitizer,
     TraceConfig,
 };
-use crate::sim::{handle, seed_world, Ev, Target, World};
+use crate::sim::{handle, seed_world, Ev, Target, World, SERIES_SAMPLES};
 use crate::sync_protocol::{barrier_wait, block_bounds, BarrierOrderings, SyncEnv};
 use crate::telemetry::{EventMeter, ObsConfig, ObservedRun, Observer};
 use btgs_baseband::{ChannelModel, PiconetId, PresenceWindow, ScopedSlave, SLOT_PAIR};
@@ -274,8 +274,8 @@ struct ChainLocal {
 /// * every island's world (one record per flow) and relay buffers come
 ///   first ([`ScatternetSim::new`] up to the relay arming);
 /// * the delay-sample buffers and origin FIFOs of every island follow in
-///   one pass ([`IslandState::reserve_samples`]), so no 8–32 KiB reserve
-///   sits between two islands' hot state;
+///   one pass ([`IslandState::reserve_samples`]), so no 4 KiB sample
+///   reserve (16 KiB for SCO voice) sits between two islands' hot state;
 /// * an island keeps statistics only for the chains routed through it,
 ///   and its relay buffers are sized to a sustainable chain's steady
 ///   state, not to worst-case head-room.
@@ -361,22 +361,24 @@ impl IslandState {
     }
 
     /// Reserves the sample buffers (the world's delay samples, the
-    /// chains' end-to-end and residence samples) and the origin FIFOs of
-    /// the relay-fed flows. Run once per island after every island's hot
-    /// state exists (see [`IslandState`]).
+    /// chains' end-to-end and residence samples, [`SERIES_SAMPLES`] each)
+    /// and the origin FIFOs of the relay-fed flows. Run once per island
+    /// after every island's hot state exists (see [`IslandState`]).
     fn reserve_samples(&mut self) {
         self.world.reserve_samples();
         for route in self.world.flows.iter().filter_map(|f| f.route) {
             match route {
                 HopNext::Terminal { stats } => {
-                    self.chain_stats[stats as usize].e2e.reserve(4096);
+                    self.chain_stats[stats as usize].e2e.reserve(SERIES_SAMPLES);
                 }
                 HopNext::Forward {
                     stats,
                     window: Some(_),
                     ..
                 } => {
-                    self.chain_stats[stats as usize].residence.reserve(4096);
+                    self.chain_stats[stats as usize]
+                        .residence
+                        .reserve(SERIES_SAMPLES);
                 }
                 HopNext::Forward { .. } => {}
             }

@@ -41,6 +41,11 @@ use btgs_des::{PendingEvents, Scheduler, SimDuration, SimTime};
 use btgs_traffic::{AppPacket, FlowId, Source};
 use std::collections::{BTreeMap, VecDeque};
 
+/// Delay samples reserved for each packet series: a flow's delays, and a
+/// relay chain's end-to-end delays and bridge residences, which gain one
+/// sample per relayed packet, the rate of the chain's hop flows.
+pub(crate) const SERIES_SAMPLES: usize = 1024;
+
 /// Destination of a source's packets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Target {
@@ -382,14 +387,14 @@ impl World {
             .filter_map(|(i, s)| Some((i, s.binding.voice_flow?)))
     }
 
-    /// Reserves the delay-sample buffers. The build leaves them empty so
-    /// the scatternet can reserve every island's samples after all
-    /// islands' hot state exists; the head-room keeps early in-window
-    /// samples from growing a buffer mid-run (it doubles amortized
-    /// beyond this).
+    /// Reserves the delay-sample buffers: [`SERIES_SAMPLES`] per flow, 4 KiB
+    /// of 4-byte samples. The build leaves them empty so the scatternet
+    /// can reserve every island's samples after all islands' hot state
+    /// exists; the head-room keeps early in-window samples from growing a
+    /// buffer mid-run (it doubles amortized beyond this).
     pub(crate) fn reserve_samples(&mut self) {
         for f in &mut self.flows {
-            f.report.delay.reserve(1024);
+            f.report.delay.reserve(SERIES_SAMPLES);
         }
         // Voice samples arrive every T_sco, hence the larger head-room.
         for s in &mut self.sco {
