@@ -15,7 +15,6 @@ use btgs_core::{
 use btgs_des::SimDuration;
 use btgs_gs::{delay_bound, ErrorTerms};
 use btgs_metrics::Table;
-use btgs_piconet::SarPolicy;
 use btgs_traffic::FlowId;
 
 fn main() {
@@ -26,7 +25,6 @@ fn main() {
     let tspec = paper_tspec();
     let cfg = AdmissionConfig::paper();
     let eta = min_poll_efficiency(
-        &SarPolicy::MaxFirst,
         tspec.min_policed_unit(),
         tspec.max_packet(),
         &cfg.allowed_types,

@@ -25,7 +25,6 @@ use crate::ymax::{y_max, HigherEntity};
 use btgs_baseband::{AmAddr, Direction, PacketType};
 use btgs_des::SimDuration;
 use btgs_gs::{delay_bound, ErrorTerms, TokenBucketSpec};
-use btgs_piconet::SarPolicy;
 use btgs_traffic::FlowId;
 use core::fmt;
 
@@ -78,8 +77,6 @@ impl GsRequest {
 pub struct AdmissionConfig {
     /// Baseband packet types GS flows may use.
     pub allowed_types: Vec<PacketType>,
-    /// Segmentation policy in force.
-    pub sar: SarPolicy,
     /// How per-entity segment times are accounted (ablation: the paper uses
     /// [`SegmentTimeModel::Conservative`]).
     pub segment_time: SegmentTimeModel,
@@ -90,12 +87,11 @@ pub struct AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// The paper's evaluation configuration: DH1+DH3, max-first
-    /// segmentation, conservative segment times, piggybacking on.
+    /// The paper's evaluation configuration: DH1+DH3, conservative segment
+    /// times, piggybacking on.
     pub fn paper() -> AdmissionConfig {
         AdmissionConfig {
             allowed_types: vec![PacketType::Dh1, PacketType::Dh3],
-            sar: SarPolicy::MaxFirst,
             segment_time: SegmentTimeModel::Conservative,
             piggyback: true,
         }
@@ -269,7 +265,6 @@ pub fn admit(
         .iter()
         .map(|r| {
             min_poll_efficiency(
-                &config.sar,
                 r.tspec.min_policed_unit(),
                 r.tspec.max_packet(),
                 &config.allowed_types,

@@ -399,7 +399,6 @@ impl ScatternetAdmissionController {
     ) -> Result<&ChainGrant, ChainAdmissionError> {
         self.validate(&request)?;
         let eta = min_poll_efficiency(
-            &self.config.sar,
             request.tspec.min_policed_unit(),
             request.tspec.max_packet(),
             &self.config.allowed_types,

@@ -5,7 +5,7 @@
 //!
 //! * **Poll efficiency** ([`min_poll_efficiency`], Eq. 4) — the fewest
 //!   payload bytes a poll is guaranteed to move, given the flow's packet
-//!   size range and segmentation policy.
+//!   size range and allowed packet types.
 //! * **Poll interval** ([`poll_interval`], Eq. 5) — `x = eta_min / R`.
 //! * **Maximum poll delay** ([`y_max`], Fig. 2) — the fixed point of the
 //!   higher-priority drain recurrence.

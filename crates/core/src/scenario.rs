@@ -34,7 +34,7 @@ use crate::ymax::{y_fixpoint, HigherEntity};
 use btgs_baseband::{AmAddr, Direction, IdealChannel, PacketType};
 use btgs_des::{DetRng, SimDuration, SimTime};
 use btgs_gs::{delay_bound, required_rate, ErrorTerms, TokenBucketSpec};
-use btgs_piconet::{PiconetConfig, PiconetError, PiconetSim, Poller, RunReport, SarPolicy};
+use btgs_piconet::{PiconetConfig, PiconetError, PiconetSim, Poller, RunReport};
 use btgs_pollers::PfpBePoller;
 use btgs_traffic::{CbrSource, FlowId, OnOffSource, PoissonSource, Source};
 
@@ -189,9 +189,8 @@ pub(crate) fn derive_gs_schedule(
     delay_requirement: SimDuration,
     allowed: &[PacketType],
 ) -> (AdmissionOutcome, Vec<GsFlowPlan>) {
-    let sar = SarPolicy::MaxFirst;
     let tspec = paper_tspec();
-    let eta = min_poll_efficiency(&sar, tspec.min_policed_unit(), tspec.max_packet(), allowed);
+    let eta = min_poll_efficiency(tspec.min_policed_unit(), tspec.max_packet(), allowed);
     let u = piconet_u(allowed);
 
     let mut higher: Vec<HigherEntity> = Vec::new();

@@ -1,7 +1,6 @@
 //! Piconet configuration.
 
 use crate::flow::{validate_flows, FlowSpec};
-use crate::sar::{AlwaysLargestPolicy, MaxFirstPolicy, SegmentationPolicy};
 use btgs_baseband::{AmAddr, PacketType, PresenceWindow, ScoLink, SLOT};
 use btgs_des::{SimDuration, SimTime};
 use btgs_traffic::FlowId;
@@ -19,30 +18,6 @@ impl fmt::Display for PiconetError {
 
 impl std::error::Error for PiconetError {}
 
-/// The segmentation policy used by every queue in the piconet.
-///
-/// An enum (rather than a boxed trait) keeps configurations `Clone` for
-/// parameter sweeps; both variants delegate to the crate's segmentation
-/// policies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SarPolicy {
-    /// The paper's policy: largest packet unless the remainder fits a
-    /// smaller one.
-    #[default]
-    MaxFirst,
-    /// Always the largest allowed packet (ablation baseline).
-    AlwaysLargest,
-}
-
-impl SegmentationPolicy for SarPolicy {
-    fn next_type(&self, remaining: u32, allowed: &[PacketType]) -> Option<PacketType> {
-        match self {
-            SarPolicy::MaxFirst => MaxFirstPolicy.next_type(remaining, allowed),
-            SarPolicy::AlwaysLargest => AlwaysLargestPolicy.next_type(remaining, allowed),
-        }
-    }
-}
-
 /// A flow's allowed packet types, pre-filtered by every possible
 /// per-direction slot budget of an exchange.
 ///
@@ -58,8 +33,8 @@ impl SegmentationPolicy for SarPolicy {
 /// The sets are stored inline, one fixed array per class, so the table
 /// lives inside the simulator's per-flow record with no heap allocation
 /// of its own. Each set lists the distinct allowed types in the order of
-/// their first occurrence (a type named twice is stored once; both
-/// segmentation policies pick the same packet either way).
+/// their first occurrence (a type named twice is stored once; the
+/// segmentation rule picks the same packet either way).
 ///
 /// # Examples
 ///
@@ -81,7 +56,7 @@ pub struct AllowedByCap {
     /// Filtered sets for caps of 1–2, 3–4 and ≥ 5 slots: the first
     /// `len[class]` entries of `sets[class]`, in the allowed set's order
     /// (control types included, exactly like the unfiltered set handed to
-    /// the segmentation policy). Unused entries hold `Poll`.
+    /// the segmentation rule). Unused entries hold `Poll`.
     sets: [[PacketType; PACKET_TYPES]; 3],
     len: [u8; 3],
     /// Whether the matching set contains a data-bearing type.
@@ -306,8 +281,6 @@ pub struct PiconetConfig {
     pub flows: Vec<FlowSpec>,
     /// SCO links, if any.
     pub sco: Vec<ScoBinding>,
-    /// Segmentation policy for all queues.
-    pub sar: SarPolicy,
     /// Warm-up period excluded from all measurements.
     pub warmup: SimDuration,
     /// Per-slave presence schedule; trivial (all-present) outside a
@@ -331,7 +304,6 @@ impl PiconetConfig {
             allowed_types,
             flows: Vec::new(),
             sco: Vec::new(),
-            sar: SarPolicy::MaxFirst,
             warmup: SimDuration::ZERO,
             presence: PresenceMask::ALWAYS,
             arrival_batch: 1,
@@ -356,13 +328,6 @@ impl PiconetConfig {
     #[must_use]
     pub fn with_warmup(mut self, warmup: SimDuration) -> PiconetConfig {
         self.warmup = warmup;
-        self
-    }
-
-    /// Sets the segmentation policy (builder style).
-    #[must_use]
-    pub fn with_sar(mut self, sar: SarPolicy) -> PiconetConfig {
-        self.sar = sar;
         self
     }
 
@@ -611,19 +576,5 @@ mod tests {
             });
         let err = cfg.validate().unwrap_err();
         assert!(err.to_string().contains("collides"));
-    }
-
-    #[test]
-    fn sar_policy_delegates() {
-        let allowed = [PacketType::Dh1, PacketType::Dh3];
-        assert_eq!(
-            SarPolicy::MaxFirst.next_type(20, &allowed),
-            Some(PacketType::Dh1)
-        );
-        assert_eq!(
-            SarPolicy::AlwaysLargest.next_type(20, &allowed),
-            Some(PacketType::Dh3)
-        );
-        assert_eq!(SarPolicy::default(), SarPolicy::MaxFirst);
     }
 }

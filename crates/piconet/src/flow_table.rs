@@ -6,7 +6,8 @@
 //!
 //! * a dense arena of [`FlowSpec`]s addressed by [`FlowIdx`] (a `u32`
 //!   newtype), stable for the lifetime of the table;
-//! * O(1) lookup by [`FlowId`] and by the `(slave, direction, channel)`
+//! * lookup by [`FlowId`] (a direct map for small ids, a binary search
+//!   for sparse ones) and O(1) lookup by the `(slave, direction, channel)`
 //!   triple the exchange machinery keys on;
 //! * precomputed, sorted slave lists — overall and per logical channel —
 //!   so pollers iterate slices instead of allocating;
@@ -15,8 +16,6 @@
 use crate::flow::{validate_flows, FlowSpec};
 use btgs_baseband::{AmAddr, Direction, LogicalChannel};
 use btgs_traffic::FlowId;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Dense index of a flow within a [`FlowTable`] (and within the parallel
 /// queue/report arrays of the simulator).
@@ -60,48 +59,18 @@ const fn slave_slot(slave: AmAddr) -> usize {
     (slave.get() - 1) as usize
 }
 
-/// Multiplicative hasher for `FlowId` keys: a `u32` id needs mixing, not
-/// SipHash — on piconet-sized tables the default hasher costs more than the
-/// linear scan it replaces.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FlowIdHasher(u64);
-
-impl Hasher for FlowIdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (FNV-1a); `FlowId` hashes through `write_u32`.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        // Fibonacci multiplicative hash: one multiply, well distributed.
-        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-// analyze: allow(hash-iter): lookup-only — `IdIndex::get` resolves keyed
-// ids and nothing ever iterates the map; every ordered walk goes through
-// the dense arenas the values point into, so hash order cannot reach a
-// report.
-type IdMap<V> = HashMap<FlowId, V, BuildHasherDefault<FlowIdHasher>>;
-
 /// Resolves a flow id to its value: a [`FlowIdx`] in a [`FlowTable`], the
 /// owning piconet of a global id in the scatternet's routing.
+///
+/// Every lookup is cold (source registration, poller setup, by-id view
+/// queries): the simulation's hot paths address flows by [`FlowIdx`].
 #[derive(Clone, Debug)]
 pub(crate) enum IdIndex<V> {
     /// Direct map for the common case of small ids: `dense[id] == value`.
-    /// A single masked array read — faster than any scan or hash.
     Dense(Vec<Option<V>>),
-    /// Fast-hash map for sparse id spaces.
-    Spread(IdMap<V>),
+    /// `(id, value)` pairs sorted by id, binary-searched, for sparse id
+    /// spaces.
+    Sparse(Vec<(FlowId, V)>),
 }
 
 impl<V> Default for IdIndex<V> {
@@ -120,7 +89,7 @@ impl<V: Copy> IdIndex<V> {
     ///
     /// # Errors
     ///
-    /// Returns the first id yielded twice.
+    /// Returns an id yielded twice.
     pub(crate) fn build<I>(entries: impl Fn() -> I) -> Result<IdIndex<V>, FlowId>
     where
         I: Iterator<Item = (FlowId, V)>,
@@ -128,32 +97,32 @@ impl<V: Copy> IdIndex<V> {
         let (len, max_id) = entries().fold((0, 0), |(len, max), (id, _)| {
             (len + 1, max.max(id.0 as usize))
         });
-        let mut index = if max_id <= len * 8 + DENSE_ID_HEADROOM {
-            IdIndex::Dense(vec![None; max_id + 1])
-        } else {
-            IdIndex::Spread(IdMap::with_capacity_and_hasher(
-                len,
-                BuildHasherDefault::default(),
-            ))
-        };
-        for (id, value) in entries() {
-            let previous = match &mut index {
-                IdIndex::Dense(dense) => dense[id.0 as usize].replace(value),
-                IdIndex::Spread(map) => map.insert(id, value),
+        if max_id > len * 8 + DENSE_ID_HEADROOM {
+            let mut sorted: Vec<(FlowId, V)> = entries().collect();
+            sorted.sort_by_key(|&(id, _)| id);
+            return match sorted.windows(2).find(|w| w[0].0 == w[1].0) {
+                Some(w) => Err(w[0].0),
+                None => Ok(IdIndex::Sparse(sorted)),
             };
-            if previous.is_some() {
+        }
+        let mut dense = vec![None; max_id + 1];
+        for (id, value) in entries() {
+            if dense[id.0 as usize].replace(value).is_some() {
                 return Err(id);
             }
         }
-        Ok(index)
+        Ok(IdIndex::Dense(dense))
     }
 
-    /// The value of `id`, O(1).
+    /// The value of `id`.
     #[inline]
     pub(crate) fn get(&self, id: FlowId) -> Option<V> {
         match self {
             IdIndex::Dense(dense) => *dense.get(id.0 as usize)?,
-            IdIndex::Spread(map) => map.get(&id).copied(),
+            IdIndex::Sparse(sorted) => sorted
+                .binary_search_by_key(&id, |&(id, _)| id)
+                .ok()
+                .map(|i| sorted[i].1),
         }
     }
 }
@@ -278,7 +247,8 @@ impl FlowTable {
         self.specs[idx.get()].id
     }
 
-    /// Dense index of a flow id, O(1).
+    /// Dense index of a flow id: O(1) for small ids, a binary search for
+    /// sparse ones.
     #[inline]
     pub fn idx_of(&self, id: FlowId) -> Option<FlowIdx> {
         self.by_id.get(id)
@@ -427,6 +397,24 @@ mod tests {
             ),
         ];
         assert!(FlowTable::new(dup).is_err());
+    }
+
+    #[test]
+    fn sparse_ids_are_binary_searched() {
+        // Max id 10,000 over four entries is far past `8 * len + 64`.
+        let ids = [9_000u32, 17, 10_000, 512];
+        let index = IdIndex::build(|| ids.iter().enumerate().map(|(i, &id)| (FlowId(id), i)))
+            .expect("distinct ids");
+        assert!(matches!(index, IdIndex::Sparse(_)));
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(index.get(FlowId(id)), Some(i), "hit {id}");
+        }
+        for miss in [0, 16, 18, 511, 9_999, 10_001, u32::MAX] {
+            assert_eq!(index.get(FlowId(miss)), None, "miss {miss}");
+        }
+        let dup = [9_000u32, 17, 10_000, 17];
+        let err = IdIndex::build(|| dup.iter().map(|&id| (FlowId(id), ()))).unwrap_err();
+        assert_eq!(err, FlowId(17));
     }
 
     #[test]

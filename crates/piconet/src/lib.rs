@@ -10,7 +10,7 @@
 //! * a dense [`FlowTable`] arena ([`FlowIdx`] handles, O(1) lookups,
 //!   precomputed slave/flow lists) backing every per-decision query, so
 //!   the simulation hot path neither scans nor allocates;
-//! * per-flow queues with [segmentation](MaxFirstPolicy) of higher-layer
+//! * per-flow queues with [segmentation](next_segment_type) of higher-layer
 //!   packets into DH1/DH3/… baseband packets, exactly the paper's policy;
 //! * strict master ignorance of uplink queues — pollers see only the
 //!   [`MasterView`];
@@ -50,7 +50,7 @@ mod sim;
 pub mod sync_protocol;
 mod telemetry;
 
-pub use config::{AllowedByCap, PiconetConfig, PiconetError, PresenceMask, SarPolicy, ScoBinding};
+pub use config::{AllowedByCap, PiconetConfig, PiconetError, PresenceMask, ScoBinding};
 pub use flow::{validate_flows, FlowSpec};
 pub use flow_table::{FlowIdx, FlowTable};
 pub use ledger::{PollCounters, SlotLedger};
@@ -62,9 +62,7 @@ pub use sanitizer::{
     SanitizerCheck, SanitizerFinding, SanitizerReport, TraceConfig, TraceEvent, TraceKind,
     TraceWindow,
 };
-pub use sar::{
-    segment_count, segment_plan, AlwaysLargestPolicy, MaxFirstPolicy, SegmentationPolicy,
-};
+pub use sar::{next_segment_type, segment_count, segment_plan};
 pub use scatternet::{
     BridgeSpec, ChainReport, ChainSpec, ScatternetConfig, ScatternetReport, ScatternetSim,
 };

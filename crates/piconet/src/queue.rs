@@ -1,6 +1,6 @@
 //! Per-flow transmit queues with segment-level progress.
 
-use crate::sar::SegmentationPolicy;
+use crate::sar::next_segment_type;
 use btgs_baseband::PacketType;
 use btgs_des::SimTime;
 use btgs_traffic::AppPacket;
@@ -36,7 +36,7 @@ pub struct SegmentPlan {
 /// # Examples
 ///
 /// ```
-/// use btgs_piconet::{FlowQueue, MaxFirstPolicy};
+/// use btgs_piconet::FlowQueue;
 /// use btgs_baseband::PacketType;
 /// use btgs_traffic::{AppPacket, FlowId};
 /// use btgs_des::SimTime;
@@ -44,7 +44,7 @@ pub struct SegmentPlan {
 /// let mut q = FlowQueue::new();
 /// q.push(AppPacket::new(0, FlowId(1), 176, SimTime::ZERO));
 /// let allowed = [PacketType::Dh1, PacketType::Dh3];
-/// let seg = q.peek_segment(SimTime::ZERO, &MaxFirstPolicy, &allowed).unwrap();
+/// let seg = q.peek_segment(SimTime::ZERO, &allowed).unwrap();
 /// assert_eq!(seg.bytes, 176);
 /// assert!(seg.is_last);
 /// q.advance(seg.bytes);
@@ -138,19 +138,13 @@ impl FlowQueue {
     /// # Panics
     ///
     /// Panics if `allowed` contains no data-bearing packet type.
-    pub fn peek_segment<P: SegmentationPolicy + ?Sized>(
-        &self,
-        t: SimTime,
-        policy: &P,
-        allowed: &[PacketType],
-    ) -> Option<SegmentPlan> {
+    pub fn peek_segment(&self, t: SimTime, allowed: &[PacketType]) -> Option<SegmentPlan> {
         let head = self.packets.front()?;
         if head.arrival > t {
             return None;
         }
         let remaining = head.size - self.head_sent;
-        let ty = policy
-            .next_type(remaining, allowed)
+        let ty = next_segment_type(remaining, allowed)
             .expect("allowed set contains no data-bearing packet type");
         let bytes = remaining.min(ty.payload_capacity() as u32);
         Some(SegmentPlan {
@@ -203,7 +197,6 @@ impl FlowQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sar::MaxFirstPolicy;
     use btgs_traffic::FlowId;
 
     const PAPER: [PacketType; 2] = [PacketType::Dh1, PacketType::Dh3];
@@ -220,9 +213,7 @@ mod tests {
         assert_eq!(q.backlog_bytes(), 0);
         assert_eq!(q.head_arrival(), None);
         assert!(!q.has_data_at(SimTime::from_secs(10)));
-        assert!(q
-            .peek_segment(SimTime::ZERO, &MaxFirstPolicy, &PAPER)
-            .is_none());
+        assert!(q.peek_segment(SimTime::ZERO, &PAPER).is_none());
     }
 
     #[test]
@@ -235,32 +226,22 @@ mod tests {
             "arrival instant counts"
         );
         assert!(q.has_data_at(SimTime::from_millis(21)));
-        assert!(q
-            .peek_segment(SimTime::from_millis(19), &MaxFirstPolicy, &PAPER)
-            .is_none());
-        assert!(q
-            .peek_segment(SimTime::from_millis(20), &MaxFirstPolicy, &PAPER)
-            .is_some());
+        assert!(q.peek_segment(SimTime::from_millis(19), &PAPER).is_none());
+        assert!(q.peek_segment(SimTime::from_millis(20), &PAPER).is_some());
     }
 
     #[test]
     fn single_segment_life_cycle() {
         let mut q = FlowQueue::new();
         q.push(pkt(0, 144, 0));
-        let seg = q
-            .peek_segment(SimTime::ZERO, &MaxFirstPolicy, &PAPER)
-            .unwrap();
+        let seg = q.peek_segment(SimTime::ZERO, &PAPER).unwrap();
         assert_eq!(seg.ty, PacketType::Dh3);
         assert_eq!(seg.bytes, 144);
         assert!(seg.is_last && seg.is_first);
         assert_eq!(seg.packet_seq, 0);
         assert_eq!(seg.packet_size, 144);
         // Peeking again returns the same segment (non-destructive).
-        assert_eq!(
-            q.peek_segment(SimTime::ZERO, &MaxFirstPolicy, &PAPER)
-                .unwrap(),
-            seg
-        );
+        assert_eq!(q.peek_segment(SimTime::ZERO, &PAPER).unwrap(), seg);
         let done = q.advance(seg.bytes);
         assert_eq!(done.unwrap().seq, 0);
         assert!(q.is_empty());
@@ -270,17 +251,13 @@ mod tests {
     fn multi_segment_packet_progress() {
         let mut q = FlowQueue::new();
         q.push(pkt(0, 200, 0)); // DH3(183) + DH1(17)
-        let s1 = q
-            .peek_segment(SimTime::ZERO, &MaxFirstPolicy, &PAPER)
-            .unwrap();
+        let s1 = q.peek_segment(SimTime::ZERO, &PAPER).unwrap();
         assert_eq!(
             (s1.ty, s1.bytes, s1.is_first, s1.is_last),
             (PacketType::Dh3, 183, true, false)
         );
         assert!(q.advance(s1.bytes).is_none(), "packet not yet complete");
-        let s2 = q
-            .peek_segment(SimTime::ZERO, &MaxFirstPolicy, &PAPER)
-            .unwrap();
+        let s2 = q.peek_segment(SimTime::ZERO, &PAPER).unwrap();
         assert_eq!(
             (s2.ty, s2.bytes, s2.is_first, s2.is_last),
             (PacketType::Dh1, 17, false, true)
@@ -294,13 +271,9 @@ mod tests {
     fn arq_retransmission_replays_segment() {
         let mut q = FlowQueue::new();
         q.push(pkt(0, 176, 0));
-        let s = q
-            .peek_segment(SimTime::ZERO, &MaxFirstPolicy, &PAPER)
-            .unwrap();
+        let s = q.peek_segment(SimTime::ZERO, &PAPER).unwrap();
         // Segment lost: do NOT advance. The next peek must be identical.
-        let again = q
-            .peek_segment(SimTime::ZERO, &MaxFirstPolicy, &PAPER)
-            .unwrap();
+        let again = q.peek_segment(SimTime::ZERO, &PAPER).unwrap();
         assert_eq!(s, again);
         q.advance(s.bytes);
         assert!(q.is_empty());
@@ -314,9 +287,7 @@ mod tests {
         q.note_attempt();
         assert!(q.head_attempted(), "second send would be a retransmission");
         // Segment finally delivered: the next segment is a fresh one.
-        let s = q
-            .peek_segment(SimTime::ZERO, &MaxFirstPolicy, &PAPER)
-            .unwrap();
+        let s = q.peek_segment(SimTime::ZERO, &PAPER).unwrap();
         q.advance(s.bytes);
         assert!(!q.head_attempted());
     }
@@ -328,14 +299,10 @@ mod tests {
         q.push(pkt(1, 144, 20));
         assert_eq!(q.len(), 2);
         assert_eq!(q.backlog_bytes(), 320);
-        let s = q
-            .peek_segment(SimTime::from_millis(25), &MaxFirstPolicy, &PAPER)
-            .unwrap();
+        let s = q.peek_segment(SimTime::from_millis(25), &PAPER).unwrap();
         assert_eq!(s.packet_seq, 0, "head first");
         q.advance(s.bytes);
-        let s = q
-            .peek_segment(SimTime::from_millis(25), &MaxFirstPolicy, &PAPER)
-            .unwrap();
+        let s = q.peek_segment(SimTime::from_millis(25), &PAPER).unwrap();
         assert_eq!(s.packet_seq, 1);
         assert_eq!(q.backlog_bytes(), 144);
     }

@@ -1,67 +1,44 @@
 //! Segmentation and reassembly (SAR) of higher-layer packets into baseband
 //! packets.
 //!
-//! The paper's segmentation policy: *"a segmentation policy may require that
+//! The paper's segmentation rule: *"a segmentation policy may require that
 //! the largest available baseband packet is used, unless there is a smaller
 //! baseband packet available in which the remainder of the higher layer
-//! packet fits."* [`MaxFirstPolicy`] implements exactly that; the number of
-//! segments `n_i(L)` it produces drives the poll efficiency `eta` of the
+//! packet fits."* [`next_segment_type`] implements exactly that; the number
+//! of segments `n_i(L)` it produces drives the poll efficiency `eta` of the
 //! paper's Eq. 4.
 
 use btgs_baseband::{best_fit, largest, PacketType};
 
-/// Chooses the baseband packet type for each segment of a higher-layer
-/// packet.
-pub trait SegmentationPolicy {
-    /// The packet type to use for the next segment, given that `remaining`
-    /// bytes of the higher-layer packet are still to be sent, or `None` if
-    /// `allowed` contains no data-bearing type.
-    fn next_type(&self, remaining: u32, allowed: &[PacketType]) -> Option<PacketType>;
-}
-
-/// The paper's policy: use the largest allowed packet, unless the remainder
-/// fits into a smaller one (then use the smallest sufficient one).
+/// The packet type carrying the next segment when `remaining` bytes of a
+/// higher-layer packet are still to be sent: the largest allowed packet,
+/// unless the remainder fits into a smaller one (then the smallest
+/// sufficient one). `None` if `allowed` contains no data-bearing type.
 ///
 /// # Examples
 ///
 /// ```
-/// use btgs_piconet::{MaxFirstPolicy, SegmentationPolicy};
+/// use btgs_piconet::next_segment_type;
 /// use btgs_baseband::PacketType;
 ///
 /// let allowed = [PacketType::Dh1, PacketType::Dh3];
-/// let policy = MaxFirstPolicy;
 /// // 144 bytes fit a DH3 (183 B) but not a DH1 (27 B):
-/// assert_eq!(policy.next_type(144, &allowed), Some(PacketType::Dh3));
+/// assert_eq!(next_segment_type(144, &allowed), Some(PacketType::Dh3));
 /// // A 20-byte remainder fits the DH1:
-/// assert_eq!(policy.next_type(20, &allowed), Some(PacketType::Dh1));
+/// assert_eq!(next_segment_type(20, &allowed), Some(PacketType::Dh1));
 /// // 200 bytes fit nothing whole -> largest (DH3) carries the first chunk:
-/// assert_eq!(policy.next_type(200, &allowed), Some(PacketType::Dh3));
+/// assert_eq!(next_segment_type(200, &allowed), Some(PacketType::Dh3));
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaxFirstPolicy;
-
-impl SegmentationPolicy for MaxFirstPolicy {
-    fn next_type(&self, remaining: u32, allowed: &[PacketType]) -> Option<PacketType> {
-        match best_fit(remaining as usize, allowed) {
-            Some(t) => Some(t),
-            None => largest(allowed),
-        }
-    }
-}
-
-/// A policy that always uses the largest allowed packet, even for tiny
-/// remainders. Wastes air time; useful as an ablation baseline.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AlwaysLargestPolicy;
-
-impl SegmentationPolicy for AlwaysLargestPolicy {
-    fn next_type(&self, _remaining: u32, allowed: &[PacketType]) -> Option<PacketType> {
-        largest(allowed)
-    }
+pub fn next_segment_type(remaining: u32, allowed: &[PacketType]) -> Option<PacketType> {
+    best_fit(remaining as usize, allowed).or_else(|| largest(allowed))
 }
 
 /// The number of baseband segments (= polls, for an uplink flow) needed to
 /// carry an `size`-byte higher-layer packet — the paper's `n_i(L)`.
+///
+/// Every segment but the last fills the largest allowed type, and the last
+/// always fits some allowed type, so `n(L) = ceil(L / C_max)`, with `C_max`
+/// the payload of the largest allowed type.
 ///
 /// # Panics
 ///
@@ -70,21 +47,19 @@ impl SegmentationPolicy for AlwaysLargestPolicy {
 /// # Examples
 ///
 /// ```
-/// use btgs_piconet::{segment_count, MaxFirstPolicy};
+/// use btgs_piconet::segment_count;
 /// use btgs_baseband::PacketType;
 ///
 /// let allowed = [PacketType::Dh1, PacketType::Dh3];
-/// assert_eq!(segment_count(&MaxFirstPolicy, 144, &allowed), 1);
-/// assert_eq!(segment_count(&MaxFirstPolicy, 183, &allowed), 1);
-/// assert_eq!(segment_count(&MaxFirstPolicy, 184, &allowed), 2); // DH3+DH1
-/// assert_eq!(segment_count(&MaxFirstPolicy, 400, &allowed), 3); // DH3+DH3+DH1
+/// assert_eq!(segment_count(144, &allowed), 1);
+/// assert_eq!(segment_count(183, &allowed), 1);
+/// assert_eq!(segment_count(184, &allowed), 2); // DH3+DH1
+/// assert_eq!(segment_count(400, &allowed), 3); // DH3+DH3+DH1
 /// ```
-pub fn segment_count<P: SegmentationPolicy + ?Sized>(
-    policy: &P,
-    size: u32,
-    allowed: &[PacketType],
-) -> u32 {
-    segment_plan(policy, size, allowed).len() as u32
+pub fn segment_count(size: u32, allowed: &[PacketType]) -> u32 {
+    assert!(size > 0, "cannot segment an empty packet");
+    let max = largest(allowed).expect("allowed set contains no data-bearing packet type");
+    size.div_ceil(max.payload_capacity() as u32)
 }
 
 /// The full segmentation of an `size`-byte packet: the packet type and
@@ -93,20 +68,14 @@ pub fn segment_count<P: SegmentationPolicy + ?Sized>(
 /// # Panics
 ///
 /// Panics if `size` is zero or `allowed` has no data-bearing type.
-pub fn segment_plan<P: SegmentationPolicy + ?Sized>(
-    policy: &P,
-    size: u32,
-    allowed: &[PacketType],
-) -> Vec<(PacketType, u32)> {
+pub fn segment_plan(size: u32, allowed: &[PacketType]) -> Vec<(PacketType, u32)> {
     assert!(size > 0, "cannot segment an empty packet");
     let mut remaining = size;
     let mut out = Vec::new();
     while remaining > 0 {
-        let ty = policy
-            .next_type(remaining, allowed)
+        let ty = next_segment_type(remaining, allowed)
             .expect("allowed set contains no data-bearing packet type");
         let take = remaining.min(ty.payload_capacity() as u32);
-        assert!(take > 0, "policy chose a packet type with no capacity");
         out.push((ty, take));
         remaining -= take;
     }
@@ -123,8 +92,8 @@ mod tests {
     fn paper_sizes_take_one_dh3() {
         // Every size in the paper's 144..=176 range is one DH3 segment.
         for size in 144..=176 {
-            assert_eq!(segment_count(&MaxFirstPolicy, size, &PAPER), 1, "{size}");
-            let plan = segment_plan(&MaxFirstPolicy, size, &PAPER);
+            assert_eq!(segment_count(size, &PAPER), 1, "{size}");
+            let plan = segment_plan(size, &PAPER);
             assert_eq!(plan, vec![(PacketType::Dh3, size)]);
         }
     }
@@ -132,37 +101,31 @@ mod tests {
     #[test]
     fn small_packets_use_dh1() {
         for size in 1..=27 {
-            assert_eq!(
-                segment_plan(&MaxFirstPolicy, size, &PAPER),
-                vec![(PacketType::Dh1, size)]
-            );
+            assert_eq!(segment_plan(size, &PAPER), vec![(PacketType::Dh1, size)]);
         }
-        assert_eq!(
-            segment_plan(&MaxFirstPolicy, 28, &PAPER),
-            vec![(PacketType::Dh3, 28)]
-        );
+        assert_eq!(segment_plan(28, &PAPER), vec![(PacketType::Dh3, 28)]);
     }
 
     #[test]
     fn multi_segment_plans() {
         // 184 = DH3(183) + DH1(1).
         assert_eq!(
-            segment_plan(&MaxFirstPolicy, 184, &PAPER),
+            segment_plan(184, &PAPER),
             vec![(PacketType::Dh3, 183), (PacketType::Dh1, 1)]
         );
         // 366 = DH3 + DH3.
         assert_eq!(
-            segment_plan(&MaxFirstPolicy, 366, &PAPER),
+            segment_plan(366, &PAPER),
             vec![(PacketType::Dh3, 183), (PacketType::Dh3, 183)]
         );
         // 367 = DH3 + DH3 + DH1.
-        assert_eq!(segment_count(&MaxFirstPolicy, 367, &PAPER), 3);
+        assert_eq!(segment_count(367, &PAPER), 3);
     }
 
     #[test]
     fn plan_conserves_bytes() {
         for size in [1u32, 27, 28, 144, 176, 183, 184, 210, 366, 400, 1000] {
-            let plan = segment_plan(&MaxFirstPolicy, size, &PAPER);
+            let plan = segment_plan(size, &PAPER);
             let total: u32 = plan.iter().map(|(_, b)| b).sum();
             assert_eq!(total, size);
             // Every segment respects its capacity.
@@ -173,31 +136,24 @@ mod tests {
     }
 
     #[test]
-    fn always_largest_wastes_small_remainders() {
-        // 184 bytes: MaxFirst ends with a DH1; AlwaysLargest uses two DH3s.
-        let plan = segment_plan(&AlwaysLargestPolicy, 184, &PAPER);
-        assert_eq!(plan, vec![(PacketType::Dh3, 183), (PacketType::Dh3, 1)]);
-    }
-
-    #[test]
     fn single_type_sets() {
         let dh1_only = [PacketType::Dh1];
-        assert_eq!(segment_count(&MaxFirstPolicy, 144, &dh1_only), 6); // ceil(144/27)
+        assert_eq!(segment_count(144, &dh1_only), 6); // ceil(144/27)
         let dh5_only = [PacketType::Dh5];
-        assert_eq!(segment_count(&MaxFirstPolicy, 339, &dh5_only), 1);
-        assert_eq!(segment_count(&MaxFirstPolicy, 340, &dh5_only), 2);
+        assert_eq!(segment_count(339, &dh5_only), 1);
+        assert_eq!(segment_count(340, &dh5_only), 2);
     }
 
     #[test]
     #[should_panic(expected = "empty packet")]
     fn zero_size_panics() {
-        let _ = segment_plan(&MaxFirstPolicy, 0, &PAPER);
+        let _ = segment_plan(0, &PAPER);
     }
 
     #[test]
     #[should_panic(expected = "no data-bearing")]
     fn control_only_allowed_set_panics() {
-        let _ = segment_plan(&MaxFirstPolicy, 10, &[PacketType::Poll]);
+        let _ = segment_plan(10, &[PacketType::Poll]);
     }
 }
 
@@ -223,7 +179,7 @@ mod proptests {
         for _ in 0..512 {
             let size = rng.range_inclusive(1, 1_999) as u32;
             let allowed = arb_allowed(&mut rng);
-            let plan = segment_plan(&MaxFirstPolicy, size, &allowed);
+            let plan = segment_plan(size, &allowed);
             let total: u32 = plan.iter().map(|(_, b)| b).sum();
             assert_eq!(total, size);
             for (ty, b) in &plan {
@@ -231,10 +187,12 @@ mod proptests {
                 assert!(*b > 0);
             }
             // All but the last segment fill the chosen packet completely
-            // (MaxFirst only under-fills the final segment).
+            // (the rule only under-fills the final segment).
             for (ty, b) in &plan[..plan.len() - 1] {
                 assert_eq!(*b as usize, ty.payload_capacity());
             }
+            // The closed form counts exactly the segments the plan builds.
+            assert_eq!(segment_count(size, &allowed), plan.len() as u32);
         }
     }
 
@@ -245,8 +203,8 @@ mod proptests {
         for _ in 0..512 {
             let size = rng.range_inclusive(1, 1_998) as u32;
             let allowed = arb_allowed(&mut rng);
-            let n1 = segment_count(&MaxFirstPolicy, size, &allowed);
-            let n2 = segment_count(&MaxFirstPolicy, size + 1, &allowed);
+            let n1 = segment_count(size, &allowed);
+            let n2 = segment_count(size + 1, &allowed);
             assert!(n2 >= n1);
         }
     }

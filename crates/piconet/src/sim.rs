@@ -23,9 +23,7 @@
 //! [`ExchangeReport`]: nothing is looked up in the flow table and nothing
 //! is re-packed when the exchange completes.
 
-use crate::config::{
-    AllowedByCap, PiconetConfig, PiconetError, PresenceMask, SarPolicy, ScoBinding,
-};
+use crate::config::{AllowedByCap, PiconetConfig, PiconetError, PresenceMask, ScoBinding};
 use crate::flow::FlowSpec;
 use crate::flow_table::FlowTable;
 use crate::ledger::{PollCounters, SlotLedger};
@@ -185,7 +183,6 @@ pub(crate) struct World {
     pub(crate) table: FlowTable,
     /// One record per flow, in flow-index order (see [`FlowState`]).
     pub(crate) flows: Vec<FlowState>,
-    sar: SarPolicy,
     sources: Vec<SourceSlot>,
     poller: Option<Box<dyn Poller>>,
     channel: Box<dyn ChannelModel>,
@@ -259,7 +256,6 @@ impl World {
         Ok(World {
             table,
             flows,
-            sar: config.sar,
             sources: Vec::new(),
             poller: Some(poller),
             channel,
@@ -746,9 +742,9 @@ fn on_wake<Q: PendingEvents<Ev>>(sched: &mut Scheduler<Ev, Q>, w: &mut World) {
 /// The next segment a flow would transmit through a `cap`-slot budget, using
 /// its precomputed [`AllowedByCap`] table — no per-exchange filtering or
 /// allocation.
-fn plan_direction(f: &FlowState, now: SimTime, sar: SarPolicy, cap: u64) -> Option<SegmentPlan> {
+fn plan_direction(f: &FlowState, now: SimTime, cap: u64) -> Option<SegmentPlan> {
     let usable = f.allowed.data_types(cap)?;
-    f.queue.peek_segment(now, &sar, usable)
+    f.queue.peek_segment(now, usable)
 }
 
 /// Marks the planned segment of flow `idx` as attempted and draws its
@@ -804,11 +800,10 @@ fn start_exchange<Q: PendingEvents<Ev>>(
     let up_flow = w.flow_index(slave, Direction::SlaveToMaster, channel);
 
     let down_plan =
-        down_flow.and_then(|i| plan_direction(&w.flows[i], now, w.sar, cap).map(|seg| (i, seg)));
+        down_flow.and_then(|i| plan_direction(&w.flows[i], now, cap).map(|seg| (i, seg)));
     // The slave transmits only data that was available when the master
     // started transmitting (the paper's strict availability rule).
-    let up_plan =
-        up_flow.and_then(|i| plan_direction(&w.flows[i], now, w.sar, cap).map(|seg| (i, seg)));
+    let up_plan = up_flow.and_then(|i| plan_direction(&w.flows[i], now, cap).map(|seg| (i, seg)));
 
     // Radio outcomes are drawn now, in a fixed order, for determinism. If
     // the downlink packet is lost, the slave never hears its address and

@@ -9,7 +9,7 @@ use btgs_piconet::{
     ExchangeReport, FlowSpec, MasterView, PiconetConfig, PiconetSim, PollDecision, Poller,
     RoundRobinForTest, ScoBinding, SegmentOutcome,
 };
-use btgs_traffic::{CbrSource, FlowId, TraceSource};
+use btgs_traffic::{CbrSource, FlowId, GreedySource, TraceSource};
 use std::sync::{Arc, Mutex};
 
 fn s(n: u8) -> AmAddr {
@@ -314,6 +314,27 @@ fn duplicate_source_is_rejected() {
         DetRng::seed_from_u64(1),
     ));
     assert!(sim.add_source(unknown).is_err());
+}
+
+#[test]
+fn run_horizon_is_the_only_cut_off_of_an_infinite_source() {
+    // A greedy source offers one packet per microsecond forever; nothing
+    // but the engine's run horizon stops the engine from pulling it.
+    let mut sim = PiconetSim::new(
+        one_uplink_flow(LogicalChannel::BestEffort),
+        Box::new(RoundRobinForTest::default()),
+        Box::new(IdealChannel),
+    )
+    .unwrap();
+    sim.add_source(Box::new(GreedySource::new(FlowId(1), 176)))
+        .unwrap();
+    let report = sim.run(SimTime::from_millis(50)).unwrap();
+    let flow = report.flow(FlowId(1));
+    // Arrivals at 0, 1, ..., 50,000 µs: the one at the horizon counts.
+    assert_eq!(flow.offered_packets, 50_001);
+    // One DH3 exchange (2.5 ms) per 176-byte packet.
+    assert_eq!(flow.delivered_packets, 20);
+    assert_eq!(report.events_processed, 50_043);
 }
 
 /// A piconet with one uplink and one downlink best-effort flow, each fed

@@ -15,7 +15,7 @@
 //!    those queues live at the master);
 //! 2. tracks per-slave service in slots with a [`FairShareTracker`];
 //! 3. polls, among the slaves whose availability probability clears a
-//!    threshold, the one furthest below its fair share;
+//!    fixed threshold of 0.4, the one furthest below its fair share;
 //! 4. when nobody clears the threshold, sleeps until the earliest instant
 //!    somebody will — so an idle piconet consumes (almost) no slots, which
 //!    is precisely the property the paper exploits to hand spare bandwidth
@@ -30,6 +30,9 @@ use btgs_piconet::{ExchangeReport, MasterView, PollDecision, Poller, SegmentOutc
 /// One more than the highest active member address (slot 0 is unused).
 const SLOTS: usize = AmAddr::MAX_SLAVES + 1;
 
+/// Availability probability a slave must reach to be polled eagerly.
+const THRESHOLD: f64 = 0.4;
+
 /// Predictive Fair Poller for the best-effort logical channel.
 ///
 /// Per-slave state lives in dense arrays indexed by the 3-bit active member
@@ -39,7 +42,6 @@ const SLOTS: usize = AmAddr::MAX_SLAVES + 1;
 /// unchanged (ascending address, exactly the old map iteration order).
 #[derive(Clone, Debug)]
 pub struct PfpBePoller {
-    threshold: f64,
     expected_interval: SimDuration,
     predictors: [Option<AvailabilityPredictor>; SLOTS],
     /// Registered slaves in ascending address order.
@@ -59,31 +61,18 @@ pub struct PfpBePoller {
 }
 
 impl PfpBePoller {
-    /// Default availability threshold for eager polling.
-    pub const DEFAULT_THRESHOLD: f64 = 0.4;
-
-    /// Creates a PFP with the default threshold and an initial arrival
-    /// guess of one packet per `expected_interval` per slave.
-    pub fn new(expected_interval: SimDuration) -> PfpBePoller {
-        PfpBePoller::with_threshold(expected_interval, Self::DEFAULT_THRESHOLD)
-    }
-
-    /// Creates a PFP with an explicit availability threshold in `(0, 1)`.
+    /// Creates a PFP with an initial arrival guess of one packet per
+    /// `expected_interval` per slave.
     ///
     /// # Panics
     ///
-    /// Panics if the threshold is out of range or the interval is zero.
-    pub fn with_threshold(expected_interval: SimDuration, threshold: f64) -> PfpBePoller {
-        assert!(
-            threshold > 0.0 && threshold < 1.0,
-            "threshold must be in (0,1), got {threshold}"
-        );
+    /// Panics if the interval is zero.
+    pub fn new(expected_interval: SimDuration) -> PfpBePoller {
         assert!(
             !expected_interval.is_zero(),
             "expected interval must be positive"
         );
         PfpBePoller {
-            threshold,
             expected_interval,
             predictors: [const { None }; SLOTS],
             slaves: Vec::new(),
@@ -182,7 +171,7 @@ impl Poller for PfpBePoller {
                 continue;
             }
             let p = self.availability(slave, now, view);
-            if p < self.threshold {
+            if p < THRESHOLD {
                 continue;
             }
             let key = (deficit, p);
@@ -211,7 +200,7 @@ impl Poller for PfpBePoller {
                     .map(|p| (slave, p))
             })
             .map(|(slave, p)| {
-                p.time_of_probability(self.threshold)
+                p.time_of_probability(THRESHOLD)
                     .max(view.next_present(*slave))
             })
             .min();

@@ -12,45 +12,13 @@ use btgs_des::{DetRng, SimDuration, SimTime};
 pub trait Source: Send {
     /// Returns the next packet, or `None` if the source is exhausted.
     ///
-    /// Arrival times must be non-decreasing across calls.
+    /// Arrival times must be non-decreasing across calls. Infinite sources
+    /// (Poisson, on-off, greedy) never return `None`: the engine stops
+    /// pulling a source at its first arrival past the run horizon.
     fn next_packet(&mut self) -> Option<AppPacket>;
 
     /// The flow this source feeds.
     fn flow(&self) -> FlowId;
-}
-
-/// Packet-count and time-horizon limits shared by every source.
-///
-/// Infinite sources (`PoissonSource`, `GreedySource`, …) otherwise never
-/// return `None`; a misconfigured finite-horizon sweep would keep drawing
-/// arrivals past the horizon forever. Each source embeds a `SourceLimits`
-/// and consults [`SourceLimits::allows`] before emitting a packet, so the
-/// two cut-offs behave identically across all source kinds.
-#[derive(Clone, Copy, Debug, Default)]
-struct SourceLimits {
-    /// Total number of packets the source may emit.
-    limit: Option<u64>,
-    /// Latest admissible arrival instant (inclusive).
-    horizon: Option<SimTime>,
-}
-
-impl SourceLimits {
-    /// `true` if a packet numbered `seq` arriving at `arrival` may still be
-    /// emitted.
-    #[inline]
-    fn allows(&self, seq: u64, arrival: SimTime) -> bool {
-        if let Some(limit) = self.limit {
-            if seq >= limit {
-                return false;
-            }
-        }
-        if let Some(horizon) = self.horizon {
-            if arrival > horizon {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// Constant-bit-rate source: one packet every `interval`, sizes drawn
@@ -89,7 +57,8 @@ pub struct CbrSource {
     next_arrival: SimTime,
     seq: u64,
     start: SimTime,
-    limits: SourceLimits,
+    /// Packets the source may emit in total (`u64::MAX`: no limit).
+    limit: u64,
 }
 
 impl CbrSource {
@@ -118,7 +87,7 @@ impl CbrSource {
             next_arrival: SimTime::ZERO,
             seq: 0,
             start: SimTime::ZERO,
-            limits: SourceLimits::default(),
+            limit: u64::MAX,
         }
     }
 
@@ -143,15 +112,7 @@ impl CbrSource {
     /// Limits the source to `n` packets in total (builder style).
     #[must_use]
     pub fn with_packet_limit(mut self, n: u64) -> CbrSource {
-        self.limits.limit = Some(n);
-        self
-    }
-
-    /// Stops the source at `horizon`: packets that would arrive after it are
-    /// never generated (builder style).
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: SimTime) -> CbrSource {
-        self.limits.horizon = Some(horizon);
+        self.limit = n;
         self
     }
 
@@ -169,7 +130,7 @@ impl CbrSource {
 
 impl Source for CbrSource {
     fn next_packet(&mut self) -> Option<AppPacket> {
-        if !self.limits.allows(self.seq, self.next_arrival) {
+        if self.seq >= self.limit {
             return None;
         }
         let size = if self.min_size == self.max_size {
@@ -200,7 +161,8 @@ pub struct PoissonSource {
     rng: DetRng,
     next_arrival: SimTime,
     seq: u64,
-    limits: SourceLimits,
+    /// Packets the source may emit in total (`u64::MAX`: no limit).
+    limit: u64,
 }
 
 impl PoissonSource {
@@ -230,7 +192,7 @@ impl PoissonSource {
             rng,
             next_arrival: first,
             seq: 0,
-            limits: SourceLimits::default(),
+            limit: u64::MAX,
         }
     }
 
@@ -257,22 +219,14 @@ impl PoissonSource {
     /// Limits the source to `n` packets in total (builder style).
     #[must_use]
     pub fn with_packet_limit(mut self, n: u64) -> PoissonSource {
-        self.limits.limit = Some(n);
-        self
-    }
-
-    /// Stops the source at `horizon`: packets that would arrive after it are
-    /// never generated (builder style).
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: SimTime) -> PoissonSource {
-        self.limits.horizon = Some(horizon);
+        self.limit = n;
         self
     }
 }
 
 impl Source for PoissonSource {
     fn next_packet(&mut self) -> Option<AppPacket> {
-        if !self.limits.allows(self.seq, self.next_arrival) {
+        if self.seq >= self.limit {
             return None;
         }
         let size = if self.min_size == self.max_size {
@@ -306,7 +260,8 @@ pub struct OnOffSource {
     seq: u64,
     next_arrival: SimTime,
     on_until: SimTime,
-    limits: SourceLimits,
+    /// Packets the source may emit in total (`u64::MAX`: no limit).
+    limit: u64,
 }
 
 impl OnOffSource {
@@ -340,7 +295,7 @@ impl OnOffSource {
             seq: 0,
             next_arrival: SimTime::ZERO,
             on_until,
-            limits: SourceLimits::default(),
+            limit: u64::MAX,
         }
     }
 
@@ -367,15 +322,7 @@ impl OnOffSource {
     /// Limits the source to `n` packets in total (builder style).
     #[must_use]
     pub fn with_packet_limit(mut self, n: u64) -> OnOffSource {
-        self.limits.limit = Some(n);
-        self
-    }
-
-    /// Stops the source at `horizon`: packets that would arrive after it are
-    /// never generated (builder style).
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: SimTime) -> OnOffSource {
-        self.limits.horizon = Some(horizon);
+        self.limit = n;
         self
     }
 }
@@ -390,7 +337,7 @@ impl Source for OnOffSource {
             self.next_arrival = resume;
             self.on_until = resume + SimDuration::from_secs_f64(on);
         }
-        if !self.limits.allows(self.seq, self.next_arrival) {
+        if self.seq >= self.limit {
             return None;
         }
         let pkt = AppPacket::new(self.seq, self.flow, self.size, self.next_arrival);
@@ -462,7 +409,8 @@ pub struct GreedySource {
     spacing: SimDuration,
     next_arrival: SimTime,
     seq: u64,
-    limits: SourceLimits,
+    /// Packets the source may emit in total (`u64::MAX`: no limit).
+    limit: u64,
 }
 
 impl GreedySource {
@@ -479,29 +427,21 @@ impl GreedySource {
             spacing: SimDuration::from_micros(1),
             next_arrival: SimTime::ZERO,
             seq: 0,
-            limits: SourceLimits::default(),
+            limit: u64::MAX,
         }
     }
 
     /// Limits the source to `n` packets in total (builder style).
     #[must_use]
     pub fn with_packet_limit(mut self, n: u64) -> GreedySource {
-        self.limits.limit = Some(n);
-        self
-    }
-
-    /// Stops the source at `horizon`: packets that would arrive after it are
-    /// never generated (builder style).
-    #[must_use]
-    pub fn with_horizon(mut self, horizon: SimTime) -> GreedySource {
-        self.limits.horizon = Some(horizon);
+        self.limit = n;
         self
     }
 }
 
 impl Source for GreedySource {
     fn next_packet(&mut self) -> Option<AppPacket> {
-        if !self.limits.allows(self.seq, self.next_arrival) {
+        if self.seq >= self.limit {
             return None;
         }
         let pkt = AppPacket::new(self.seq, self.flow, self.size, self.next_arrival);
@@ -689,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn poisson_start_offset_limit_and_horizon() {
+    fn poisson_start_offset_and_limit() {
         let mk = || {
             PoissonSource::new(
                 FlowId(3),
@@ -714,17 +654,10 @@ mod tests {
         let mut limited = mk().with_packet_limit(7);
         assert_eq!(drain(&mut limited, 100).len(), 7);
         assert!(limited.next_packet().is_none());
-
-        let horizon = SimTime::from_millis(100);
-        let mut bounded = mk().with_horizon(horizon);
-        let pkts = drain(&mut bounded, 100_000);
-        assert!(!pkts.is_empty());
-        assert!(pkts.iter().all(|p| p.arrival <= horizon));
-        assert!(bounded.next_packet().is_none(), "horizon is permanent");
     }
 
     #[test]
-    fn onoff_start_offset_limit_and_horizon() {
+    fn onoff_start_offset_and_limit() {
         let mk = || {
             OnOffSource::new(
                 FlowId(4),
@@ -747,37 +680,13 @@ mod tests {
 
         let mut limited = mk().with_packet_limit(5);
         assert_eq!(drain(&mut limited, 100).len(), 5);
-
-        let horizon = SimTime::from_secs(1);
-        let mut bounded = mk().with_horizon(horizon);
-        let pkts = drain(&mut bounded, 100_000);
-        assert!(pkts.iter().all(|p| p.arrival <= horizon));
-        assert!(bounded.next_packet().is_none());
     }
 
     #[test]
-    fn greedy_limit_and_horizon_make_it_finite() {
+    fn greedy_limit_makes_it_finite() {
         let mut limited = GreedySource::new(FlowId(6), 176).with_packet_limit(10);
         assert_eq!(drain(&mut limited, 1000).len(), 10);
-
-        let mut bounded = GreedySource::new(FlowId(6), 176).with_horizon(SimTime::from_micros(5));
-        // Spacing is 1 µs: arrivals at 0..=5 µs pass, the 7th is beyond.
-        assert_eq!(drain(&mut bounded, 1000).len(), 6);
-        assert!(bounded.next_packet().is_none());
-    }
-
-    #[test]
-    fn cbr_horizon_is_inclusive() {
-        let mut src = CbrSource::new(
-            FlowId(1),
-            SimDuration::from_millis(10),
-            176,
-            176,
-            DetRng::seed_from_u64(1),
-        )
-        .with_horizon(SimTime::from_millis(30));
-        // Arrivals at 0, 10, 20, 30 ms.
-        assert_eq!(drain(&mut src, 100).len(), 4);
+        assert!(limited.next_packet().is_none());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use btgs::baseband::{AmAddr, Direction, IdealChannel, LogicalChannel, PacketType
 use btgs::core::{admit, min_poll_efficiency, AdmissionConfig, GsPoller, GsRequest, Guarantees};
 use btgs::des::{DetRng, SimDuration, SimTime};
 use btgs::gs::TokenBucketSpec;
-use btgs::piconet::{FlowSpec, PiconetConfig, PiconetSim, SarPolicy};
+use btgs::piconet::{FlowSpec, PiconetConfig, PiconetSim};
 use btgs::pollers::PfpBePoller;
 use btgs::traffic::{CbrSource, FlowId};
 
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let allowed = vec![PacketType::Dh1, PacketType::Dh3];
 
     // How badly can a frame segment? (Eq. 4 over the full frame-size range.)
-    let eta = min_poll_efficiency(&SarPolicy::MaxFirst, 800, 1000, &allowed);
+    let eta = min_poll_efficiency(800, 1000, &allowed);
     println!("video eta_min = {eta:.1} B/poll (1000-byte frames move 6 DH3 segments)");
 
     let request = GsRequest::new(video, s1, Direction::SlaveToMaster, tspec, 36_000.0);
