@@ -45,10 +45,8 @@ pub mod slot;
 
 pub use address::{AmAddr, InvalidAmAddr, PiconetId, ScopedSlave};
 pub use channel::{BerChannel, ChannelModel, IdealChannel};
-pub use link::{Direction, LinkType, LogicalChannel};
+pub use link::{Direction, LogicalChannel};
 pub use packet::{best_fit, largest, PacketType};
 pub use presence::{InvalidPresenceWindow, PresenceWindow};
 pub use sco::ScoLink;
-pub use slot::{
-    in_even_slot, next_master_tx_start, slot_index, slots, SLOT, SLOTS_PER_SECOND, SLOT_PAIR,
-};
+pub use slot::{next_master_tx_start, slots, SLOT, SLOTS_PER_SECOND, SLOT_PAIR};

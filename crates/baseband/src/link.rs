@@ -1,4 +1,4 @@
-//! Link and logical-channel classification.
+//! Flow direction and logical-channel classification.
 
 use core::fmt;
 
@@ -40,15 +40,6 @@ impl fmt::Display for Direction {
             Direction::SlaveToMaster => f.write_str("S->M"),
         }
     }
-}
-
-/// Kind of baseband link between the master and a slave.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LinkType {
-    /// Asynchronous Connection-Less: polled packet data.
-    Acl,
-    /// Synchronous Connection-Oriented: reserved-slot voice.
-    Sco,
 }
 
 /// Logical traffic class carried over an ACL link.

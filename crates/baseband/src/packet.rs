@@ -127,16 +127,6 @@ impl PacketType {
             _ => None,
         }
     }
-
-    /// Number of payload bits transmitted on air per payload byte carried,
-    /// reflecting FEC expansion (×3 for 1/3 FEC, ×1.5 for 2/3 FEC).
-    pub fn air_bits_per_payload_byte(self) -> f64 {
-        match self {
-            PacketType::Hv1 => 24.0,
-            t if t.is_fec_protected() => 12.0,
-            _ => 8.0,
-        }
-    }
 }
 
 impl fmt::Display for PacketType {

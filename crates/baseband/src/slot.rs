@@ -29,16 +29,6 @@ pub const fn slots(n: u64) -> SimDuration {
     SimDuration::from_micros(625 * n)
 }
 
-/// The index of the slot containing instant `t` (slot 0 starts at time 0).
-pub fn slot_index(t: SimTime) -> u64 {
-    t.as_nanos() / SLOT.as_nanos()
-}
-
-/// `true` if `t` lies in an even-numbered slot (a master-to-slave slot).
-pub fn in_even_slot(t: SimTime) -> bool {
-    slot_index(t).is_multiple_of(2)
-}
-
 /// The first instant at or after `t` at which a master transmission may
 /// begin, i.e. the next even slot boundary (including `t` itself when `t`
 /// is exactly such a boundary).
@@ -69,21 +59,6 @@ mod tests {
         assert_eq!(SLOT * SLOTS_PER_SECOND, SimDuration::from_secs(1));
         assert_eq!(slots(5), SimDuration::from_micros(3125));
         assert_eq!(slots(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn slot_indexing() {
-        assert_eq!(slot_index(SimTime::ZERO), 0);
-        assert_eq!(slot_index(SimTime::from_micros(624)), 0);
-        assert_eq!(slot_index(SimTime::from_micros(625)), 1);
-        assert_eq!(slot_index(SimTime::from_secs(1)), 1600);
-    }
-
-    #[test]
-    fn parity() {
-        assert!(in_even_slot(SimTime::ZERO));
-        assert!(!in_even_slot(SimTime::from_micros(625)));
-        assert!(in_even_slot(SimTime::from_micros(1250)));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! covered by a relay chain).
 //!
 //! Throughput is declared in engine events (measured from a probe run),
-//! so the JSON output records events/sec alongside ns/op — the same
+//! so each printed line reports events/sec alongside ns/op — the same
 //! convention as `sim_steady`. Each iteration times the run alone:
 //! building the scenario (topology, admission) and assembling its
 //! simulator is the untimed setup of [`Bencher::iter_batched`]. The
@@ -19,10 +19,9 @@
 //! pure engine parallelism, not a different workload.
 //!
 //! Each probe run also prints the engine's observability counters
-//! (`phases_run`, `barrier_rounds`, `islands_claimed`, `relays_staged`)
-//! and annotates them into the JSON record, so the round structure (one
-//! round per calendar window start, every island run every round) shows
-//! alongside the wall clock.
+//! (`phases_run`, `barrier_rounds`, `islands_claimed`, `relays_staged`),
+//! so the round structure (one round per calendar window start, every
+//! island run every round) shows alongside the wall clock.
 //!
 //! After the runs it prints the same-session one-thread ns/event ratios
 //! `mesh256/mesh64` and `mesh64/mesh16`. The meshes run the same
@@ -101,7 +100,7 @@ fn scatternet_throughput(c: &mut Criterion) {
     for &(name, n, topology) in cases {
         // One probe run per scenario supplies the event count for the
         // events/sec figure (runs are deterministic, so it is exact) and
-        // the engine counters for the JSON record.
+        // the engine counters printed below.
         let probe = run(sim(n, topology, 1));
         let events = probe.events_processed;
         events_of.push((name, events));
@@ -116,14 +115,6 @@ fn scatternet_throughput(c: &mut Criterion) {
                 |s| black_box(run(s).total_throughput_kbps()),
             )
         });
-        group.annotate(
-            &format!("{name}_5s_simulated"),
-            &[
-                ("phases_run", probe.phases_run),
-                ("islands_claimed", probe.islands_claimed),
-                ("relays_staged", probe.relays_staged),
-            ],
-        );
         // The parallel twin simulates the identical scenario; only the
         // wall clock (and the barrier-round count) may differ.
         let par_probe = run(sim(n, topology, 4));
@@ -138,15 +129,6 @@ fn scatternet_throughput(c: &mut Criterion) {
                 |s| black_box(run(s).total_throughput_kbps()),
             )
         });
-        group.annotate(
-            &format!("{name}_5s_parallel4"),
-            &[
-                ("phases_run", par_probe.phases_run),
-                ("barrier_rounds", par_probe.barrier_rounds),
-                ("islands_claimed", par_probe.islands_claimed),
-                ("relays_staged", par_probe.relays_staged),
-            ],
-        );
     }
     // The sanitized twin: the chained-3 scenario under the causality
     // sanitizer. Tracks the instrumentation's own overhead; the default

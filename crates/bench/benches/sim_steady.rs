@@ -2,7 +2,7 @@
 //! full paper scenario.
 //!
 //! Throughput is declared in engine events (measured from a probe run), so
-//! the JSON output records events/sec alongside ns/op.
+//! each printed line reports events/sec alongside ns/op.
 
 use btgs_bench::microbench::{Criterion, Throughput};
 use btgs_bench::{criterion_group, criterion_main};

@@ -1,7 +1,7 @@
 //! # btgs-bench — experiment harness
 //!
-//! One binary per table/figure/claim of the paper (see `DESIGN.md` for the
-//! index, `EXPERIMENTS.md` for recorded results), plus Criterion
+//! One binary per table/figure/claim of the paper (`src/bin/`; each prints
+//! its table beside the values the paper reports), plus Criterion-shaped
 //! micro-benchmarks of the implementation itself.
 //!
 //! Every binary accepts:
@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc_counter;
-pub mod host;
 pub mod microbench;
 
 use btgs_des::SimTime;

@@ -12,19 +12,8 @@
 //! count, then a fixed number of timed samples, reporting the best and
 //! median ns/iteration. Results print to stdout; run with
 //! `cargo bench -p btgs-bench`.
-//!
-//! # Machine-readable output
-//!
-//! When the environment variable `BTGS_BENCH_JSON` names a directory, each
-//! bench binary additionally writes `BENCH_<bench>.json` there: one record
-//! per benchmark with `median_ns`, `best_ns` and — where the bench declared
-//! a [`Throughput`] — `elements_per_iter` and `elements_per_sec`
-//! (events/sec for the engine benches), tagged with the host fingerprint.
-//! CI uploads them as artifacts; the record every change is judged by is
-//! the repository benchmark (`perfbench`), not these files.
 
 use std::hint::black_box;
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Target wall-clock budget of one sample batch.
@@ -108,7 +97,7 @@ impl Bencher {
 #[derive(Clone, Copy, Debug)]
 pub enum Throughput {
     /// Elements (e.g. simulation events) processed per iteration; enables
-    /// the derived elements/sec figure in print and JSON output.
+    /// the derived elements/sec column of the printed line.
     Elements(u64),
 }
 
@@ -117,11 +106,6 @@ pub enum Throughput {
 struct BenchResult {
     name: String,
     median_ns: f64,
-    best_ns: f64,
-    elements: Option<u64>,
-    /// Bench-supplied integer annotations (e.g. engine phase counters),
-    /// serialized verbatim into the JSON record.
-    extras: Vec<(String, u64)>,
 }
 
 /// Entry point mirroring `criterion::Criterion`.
@@ -162,27 +146,8 @@ impl Criterion {
         self.results.push(BenchResult {
             name: name.to_owned(),
             median_ns: b.median_ns,
-            best_ns: b.best_ns,
-            elements,
-            extras: Vec::new(),
         });
         self
-    }
-
-    /// Attaches integer annotations to the most recently completed
-    /// benchmark whose name ends with `suffix` (workload-derived counters
-    /// the measurement loop itself cannot observe). They ride along in
-    /// the JSON record.
-    pub fn annotate(&mut self, suffix: &str, extras: &[(&str, u64)]) {
-        if let Some(r) = self
-            .results
-            .iter_mut()
-            .rev()
-            .find(|r| r.name.ends_with(suffix))
-        {
-            r.extras
-                .extend(extras.iter().map(|&(k, v)| (k.to_owned(), v)));
-        }
     }
 
     /// Opens a named group (grouping only affects the printed names).
@@ -207,77 +172,6 @@ impl Criterion {
             .iter()
             .find(|r| r.name == name)
             .map(|r| r.median_ns)
-    }
-
-    /// Renders every result as a JSON array (ns/op plus derived
-    /// elements/sec where a [`Throughput`] was declared).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let sep = if i + 1 == self.results.len() { "" } else { "," };
-            out.push_str(&format!(
-                "  {{\"name\": \"{}\", \"median_ns\": {:.1}, \"best_ns\": {:.1}",
-                json_escape(&r.name),
-                r.median_ns,
-                r.best_ns,
-            ));
-            if let Some(n) = r.elements {
-                out.push_str(&format!(
-                    ", \"elements_per_iter\": {n}, \"elements_per_sec\": {:.1}",
-                    n as f64 * 1e9 / r.median_ns
-                ));
-            }
-            for (k, v) in &r.extras {
-                out.push_str(&format!(", \"{}\": {v}", json_escape(k)));
-            }
-            out.push_str(&format!("}}{sep}\n"));
-        }
-        out.push(']');
-        out
-    }
-
-    /// Writes `BENCH_<bench>.json` into the directory named by the
-    /// `BTGS_BENCH_JSON` environment variable, if set. Called by
-    /// [`criterion_main!`](crate::criterion_main) with the bench binary's
-    /// name. The payload
-    /// carries the host fingerprint, so the records are self-describing
-    /// (cross-host wall clock is not comparable).
-    pub fn write_json_from_env(&self, bench: &str) {
-        let Ok(dir) = std::env::var("BTGS_BENCH_JSON") else {
-            return;
-        };
-        let path = std::path::Path::new(&dir).join(format!("BENCH_{bench}.json"));
-        let payload = format!(
-            "{{\n\"bench\": \"{}\",\n\"host\": \"{}\",\n\"results\": {}\n}}\n",
-            json_escape(bench),
-            json_escape(&crate::host::host_fingerprint()),
-            self.to_json()
-        );
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(payload.as_bytes())) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("BTGS_BENCH_JSON: cannot write {}: {e}", path.display()),
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// The invoking bench binary's logical name: the executable file stem with
-/// cargo's trailing `-<16-hex-digit>` disambiguator removed.
-pub fn bench_binary_name() -> String {
-    let arg0 = std::env::args().next().unwrap_or_default();
-    let stem = std::path::Path::new(&arg0)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("bench")
-        .to_owned();
-    match stem.rsplit_once('-') {
-        Some((base, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
-            base.to_owned()
-        }
-        _ => stem,
     }
 }
 
@@ -307,13 +201,6 @@ impl BenchmarkGroup<'_> {
         let full = format!("{}/{}", self.name, name);
         let elements = self.elements;
         self.criterion.bench_inner(&full, elements, f);
-        self
-    }
-
-    /// Forwards to [`Criterion::annotate`] for a benchmark of this group.
-    pub fn annotate(&mut self, name: &str, extras: &[(&str, u64)]) -> &mut Self {
-        let full = format!("{}/{}", self.name, name);
-        self.criterion.annotate(&full, extras);
         self
     }
 
@@ -353,7 +240,7 @@ macro_rules! criterion_group {
 }
 
 /// Mirrors `criterion::criterion_main!`: emits `main` running the groups,
-/// then emitting JSON when `BTGS_BENCH_JSON` is set.
+/// then printing the closing summary.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
@@ -361,7 +248,6 @@ macro_rules! criterion_main {
             let mut c = $crate::microbench::Criterion::default();
             $($group(&mut c);)+
             c.final_summary();
-            c.write_json_from_env(&$crate::microbench::bench_binary_name());
         }
     };
 }

@@ -12,7 +12,7 @@
 
 use btgs_core::{
     comparison_pollers, BeSourceMix, CellOutcome, CellResult, CellSink, CollectSink,
-    ExperimentRunner, MultiSink, PaperScenario, ScenarioGrid, Topology,
+    ExperimentRunner, MultiSink, PaperScenario, PollerKind, ScenarioGrid, Topology,
 };
 use btgs_des::{SimDuration, SimTime};
 use btgs_grid::wire::{
@@ -20,6 +20,7 @@ use btgs_grid::wire::{
 };
 use btgs_grid::{GridPartitioner, JsonlSpillSink, OnlineAggregator, ShardedGridRunner};
 use btgs_piconet::ScatternetReport;
+use btgs_traffic::FlowId;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -72,7 +73,7 @@ fn grid_64() -> ScenarioGrid {
 /// A smaller mixed grid including scatternet cells (heavier per cell).
 fn grid_scatternet() -> ScenarioGrid {
     ScenarioGrid {
-        pollers: vec![btgs_core::PollerKind::PfpGs],
+        pollers: vec![PollerKind::PfpGs],
         piconets: vec![1, 2],
         seeds: vec![1, 2],
         topologies: vec![Topology::Chain],
@@ -86,6 +87,20 @@ fn grid_scatternet() -> ScenarioGrid {
         be_load_scale: vec![1.0],
         be_source_mix: BeSourceMix::Cbr,
         telemetry: false,
+    }
+}
+
+/// Two admission-controlled two-piconet chain cells: both end piconets
+/// trade S3's flow 4 for the guaranteed chain hop, so each cell answers
+/// to the scatternet's own guarantees, not the Fig. 4 reference plans.
+fn grid_admitted() -> ScenarioGrid {
+    ScenarioGrid {
+        piconets: vec![2],
+        delay_requirements: vec![SimDuration::from_millis(46)],
+        chain_deadlines: vec![Some(SimDuration::from_millis(150))],
+        bridge_cycle: SimDuration::from_millis(10),
+        warmup: SimDuration::from_secs(1),
+        ..ScenarioGrid::paper(vec![PollerKind::PfpGs], vec![1, 2], SimTime::from_secs(3))
     }
 }
 
@@ -128,34 +143,54 @@ fn sharded_64_cell_grid_is_byte_identical_at_any_worker_count() {
     }
 }
 
+/// Scatternet cells, admitted-chain ones included, merge from worker
+/// frames exactly as they do in process. An admitted-chain cell answers
+/// to the scatternet's own guarantees, which the parent checks each frame
+/// against before the sinks see it.
 #[test]
 fn scatternet_cells_cross_the_process_boundary_intact() {
     let _env = env_guard();
-    let grid = grid_scatternet();
-    let reference = ExperimentRunner::new().run_grid(&grid);
-    let dir = scratch("scatternet");
-    let mut collect = CollectSink::new();
-    ShardedGridRunner::new(worker_bin(), &dir, 2)
-        .with_partitioner(GridPartitioner::with_target_cells_per_shard(1))
-        .run_streaming(&grid, &mut collect)
-        .expect("sharded run completes");
-    let report = collect.into_report();
-    assert_eq!(report.digest(), reference.digest());
-    // Chain statistics survived the wire with exact sums.
-    for (a, b) in reference.cells.iter().zip(&report.cells) {
-        match (&a.scatternet, &b.scatternet) {
-            (None, None) => {}
-            (Some(x), Some(y)) => {
-                assert_eq!(
-                    x.report.chains[0].e2e.sum_nanos(),
-                    y.report.chains[0].e2e.sum_nanos()
-                );
-                assert_eq!(x.report.events_processed, y.report.events_processed);
-            }
-            _ => panic!("scatternet presence mismatch"),
+    for (tag, grid) in [
+        ("scatternet", grid_scatternet()),
+        ("admitted", grid_admitted()),
+    ] {
+        let reference = ExperimentRunner::new().run_grid(&grid);
+        let mut in_process = OnlineAggregator::for_grid(&grid);
+        for (index, result) in reference.cells.iter().enumerate() {
+            in_process.accept(index, result);
         }
+        let dir = scratch(tag);
+        let mut collect = CollectSink::new();
+        let mut aggregator = OnlineAggregator::for_grid(&grid);
+        ShardedGridRunner::new(worker_bin(), &dir, 2)
+            .with_partitioner(GridPartitioner::with_target_cells_per_shard(1))
+            .run_streaming(
+                &grid,
+                &mut MultiSink::new(vec![&mut collect, &mut aggregator]),
+            )
+            .expect("sharded run completes");
+        let report = collect.into_report();
+        assert_eq!(report.digest(), reference.digest(), "{tag}");
+        let (ours, theirs) = (report.summary_table(), reference.summary_table());
+        assert_eq!(ours.render(), theirs.render(), "{tag}");
+        let (ours, theirs) = (aggregator.summary_table(), in_process.summary_table());
+        assert_eq!(ours.render(), theirs.render(), "{tag}");
+        // Chain statistics survived the wire with exact sums.
+        for (a, b) in reference.cells.iter().zip(&report.cells) {
+            match (&a.scatternet, &b.scatternet) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    assert_eq!(
+                        x.report.chains[0].e2e.sum_nanos(),
+                        y.report.chains[0].e2e.sum_nanos()
+                    );
+                    assert_eq!(x.report.events_processed, y.report.events_processed);
+                }
+                _ => panic!("scatternet presence mismatch"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Kill a worker mid-shard (torn frame included), then resume: the
@@ -363,64 +398,79 @@ fn scatternet_checkpoint(dir: &Path) -> (PathBuf, CellFrame) {
     panic!("no scatternet checkpoint in {}", dir.display());
 }
 
+/// Removes GS flow `id` from piconet `p`'s report, listing included, so
+/// the frame still decodes.
+fn drop_flow(report: &mut ScatternetReport, p: usize, id: FlowId) {
+    let piconet = &mut report.piconets[p];
+    piconet.flows.retain(|f| f.id != id);
+    assert!(piconet.per_flow.remove(&id).is_some(), "{id} was reported");
+}
+
 /// A checkpoint frame that parses but does not fit its cell — a
-/// scatternet report without piconets, or piconet 0 without one of the
-/// cell's planned GS flows — is rejected on replay: the cell is
-/// re-simulated and the merged report matches the clean run's.
+/// scatternet report without piconets, a piconet without one of the
+/// cell's guaranteed GS flows, or no report for an admitted chain — is
+/// rejected on replay: the cell is re-simulated and the merged report
+/// matches the clean run's.
 #[test]
 fn corrupt_checkpoint_frames_are_resimulated() {
     let _env = env_guard();
-    let grid = grid_scatternet();
-    let cells = grid.cells().len();
-    let dir = scratch("corrupt");
-    // One cell per shard: each checkpoint file holds exactly one frame.
-    let runner = ShardedGridRunner::new(worker_bin(), &dir, 2)
-        .with_partitioner(GridPartitioner::with_target_cells_per_shard(1));
-    let mut clean = CollectSink::new();
-    runner
-        .run_streaming(&grid, &mut clean)
-        .expect("clean run completes");
-    let clean = clean.into_report().digest();
-
     type Corruption = fn(&CellFrame, &mut ScatternetReport);
-    let corruptions: [(&str, Corruption); 2] = [
+    let measured: [(&str, Corruption); 3] = [
         ("no piconet reports", |_, report| report.piconets.clear()),
         ("a planned GS flow missing", |frame, report| {
-            let id = PaperScenario::build(frame.cell.params()).gs_plans[0]
-                .request
-                .id;
-            let p0 = &mut report.piconets[0];
-            p0.flows.retain(|f| f.id != id);
-            assert!(p0.per_flow.remove(&id).is_some(), "{id} was reported");
+            let plans = PaperScenario::build(frame.cell.params()).gs_plans;
+            drop_flow(report, 0, plans[0].request.id);
+        }),
+        ("piconet 1's GS flow missing", |_, report| {
+            drop_flow(report, 1, FlowId(101))
         }),
     ];
-    for (what, corrupt) in corruptions {
-        // Rewrite the frame whole, so its length prefix stays valid.
-        let (path, frame) = scatternet_checkpoint(&dir);
-        let CellOutcome::Scatternet(mut report, telemetry) = frame.outcome.clone() else {
-            unreachable!("picked for its scatternet outcome");
-        };
-        corrupt(&frame, &mut report);
-        let payload = frame_to_json(
-            frame.grid_digest,
-            frame.index,
-            &frame.cell,
-            &CellOutcome::Scatternet(report, telemetry),
-        );
-        let mut file = File::create(&path).expect("checkpoint rewrites");
-        write_frame(&mut file, &payload).expect("frame writes");
-        drop(file);
+    let admitted: [(&str, Corruption); 1] = [("no admitted chain report", |_, report| {
+        report.chains.clear()
+    })];
+    for (tag, grid, corruptions) in [
+        ("corrupt", grid_scatternet(), &measured[..]),
+        ("corrupt-admitted", grid_admitted(), &admitted[..]),
+    ] {
+        let cells = grid.cells().len();
+        let dir = scratch(tag);
+        // One cell per shard: each checkpoint file holds exactly one frame.
+        let runner = ShardedGridRunner::new(worker_bin(), &dir, 2)
+            .with_partitioner(GridPartitioner::with_target_cells_per_shard(1));
+        let mut clean = CollectSink::new();
+        runner
+            .run_streaming(&grid, &mut clean)
+            .expect("clean run completes");
+        let clean = clean.into_report().digest();
 
-        let mut again = CollectSink::new();
-        let stats = runner
-            .run_streaming(&grid, &mut again)
-            .expect("replay over a corrupt frame completes");
-        assert_eq!(stats.executed_cells, 1, "{what}: the cell is re-simulated");
-        assert_eq!(stats.replayed_cells, cells - 1, "{what}");
-        let again = again.into_report().digest();
-        assert_eq!(again, clean, "{what}: merged report moved");
+        for &(what, corrupt) in corruptions {
+            // Rewrite the frame whole, so its length prefix stays valid.
+            let (path, frame) = scatternet_checkpoint(&dir);
+            let CellOutcome::Scatternet(mut report, telemetry) = frame.outcome.clone() else {
+                unreachable!("picked for its scatternet outcome");
+            };
+            corrupt(&frame, &mut report);
+            let payload = frame_to_json(
+                frame.grid_digest,
+                frame.index,
+                &frame.cell,
+                &CellOutcome::Scatternet(report, telemetry),
+            );
+            let mut file = File::create(&path).expect("checkpoint rewrites");
+            write_frame(&mut file, &payload).expect("frame writes");
+            drop(file);
+
+            let mut again = CollectSink::new();
+            let stats = runner
+                .run_streaming(&grid, &mut again)
+                .expect("replay over a corrupt frame completes");
+            assert_eq!(stats.executed_cells, 1, "{what}: the cell is re-simulated");
+            assert_eq!(stats.replayed_cells, cells - 1, "{what}");
+            let again = again.into_report().digest();
+            assert_eq!(again, clean, "{what}: merged report moved");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A checkpoint frame written by an older build (frame version 1, with

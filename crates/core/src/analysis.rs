@@ -1,12 +1,11 @@
 //! Analytical cross-checks for the paper scenario.
 //!
 //! Slot-budget arithmetic that predicts the *shape* of Fig. 5 without
-//! simulation: how many slots per second the GS schedule consumes at a
-//! given delay requirement, and how the PFP divides the remainder among the
-//! BE slaves (max-min fairly). The integration tests compare the simulator
-//! against these predictions.
+//! simulation: how the PFP divides the slots a GS schedule leaves free
+//! among the BE slaves (max-min fairly). `fig5_throughput_vs_delay` prints
+//! the prediction beside its simulated table.
 
-use crate::scenario::{PaperScenario, BE_PACKET_SIZE, BE_RATES_KBPS};
+use crate::scenario::{BE_PACKET_SIZE, BE_RATES_KBPS};
 use btgs_baseband::SLOTS_PER_SECOND;
 use btgs_metrics::max_min_fair;
 
@@ -20,26 +19,6 @@ pub fn be_slot_demands() -> [f64; 4] {
         out[k] = pkts_per_sec_each_way * 6.0;
     }
     out
-}
-
-/// Rough GS slot consumption (slots per second) of a derived scenario:
-/// each entity polls at most every `x` seconds; a successful poll costs
-/// 4 slots for a unidirectional entity (POLL + DH3 or DH3 + NULL) and
-/// 6 slots for a piggybacked pair.
-pub fn gs_slot_estimate(scenario: &PaperScenario) -> f64 {
-    scenario
-        .outcome
-        .entities
-        .iter()
-        .map(|e| {
-            let per_poll = if e.has_downlink && e.has_uplink {
-                6.0
-            } else {
-                4.0
-            };
-            per_poll / e.x.as_secs_f64()
-        })
-        .sum()
 }
 
 /// Predicted per-slave BE throughput (kbit/s) when `gs_slots` slots per
@@ -61,8 +40,6 @@ pub fn predicted_be_throughput_kbps(gs_slots: f64) -> [f64; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::PaperScenarioParams;
-    use btgs_des::SimDuration;
 
     #[test]
     fn be_demands_match_hand_arithmetic() {
@@ -72,23 +49,6 @@ mod tests {
         assert!((d[3] - 248.86).abs() < 0.1, "{}", d[3]);
         let total: f64 = d.iter().sum();
         assert!((total - 852.3).abs() < 1.0, "{total}");
-    }
-
-    #[test]
-    fn gs_estimate_grows_as_requirement_tightens() {
-        let loose = PaperScenario::build(PaperScenarioParams {
-            delay_requirement: SimDuration::from_millis(46),
-            ..Default::default()
-        });
-        let tight = PaperScenario::build(PaperScenarioParams {
-            delay_requirement: SimDuration::from_millis(30),
-            ..Default::default()
-        });
-        assert!(gs_slot_estimate(&tight) > gs_slot_estimate(&loose));
-        // At the loose end the GS schedule is in the ~700 slots/s regime
-        // computed in DESIGN.md.
-        let slots = gs_slot_estimate(&loose);
-        assert!((600.0..950.0).contains(&slots), "{slots}");
     }
 
     #[test]

@@ -83,8 +83,10 @@ pub struct ChainHopSpec {
     /// the first hop and for master-internal relays.
     pub residence_in: SimDuration,
     /// Worst-case extra poll delay of this hop's slave when it is
-    /// part-time ([`btgs_gs::presence_absence_penalty`] of the slave's own
-    /// window); zero for full-time slaves.
+    /// part-time: `cycle − dwell + U` over the slave's own window, since a
+    /// GS poll only executes while a full segment exchange (`U`) still
+    /// fits before departure ([`btgs_gs::worst_case_residence`] with `U`
+    /// as its guard); zero for full-time slaves.
     pub absence: SimDuration,
 }
 
@@ -333,11 +335,6 @@ impl ScatternetAdmissionController {
         &self.piconets[pic.index()]
     }
 
-    /// Number of piconets under this controller.
-    pub fn num_piconets(&self) -> usize {
-        self.piconets.len()
-    }
-
     /// The admitted chains, in admission order.
     pub fn chains(&self) -> &[ChainGrant] {
         &self.chains
@@ -493,26 +490,6 @@ impl ScatternetAdmissionController {
         self.refresh_chain_bounds();
         self.chains.push(grant);
         Ok(self.chains.last().expect("just pushed"))
-    }
-
-    /// Releases an admitted chain: every hop leaves its piconet's ledger
-    /// and the remaining chains' grants are recomposed (their bounds can
-    /// only tighten when load leaves).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no admitted chain has this id.
-    pub fn release_chain(&mut self, id: u32) {
-        let pos = self
-            .chains
-            .iter()
-            .position(|c| c.id == id)
-            .unwrap_or_else(|| panic!("chain {id} is not admitted"));
-        let grant = self.chains.remove(pos);
-        for hop in &grant.hops {
-            self.piconets[hop.piconet.index()].release(hop.flow);
-        }
-        self.refresh_chain_bounds();
     }
 
     fn validate(&self, request: &ChainRequest) -> Result<(), ChainAdmissionError> {
@@ -690,11 +667,10 @@ impl ScatternetAdmissionController {
 
     /// Re-derives every stored grant from the schedule currently in force,
     /// so [`chains`](ScatternetAdmissionController::chains) always reports
-    /// currently-provable bounds. Called after every successful mutation —
-    /// a later admission may legally *raise* a hop's `y` (as long as every
-    /// deadline still holds, enforced by
-    /// [`verify_admitted_chains`](Self::verify_admitted_chains) first),
-    /// and a release can lower it.
+    /// currently-provable bounds. Called after every successful admission,
+    /// which may legally *raise* a hop's `y` (as long as every deadline
+    /// still holds, enforced by
+    /// [`verify_admitted_chains`](Self::verify_admitted_chains) first).
     fn refresh_chain_bounds(&mut self) {
         let refreshed: Vec<ChainGrant> = self
             .chains
@@ -727,7 +703,7 @@ mod tests {
     fn digest(ctl: &ScatternetAdmissionController) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for p in 0..ctl.num_piconets() {
+        for p in 0..ctl.piconets.len() {
             let c = ctl.piconet(PiconetId(p as u16));
             let _ = write!(out, "{:?}|{:?};", c.accepted(), c.outcome());
         }
@@ -966,35 +942,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(digest(&ctl), before);
-    }
-
-    #[test]
-    fn release_chain_restores_preadmission_ledgers() {
-        let mut ctl = ScatternetAdmissionController::new(AdmissionConfig::paper(), 2);
-        seed_entities(&mut ctl, 0, 3);
-        seed_entities(&mut ctl, 1, 3);
-        let before = digest(&ctl);
-        ctl.admit_chain(ChainRequest {
-            id: 7,
-            tspec: tspec(),
-            deadline: ms(200),
-            hops: vec![
-                hop(0, 901, 6, Direction::MasterToSlave),
-                hop(1, 902, 7, Direction::SlaveToMaster),
-            ],
-        })
-        .unwrap();
-        assert_ne!(digest(&ctl), before);
-        ctl.release_chain(7);
-        assert_eq!(digest(&ctl), before);
-        assert!(ctl.chains().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "not admitted")]
-    fn releasing_unknown_chain_panics() {
-        let mut ctl = ScatternetAdmissionController::new(AdmissionConfig::paper(), 1);
-        ctl.release_chain(3);
     }
 
     #[test]

@@ -18,8 +18,6 @@ use btgs_baseband::{AmAddr, Direction, LogicalChannel};
 use btgs_des::{SimDuration, SimTime};
 use btgs_piconet::{ExchangeReport, FlowIdx, MasterView, PollDecision, Poller, SegmentOutcome};
 use btgs_traffic::FlowId;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 struct EntityState {
     slave: AmAddr,
@@ -38,40 +36,6 @@ struct EntityState {
     s: SimDuration,
     plan: PollPlan,
     pending_planned: Option<SimTime>,
-}
-
-/// Shared counters exposed by a [`GsPoller`] (readable after the simulation
-/// consumed the poller box).
-#[derive(Clone, Debug, Default)]
-pub struct GsPollerStats {
-    skipped: Arc<AtomicU64>,
-    executed: Arc<AtomicU64>,
-}
-
-/// Adds one to a [`GsPollerStats`] counter. The poller that owns the
-/// counter is its only writer, so a load and a store lose no increment,
-/// and the poll path pays no locked read-modify-write.
-fn bump(counter: &AtomicU64) {
-    // ord: Relaxed — single writer: this load reads the poller's own last
-    // store, and readers run after the join that ends the simulation.
-    let n = counter.load(Ordering::Relaxed);
-    // ord: Relaxed — same single-writer tally as the load above.
-    counter.store(n + 1, Ordering::Relaxed);
-}
-
-impl GsPollerStats {
-    /// GS polls skipped by improvement (c).
-    pub fn skipped_polls(&self) -> u64 {
-        // ord: Relaxed — diagnostic tally read after the run; the thread
-        // join that ends the run orders it.
-        self.skipped.load(Ordering::Relaxed)
-    }
-
-    /// GS polls issued.
-    pub fn executed_polls(&self) -> u64 {
-        // ord: Relaxed — same post-join diagnostic read as above.
-        self.executed.load(Ordering::Relaxed)
-    }
 }
 
 /// The paper's Guaranteed Service poller.
@@ -108,7 +72,6 @@ pub struct GsPoller {
     entity_by_slave: [Option<usize>; AmAddr::MAX_SLAVES],
     be: Option<Box<dyn Poller>>,
     improvements: Improvements,
-    stats: GsPollerStats,
     name: &'static str,
     /// Flow count of the view when [`GsPoller::sync`] last resolved the
     /// entities' accounting-flow indices. The flow set of a run is static,
@@ -185,7 +148,6 @@ impl GsPoller {
             entity_by_slave,
             be: None,
             improvements,
-            stats: GsPollerStats::default(),
             name: "gs-custom",
             synced_flows: usize::MAX,
         }
@@ -214,12 +176,6 @@ impl GsPoller {
     fn named(mut self, name: &'static str) -> GsPoller {
         self.name = name;
         self
-    }
-
-    /// A handle to the poller's counters that stays readable after the
-    /// simulation has consumed the poller.
-    pub fn stats(&self) -> GsPollerStats {
-        self.stats.clone()
     }
 
     /// The earliest instant a planned GS poll can actually execute: a
@@ -256,7 +212,6 @@ impl Poller for GsPoller {
                 while e.plan.is_due(now) && !idx.is_some_and(|i| view.downlink_has_data_at(i, now))
                 {
                     e.plan.skip();
-                    bump(&self.stats.skipped);
                 }
             }
         }
@@ -274,7 +229,6 @@ impl Poller for GsPoller {
             .find(|e| e.plan.is_due(now) && view.fits_exchange(e.slave, e.s))
         {
             e.pending_planned = Some(e.plan.next_poll());
-            bump(&self.stats.executed);
             return PollDecision::Poll {
                 slave: e.slave,
                 channel: LogicalChannel::GuaranteedService,
@@ -615,7 +569,6 @@ mod tests {
         )
         .unwrap();
         let mut poller = GsPoller::variable(&out, SimTime::ZERO);
-        let stats = poller.stats();
         let flows = [FlowSpec::new(
             FlowId(1),
             s(1),
@@ -630,8 +583,8 @@ mod tests {
             PollDecision::Idle { until } => assert_eq!(until.as_nanos(), 16_363_636),
             other => panic!("{other:?}"),
         }
-        assert_eq!(stats.skipped_polls(), 1);
-        assert_eq!(stats.executed_polls(), 0);
+        assert_eq!(poller.entities[0].plan.skipped(), 1);
+        assert_eq!(poller.entities[0].plan.executed(), 0);
         // With data present, the poll happens.
         queues[0]
             .queue_mut()
@@ -642,7 +595,7 @@ mod tests {
             PollDecision::Poll { slave, .. } => assert_eq!(slave, s(1)),
             other => panic!("{other:?}"),
         }
-        assert_eq!(stats.executed_polls(), 1);
+        assert!(poller.entities[0].pending_planned.is_some());
     }
 
     #[test]

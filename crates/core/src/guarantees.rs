@@ -40,7 +40,8 @@ pub struct Check {
 }
 
 /// The reports a [`Guarantees`] is checked against: a single piconet's
-/// [`RunReport`] or a [`ScatternetReport`].
+/// [`RunReport`], a [`ScatternetReport`], or a grid cell's own reports
+/// (from a [`CellResult`](crate::CellResult)).
 #[derive(Clone, Copy, Debug)]
 pub struct Measured<'a>(&'a [RunReport], &'a [ChainReport]);
 
@@ -81,7 +82,8 @@ impl Guarantees {
     /// # Panics
     ///
     /// Panics if the reports lack a guaranteed piconet, flow or chain:
-    /// they are not this scenario's.
+    /// they are not this scenario's ([`first_missing`](Self::first_missing)
+    /// names the first such subject).
     pub fn check<'a>(
         &'a self,
         reports: impl Into<Measured<'a>>,
@@ -104,6 +106,20 @@ impl Guarantees {
                 over,
             }
         })
+    }
+
+    /// The first guaranteed subject `reports` lack — a flow missing from
+    /// its piconet's report (or whose piconet has none), or a chain index
+    /// past the chain list — or `None` when [`check`](Self::check) finds
+    /// every subject.
+    pub fn first_missing<'a>(&self, reports: impl Into<Measured<'a>>) -> Option<Subject> {
+        let Measured(piconets, chains) = reports.into();
+        let lacks = |subject: &Subject| match *subject {
+            Subject::Flow { piconet, flow } => (piconets.get(piconet.index()))
+                .is_none_or(|report| !report.per_flow.contains_key(&flow)),
+            Subject::Chain(chain) => chain >= chains.len(),
+        };
+        self.0.iter().map(|&(subject, _)| subject).find(lacks)
     }
 }
 
@@ -242,6 +258,30 @@ mod tests {
         let subjects: Vec<Subject> = guarantees.check(&report).map(|c| c.subject).collect();
         let paper = [1, 2, 3, 101, 102, 103].map(flow);
         assert_eq!(subjects, [&paper[..], &[Subject::Chain(0)]].concat());
+    }
+
+    #[test]
+    fn first_missing_names_the_subject_the_reports_lack() {
+        let (scenario, report) = cleared(admitted());
+        let guarantees = Guarantees::from(&scenario);
+        assert_eq!(guarantees.first_missing(&report), None);
+        assert_eq!(guarantees.0.len(), 7, "six paper flows and the chain");
+        for &(subject, _) in &guarantees.0 {
+            let mut lacking = report.clone();
+            match subject {
+                Subject::Flow { piconet, flow } => {
+                    let per_flow = &mut lacking.piconets[piconet.index()].per_flow;
+                    assert!(per_flow.remove(&flow).is_some(), "{flow} was reported");
+                }
+                Subject::Chain(_) => lacking.chains.clear(),
+            }
+            assert_eq!(guarantees.first_missing(&lacking), Some(subject));
+        }
+        // Piconet 1's flows are missing from piconet 0's report alone.
+        assert_eq!(
+            guarantees.first_missing(&report.piconets[0]),
+            Some(flow(101))
+        );
     }
 
     #[test]

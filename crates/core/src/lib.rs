@@ -79,13 +79,13 @@ pub use admission::{
     admit, AdmissionConfig, AdmissionController, AdmissionError, AdmissionOutcome, EntityPlan,
     FlowGrant, GsRequest,
 };
-pub use analysis::{be_slot_demands, gs_slot_estimate, predicted_be_throughput_kbps};
+pub use analysis::{be_slot_demands, predicted_be_throughput_kbps};
 pub use chain_admission::{
     ChainAdmissionError, ChainGrant, ChainHopSpec, ChainRequest, HopGrant,
     ScatternetAdmissionController,
 };
 pub use efficiency::{min_poll_efficiency, poll_efficiency};
-pub use gs_poller::{GsPoller, GsPollerStats};
+pub use gs_poller::GsPoller;
 pub use guarantees::{Check, Guarantees, Measured, Subject};
 pub use plan::{Improvements, PollOutcome, PollPlan};
 pub use runner::{

@@ -533,11 +533,17 @@ impl CellResult {
     /// This cell's reports checked against its [`guarantees`](Self::guarantees),
     /// one [`Check`] per guarantee, allocation-free.
     pub fn checks(&self) -> impl Iterator<Item = Check> + '_ {
-        let reports: Measured = match &self.scatternet {
-            None => (&self.report).into(),
+        self.guarantees.check(self)
+    }
+}
+
+impl<'a> From<&'a CellResult> for Measured<'a> {
+    /// The cell's own reports: the scatternet's, else the piconet's.
+    fn from(result: &'a CellResult) -> Self {
+        match &result.scatternet {
+            None => (&result.report).into(),
             Some(s) => (&s.report).into(),
-        };
-        self.guarantees.check(reports)
+        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Deterministic pseudo-random number generation.
 //!
 //! The simulator must replay bit-for-bit across platforms and compiler
-//! versions so that every experiment in `EXPERIMENTS.md` can be regenerated
-//! exactly. We therefore ship a small self-contained generator —
+//! versions so that every experiment can be regenerated exactly from its
+//! seed. We therefore ship a small self-contained generator —
 //! xoshiro256++ seeded through SplitMix64 — instead of depending on an
 //! external crate whose stream might change between releases.
 //!

@@ -109,13 +109,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// The duration elapsed since `earlier`, or `None` if `earlier` is later
-    /// than `self`.
-    #[inline]
-    pub fn checked_duration_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// The duration elapsed since `earlier`, clamped to zero if `earlier` is
     /// actually later than `self`.
     #[inline]
@@ -551,11 +544,6 @@ mod tests {
         assert_eq!(t + d, SimTime::from_millis(15));
         assert_eq!(t - d, SimTime::from_millis(5));
         assert_eq!((t + d) - t, d);
-        assert_eq!(t.checked_duration_since(t + d), None);
-        assert_eq!(
-            (t + d).checked_duration_since(t),
-            Some(SimDuration::from_millis(5))
-        );
         assert_eq!(t.saturating_duration_since(t + d), SimDuration::ZERO);
     }
 

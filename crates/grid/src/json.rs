@@ -4,9 +4,8 @@
 //! this module provides the small subset the wire format needs. Two
 //! properties matter more than generality:
 //!
-//! * **Integer exactness** — timestamps, byte counts and seeds are `u64`
-//!   (sums `u128`); parsing them through `f64` would silently corrupt
-//!   values above 2⁵³. Numbers without a fraction or exponent therefore
+//! * **Integer exactness** — timestamps, byte counts and seeds are `u64`;
+//!   parsing them through `f64` would silently corrupt values above 2⁵³. Numbers without a fraction or exponent therefore
 //!   parse into [`Json::Int`] (`i128`), and only the rest into
 //!   [`Json::Float`].
 //! * **Round-tripping floats** — the writers format `f64`s with `{:?}`
@@ -96,14 +95,6 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u128`, if it is a non-negative integer.
-    pub fn as_u128(&self) -> Option<u128> {
-        match self {
-            Json::Int(i) => u128::try_from(*i).ok(),
             _ => None,
         }
     }
@@ -433,9 +424,6 @@ mod tests {
             Json::parse(&tricky.to_string()).unwrap().as_u64(),
             Some(tricky)
         );
-        // u128 sums too.
-        let big = u128::from(u64::MAX) * 3;
-        assert_eq!(Json::parse(&big.to_string()).unwrap().as_u128(), Some(big));
     }
 
     #[test]

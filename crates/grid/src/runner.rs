@@ -412,7 +412,9 @@ fn accept_frame(
     // lookups would otherwise turn a corrupt-but-parseable frame into a
     // parent panic — this path must stay an Err so checkpoint truncation
     // and shard retries can handle it. `reassemble` takes piconet 0 of a
-    // scatternet outcome; the sinks look up every planned GS flow in it.
+    // scatternet outcome; the sinks check every guarantee of the cell
+    // against its reports, and `Guarantees::check` panics on a flow or
+    // chain the reports lack.
     let shape_matches = match &frame.outcome {
         CellOutcome::Piconet(_) => expected.piconets <= 1,
         CellOutcome::Scatternet(report, _) => {
@@ -426,15 +428,9 @@ fn accept_frame(
         ));
     }
     let result = CellResult::reassemble(*expected, frame.outcome);
-    let missing = result
-        .scenario
-        .gs_plans
-        .iter()
-        .map(|p| p.request.id)
-        .find(|id| !result.report.per_flow.contains_key(id));
-    if let Some(id) = missing {
+    if let Some(subject) = result.guarantees.first_missing(&result) {
         return Err(format!(
-            "frame cell {} has no report for its GS flow {id}",
+            "frame cell {} has no report for its guaranteed {subject:?}",
             frame.index
         ));
     }

@@ -865,13 +865,6 @@ fn polls_from_json(j: &Json) -> Result<PollCounters, WireError> {
     }
 }
 
-/// Serialises a [`RunReport`] with full sample fidelity.
-pub fn run_report_to_json(r: &RunReport) -> String {
-    let mut s = String::with_capacity(4096);
-    push_run_report(&mut s, r);
-    s
-}
-
 fn push_run_report(s: &mut String, r: &RunReport) {
     let _ = write!(
         s,
@@ -993,13 +986,6 @@ fn chain_report_from_json(j: &Json) -> Result<ChainReport, WireError> {
         e2e: delay_from_json(field(j, "e2e")?)?,
         residence: delay_from_json(field(j, "residence")?)?,
     })
-}
-
-/// Serialises a [`ScatternetReport`] with full sample fidelity.
-pub fn scatternet_report_to_json(r: &ScatternetReport) -> String {
-    let mut s = String::with_capacity(8192);
-    push_scatternet_report(&mut s, r);
-    s
 }
 
 fn push_scatternet_report(s: &mut String, r: &ScatternetReport) {

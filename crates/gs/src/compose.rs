@@ -73,24 +73,6 @@ pub fn worst_case_residence(
     cycle - dwell + guard
 }
 
-/// The worst-case extra polling delay a *part-time* (bridge) slave adds to
-/// its own hop: a poll falling due the instant the slave leaves waits out
-/// the absence gap before it can execute, so the hop's rate-independent
-/// deviation grows by `cycle − dwell` (`dwell` being the slave's presence
-/// window in the hop's piconet). Full-time slaves add nothing.
-///
-/// Numerically identical to [`worst_case_residence`] with zero guard; the
-/// separate name keeps call sites honest about *which* window they pass —
-/// residence uses the **target** piconet's window, absence the **hop's
-/// own**.
-///
-/// # Panics
-///
-/// See [`worst_case_residence`].
-pub fn presence_absence_penalty(cycle: SimDuration, dwell: SimDuration) -> SimDuration {
-    worst_case_residence(cycle, dwell, SimDuration::ZERO)
-}
-
 /// Composes per-hop delay bounds and per-crossing residences into the
 /// provable end-to-end bound `Σ hop bounds + Σ residences`.
 ///
@@ -196,12 +178,6 @@ mod tests {
     #[should_panic(expected = "dwell must be positive")]
     fn residence_rejects_zero_dwell() {
         let _ = worst_case_residence(ms(10), ms(0), ms(0));
-    }
-
-    #[test]
-    fn absence_penalty_mirrors_residence() {
-        assert_eq!(presence_absence_penalty(ms(20), ms(10)), ms(10));
-        assert_eq!(presence_absence_penalty(ms(20), ms(20)), ms(0));
     }
 
     #[test]

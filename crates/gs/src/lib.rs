@@ -46,9 +46,7 @@ mod compose;
 mod delay_bound;
 mod error_terms;
 
-pub use compose::{
-    compose_e2e_bound, presence_absence_penalty, split_queueing_budget, worst_case_residence,
-};
+pub use compose::{compose_e2e_bound, split_queueing_budget, worst_case_residence};
 pub use delay_bound::{delay_bound, required_rate, GsError};
 pub use error_terms::ErrorTerms;
 

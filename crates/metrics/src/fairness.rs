@@ -116,7 +116,8 @@ mod tests {
 
     #[test]
     fn paper_fig5_shape() {
-        // BE slave demands at max rates (slots/s, cf. DESIGN.md): the
+        // BE slave demands at max rates (slots/s: one 6-slot DH3 exchange
+        // per 176-byte packet each way, at 41.6..58.4 kbit/s): the
         // smallest-demand slave saturates first as capacity shrinks.
         let demands = [177.3, 201.1, 225.0, 248.9];
         let a = max_min_fair(732.0, &demands);

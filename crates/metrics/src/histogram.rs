@@ -106,17 +106,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// The `(low, high)` edges of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        assert!(i < self.bins.len(), "bin index out of range");
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
     /// Merges another histogram's counts into this one.
     ///
     /// Merging is exact and commutative (per-bin addition), so per-shard
@@ -137,18 +126,6 @@ impl Histogram {
         self.underflow += other.underflow;
         self.overflow += other.overflow;
         Ok(())
-    }
-
-    /// Renders a compact ASCII bar chart, one bin per line.
-    pub fn ascii_chart(&self, width: usize) -> String {
-        let max = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.bins.iter().enumerate() {
-            let (lo, hi) = self.bin_edges(i);
-            let bar = "#".repeat((c as usize * width).div_ceil(max as usize).min(width));
-            out.push_str(&format!("[{lo:>10.4}, {hi:>10.4})  {c:>8}  {bar}\n"));
-        }
-        out
     }
 }
 
@@ -189,13 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn edges() {
-        let h = Histogram::new(0.0, 10.0, 5).unwrap();
-        assert_eq!(h.bin_edges(0), (0.0, 2.0));
-        assert_eq!(h.bin_edges(4), (8.0, 10.0));
-    }
-
-    #[test]
     fn merge_adds_counts_commutatively() {
         let mut a = Histogram::new(0.0, 10.0, 5).unwrap();
         let mut b = Histogram::new(0.0, 10.0, 5).unwrap();
@@ -221,16 +191,5 @@ mod tests {
         let mut coarse = Histogram::new(0.0, 10.0, 2).unwrap();
         assert_eq!(coarse.merge(&a), Err(HistogramShapeMismatch));
         assert!(HistogramShapeMismatch.to_string().contains("bin count"));
-    }
-
-    #[test]
-    fn ascii_chart_renders() {
-        let mut h = Histogram::new(0.0, 2.0, 2).unwrap();
-        h.record(0.5);
-        h.record(0.6);
-        h.record(1.5);
-        let chart = h.ascii_chart(10);
-        assert_eq!(chart.lines().count(), 2);
-        assert!(chart.contains('#'));
     }
 }

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! Every bench binary prints its table/figure through this module so the
-//! reproduction artifacts in `EXPERIMENTS.md` share one format.
+//! Every bench binary prints its table/figure through this module, so
+//! every experiment's output shares one format.
 
 use core::fmt::Write as _;
 
@@ -55,11 +55,6 @@ impl Table {
         );
         self.rows.push(cells);
         self
-    }
-
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display<D: core::fmt::Display>(&mut self, cells: Vec<D>) -> &mut Table {
-        self.row(cells.into_iter().map(|c| c.to_string()).collect())
     }
 
     /// Number of data rows.
@@ -139,10 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn row_display_and_len() {
+    fn row_and_len() {
         let mut t = Table::new(vec!["n"]);
         assert!(t.is_empty());
-        t.row_display(vec![42]);
+        t.row(vec!["42".into()]);
         assert_eq!(t.len(), 1);
         assert!(t.render().contains("42"));
     }

@@ -173,16 +173,6 @@ impl PresenceMask {
         Ok(())
     }
 
-    /// The presence window of a slave, or `None` for full-time slaves.
-    pub fn window_of(&self, slave: AmAddr) -> Option<&PresenceWindow> {
-        self.windows[slave.index()].as_ref()
-    }
-
-    /// `true` if no slave has a presence window (the single-piconet case).
-    pub fn is_trivial(&self) -> bool {
-        self.windows.iter().all(|w| w.is_none())
-    }
-
     /// `true` if `slave` is reachable at instant `t`.
     #[inline]
     pub fn is_present(&self, slave: AmAddr, t: SimTime) -> bool {

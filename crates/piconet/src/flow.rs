@@ -64,16 +64,6 @@ impl FlowSpec {
         self.allowed_types = Some(types);
         self
     }
-
-    /// `true` if `other` is this flow's oppositely-directed counterpart on
-    /// the same slave and channel — the piggybacking relation of the
-    /// paper's admission control (Fig. 3, step d).
-    pub fn is_counterpart_of(&self, other: &FlowSpec) -> bool {
-        self.id != other.id
-            && self.slave == other.slave
-            && self.channel == other.channel
-            && self.direction == other.direction.reverse()
-    }
 }
 
 impl fmt::Display for FlowSpec {
@@ -120,50 +110,6 @@ mod tests {
 
     fn s(n: u8) -> AmAddr {
         AmAddr::new(n).unwrap()
-    }
-
-    #[test]
-    fn counterpart_detection() {
-        let up = FlowSpec::new(
-            FlowId(3),
-            s(2),
-            Direction::SlaveToMaster,
-            LogicalChannel::GuaranteedService,
-        );
-        let down = FlowSpec::new(
-            FlowId(2),
-            s(2),
-            Direction::MasterToSlave,
-            LogicalChannel::GuaranteedService,
-        );
-        assert!(up.is_counterpart_of(&down));
-        assert!(down.is_counterpart_of(&up));
-        // Different slave: not counterparts.
-        let other = FlowSpec::new(
-            FlowId(4),
-            s(3),
-            Direction::MasterToSlave,
-            LogicalChannel::GuaranteedService,
-        );
-        assert!(!up.is_counterpart_of(&other));
-        // Same direction: not counterparts.
-        let same_dir = FlowSpec::new(
-            FlowId(5),
-            s(2),
-            Direction::SlaveToMaster,
-            LogicalChannel::GuaranteedService,
-        );
-        assert!(!up.is_counterpart_of(&same_dir));
-        // Different channel: not counterparts.
-        let be = FlowSpec::new(
-            FlowId(6),
-            s(2),
-            Direction::MasterToSlave,
-            LogicalChannel::BestEffort,
-        );
-        assert!(!up.is_counterpart_of(&be));
-        // A flow is not its own counterpart.
-        assert!(!up.is_counterpart_of(&up));
     }
 
     #[test]

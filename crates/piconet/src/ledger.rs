@@ -44,15 +44,6 @@ impl PollCounters {
         self.successful + self.unsuccessful
     }
 
-    /// Fraction of polls that were unsuccessful (0 if no polls).
-    pub fn waste_ratio(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.unsuccessful as f64 / self.total() as f64
-        }
-    }
-
     /// Records one poll outcome.
     pub fn record(&mut self, successful: bool) {
         if successful {
@@ -187,14 +178,12 @@ mod tests {
     #[test]
     fn poll_counters() {
         let mut c = PollCounters::default();
-        assert_eq!(c.waste_ratio(), 0.0);
         c.record(true);
         c.record(true);
         c.record(false);
         assert_eq!(c.total(), 3);
         assert_eq!(c.successful, 2);
         assert_eq!(c.unsuccessful, 1);
-        assert!((c.waste_ratio() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

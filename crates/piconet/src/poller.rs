@@ -206,13 +206,8 @@ impl<'a> MasterView<'a> {
         })
     }
 
-    /// `true` if the downlink flow had data available at instant `t`.
-    /// Uplink flows always report `false` (master ignorance).
-    pub fn downlink_has_data(&self, id: FlowId, t: SimTime) -> bool {
-        matches!(self.downlink(id), Some(v) if matches!(v.head_arrival, Some(a) if a <= t))
-    }
-
     /// `true` if the downlink flow at `idx` had data available at `t`.
+    /// Uplink flows always report `false` (master ignorance).
     pub fn downlink_has_data_at(&self, idx: FlowIdx, t: SimTime) -> bool {
         // Checked on every PFP availability probe: go straight to the
         // queue's head-arrival test instead of snapshotting a full view.
@@ -381,9 +376,8 @@ mod tests {
         let dl = view.downlink(FlowId(2)).unwrap();
         assert_eq!(dl.packets, 1);
         assert_eq!(dl.backlog_bytes, 100);
-        assert!(view.downlink_has_data(FlowId(2), SimTime::ZERO));
-        assert!(!view.downlink_has_data(FlowId(1), SimTime::from_secs(1)));
-        assert!(!view.downlink_has_data(FlowId(9), SimTime::ZERO));
+        assert!(view.downlink_has_data_at(FlowIdx(1), SimTime::ZERO));
+        assert!(!view.downlink_has_data_at(FlowIdx(0), SimTime::from_secs(1)));
     }
 
     #[test]

@@ -120,12 +120,6 @@ impl CbrSource {
     pub fn interval(&self) -> SimDuration {
         self.interval
     }
-
-    /// The mean data rate in bytes per second.
-    pub fn mean_rate(&self) -> f64 {
-        let mean_size = (self.min_size as f64 + self.max_size as f64) / 2.0;
-        mean_size / self.interval.as_secs_f64()
-    }
 }
 
 impl Source for CbrSource {
@@ -480,19 +474,6 @@ mod tests {
             assert_eq!(p.seq, k as u64);
             assert_eq!(p.flow, FlowId(1));
         }
-    }
-
-    #[test]
-    fn cbr_mean_rate_matches_paper() {
-        let src = CbrSource::new(
-            FlowId(1),
-            SimDuration::from_millis(20),
-            144,
-            176,
-            DetRng::seed_from_u64(1),
-        );
-        // (144+176)/2 / 0.020 = 8000 B/s = 64 kbps.
-        assert_eq!(src.mean_rate(), 8000.0);
     }
 
     #[test]

@@ -146,13 +146,6 @@ impl TokenBucketSpec {
     pub fn policed_size(&self, bytes: u32) -> u32 {
         bytes.max(self.min_policed_unit)
     }
-
-    /// The maximum number of bytes the flow may offer in any interval of
-    /// length `t` seconds: `min(p*t + M, b + r*t)`.
-    pub fn arrival_envelope(&self, t: f64) -> f64 {
-        assert!(t >= 0.0, "interval must be non-negative");
-        (self.peak_rate * t + self.max_packet as f64).min(self.bucket_depth + self.token_rate * t)
-    }
 }
 
 impl fmt::Display for TokenBucketSpec {
@@ -300,16 +293,6 @@ mod tests {
         assert_eq!(spec.policed_size(100), 144);
         assert_eq!(spec.policed_size(144), 144);
         assert_eq!(spec.policed_size(170), 170);
-    }
-
-    #[test]
-    fn envelope_is_min_of_peak_and_bucket_lines() {
-        let spec = TokenBucketSpec::new(1000.0, 100.0, 500.0, 10, 200).unwrap();
-        // At t=0 the peak line starts at M=200, the bucket line at b=500.
-        assert_eq!(spec.arrival_envelope(0.0), 200.0);
-        // Early on the peak line governs; later the token line takes over.
-        assert_eq!(spec.arrival_envelope(0.1), 300.0); // 1000*0.1+200 < 500+10
-        assert_eq!(spec.arrival_envelope(10.0), 1500.0); // 500+100*10 < 10200
     }
 
     #[test]
